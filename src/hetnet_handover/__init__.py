@@ -10,7 +10,7 @@ Modules
 geometry   Rectangular regions, Poisson and clustered base-station layouts.
 mobility   Random-waypoint motion with a boundary-biased waypoint mixture.
 radio      Per-tier radio parameters and exact cell-boundary circles.
-specfun    Bessel/Marcum/erf special functions used by the closed forms.
+specfun    Bessel and Marcum-Q special functions used by the closed forms.
 analytics  Distance laws and the closed-form handover rate expressions.
 simengine  Event-driven trajectory simulator and analytic/simulated tables.
 cli        ``hetnet-handover`` command line front end.
@@ -21,14 +21,10 @@ from .analytics import (
     HandoverThresholds,
     PairKind,
     compute_metrics,
-    handover_failure_rate,
-    handover_rate,
-    handover_triggered_rate,
     mean_cluster_distance_numeric,
     mean_cluster_distance_ub,
     mean_pair_distance,
     mean_r_sm,
-    pingpong_rate,
     prob_sojourn_ge,
     rician_cdf,
     rician_mean,
@@ -41,7 +37,6 @@ from .geometry import (
     ClusterConfig,
     PointSet,
     Region,
-    nearest_point,
     nearest_point_batch,
     partition_five,
     sample_ppp,
@@ -60,7 +55,6 @@ from .radio import (
     ErbPair,
     TierRadioParams,
     erb_circle,
-    erb_failure_circle,
     make_erb_pair,
     serving_bs,
 )
@@ -85,14 +79,10 @@ __all__ = [
     "HandoverThresholds",
     "PairKind",
     "compute_metrics",
-    "handover_failure_rate",
-    "handover_rate",
-    "handover_triggered_rate",
     "mean_cluster_distance_numeric",
     "mean_cluster_distance_ub",
     "mean_pair_distance",
     "mean_r_sm",
-    "pingpong_rate",
     "prob_sojourn_ge",
     "rician_cdf",
     "rician_mean",
@@ -103,7 +93,6 @@ __all__ = [
     "ClusterConfig",
     "PointSet",
     "Region",
-    "nearest_point",
     "nearest_point_batch",
     "partition_five",
     "sample_ppp",
@@ -118,7 +107,6 @@ __all__ = [
     "ErbPair",
     "TierRadioParams",
     "erb_circle",
-    "erb_failure_circle",
     "make_erb_pair",
     "serving_bs",
     "ComparisonTable",

@@ -47,9 +47,6 @@ from .mobility import MobilityConfig, mean_transition_length
 from .radio import ErbPair
 from .specfun import BesselApproxTable, DEFAULT_BESSEL_TABLE, marcum_q1
 
-#: Default mean number of target BSs in the region for analytic evaluation.
-DEFAULT_N_BS_MEAN = 10.0
-
 #: Below this cluster-size parameter q = pi*lam*sigma^2 the closed-form
 #: "upper bound" on the mean cluster distance is not actually an upper bound
 #: (measured crossover near 0.05); a UserWarning is emitted.
@@ -102,32 +99,6 @@ class HandoverMetrics:
             raise ValueError("handover_rate cannot exceed triggered_rate")
         if self.failure_rate > 1 + 1e-12:
             raise ValueError("failure_rate is a per-trigger ratio and cannot exceed 1")
-
-
-METRICS_CSV_HEADER = "pair,lambda_s,sigma,V_mps,T_s,Tp_s,H_t,H,H_f,H_p"
-
-
-def format_metrics_row(
-    metrics: HandoverMetrics,
-    lambda_s: float,
-    sigma: float,
-    velocity: float,
-    t_threshold: float,
-    t_pingpong: float,
-) -> str:
-    fields = [
-        metrics.pair.value,
-        f"{lambda_s:.10g}",
-        f"{sigma:.10g}",
-        f"{velocity:.10g}",
-        f"{t_threshold:.10g}",
-        f"{t_pingpong:.10g}",
-        f"{metrics.triggered_rate:.10g}",
-        f"{metrics.handover_rate:.10g}",
-        f"{metrics.failure_rate:.10g}",
-        f"{metrics.pingpong_rate:.10g}",
-    ]
-    return ",".join(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +272,17 @@ def mean_cluster_distance_ub(
     return math.sqrt(2.0 * math.pi) * q * sigma * total
 
 
-def mean_pair_distance(
-    pair: PairKind,
-    lambda_m: float,
-    lambda_s: float,
-    sigma: float,
-    mode: str = "numeric",
-    table: BesselApproxTable = DEFAULT_BESSEL_TABLE,
-) -> float:
+def mean_pair_distance(pair: PairKind, lam: float, sigma: float) -> float:
     """Mean target-to-serving distance for a pair kind.
 
-    ``SM`` uses the uniform-tier law with the macro density; the hotspot
-    pairs average the Rician law over the serving tier's density (``SPS``
-    the small-cell density, ``SPM`` the macro density).  ``mode`` selects
-    adaptive quadrature (``"numeric"``) or the closed-form bound
-    (``"upper_bound"``).
+    ``lam`` is the serving tier's density.  ``SM`` uses the uniform-tier
+    law; the hotspot pairs average the Rician law of scatter ``sigma`` over
+    the serving tier (``SPS`` the small-cell density, ``SPM`` the macro
+    density) by adaptive quadrature.
     """
-    if mode not in ("numeric", "upper_bound"):
-        raise ValueError(f"unknown mean-distance mode {mode!r}")
     if pair is PairKind.SM:
-        return mean_r_sm(lambda_m)
-    lam = lambda_s if pair is PairKind.SPS else lambda_m
-    if mode == "numeric":
-        return mean_cluster_distance_numeric(lam, sigma)
-    return mean_cluster_distance_ub(lam, sigma, table=table)
+        return mean_r_sm(lam)
+    return mean_cluster_distance_numeric(lam, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -357,47 +315,9 @@ def _radius_gain(lam_xi: float) -> float:
     return math.sqrt(lam_xi) / (1.0 - lam_xi)
 
 
-def _as_lam_xi(erb: ErbPair | float) -> float:
-    return erb.lam_xi if isinstance(erb, ErbPair) else float(erb)
-
-
-def _as_lam_xi_f(erb: ErbPair | float) -> float:
-    if isinstance(erb, ErbPair):
-        return erb.lam_xi_f
-    raise TypeError("failure-boundary factor requires an ErbPair (carries xi_f)")
-
-
 def movement_time_per_meter(mobility: MobilityConfig) -> float:
     """``1/V + pause/E[L']``: seconds of wall clock per meter traveled."""
     return 1.0 / mobility.velocity + mobility.pause / mean_transition_length(mobility)
-
-
-def handover_triggered_rate(
-    pair: PairKind,
-    mean_distance: float,
-    erb: ErbPair | float,
-    region_area: float,
-    n_bs_mean: float = DEFAULT_N_BS_MEAN,
-    mobility: MobilityConfig | None = None,
-) -> float:
-    """Mean boundary-circle entries per second over the whole region.
-
-    ``erb`` may be an :class:`ErbPair` or the raw ``lam_star * xi`` product.
-    """
-    if mobility is None:
-        raise ValueError("a MobilityConfig is required")
-    if mean_distance < 0:
-        raise ValueError(f"mean_distance must be >= 0, got {mean_distance}")
-    if region_area <= 0 or n_bs_mean <= 0:
-        raise ValueError("region_area and n_bs_mean must be positive")
-    gain = _radius_gain(_as_lam_xi(erb))
-    return (
-        (2.0 / region_area)
-        * gain
-        * n_bs_mean
-        * mean_distance
-        / movement_time_per_meter(mobility)
-    )
 
 
 def prob_sojourn_ge(
@@ -405,20 +325,19 @@ def prob_sojourn_ge(
     t_threshold: float,
     velocity: float,
     lam_xi: float,
-    lambda_m: float | None = None,
-    lambda_s: float | None = None,
-    sigma: float | None = None,
+    lam: float,
+    sigma: float,
 ) -> float:
     """Probability that the in-circle sojourn is at least ``t_threshold``.
 
     The circle radius is proportional to the (random) pair distance, so the
-    sojourn tail inherits the pair's distance law: the ``SM`` branch is the
-    Rayleigh tail in closed exponential form, and the hotspot branches are
-    Marcum-Q tails of the Rician mixture,
+    sojourn tail inherits the pair's distance law over the serving-tier
+    density ``lam``: the ``SM`` branch is the Rayleigh tail in closed
+    exponential form, and the hotspot branches are Marcum-Q tails of the
+    Rician mixture with scatter ``sigma``,
 
-        SM :  exp(-4 lam_M V^2 T^2 (1-u)^2 / (pi u))
-        SPS:  Q1( 1/(2 sigma sqrt(lam_S)), 2 T V (1-u) / (pi sigma sqrt(u)) )
-        SPM:  Q1( 1/(2 sigma sqrt(lam_M)), 2 T V (1-u) / (pi sigma sqrt(u)) )
+        SM      :  exp(-4 lam V^2 T^2 (1-u)^2 / (pi u))
+        SPS, SPM:  Q1( 1/(2 sigma sqrt(lam)), 2 T V (1-u) / (pi sigma sqrt(u)) )
 
     with ``u = lam_xi``.
     """
@@ -428,143 +347,77 @@ def prob_sojourn_ge(
         raise ValueError(f"velocity must be positive, got {velocity}")
     if not (0.0 < lam_xi < 1.0):
         raise ValueError(f"lam_star * xi must lie in (0, 1), got {lam_xi}")
+    if lam <= 0 or sigma <= 0:
+        raise ValueError("lam and sigma must be positive")
     if t_threshold == 0.0:
         return 1.0
     if pair is PairKind.SM:
-        if lambda_m is None or lambda_m <= 0:
-            raise ValueError("SM branch requires a positive lambda_m")
         expo = (
             4.0
-            * lambda_m
+            * lam
             * velocity**2
             * t_threshold**2
             * (1.0 - lam_xi) ** 2
             / (math.pi * lam_xi)
         )
         return math.exp(-expo)
-    lam = lambda_s if pair is PairKind.SPS else lambda_m
-    which = "lambda_s" if pair is PairKind.SPS else "lambda_m"
-    if lam is None or lam <= 0:
-        raise ValueError(f"{pair.value} branch requires a positive {which}")
-    if sigma is None or sigma <= 0:
-        raise ValueError(f"{pair.value} branch requires a positive sigma")
     a = 1.0 / (2.0 * sigma * math.sqrt(lam))
     b = 2.0 * t_threshold * velocity * (1.0 - lam_xi) / (math.pi * sigma * math.sqrt(lam_xi))
     return float(marcum_q1(a, b))
 
 
-def handover_rate(
+def compute_metrics(
     pair: PairKind,
     thresholds: HandoverThresholds,
     mean_distance: float,
-    erb: ErbPair | float,
-    region_area: float,
-    n_bs_mean: float = DEFAULT_N_BS_MEAN,
-    mobility: MobilityConfig | None = None,
-    lambda_m: float | None = None,
-    lambda_s: float | None = None,
-    sigma: float | None = None,
-) -> float:
-    """Completed handovers per second: triggered rate times the sojourn tail."""
-    h_t = handover_triggered_rate(
-        pair, mean_distance, erb, region_area, n_bs_mean, mobility
-    )
-    p_ge = prob_sojourn_ge(
-        pair,
-        thresholds.t_threshold,
-        mobility.velocity,
-        _as_lam_xi(erb),
-        lambda_m=lambda_m,
-        lambda_s=lambda_s,
-        sigma=sigma,
-    )
-    return h_t * p_ge
-
-
-def handover_failure_rate(
-    pair: PairKind,
-    thresholds: HandoverThresholds,
     erb: ErbPair,
+    region_area: float,
+    n_bs_mean: float,
     mobility: MobilityConfig,
-    lambda_m: float | None = None,
-    lambda_s: float | None = None,
-    sigma: float | None = None,
-) -> float:
-    """Failures per triggered event (dimensionless, in [0, 1]).
-
-    The failure-boundary entry rate differs from the triggered rate only in
-    the radius-gain factor, so the mean pair distance, region area and BS
-    count cancel:
-
-        H_f = [g(u_f) / g(u)] * P(gap sojourn <= T)
-
-    where the gap-sojourn probability is the complement of the sojourn tail
-    evaluated with the failure factor ``u_f``.
-    """
-    u = erb.lam_xi
-    u_f = erb.lam_xi_f
-    ratio = _radius_gain(u_f) / _radius_gain(u)
-    p_le = 1.0 - prob_sojourn_ge(
-        pair,
-        thresholds.t_threshold,
-        mobility.velocity,
-        u_f,
-        lambda_m=lambda_m,
-        lambda_s=lambda_s,
-        sigma=sigma,
-    )
-    return ratio * p_le
-
-
-def pingpong_rate(
-    pair: PairKind,
-    thresholds: HandoverThresholds,
-    mean_distance: float,
-    erb: ErbPair,
-    region_area: float,
-    n_bs_mean: float = DEFAULT_N_BS_MEAN,
-    mobility: MobilityConfig | None = None,
-    lambda_m: float | None = None,
-    lambda_s: float | None = None,
-    sigma: float | None = None,
+    lam: float,
+    sigma: float,
     diagnostics: ClampDiagnostics = PINGPONG_CLAMP_DIAGNOSTICS,
-) -> float:
-    """Ping-pongs per second.
+) -> HandoverMetrics:
+    """All four closed-form metrics for one pair kind.
 
-    The bracket compares the sojourn law at the handover boundary against
-    the *failure*-boundary law at the ping-pong window:
+    ``lam`` is the serving-tier density and ``sigma`` the hotspot scatter.
+    With ``u = erb.lam_xi``, ``u_f = erb.lam_xi_f`` and the sojourn tail
+    ``P(S >= t | u)`` of :func:`prob_sojourn_ge`, each factor is evaluated
+    once:
 
-        H_p = H_t * [ P(S >= T at u)  -  P(S >= T_p at u_f) ]
+        H_t = (2 / A) g(u) N E[R] / (1/V + pause/E[L'])
+        H   = H_t P(S >= T | u)
+        H_f = [g(u_f) / g(u)] (1 - P(S >= T | u_f))
+        H_p = H_t [P(S >= T | u) - P(S >= T_p | u_f)]
 
-    The two terms deliberately use different boundary factors (u vs. u_f),
-    which can drive the bracket negative for small ``T_p``; a negative
-    bracket is clamped to zero, recorded on ``diagnostics`` and warned about,
-    since a negative rate is meaningless.
+    ``H_f`` is per triggered event: the failure-boundary entry rate differs
+    from the triggered rate only in the radius gain, so the mean distance,
+    region area and BS count cancel, and the gap sojourn is the complement
+    of the tail at ``u_f``.  The ping-pong bracket deliberately compares the
+    handover boundary (``u``) with the failure boundary (``u_f``), which can
+    drive it negative for small ``T_p``; a negative bracket is clamped to
+    zero, recorded on ``diagnostics`` and warned about, since a negative
+    rate is meaningless.
     """
-    if mobility is None:
-        raise ValueError("a MobilityConfig is required")
-    h_t = handover_triggered_rate(
-        pair, mean_distance, erb, region_area, n_bs_mean, mobility
+    if mean_distance < 0:
+        raise ValueError(f"mean_distance must be >= 0, got {mean_distance}")
+    if region_area <= 0 or n_bs_mean <= 0:
+        raise ValueError("region_area and n_bs_mean must be positive")
+    u, u_f = erb.lam_xi, erb.lam_xi_f
+    gain = _radius_gain(u)
+    gain_f = _radius_gain(u_f)
+    h_t = (
+        (2.0 / region_area)
+        * gain
+        * n_bs_mean
+        * mean_distance
+        / movement_time_per_meter(mobility)
     )
-    p_t = prob_sojourn_ge(
-        pair,
-        thresholds.t_threshold,
-        mobility.velocity,
-        erb.lam_xi,
-        lambda_m=lambda_m,
-        lambda_s=lambda_s,
-        sigma=sigma,
-    )
-    p_tp = prob_sojourn_ge(
-        pair,
-        thresholds.t_pingpong,
-        mobility.velocity,
-        erb.lam_xi_f,
-        lambda_m=lambda_m,
-        lambda_s=lambda_s,
-        sigma=sigma,
-    )
-    bracket = p_t - p_tp
+    v = mobility.velocity
+    p_t = prob_sojourn_ge(pair, thresholds.t_threshold, v, u, lam, sigma)
+    p_t_f = prob_sojourn_ge(pair, thresholds.t_threshold, v, u_f, lam, sigma)
+    p_tp_f = prob_sojourn_ge(pair, thresholds.t_pingpong, v, u_f, lam, sigma)
+    bracket = p_t - p_tp_f
     if bracket < 0.0:
         diagnostics.record(bracket)
         warnings.warn(
@@ -574,37 +427,10 @@ def pingpong_rate(
             stacklevel=2,
         )
         bracket = 0.0
-    return h_t * bracket
-
-
-def compute_metrics(
-    pair: PairKind,
-    thresholds: HandoverThresholds,
-    mean_distance: float,
-    erb: ErbPair,
-    region_area: float,
-    n_bs_mean: float = DEFAULT_N_BS_MEAN,
-    mobility: MobilityConfig | None = None,
-    lambda_m: float | None = None,
-    lambda_s: float | None = None,
-    sigma: float | None = None,
-) -> HandoverMetrics:
-    """All four analytic metrics for one pair kind."""
-    common = dict(lambda_m=lambda_m, lambda_s=lambda_s, sigma=sigma)
-    h_t = handover_triggered_rate(
-        pair, mean_distance, erb, region_area, n_bs_mean, mobility
-    )
-    h = handover_rate(
-        pair, thresholds, mean_distance, erb, region_area, n_bs_mean, mobility, **common
-    )
-    h_f = handover_failure_rate(pair, thresholds, erb, mobility, **common)
-    h_p = pingpong_rate(
-        pair, thresholds, mean_distance, erb, region_area, n_bs_mean, mobility, **common
-    )
     return HandoverMetrics(
         pair=pair,
         triggered_rate=h_t,
-        handover_rate=h,
-        failure_rate=h_f,
-        pingpong_rate=h_p,
+        handover_rate=h_t * p_t,
+        failure_rate=gain_f / gain * (1.0 - p_t_f),
+        pingpong_rate=h_t * bracket,
     )

@@ -41,12 +41,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytics import (
-    METRICS_CSV_HEADER,
-    HandoverThresholds,
-    PairKind,
-    format_metrics_row,
-)
+from .analytics import HandoverMetrics, HandoverThresholds, PairKind
 from .fixtures import (
     checks_to_text,
     default_hotspot_params,
@@ -69,6 +64,8 @@ from .simengine import (
 SCHEMA_VERSION = 1
 
 SWEEP_AXES = ("lambda_s", "sigma", "velocity", "tx_power_sprime", "T", "T_p")
+
+METRICS_CSV_HEADER = "pair,lambda_s,sigma,V_mps,T_s,Tp_s,H_t,H,H_f,H_p"
 
 SIMULATE_CSV_HEADER = (
     "pair,lambda_s,sigma,V_mps,T_s,Tp_s,n_trials,exposure_s,"
@@ -588,21 +585,28 @@ def _point_columns(cfg: SimConfig) -> str:
     )
 
 
+def format_metrics_row(metrics: HandoverMetrics, cfg: SimConfig) -> str:
+    """One ``METRICS_CSV_HEADER`` row: the sweep point, then the metrics."""
+    values = (
+        cfg.lambda_s,
+        cfg.cluster.sigma,
+        cfg.mobility.velocity,
+        cfg.thresholds.t_threshold,
+        cfg.thresholds.t_pingpong,
+        metrics.triggered_rate,
+        metrics.handover_rate,
+        metrics.failure_rate,
+        metrics.pingpong_rate,
+    )
+    return ",".join([metrics.pair.value, *(f"{v:.10g}" for v in values)])
+
+
 def cmd_analyze(spec: ExperimentSpec) -> str:
     """Closed-form metrics of the selected pair, one CSV row per sweep point."""
-    rows = []
-    for cfg in sweep_points(spec):
-        metrics = analytic_metrics(cfg)[spec.pair]
-        rows.append(
-            format_metrics_row(
-                metrics,
-                lambda_s=cfg.lambda_s,
-                sigma=cfg.cluster.sigma,
-                velocity=cfg.mobility.velocity,
-                t_threshold=cfg.thresholds.t_threshold,
-                t_pingpong=cfg.thresholds.t_pingpong,
-            )
-        )
+    rows = [
+        format_metrics_row(analytic_metrics(cfg)[spec.pair], cfg)
+        for cfg in sweep_points(spec)
+    ]
     return _render_csv(METRICS_CSV_HEADER, rows)
 
 

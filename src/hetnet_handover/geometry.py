@@ -14,9 +14,6 @@ there is no module-level random state.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +23,6 @@ TIER_MACRO = "M"
 TIER_SMALL = "S"
 TIER_HOTSPOT = "Sp"
 VALID_TIERS = (TIER_MACRO, TIER_SMALL, TIER_HOTSPOT)
-
-POINTSET_CSV_HEADER = "tier,x_m,y_m"
 
 
 @dataclass(frozen=True)
@@ -133,29 +128,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_csv(self) -> str:
-        """Serialize as ``tier,x_m,y_m`` rows with a header and trailing newline."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(POINTSET_CSV_HEADER.split(","))
-        for x, y in self.points:
-            writer.writerow([self.tier, f"{x:.6f}", f"{y:.6f}"])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PointSet":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != POINTSET_CSV_HEADER.split(","):
-            raise ValueError(f"expected header {POINTSET_CSV_HEADER!r}")
-        body = [r for r in rows[1:] if r]
-        if not body:
-            raise ValueError("point-set CSV has no data rows")
-        tiers = {r[0] for r in body}
-        if len(tiers) != 1:
-            raise ValueError(f"mixed tiers in one point set: {sorted(tiers)}")
-        pts = np.array([[float(r[1]), float(r[2])] for r in body])
-        return cls(tier=body[0][0], points=pts)
-
 
 @dataclass(frozen=True)
 class FivePartition:
@@ -239,25 +211,6 @@ def sample_tcp(
     return parents, PointSet(
         tier=TIER_HOTSPOT, points=children, parent_index=parent_index
     )
-
-
-def nearest_neighbor_distance(query: np.ndarray, targets: PointSet) -> float:
-    """Exact Euclidean distance from ``query`` to the nearest target point."""
-    dist, _ = nearest_point(query, targets)
-    return dist
-
-
-def nearest_point(query: np.ndarray, targets: PointSet) -> tuple[float, int]:
-    """Distance and row index of the nearest target point.
-
-    Raises ``ValueError`` when the tier has no deployed BS.
-    """
-    if len(targets) == 0:
-        raise ValueError(f"no points in tier {targets.tier!r}")
-    q = np.asarray(query, dtype=float)
-    d2 = np.sum((targets.points - q) ** 2, axis=1)
-    idx = int(np.argmin(d2))
-    return float(math.sqrt(d2[idx])), idx
 
 
 def nearest_point_batch(

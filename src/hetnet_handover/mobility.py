@@ -21,8 +21,6 @@ measure-zero zero draw) are redrawn so segments are always non-degenerate.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -82,15 +80,6 @@ class Trajectory:
     def total_time(self) -> float:
         """Travel time plus one pause per movement."""
         return float(self.total_length() / self.velocity + self.n_moves * self.pause)
-
-    def to_csv(self, user_id: int = 0) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["user_id", "seq", "x_m", "y_m"])
-        for seq, (x, y) in enumerate(self.waypoints):
-            writer.writerow([user_id, seq, f"{x:.6f}", f"{y:.6f}"])
-        return buf.getvalue()
-
 
 def draw_transition_length(cfg: MobilityConfig, rng: np.random.Generator) -> float:
     """One draw of L' = L + mu * Z (always >= 0)."""

@@ -179,11 +179,6 @@ def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
     return Circle(center=center, radius=radius, encloses_serving=u > 1.0)
 
 
-def erb_failure_circle(target: np.ndarray, xi_f: float, lam_star: float) -> Circle:
-    """Failure-boundary circle: same construction evaluated at ``xi_f``."""
-    return erb_circle(target, xi_f, lam_star)
-
-
 @dataclass(frozen=True)
 class ErbPair:
     """Both boundary circles plus the scalar factors for one (serving, target) pair."""
@@ -221,7 +216,7 @@ def make_erb_pair(
         xi_f=xi_f,
         lam_star=lam,
         handover_circle=erb_circle(target_position, xi, lam),
-        failure_circle=erb_failure_circle(target_position, xi_f, lam),
+        failure_circle=erb_circle(target_position, xi_f, lam),
         q_out=q_out_linear,
     )
 

@@ -34,7 +34,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -190,24 +190,6 @@ class EventCounts:
             raise ValueError("exposure_time must be >= 0")
         for pc in self.pairs.values():
             pc.validate()
-
-
-EVENTS_CSV_HEADER = (
-    "pair,triggered,handovers,failures,pingpongs,overlap,"
-    "degenerate_skipped,enclosing_skipped,exposure_s"
-)
-
-
-def events_to_csv(counts: EventCounts) -> str:
-    lines = [EVENTS_CSV_HEADER]
-    for kind in _KIND_ORDER:
-        pc = counts.pairs[kind]
-        lines.append(
-            f"{kind.value},{pc.triggered},{pc.handovers},{pc.failures},"
-            f"{pc.pingpongs},{pc.overlap},{pc.degenerate_skipped},"
-            f"{pc.enclosing_skipped},{counts.exposure_time:.12g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -588,24 +570,10 @@ class PairEstimate:
     pingpong_halfwidth: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "triggered_rate",
-            "handover_rate",
-            "failure_ratio",
-            "pingpong_rate",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not math.isnan(v) and v < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in (
-            "triggered_halfwidth",
-            "handover_halfwidth",
-            "failure_halfwidth",
-            "pingpong_halfwidth",
-        ):
-            v = getattr(self, name)
-            if not math.isnan(v) and v < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{f.name} must be >= 0")
 
 
 @dataclass
@@ -700,63 +668,32 @@ def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
     return summarize_trials(results)
 
 
-CAMPAIGN_CSV_HEADER = (
-    "pair,n_trials,exposure_s,triggered,handovers,failures,pingpongs,"
-    "H_t,H_t_ci,H,H_ci,H_f,H_f_ci,H_p,H_p_ci"
-)
-
-
-def campaign_to_csv(estimate: MetricsEstimate) -> str:
-    lines = [CAMPAIGN_CSV_HEADER]
-    for kind in _KIND_ORDER:
-        pe = estimate.pairs[kind]
-        pc = estimate.counts.pairs[kind]
-        values = [
-            estimate.exposure_time,
-            float(pc.triggered),
-            float(pc.handovers),
-            float(pc.failures),
-            float(pc.pingpongs),
-            pe.triggered_rate,
-            pe.triggered_halfwidth,
-            pe.handover_rate,
-            pe.handover_halfwidth,
-            pe.failure_ratio,
-            pe.failure_halfwidth,
-            pe.pingpong_rate,
-            pe.pingpong_halfwidth,
-        ]
-        body = ",".join(f"{v:.12g}" for v in values)
-        lines.append(f"{kind.value},{estimate.n_trials},{body}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Analytic side-by-side
 # ---------------------------------------------------------------------------
 
 def _pair_setup(cfg: SimConfig, kind: PairKind):
-    """(serving params, target params, mean BS count) for one pair kind."""
+    """(serving params, target params, serving-tier density, mean target
+    count) for one pair kind."""
     area = cfg.region.area
     if kind is PairKind.SM:
-        return cfg.macro, cfg.small, cfg.lambda_s * area
+        return cfg.macro, cfg.small, cfg.lambda_m, cfg.lambda_s * area
     if kind is PairKind.SPS:
-        return cfg.small, cfg.hotspot, cfg.cluster.implied_density * area
-    return cfg.macro, cfg.hotspot, cfg.cluster.implied_density * area
+        return cfg.small, cfg.hotspot, cfg.lambda_s, cfg.cluster.implied_density * area
+    return cfg.macro, cfg.hotspot, cfg.lambda_m, cfg.cluster.implied_density * area
 
 
-def analytic_metrics(cfg: SimConfig, mean_mode: str = "numeric") -> dict:
+def analytic_metrics(cfg: SimConfig) -> dict:
     """Closed-form metrics per pair kind for this configuration.
 
     The boundary factor of the unequal-exponent pairs depends on the pair
     distance; it is evaluated at the mean distance.
     """
+    sigma = cfg.cluster.sigma
     out = {}
     for kind in _KIND_ORDER:
-        serving_params, target_params, n_bs = _pair_setup(cfg, kind)
-        mean_distance = mean_pair_distance(
-            kind, cfg.lambda_m, cfg.lambda_s, cfg.cluster.sigma, mode=mean_mode
-        )
+        serving_params, target_params, lam, n_bs = _pair_setup(cfg, kind)
+        mean_distance = mean_pair_distance(kind, lam, sigma)
         erb = make_erb_pair(
             serving_params,
             target_params,
@@ -771,9 +708,8 @@ def analytic_metrics(cfg: SimConfig, mean_mode: str = "numeric") -> dict:
             cfg.region.area,
             n_bs,
             cfg.mobility,
-            lambda_m=cfg.lambda_m,
-            lambda_s=cfg.lambda_s,
-            sigma=cfg.cluster.sigma,
+            lam,
+            sigma,
         )
     return out
 
@@ -789,8 +725,6 @@ class ComparisonRow:
     flag: str
 
 
-COMPARISON_CSV_HEADER = "pair,metric,analytic,simulated,ci_halfwidth,ratio,flag"
-
 _METRIC_MAP = (
     ("H_t", "triggered_rate", "triggered_rate", "triggered_halfwidth"),
     ("H", "handover_rate", "handover_rate", "handover_halfwidth"),
@@ -798,23 +732,9 @@ _METRIC_MAP = (
     ("H_p", "pingpong_rate", "pingpong_rate", "pingpong_halfwidth"),
 )
 
-#: Metrics that scale with the mean pair distance; only these can be
-#: invalidated by a too-small closed-form distance bound.
-_DISTANCE_SCALED = frozenset({"H_t", "H", "H_p"})
-
-
 @dataclass
 class ComparisonTable:
     rows: list
-
-    def to_csv(self) -> str:
-        lines = [COMPARISON_CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.pair.value},{r.metric},{r.analytic:.12g},{r.simulated:.12g},"
-                f"{r.ci_halfwidth:.12g},{r.ratio:.12g},{r.flag}"
-            )
-        return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
         header = (
@@ -833,18 +753,16 @@ class ComparisonTable:
 def compare_to_analytics(
     cfg: SimConfig,
     workers: int = 1,
-    mean_mode: str = "numeric",
     estimate: MetricsEstimate | None = None,
 ) -> ComparisonTable:
     """Analytic vs. simulated metrics, row per (pair, metric).
 
-    Pass a precomputed ``estimate`` to avoid re-running the campaign.  Rows
-    whose analytic value relies on the closed-form distance bound and falls
-    below the simulated mean are flagged ``UB<sim``.
+    Pass a precomputed ``estimate`` to avoid re-running the campaign.  The
+    ``flag`` of every row is empty: no agreement criterion is defined yet.
     """
     if estimate is None:
         estimate = run_campaign(cfg, workers=workers)
-    analytic = analytic_metrics(cfg, mean_mode=mean_mode)
+    analytic = analytic_metrics(cfg)
     rows = []
     for kind in _KIND_ORDER:
         ana = analytic[kind]
@@ -852,26 +770,15 @@ def compare_to_analytics(
         for metric, ana_attr, sim_attr, hw_attr in _METRIC_MAP:
             a = getattr(ana, ana_attr)
             s = getattr(sim, sim_attr)
-            hw = getattr(sim, hw_attr)
-            ratio = s / a if a > 0 else math.nan
-            flag = ""
-            if (
-                mean_mode == "upper_bound"
-                and kind in (PairKind.SPS, PairKind.SPM)
-                and metric in _DISTANCE_SCALED
-                and not math.isnan(s)
-                and a < s
-            ):
-                flag = "UB<sim"
             rows.append(
                 ComparisonRow(
                     pair=kind,
                     metric=metric,
                     analytic=a,
                     simulated=s,
-                    ci_halfwidth=hw,
-                    ratio=ratio,
-                    flag=flag,
+                    ci_halfwidth=getattr(sim, hw_attr),
+                    ratio=s / a if a > 0 else math.nan,
+                    flag="",
                 )
             )
     return ComparisonTable(rows=rows)

@@ -1,8 +1,8 @@
 """Numeric special functions used by the closed-form handover analytics.
 
-The three building blocks are the modified Bessel function ``I0`` (an
+The two building blocks are the modified Bessel function ``I0`` (an
 oracle-grade power series plus a fast piecewise exponential-sum
-approximation), the first-order Marcum Q function, and ``erf``.
+approximation) and the first-order Marcum Q function.
 
 ``marcum_q1`` is implemented from scratch as the canonical Poisson-mixture
 series so that the adaptive-quadrature route (``marcum_q1_quadrature``) stays
@@ -190,10 +190,3 @@ def marcum_q1_quadrature(a: float, b: float) -> float:
     val, _err = integrate.quad(integrand, b, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12)
     return min(1.0, max(0.0, val))
 
-
-def erf(x):
-    """Standard error function (delegates to scipy's machine-accurate kernel)."""
-    out = _sp.erf(np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out

@@ -33,6 +33,7 @@ from hetnet_handover.cli import apply_sweep, default_spec, main
 from hetnet_handover.fixtures import (
     default_macro_params,
     default_small_params,
+    load_fixtures,
     reference_sim_config,
 )
 from hetnet_handover.geometry import (
@@ -298,7 +299,9 @@ def test_simulated_trigger_rate_tracks_closed_form():
     # (10 expected hotspot cells, 60 km/h): the small-cell-to-hotspot
     # triggered rate must agree within 15%, and the simulated handover rate
     # must not exceed the closed-form one (finite region and in-circle
-    # trajectory ends can only lose events).
+    # trajectory ends can only lose events).  The campaign is the seed-0
+    # reference one, so its triggered rate must also reproduce the pinned
+    # simulator constant.
     t0 = time.perf_counter()
     cfg = reference_sim_config()
     estimate = run_campaign(cfg, workers=4)
@@ -306,13 +309,16 @@ def test_simulated_trigger_rate_tracks_closed_form():
     sim = estimate.pairs[PairKind.SPS]
     ratio = sim.triggered_rate / analytic.triggered_rate
     direction_ok = sim.handover_rate <= analytic.handover_rate
+    pin = load_fixtures()["sim_triggered_rate_sps_reference_seed0"]
+    pin_err = abs(sim.triggered_rate - pin["value"]) / pin["value"]
     verdict(
         "simulated vs closed-form trigger rate",
-        0.85 <= ratio <= 1.15 and direction_ok,
+        0.85 <= ratio <= 1.15 and direction_ok and pin_err <= pin["rel_tolerance"],
         f"simulated/analytic triggered = {ratio:.4f} in [0.85, 1.15] "
         f"({cfg.n_trials} trials, CI +/-{sim.triggered_halfwidth:.2e}); "
         f"simulated handover rate {sim.handover_rate:.3e} <= "
-        f"analytic {analytic.handover_rate:.3e}",
+        f"analytic {analytic.handover_rate:.3e}; "
+        f"seed-0 pin rel err {pin_err:.1e} <= {pin['rel_tolerance']:g}",
         time.perf_counter() - t0,
         300.0,
     )

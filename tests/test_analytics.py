@@ -1,5 +1,6 @@
 """Distance laws and closed-form handover rates, each checked by a second route."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from hetnet_handover import analytics
 from hetnet_handover.analytics import (
     ClampDiagnostics,
     HandoverMetrics,
@@ -17,17 +19,12 @@ from hetnet_handover.analytics import (
     cdf_r_sm,
     compute_metrics,
     f_k_exact,
-    format_metrics_row,
-    handover_failure_rate,
-    handover_rate,
-    handover_triggered_rate,
     mean_cluster_distance_numeric,
     mean_cluster_distance_ub,
     mean_pair_distance,
     mean_r_sm,
     movement_time_per_meter,
     pdf_r_sm,
-    pingpong_rate,
     prob_sojourn_ge,
     rician_cdf,
     rician_mean,
@@ -35,6 +32,7 @@ from hetnet_handover.analytics import (
 )
 from hetnet_handover.fixtures import (
     default_hotspot_params,
+    default_macro_params,
     default_mobility,
     default_small_params,
     default_thresholds,
@@ -54,6 +52,22 @@ def _sps_erb(distance: float = 218.73):
         np.array([distance, 0.0]),
         THRESHOLDS.q_out,
     )
+
+
+def _g(u: float) -> float:
+    return math.sqrt(u) / (1.0 - u)
+
+
+def _sps_metrics(thresholds=THRESHOLDS, **kwargs):
+    """Closed-form SpS metrics at the reference distance, 10 BSs in 1e8 m^2."""
+    return compute_metrics(
+        PairKind.SPS, thresholds, 218.73, _sps_erb(), 1e8, 10.0, MOBILITY,
+        2e-5, 150.0, **kwargs,
+    )
+
+
+def _sps_tail(t: float, u: float) -> float:
+    return prob_sojourn_ge(PairKind.SPS, t, MOBILITY.velocity, u, 2e-5, 150.0)
 
 
 class TestNearestDistanceLaw:
@@ -181,18 +195,13 @@ class TestClusterMeanDistance:
 
     def test_mean_pair_distance_dispatch(self):
         lam_m, lam_s, sigma = 2e-6, 2e-5, 150.0
-        sm = mean_pair_distance(PairKind.SM, lam_m, lam_s, sigma)
-        sps = mean_pair_distance(PairKind.SPS, lam_m, lam_s, sigma)
-        spm = mean_pair_distance(PairKind.SPM, lam_m, lam_s, sigma)
-        assert sm == pytest.approx(mean_r_sm(lam_m))
-        assert sps == pytest.approx(mean_cluster_distance_numeric(lam_s, sigma))
-        assert spm == pytest.approx(mean_cluster_distance_numeric(lam_m, sigma))
-        ub = mean_pair_distance(PairKind.SPS, lam_m, lam_s, sigma, mode="upper_bound")
-        assert ub >= sps
-
-    def test_mean_pair_distance_invalid_mode(self):
-        with pytest.raises(ValueError):
-            mean_pair_distance(PairKind.SM, 1e-6, 1e-5, 100.0, mode="nope")
+        assert mean_pair_distance(PairKind.SM, lam_m, sigma) == mean_r_sm(lam_m)
+        assert mean_pair_distance(
+            PairKind.SPS, lam_s, sigma
+        ) == mean_cluster_distance_numeric(lam_s, sigma)
+        assert mean_pair_distance(
+            PairKind.SPM, lam_m, sigma
+        ) == mean_cluster_distance_numeric(lam_m, sigma)
 
 
 class TestThresholdsAndMetrics:
@@ -214,18 +223,6 @@ class TestThresholdsAndMetrics:
                 pingpong_rate=0.0,
             )
 
-    def test_csv_row_format(self):
-        m = HandoverMetrics(
-            pair=PairKind.SPS,
-            triggered_rate=0.25,
-            handover_rate=0.2,
-            failure_rate=0.01,
-            pingpong_rate=0.001,
-        )
-        row = format_metrics_row(m, 2e-5, 150.0, 16.7, 1.0, 4.0)
-        assert row.split(",")[0] == "SpS"
-        assert len(row.split(",")) == 10
-
 
 class TestRates:
     def test_movement_time_per_meter(self):
@@ -237,31 +234,19 @@ class TestRates:
     def test_triggered_rate_manual_assembly(self):
         erb = _sps_erb()
         mean_d, area, n_bs = 218.73, 1e8, 10.0
-        u = erb.lam_xi
-        gain = math.sqrt(u) / (1.0 - u)
-        manual = (2.0 / area) * gain * n_bs * mean_d / movement_time_per_meter(MOBILITY)
-        assert handover_triggered_rate(
-            PairKind.SPS, mean_d, erb, area, n_bs, MOBILITY
-        ) == pytest.approx(manual, rel=1e-12)
-
-    def test_triggered_rate_accepts_raw_factor(self):
-        erb = _sps_erb()
-        via_pair = handover_triggered_rate(
-            PairKind.SPS, 200.0, erb, 1e8, 10.0, MOBILITY
+        manual = (2.0 / area) * _g(erb.lam_xi) * n_bs * mean_d / movement_time_per_meter(
+            MOBILITY
         )
-        via_float = handover_triggered_rate(
-            PairKind.SPS, 200.0, erb.lam_xi, 1e8, 10.0, MOBILITY
-        )
-        assert via_pair == pytest.approx(via_float, rel=1e-15)
+        assert _sps_metrics().triggered_rate == pytest.approx(manual, rel=1e-12)
 
     def test_sojourn_tail_at_zero_threshold_is_one(self):
-        assert prob_sojourn_ge(PairKind.SM, 0.0, 16.7, 0.3, lambda_m=2e-6) == 1.0
+        assert prob_sojourn_ge(PairKind.SM, 0.0, 16.7, 0.3, 2e-6, 150.0) == 1.0
 
     def test_sojourn_tail_sm_branch(self):
         u, lam_m, v, t = 0.4, 2e-6, 16.7, 1.5
         manual = math.exp(-4.0 * lam_m * v * v * t * t * (1.0 - u) ** 2 / (math.pi * u))
         assert prob_sojourn_ge(
-            PairKind.SM, t, v, u, lambda_m=lam_m
+            PairKind.SM, t, v, u, lam_m, 150.0
         ) == pytest.approx(manual, rel=1e-12)
 
     def test_sojourn_tail_hotspot_branches(self):
@@ -269,19 +254,17 @@ class TestRates:
         a = 1.0 / (2.0 * sigma * math.sqrt(lam))
         b = 2.0 * t * v * (1.0 - u) / (math.pi * sigma * math.sqrt(u))
         manual = float(marcum_q1(a, b))
-        assert prob_sojourn_ge(
-            PairKind.SPS, t, v, u, lambda_s=lam, sigma=sigma
-        ) == pytest.approx(manual, rel=1e-12)
-        # The macro-served branch uses the macro density in the same formula.
-        assert prob_sojourn_ge(
-            PairKind.SPM, t, v, u, lambda_m=lam, sigma=sigma
-        ) == pytest.approx(manual, rel=1e-12)
+        # Both hotspot pairs use the serving-tier density in the same formula.
+        for pair in (PairKind.SPS, PairKind.SPM):
+            assert prob_sojourn_ge(pair, t, v, u, lam, sigma) == pytest.approx(
+                manual, rel=1e-12
+            )
 
     def test_sojourn_tail_requires_density(self):
         with pytest.raises(ValueError):
-            prob_sojourn_ge(PairKind.SM, 1.0, 16.7, 0.4)
+            prob_sojourn_ge(PairKind.SM, 1.0, 16.7, 0.4, 0.0, 150.0)
         with pytest.raises(ValueError):
-            prob_sojourn_ge(PairKind.SPS, 1.0, 16.7, 0.4, sigma=150.0)
+            prob_sojourn_ge(PairKind.SPS, 1.0, 16.7, 0.4, 2e-5, 0.0)
 
     @given(
         t1=st.floats(min_value=0.0, max_value=30.0),
@@ -290,107 +273,106 @@ class TestRates:
     )
     @settings(max_examples=100, deadline=None)
     def test_sojourn_tail_decreasing_in_threshold(self, t1, dt, u):
-        p1 = prob_sojourn_ge(PairKind.SPS, t1, 16.7, u, lambda_s=2e-5, sigma=150.0)
-        p2 = prob_sojourn_ge(PairKind.SPS, t1 + dt, 16.7, u, lambda_s=2e-5, sigma=150.0)
+        p1 = prob_sojourn_ge(PairKind.SPS, t1, 16.7, u, 2e-5, 150.0)
+        p2 = prob_sojourn_ge(PairKind.SPS, t1 + dt, 16.7, u, 2e-5, 150.0)
         assert p2 <= p1 + 1e-12
         assert 0.0 <= p2 <= 1.0
 
     def test_handover_rate_is_triggered_times_tail(self):
-        erb = _sps_erb()
-        h_t = handover_triggered_rate(PairKind.SPS, 218.73, erb, 1e8, 10.0, MOBILITY)
-        p = prob_sojourn_ge(
-            PairKind.SPS,
-            THRESHOLDS.t_threshold,
-            MOBILITY.velocity,
-            erb.lam_xi,
-            lambda_s=2e-5,
-            sigma=150.0,
-        )
-        h = handover_rate(
-            PairKind.SPS,
-            THRESHOLDS,
-            218.73,
-            erb,
-            1e8,
-            10.0,
-            MOBILITY,
-            lambda_s=2e-5,
-            sigma=150.0,
-        )
-        assert h == pytest.approx(h_t * p, rel=1e-12)
+        m = _sps_metrics()
+        p = _sps_tail(THRESHOLDS.t_threshold, _sps_erb().lam_xi)
+        assert m.handover_rate == pytest.approx(m.triggered_rate * p, rel=1e-12)
 
     def test_failure_rate_manual_reduction(self):
         erb = _sps_erb()
         u, u_f = erb.lam_xi, erb.lam_xi_f
-        g = lambda x: math.sqrt(x) / (1.0 - x)  # noqa: E731
-        p_le = 1.0 - prob_sojourn_ge(
-            PairKind.SPS,
-            THRESHOLDS.t_threshold,
-            MOBILITY.velocity,
-            u_f,
-            lambda_s=2e-5,
-            sigma=150.0,
+        p_le = 1.0 - _sps_tail(THRESHOLDS.t_threshold, u_f)
+        manual = _g(u_f) / _g(u) * p_le
+        assert _sps_metrics().failure_rate == pytest.approx(manual, rel=1e-12)
+
+    def test_pingpong_rate_manual_bracket(self):
+        erb = _sps_erb()
+        m = _sps_metrics()
+        bracket = _sps_tail(THRESHOLDS.t_threshold, erb.lam_xi) - _sps_tail(
+            THRESHOLDS.t_pingpong, erb.lam_xi_f
         )
-        manual = g(u_f) / g(u) * p_le
-        assert handover_failure_rate(
-            PairKind.SPS, THRESHOLDS, erb, MOBILITY, lambda_s=2e-5, sigma=150.0
-        ) == pytest.approx(manual, rel=1e-12)
+        assert bracket > 0.0
+        assert m.pingpong_rate == pytest.approx(m.triggered_rate * bracket, rel=1e-12)
 
     def test_pingpong_clamp_records_and_warns(self):
-        erb = _sps_erb()
         diag = ClampDiagnostics()
         # A huge completion threshold with a tiny return window forces the
         # bracket negative: P(S >= T at u) ~ 0 while P(S >= T_p at u_f) ~ 1.
         thresholds = HandoverThresholds(t_threshold=60.0, t_pingpong=0.01, q_out=0.5)
         with pytest.warns(UserWarning, match="clamped"):
-            rate = pingpong_rate(
-                PairKind.SPS,
-                thresholds,
-                218.73,
-                erb,
-                1e8,
-                10.0,
-                MOBILITY,
-                lambda_s=2e-5,
-                sigma=150.0,
-                diagnostics=diag,
-            )
-        assert rate == 0.0
+            m = _sps_metrics(thresholds, diagnostics=diag)
+        assert m.pingpong_rate == 0.0
         assert diag.count == 1
         assert diag.last_value < 0.0
         diag.reset()
         assert diag.count == 0 and diag.last_value is None
 
     def test_compute_metrics_consistency(self):
-        erb = _sps_erb()
-        m = compute_metrics(
-            PairKind.SPS,
-            THRESHOLDS,
-            218.73,
-            erb,
-            1e8,
-            10.0,
-            MOBILITY,
-            lambda_m=2e-6,
-            lambda_s=2e-5,
-            sigma=150.0,
-        )
+        m = _sps_metrics()
+        assert m.pair is PairKind.SPS
         assert m.handover_rate <= m.triggered_rate
         assert 0.0 <= m.failure_rate <= 1.0
         assert m.pingpong_rate >= 0.0
-        h_t = handover_triggered_rate(PairKind.SPS, 218.73, erb, 1e8, 10.0, MOBILITY)
-        assert m.triggered_rate == pytest.approx(h_t, rel=1e-12)
+
+    def test_compute_metrics_validates_inputs(self):
+        erb = _sps_erb()
+        args = (PairKind.SPS, THRESHOLDS, 218.73, erb, 1e8, 10.0, MOBILITY, 2e-5, 150.0)
+        for pos, bad in ((2, -1.0), (4, 0.0), (5, 0.0), (7, 0.0), (8, 0.0)):
+            with pytest.raises(ValueError):
+                compute_metrics(*args[:pos], bad, *args[pos + 1:])
+
+    def test_each_marcum_tail_evaluated_once(self, monkeypatch):
+        # P(S >= T | u), P(S >= T | u_f) and P(S >= T_p | u_f): three
+        # Marcum-Q evaluations per hotspot pair, none for the Rayleigh pair.
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return marcum_q1(a, b)
+
+        monkeypatch.setattr(analytics, "marcum_q1", counting)
+        _sps_metrics()
+        assert len(calls) == 3
+        assert len(set(calls)) == 3
+        calls.clear()
+        sm_erb = make_erb_pair(
+            default_macro_params(), default_small_params(),
+            np.array([353.55, 0.0]), THRESHOLDS.q_out,
+        )
+        compute_metrics(
+            PairKind.SM, THRESHOLDS, 353.55, sm_erb, 1e8, 10.0, MOBILITY, 2e-6, 150.0
+        )
+        assert calls == []
 
     @given(
         mean_d=st.floats(min_value=10.0, max_value=2000.0),
-        u=st.floats(min_value=0.02, max_value=0.98),
+        tx_power=st.floats(min_value=5.0, max_value=28.0),
         n_bs=st.floats(min_value=1.0, max_value=500.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_triggered_rate_nonnegative_and_scales(self, mean_d, u, n_bs):
-        rate = handover_triggered_rate(PairKind.SPS, mean_d, u, 25e6, n_bs, MOBILITY)
-        assert rate >= 0.0
-        double = handover_triggered_rate(
-            PairKind.SPS, mean_d, u, 25e6, 2.0 * n_bs, MOBILITY
+    def test_triggered_rate_nonnegative_and_scales(self, mean_d, tx_power, n_bs):
+        # The target power sweeps u = lam_star * xi across (0, 1).
+        hotspot = dataclasses.replace(default_hotspot_params(), tx_power=tx_power)
+        erb = make_erb_pair(
+            default_small_params(), hotspot, np.array([mean_d, 0.0]), THRESHOLDS.q_out
         )
-        assert double == pytest.approx(2.0 * rate, rel=1e-9)
+
+        def metrics(n):
+            return compute_metrics(
+                PairKind.SPS, THRESHOLDS, mean_d, erb, 25e6, n, MOBILITY, 2e-5, 150.0
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # ping-pong clamps
+            single, double = metrics(n_bs), metrics(2.0 * n_bs)
+        for name in ("triggered_rate", "handover_rate", "failure_rate", "pingpong_rate"):
+            assert getattr(single, name) >= 0.0
+        assert double.triggered_rate == pytest.approx(2.0 * single.triggered_rate, rel=1e-9)
+        assert double.handover_rate == pytest.approx(2.0 * single.handover_rate, rel=1e-9)
+        assert double.pingpong_rate == pytest.approx(2.0 * single.pingpong_rate, rel=1e-9)
+        assert double.failure_rate == single.failure_rate

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnet_handover.analytics import METRICS_CSV_HEADER, PairKind
+from hetnet_handover.analytics import HandoverMetrics, PairKind
 from hetnet_handover.cli import (
+    METRICS_CSV_HEADER,
     SIMULATE_CSV_HEADER,
     SWEEP_AXES,
     VALIDATE_CSV_HEADER,
@@ -24,6 +25,7 @@ from hetnet_handover.cli import (
     cmd_validate,
     default_spec,
     emit_config,
+    format_metrics_row,
     load_config,
     main,
     sweep_points,
@@ -300,6 +302,21 @@ def small_spec(**experiment) -> ExperimentSpec:
         **experiment,
     )
     return ExperimentSpec(base=base)
+
+
+def test_metrics_csv_row_format():
+    m = HandoverMetrics(
+        pair=PairKind.SPS,
+        triggered_rate=0.25,
+        handover_rate=0.2,
+        failure_rate=0.01,
+        pingpong_rate=0.001,
+    )
+    row = format_metrics_row(m, default_spec().base).split(",")
+    assert row[0] == "SpS"
+    assert len(row) == len(METRICS_CSV_HEADER.split(","))
+    assert row[2] == "150"  # sigma column, .10g
+    assert row[6:] == ["0.25", "0.2", "0.01", "0.001"]
 
 
 def test_analyze_emits_one_row_per_sweep_point():

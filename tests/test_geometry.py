@@ -12,7 +12,6 @@ from hetnet_handover.geometry import (
     ClusterConfig,
     PointSet,
     Region,
-    nearest_point,
     nearest_point_batch,
     partition_five,
     sample_ppp,
@@ -128,10 +127,10 @@ class TestNearest:
         rng = np.random.default_rng(6)
         pts = PointSet(tier=TIER_SMALL, points=rng.uniform(0, 1000, (40, 2)))
         q = np.array([300.0, 700.0])
-        d, i = nearest_point(q, pts)
+        d, i = nearest_point_batch(q, pts)
         brute = np.linalg.norm(pts.points - q, axis=1)
-        assert i == int(np.argmin(brute))
-        assert d == pytest.approx(brute.min())
+        assert i.tolist() == [int(np.argmin(brute))]
+        assert d[0] == pytest.approx(brute.min())
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(7)
@@ -139,14 +138,14 @@ class TestNearest:
         queries = rng.uniform(0, 1000, (30, 2))
         d_batch, i_batch = nearest_point_batch(queries, pts)
         for k, q in enumerate(queries):
-            d, i = nearest_point(q, pts)
-            assert i_batch[k] == i
-            assert d_batch[k] == pytest.approx(d)
+            brute = np.linalg.norm(pts.points - q, axis=1)
+            assert i_batch[k] == int(np.argmin(brute))
+            assert d_batch[k] == pytest.approx(brute.min())
 
     def test_empty_targets_rejected(self):
         empty = PointSet(tier=TIER_SMALL, points=np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            nearest_point(np.array([0.0, 0.0]), empty)
+        with pytest.raises(ValueError, match="no points"):
+            nearest_point_batch(np.array([0.0, 0.0]), empty)
 
 
 class TestPartitionFive:
@@ -177,18 +176,6 @@ class TestPartitionFive:
         part = partition_five(region, 0.2)
         with pytest.raises(ValueError):
             part.index_of(np.array([[11.0, 5.0]]))
-
-
-class TestPointSetCsv:
-    def test_round_trip(self):
-        ps = PointSet(tier=TIER_MACRO, points=np.array([[1.25, 2.5], [3.0, 4.0]]))
-        back = PointSet.from_csv(ps.to_csv())
-        assert back.tier == TIER_MACRO
-        assert np.allclose(back.points, ps.points)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            PointSet.from_csv("a,b,c\nM,1,2\n")
 
 
 @given(

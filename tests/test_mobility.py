@@ -136,16 +136,6 @@ class TestTrajectory:
         t2 = generate_trajectory(start, 20, REGION, cfg, np.random.default_rng(9))
         assert np.array_equal(t1.waypoints, t2.waypoints)
 
-    def test_csv_shape(self):
-        cfg = _cfg()
-        traj = generate_trajectory(
-            np.array([50.0, 50.0]), 3, REGION, cfg, np.random.default_rng(1)
-        )
-        lines = traj.to_csv(user_id=7).strip().split("\n")
-        assert lines[0] == "user_id,seq,x_m,y_m"
-        assert len(lines) == 1 + 4
-        assert lines[1].startswith("7,0,")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Trajectory(

@@ -20,7 +20,6 @@ from hetnet_handover.radio import (
     TierRadioParams,
     dl_rss,
     erb_circle,
-    erb_failure_circle,
     lambda_star,
     make_erb_pair,
     serving_bs,

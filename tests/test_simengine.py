@@ -4,6 +4,7 @@ The walk-through scenarios construct circle fields and trajectories by hand
 so every expected count can be derived with pencil and paper.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hetnet_handover import simengine as se
 from hetnet_handover.analytics import HandoverThresholds, PairKind
+from hetnet_handover.cli import ExperimentSpec, cmd_simulate
 from hetnet_handover.fixtures import (
     default_hotspot_params,
     default_macro_params,
@@ -35,17 +37,12 @@ from hetnet_handover.geometry import (
 from hetnet_handover.mobility import Trajectory
 from hetnet_handover.radio import Circle, serving_bs
 from hetnet_handover.simengine import (
-    CAMPAIGN_CSV_HEADER,
-    COMPARISON_CSV_HEADER,
-    EVENTS_CSV_HEADER,
     EventCounts,
     PairCounts,
     PairEstimate,
     SimConfig,
     analytic_metrics,
-    campaign_to_csv,
     compare_to_analytics,
-    events_to_csv,
     run_campaign,
     run_trial,
     segment_circle_crossings,
@@ -211,7 +208,7 @@ def test_crossing_invariants(cx, cy, r, x0, y0, x1, y1):
 
 
 # ---------------------------------------------------------------------------
-# Counters and their CSV form
+# Counters
 # ---------------------------------------------------------------------------
 
 def test_pair_counts_merge_adds_fields():
@@ -234,7 +231,7 @@ def test_pair_counts_validate_rejects_inconsistencies():
         PairCounts(triggered=-1).validate()
 
 
-def test_event_counts_merge_and_csv():
+def test_event_counts_merge():
     a = EventCounts()
     a.pairs[PairKind.SM].triggered = 3
     a.pairs[PairKind.SM].handovers = 2
@@ -247,14 +244,10 @@ def test_event_counts_merge_and_csv():
     assert a.pairs[PairKind.SM].triggered == 3
     assert a.pairs[PairKind.SPS].triggered == 5
 
-    text = events_to_csv(a)
-    lines = text.splitlines()
-    assert lines[0] == EVENTS_CSV_HEADER
-    assert len(lines) == 4
-    assert lines[1].startswith("SM,3,2,")
-    assert lines[2].startswith("SpS,5,0,")
-    assert lines[1].endswith(",150")
-    assert text.endswith("\n")
+    expected = EventCounts(exposure_time=150.0)
+    expected.pairs[PairKind.SM] = PairCounts(triggered=3, handovers=2)
+    expected.pairs[PairKind.SPS] = PairCounts(triggered=5)
+    assert a == expected
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +432,9 @@ def test_run_trial_deterministic_per_index():
     cfg = small_config()
     a = run_trial(cfg, 3)
     b = run_trial(cfg, 3)
-    assert events_to_csv(a) == events_to_csv(b)
+    assert a == b
     c = run_trial(cfg, 4)
-    assert events_to_csv(a) != events_to_csv(c)
+    assert a != c
 
 
 def test_run_trial_rejects_negative_index():
@@ -546,8 +539,16 @@ def test_campaign_worker_count_does_not_change_results():
     cfg = small_config(n_trials=4)
     serial = run_campaign(cfg, workers=1)
     parallel = run_campaign(cfg, workers=2)
-    assert campaign_to_csv(serial) == campaign_to_csv(parallel)
-    assert events_to_csv(serial.counts) == events_to_csv(parallel.counts)
+    assert serial.counts == parallel.counts
+    assert (serial.n_trials, serial.exposure_time) == (
+        parallel.n_trials, parallel.exposure_time
+    )
+    for kind in serial.pairs:
+        # Bitwise equal, NaN half-widths included.
+        np.testing.assert_array_equal(
+            dataclasses.astuple(serial.pairs[kind]),
+            dataclasses.astuple(parallel.pairs[kind]),
+        )
 
 
 def test_campaign_rejects_bad_worker_count():
@@ -557,12 +558,12 @@ def test_campaign_rejects_bad_worker_count():
 
 def test_campaign_csv_shape():
     cfg = small_config(n_trials=2, n_users=1, n_moves=10)
-    text = campaign_to_csv(run_campaign(cfg))
-    lines = text.splitlines()
-    assert lines[0] == CAMPAIGN_CSV_HEADER
-    assert len(lines) == 4
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["SM", "SpS", "SpM"]
-    assert text.endswith("\n")
+    for kind in (PairKind.SM, PairKind.SPS, PairKind.SPM):
+        text = cmd_simulate(ExperimentSpec(base=cfg, pair=kind))
+        lines = text.splitlines()
+        assert len(lines) == 3
+        assert lines[2].split(",")[0] == kind.value
+        assert text.endswith("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -598,25 +599,10 @@ def test_compare_rows_cover_every_pair_and_metric():
         for m in ("H_t", "H", "H_f", "H_p")
     ]
     for r in table.rows:
-        assert r.flag == ""  # numeric mean mode never flags
+        assert r.flag == ""  # no agreement criterion is defined yet
         if r.analytic > 0 and not math.isnan(r.simulated):
             assert r.ratio == pytest.approx(r.simulated / r.analytic)
 
-    csv_text = table.to_csv()
-    lines = csv_text.splitlines()
-    assert lines[0] == COMPARISON_CSV_HEADER
-    assert len(lines) == 13
-    assert csv_text.endswith("\n")
     summary = table.summary()
     assert "pair" in summary and "sim/ana" in summary
 
-
-def test_compare_upper_bound_mode_flags_only_distance_metrics():
-    cfg = small_config(n_trials=2, n_users=1, n_moves=10)
-    estimate = run_campaign(cfg)
-    table = compare_to_analytics(cfg, estimate=estimate, mean_mode="upper_bound")
-    for r in table.rows:
-        assert r.flag in ("", "UB<sim")
-        if r.flag == "UB<sim":
-            assert r.pair in (PairKind.SPS, PairKind.SPM)
-            assert r.metric in ("H_t", "H", "H_p")
