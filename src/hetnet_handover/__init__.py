@@ -68,7 +68,6 @@ from .simengine import (
     compare_to_analytics,
     run_campaign,
     run_trial,
-    segment_circle_crossings,
     summarize_trials,
 )
 from .specfun import i0_exp_approx, i0_series, marcum_q1, marcum_q1_quadrature
@@ -119,7 +118,6 @@ __all__ = [
     "compare_to_analytics",
     "run_campaign",
     "run_trial",
-    "segment_circle_crossings",
     "summarize_trials",
     "i0_exp_approx",
     "i0_series",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +119,20 @@ def xi_failure_factor(
     return xi * q_out_linear ** (2.0 / target_alpha)
 
 
+def lambda_star_array(tx: np.ndarray, ty: np.ndarray, alpha_ratio: float) -> np.ndarray:
+    """``lambda_star`` for many targets at ``(tx, ty)`` (serving-BS frames).
+
+    The power runs per element through Python's float ``**`` (C ``pow``):
+    NumPy's vectorised power differs from it by 1 ulp on some inputs, and
+    the circle field must equal the scalar path bit for bit.
+    """
+    r2 = tx * tx + ty * ty
+    if np.any(r2 == 0.0):
+        raise ValueError("target must not sit on the serving BS (origin)")
+    exponent = alpha_ratio - 1.0
+    return np.array([v**exponent for v in r2.tolist()], dtype=float)
+
+
 def lambda_star(target: np.ndarray, alpha_ratio: float) -> float:
     """Distance-dependent flattening factor ``(x^2 + y^2)^(alpha_ratio - 1)``.
 
@@ -126,10 +141,7 @@ def lambda_star(target: np.ndarray, alpha_ratio: float) -> float:
     frame.
     """
     t = np.asarray(target, dtype=float)
-    r2 = float(t[0] * t[0] + t[1] * t[1])
-    if r2 == 0.0:
-        raise ValueError("target must not sit on the serving BS (origin)")
-    return r2 ** (alpha_ratio - 1.0)
+    return float(lambda_star_array(t[:1], t[1:2], alpha_ratio)[0])
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,58 @@ class Circle:
         return bool(inside[0]) if scalar else inside
 
 
+class CircleArrays(NamedTuple):
+    """Boundary circles of many pairs, centres in their serving-BS frames.
+
+    Entries flagged ``degenerate`` (``|1 - lam*xi| < DEGENERACY_TOL``) have
+    no circle and hold meaningless values.
+    """
+
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+    degenerate: np.ndarray
+    encloses_serving: np.ndarray
+
+
+def erb_circle_arrays(
+    tx: np.ndarray, ty: np.ndarray, xi: float, lam_star: np.ndarray
+) -> CircleArrays:
+    """The circular boundary approximation for targets at ``(tx, ty)``.
+
+    ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|`` with
+    ``u = lam_star * xi``.  This is the one implementation of the formula:
+    the scalar :func:`erb_circle` and :func:`make_erb_pair` call it too.
+    """
+    u = lam_star * xi
+    denom = 1.0 - u
+    # math.hypot per element: np.hypot differs from it by 1 ulp on some inputs.
+    norm = np.array(
+        [math.hypot(x, y) for x, y in zip(tx.tolist(), ty.tolist())], dtype=float
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return CircleArrays(
+            cx=tx / denom,
+            cy=ty / denom,
+            radius=np.sqrt(u) * norm / np.abs(denom),
+            degenerate=np.abs(denom) < DEGENERACY_TOL,
+            encloses_serving=u > 1.0,
+        )
+
+
+def _first_circle(circles: CircleArrays) -> Circle:
+    if circles.degenerate[0]:
+        raise DegenerateBoundaryError(
+            "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
+            "no circular approximation exists"
+        )
+    return Circle(
+        center=np.array([circles.cx[0], circles.cy[0]]),
+        radius=float(circles.radius[0]),
+        encloses_serving=bool(circles.encloses_serving[0]),
+    )
+
+
 def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
     """Circular approximation of the equal-RSS boundary for one BS pair.
 
@@ -164,19 +228,9 @@ def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
     if xi <= 0 or lam_star <= 0:
         raise ValueError("xi and lam_star must be positive")
     t = np.asarray(target, dtype=float)
-    u = lam_star * xi
-    denom = 1.0 - u
-    if abs(denom) < DEGENERACY_TOL:
-        raise DegenerateBoundaryError(
-            "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
-            "no circular approximation exists"
-        )
-    norm = math.hypot(t[0], t[1])
-    if norm == 0.0:
+    if not t.any():
         raise ValueError("target must not coincide with the serving BS")
-    center = t / denom
-    radius = math.sqrt(u) * norm / abs(denom)
-    return Circle(center=center, radius=radius, encloses_serving=u > 1.0)
+    return _first_circle(erb_circle_arrays(t[:1], t[1:2], xi, np.full(1, lam_star)))
 
 
 @dataclass(frozen=True)
@@ -199,6 +253,29 @@ class ErbPair:
         return self.lam_star * self.xi_f
 
 
+def erb_pair_arrays(
+    serving: TierRadioParams,
+    target: TierRadioParams,
+    tx: np.ndarray,
+    ty: np.ndarray,
+    q_out_linear: float,
+) -> tuple:
+    """``(xi, xi_f, lam_star, handover circles, failure circles)`` for
+    targets at ``(tx, ty)``, each in its serving-BS frame."""
+    xi = xi_factor(serving, target)
+    xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
+    lam = lambda_star_array(
+        tx, ty, serving.pathloss_exponent / target.pathloss_exponent
+    )
+    return (
+        xi,
+        xi_f,
+        lam,
+        erb_circle_arrays(tx, ty, xi, lam),
+        erb_circle_arrays(tx, ty, xi_f, lam),
+    )
+
+
 def make_erb_pair(
     serving: TierRadioParams,
     target: TierRadioParams,
@@ -207,16 +284,16 @@ def make_erb_pair(
 ) -> ErbPair:
     """Build handover and failure circles for a target BS at ``target_position``
     (serving-BS frame)."""
-    xi = xi_factor(serving, target)
-    xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
-    alpha_ratio = serving.pathloss_exponent / target.pathloss_exponent
-    lam = lambda_star(target_position, alpha_ratio)
+    t = np.asarray(target_position, dtype=float)
+    xi, xi_f, lam, handover, failure = erb_pair_arrays(
+        serving, target, t[:1], t[1:2], q_out_linear
+    )
     return ErbPair(
         xi=xi,
         xi_f=xi_f,
-        lam_star=lam,
-        handover_circle=erb_circle(target_position, xi, lam),
-        failure_circle=erb_circle(target_position, xi_f, lam),
+        lam_star=float(lam[0]),
+        handover_circle=_first_circle(handover),
+        failure_circle=_first_circle(failure),
         q_out=q_out_linear,
     )
 

@@ -5,7 +5,9 @@ macro tier, uniform small-cell tier, clustered hotspot tier), builds the
 handover and failure boundary circles for every (target BS, serving BS)
 pair, and walks waypoint trajectories through the static circle field.
 Segment-circle intersections are solved in closed form (quadratic roots), so
-event times carry no time-step discretization error.
+event times carry no time-step discretization error.  Per user, a bounding-box
+test picks the (segment, circle) pairs worth solving, all their crossings go
+into one time-ordered event table, and the state machine below scans it.
 
 Events, per boundary circle:
 
@@ -35,6 +37,8 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -56,12 +60,7 @@ from .geometry import (
     sample_tcp,
 )
 from .mobility import MobilityConfig, Trajectory, generate_trajectory
-from .radio import (
-    Circle,
-    DegenerateBoundaryError,
-    TierRadioParams,
-    make_erb_pair,
-)
+from .radio import TierRadioParams, erb_pair_arrays, make_erb_pair
 
 #: Fixed pair-kind ordering used for array layouts and CSV row order.
 _KIND_ORDER = (PairKind.SM, PairKind.SPS, PairKind.SPM)
@@ -193,52 +192,6 @@ class EventCounts:
 
 
 # ---------------------------------------------------------------------------
-# Crossing geometry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SegmentCrossing:
-    """Boundary crossings of one segment against one circle.
-
-    ``params`` holds the crossing positions as fractions of the segment in
-    [0, 1] (0, 1, or 2 of them — a tangent contributes a single touching
-    parameter); ``chord_length`` is the geometric length of the part of the
-    segment inside the circle, in meters.
-    """
-
-    params: tuple
-    chord_length: float
-
-
-def segment_circle_crossings(
-    p0: np.ndarray, p1: np.ndarray, circle: Circle
-) -> SegmentCrossing:
-    """Exact quadratic line-circle intersection restricted to the segment."""
-    a = np.asarray(p0, dtype=float)
-    b = np.asarray(p1, dtype=float)
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    length = math.hypot(dx, dy)
-    if length == 0.0:
-        raise ValueError("segment endpoints must differ")
-    ux, uy = dx / length, dy / length
-    fx, fy = a[0] - circle.center[0], a[1] - circle.center[1]
-    half_b = fx * ux + fy * uy
-    c0 = fx * fx + fy * fy - circle.radius**2
-    disc = half_b * half_b - c0
-    if disc < 0.0:
-        return SegmentCrossing(params=(), chord_length=0.0)
-    if disc == 0.0:
-        s = -half_b
-        params = (s / length,) if 0.0 <= s <= length else ()
-        return SegmentCrossing(params=params, chord_length=0.0)
-    root = math.sqrt(disc)
-    s1, s2 = -half_b - root, -half_b + root
-    params = tuple(s / length for s in (s1, s2) if 0.0 <= s <= length)
-    chord = max(0.0, min(s2, length) - max(s1, 0.0))
-    return SegmentCrossing(params=params, chord_length=chord)
-
-
-# ---------------------------------------------------------------------------
 # Trial internals
 # ---------------------------------------------------------------------------
 
@@ -260,6 +213,24 @@ class _CircleField:
     def n(self) -> int:
         return len(self.kind_index)
 
+    @cached_property
+    def boxes(self) -> tuple:
+        """Broad-phase boxes ``(x_lo, x_hi, y_lo, y_hi)``, one per pair.
+
+        Each box bounds both circles of the pair, so one test covers both,
+        and carries a slack of ``_BOX_SLACK`` times the pair's coordinate
+        scale.
+        """
+        r_h = np.sqrt(self.r2_h)
+        r_f = np.sqrt(self.r2_f)
+        slack = _BOX_SLACK * (np.abs(self.cx_h) + np.abs(self.cy_h) + r_h)
+        return (
+            np.minimum(self.cx_h - r_h, self.cx_f - r_f) - slack,
+            np.maximum(self.cx_h + r_h, self.cx_f + r_f) + slack,
+            np.minimum(self.cy_h - r_h, self.cy_f - r_f) - slack,
+            np.maximum(self.cy_h + r_h, self.cy_f + r_f) + slack,
+        )
+
 
 class _ServingMap:
     """Strongest biased-RSS association over the full deployment.
@@ -280,23 +251,31 @@ class _ServingMap:
                     (cKDTree(points), params.linear_prefactor, params.pathloss_exponent)
                 )
 
-    def query(self, xy) -> tuple:
-        best_rss = -math.inf
-        best = (-1, -1)
+    def query(self, xy: np.ndarray) -> tuple:
+        """``(tier position, index)`` arrays of the serving BS of each row of
+        ``xy`` (shape ``(n, 2)``)."""
+        best_rss = np.full(len(xy), -math.inf)
+        best_tier = np.full(len(xy), -1, dtype=np.intp)
+        best_idx = np.full(len(xy), -1, dtype=np.intp)
         for tier_pos, entry in enumerate(self._entries):
             if entry is None:
                 continue
             tree, prefactor, alpha = entry
             d, idx = tree.query(xy)
-            rss = math.inf if d == 0.0 else prefactor * d ** (-alpha)
-            if rss > best_rss:
-                best_rss = rss
-                best = (tier_pos, int(idx))
-        return best
+            # Per-point C pow, as in `radio.dl_rss` on one distance: NumPy's
+            # vectorised power differs from it by 1 ulp on some inputs.
+            rss = np.array(
+                [math.inf if v == 0.0 else prefactor * v ** (-alpha) for v in d.tolist()]
+            )
+            better = rss > best_rss
+            best_rss[better] = rss[better]
+            best_tier[better] = tier_pos
+            best_idx[better] = idx[better]
+        return best_tier, best_idx
 
 
-def _append_pair(
-    store: dict,
+def _pair_block(
+    q_out: float,
     pc: PairCounts,
     kind_pos: int,
     serving_params: TierRadioParams,
@@ -304,30 +283,36 @@ def _append_pair(
     serving_xy: np.ndarray,
     target_xy: np.ndarray,
     serving_tier_pos: int,
-    serving_bs_idx: int,
-    q_out: float,
-) -> None:
-    try:
-        erb = make_erb_pair(
-            serving_params, target_params, target_xy - serving_xy, q_out
-        )
-    except DegenerateBoundaryError:
-        pc.degenerate_skipped += 1
-        return
-    if erb.handover_circle.encloses_serving or erb.failure_circle.encloses_serving:
-        # The circle would bound the *serving* area; the entry-event logic
-        # below assumes the target area is the interior, so skip and count.
-        pc.enclosing_skipped += 1
-        return
-    store["kind"].append(kind_pos)
-    store["chx"].append(serving_xy[0] + erb.handover_circle.center[0])
-    store["chy"].append(serving_xy[1] + erb.handover_circle.center[1])
-    store["rh"].append(erb.handover_circle.radius)
-    store["cfx"].append(serving_xy[0] + erb.failure_circle.center[0])
-    store["cfy"].append(serving_xy[1] + erb.failure_circle.center[1])
-    store["rf"].append(erb.failure_circle.radius)
-    store["stier"].append(serving_tier_pos)
-    store["sidx"].append(serving_bs_idx)
+    serving_bs_idx: np.ndarray,
+) -> list:
+    """Field columns of one pair kind, in ``_CircleField`` order.
+
+    Degenerate pairs (straight-line boundary) and pairs whose circle
+    surrounds the serving BS are counted and dropped: the entry-event logic
+    assumes the target area is the interior.
+    """
+    offset = target_xy - serving_xy
+    *_, h, f = erb_pair_arrays(
+        serving_params, target_params, offset[:, 0], offset[:, 1], q_out
+    )
+    degenerate = h.degenerate | f.degenerate
+    enclosing = ~degenerate & (h.encloses_serving | f.encloses_serving)
+    pc.degenerate_skipped += int(np.count_nonzero(degenerate))
+    pc.enclosing_skipped += int(np.count_nonzero(enclosing))
+    keep = ~(degenerate | enclosing)
+    sx, sy = serving_xy[keep, 0], serving_xy[keep, 1]
+    n = int(np.count_nonzero(keep))
+    return [
+        np.full(n, kind_pos, dtype=np.intp),
+        sx + h.cx[keep],
+        sy + h.cy[keep],
+        h.radius[keep] * h.radius[keep],
+        sx + f.cx[keep],
+        sy + f.cy[keep],
+        f.radius[keep] * f.radius[keep],
+        np.full(n, serving_tier_pos, dtype=np.intp),
+        serving_bs_idx[keep],
+    ]
 
 
 def _build_circle_field(
@@ -344,52 +329,37 @@ def _build_circle_field(
     children are served by the small cell / macro BS nearest to their
     *cluster center*, which is where their users congregate.
     """
-    store = {k: [] for k in ("kind", "chx", "chy", "rh", "cfx", "cfy", "rf", "stier", "sidx")}
     q_out = cfg.thresholds.q_out
+    blocks = []
+    macro_tree = cKDTree(macro.points) if len(macro) > 0 else None
 
-    if len(small) > 0 and len(macro) > 0:
-        _, nearest_m = cKDTree(macro.points).query(small.points)
-        pc = counts.pairs[PairKind.SM]
-        for i in range(len(small)):
-            m = int(nearest_m[i])
-            _append_pair(
-                store, pc, 0, cfg.macro, cfg.small,
-                macro.points[m], small.points[i], 0, m, q_out,
-            )
+    if len(small) > 0 and macro_tree is not None:
+        _, m = macro_tree.query(small.points)
+        blocks.append(_pair_block(
+            q_out, counts.pairs[PairKind.SM], 0, cfg.macro, cfg.small,
+            macro.points[m], small.points, 0, m,
+        ))
 
     if len(children) > 0:
         if len(small) > 0:
             _, s_of_parent = cKDTree(small.points).query(parents.points)
-            pc = counts.pairs[PairKind.SPS]
-            for j in range(len(children)):
-                s = int(s_of_parent[children.parent_index[j]])
-                _append_pair(
-                    store, pc, 1, cfg.small, cfg.hotspot,
-                    small.points[s], children.points[j], 1, s, q_out,
-                )
-        if len(macro) > 0:
-            _, m_of_parent = cKDTree(macro.points).query(parents.points)
-            pc = counts.pairs[PairKind.SPM]
-            for j in range(len(children)):
-                m = int(m_of_parent[children.parent_index[j]])
-                _append_pair(
-                    store, pc, 2, cfg.macro, cfg.hotspot,
-                    macro.points[m], children.points[j], 0, m, q_out,
-                )
+            s = s_of_parent[children.parent_index]
+            blocks.append(_pair_block(
+                q_out, counts.pairs[PairKind.SPS], 1, cfg.small, cfg.hotspot,
+                small.points[s], children.points, 1, s,
+            ))
+        if macro_tree is not None:
+            _, m_of_parent = macro_tree.query(parents.points)
+            m = m_of_parent[children.parent_index]
+            blocks.append(_pair_block(
+                q_out, counts.pairs[PairKind.SPM], 2, cfg.macro, cfg.hotspot,
+                macro.points[m], children.points, 0, m,
+            ))
 
-    rh = np.asarray(store["rh"], dtype=float)
-    rf = np.asarray(store["rf"], dtype=float)
-    return _CircleField(
-        kind_index=np.asarray(store["kind"], dtype=np.intp),
-        cx_h=np.asarray(store["chx"], dtype=float),
-        cy_h=np.asarray(store["chy"], dtype=float),
-        r2_h=rh * rh,
-        cx_f=np.asarray(store["cfx"], dtype=float),
-        cy_f=np.asarray(store["cfy"], dtype=float),
-        r2_f=rf * rf,
-        serving_tier=np.asarray(store["stier"], dtype=np.intp),
-        serving_idx=np.asarray(store["sidx"], dtype=np.intp),
-    )
+    if not blocks:
+        empty_int, empty = np.empty(0, dtype=np.intp), np.empty(0)
+        blocks = [[empty_int] + [empty] * 6 + [empty_int] * 2]
+    return _CircleField(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 def _segment_roots(px, py, ux, uy, cx, cy, r2):
@@ -412,6 +382,93 @@ _EV_H_IN, _EV_F_IN, _EV_F_OUT, _EV_H_OUT = 0, 1, 2, 3
 #: boundary before asking which BS is strongest there.
 _EXIT_NUDGE = 1e-6
 
+#: Segments per broad-phase block: a block's (segment x circle) overlap mask
+#: holds at most this many bytes per circle, whatever the trajectory length.
+_BROAD_CHUNK = 32
+
+#: Relative slack of the broad-phase boxes.  A root of a near-tangent segment
+#: is accurate only to about sqrt(machine epsilon) times the coordinate scale,
+#: so the boxes grow by 1e-6 of that scale and never drop a pair whose roots
+#: the exact solve would accept.
+_BOX_SLACK = 1e-6
+
+
+class _Segments(NamedTuple):
+    """Start points, unit directions and lengths of a waypoint path's legs."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    length: np.ndarray
+
+
+def _segments(wp: np.ndarray) -> _Segments:
+    x0, y0 = wp[:-1, 0], wp[:-1, 1]
+    dx, dy = wp[1:, 0] - x0, wp[1:, 1] - y0
+    # math.hypot per segment: np.hypot differs from it by 1 ulp on some inputs.
+    length = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+    if not np.all(length > 0.0):
+        raise ValueError("segment endpoints must differ")
+    return _Segments(x0, y0, dx / length, dy / length, length)
+
+
+def _candidate_pairs(wp: np.ndarray, fld: _CircleField) -> tuple:
+    """``(segment, circle)`` index arrays of the pairs whose boxes overlap.
+
+    Segments go in blocks of ``_BROAD_CHUNK``: circles are first tested
+    against the box of the whole block, then the block's segments against
+    the circles that pass.
+    """
+    x0, y0, x1, y1 = wp[:-1, 0], wp[:-1, 1], wp[1:, 0], wp[1:, 1]
+    slack = _BOX_SLACK * float(np.max(np.abs(wp[:, 0]) + np.abs(wp[:, 1])))
+    sx_lo, sx_hi = np.minimum(x0, x1) - slack, np.maximum(x0, x1) + slack
+    sy_lo, sy_hi = np.minimum(y0, y1) - slack, np.maximum(y0, y1) + slack
+    x_lo, x_hi, y_lo, y_hi = fld.boxes
+    segs, circles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(sx_lo), _BROAD_CHUNK):
+        blk = slice(lo, lo + _BROAD_CHUNK)
+        near = x_lo <= sx_hi[blk].max()
+        near &= x_hi >= sx_lo[blk].min()
+        near &= y_lo <= sy_hi[blk].max()
+        near &= y_hi >= sy_lo[blk].min()
+        near = np.flatnonzero(near)
+        hit = sx_hi[blk, None] >= x_lo[near]
+        hit &= sx_lo[blk, None] <= x_hi[near]
+        hit &= sy_hi[blk, None] >= y_lo[near]
+        hit &= sy_lo[blk, None] <= y_hi[near]
+        seg, j = np.divmod(np.flatnonzero(hit), len(near))
+        segs.append(seg + lo)
+        circles.append(near[j])
+    return np.concatenate(segs), np.concatenate(circles)
+
+
+def _crossing_events(wp: np.ndarray, segs: _Segments, fld: _CircleField) -> tuple:
+    """Boundary crossings of a waypoint path against every circle of ``fld``.
+
+    Returns ``(circle, segment, arclength, code)`` arrays, lexsorted in that
+    key order.  A crossing counts when the quadratic has two distinct roots
+    (``disc > 0``: a tangent touch is no crossing) and the root lies in
+    ``(0, length]`` of its segment, so a boundary point shared by two
+    segments belongs to the one that ends there.
+    """
+    k, i = _candidate_pairs(wp, fld)
+    args = (segs.x0[k], segs.y0[k], segs.ux[k], segs.uy[k])
+    length = segs.length[k]
+    s1h, s2h, has_h = _segment_roots(*args, fld.cx_h[i], fld.cy_h[i], fld.r2_h[i])
+    s1f, s2f, has_f = _segment_roots(*args, fld.cx_f[i], fld.cy_f[i], fld.r2_f[i])
+    roots = ((s1h, has_h, _EV_H_IN), (s2h, has_h, _EV_H_OUT),
+             (s1f, has_f, _EV_F_IN), (s2f, has_f, _EV_F_OUT))
+    masks = [has & (s > 0.0) & (s <= length) for s, has, _ in roots]
+    circle = np.concatenate([i[m] for m in masks])
+    segment = np.concatenate([k[m] for m in masks])
+    arclength = np.concatenate([s[m] for m, (s, _, _) in zip(masks, roots)])
+    code = np.concatenate(
+        [np.full(np.count_nonzero(m), c, dtype=np.intp) for m, (_, _, c) in zip(masks, roots)]
+    )
+    order = np.lexsort((code, arclength, segment, circle))
+    return circle[order], segment[order], arclength[order], code[order]
+
 
 def _walk_trajectory(
     traj: Trajectory,
@@ -425,102 +482,86 @@ def _walk_trajectory(
         return
     wp = traj.waypoints
     velocity = traj.velocity
-    pause = traj.pause
     t_min = thresholds.t_threshold
     t_pp = thresholds.t_pingpong
     pcs = [counts.pairs[k] for k in _KIND_ORDER]
+    kind = fld.kind_index.tolist()
+
+    segs = _segments(wp)
+    events = _crossing_events(wp, segs, fld)
+    x0, y0, ux, uy, length = (a.tolist() for a in segs)
+    # Start time of each segment, summed in walking order.
+    t_base = list(
+        itertools.accumulate((ln / velocity + traj.pause for ln in length), initial=0.0)
+    )
 
     p = wp[0]
-    inside_h = ((p[0] - fld.cx_h) ** 2 + (p[1] - fld.cy_h) ** 2) < fld.r2_h
-    inside_f = ((p[0] - fld.cx_f) ** 2 + (p[1] - fld.cy_f) ** 2) < fld.r2_f
-    # A user who *starts* inside a circle never produced an entry event, so
-    # that residence is untracked (active=False) and produces no counts.
-    active = np.zeros(fld.n, dtype=bool)
-    t_enter = np.zeros(fld.n, dtype=float)
-    fail_checked = np.zeros(fld.n, dtype=bool)
-    failed = np.zeros(fld.n, dtype=bool)
+    inside_h = (((p[0] - fld.cx_h) ** 2 + (p[1] - fld.cy_h) ** 2) < fld.r2_h).tolist()
+    inside_f = (((p[0] - fld.cx_f) ** 2 + (p[1] - fld.cy_f) ** 2) < fld.r2_f).tolist()
+    # Tracked residences: circle -> [t_enter, fail_checked, failed].  A user
+    # who *starts* inside a circle never produced an entry event, so that
+    # residence is untracked and produces no counts.
+    tracked = {}
+    quick_exits = []  # (circle, x, y) of exits within t_pingpong of the trigger
 
-    t_base = 0.0
-    for k in range(len(wp) - 1):
-        x0, y0 = wp[k]
-        x1, y1 = wp[k + 1]
-        dx, dy = x1 - x0, y1 - y0
-        length = math.hypot(dx, dy)
-        ux, uy = dx / length, dy / length
-
-        s1h, s2h, has_h = _segment_roots(x0, y0, ux, uy, fld.cx_h, fld.cy_h, fld.r2_h)
-        s1f, s2f, has_f = _segment_roots(x0, y0, ux, uy, fld.cx_f, fld.cy_f, fld.r2_f)
-        ev_h = has_h & (((s1h > 0.0) & (s1h <= length)) | ((s2h > 0.0) & (s2h <= length)))
-        ev_f = has_f & (((s1f > 0.0) & (s1f <= length)) | ((s2f > 0.0) & (s2f <= length)))
-        for i in np.nonzero(ev_h | ev_f)[0]:
-            events = []
-            if has_h[i]:
-                if 0.0 < s1h[i] <= length:
-                    events.append((float(s1h[i]), _EV_H_IN))
-                if 0.0 < s2h[i] <= length:
-                    events.append((float(s2h[i]), _EV_H_OUT))
-            if has_f[i]:
-                if 0.0 < s1f[i] <= length:
-                    events.append((float(s1f[i]), _EV_F_IN))
-                if 0.0 < s2f[i] <= length:
-                    events.append((float(s2f[i]), _EV_F_OUT))
-            events.sort()
-            pc = pcs[fld.kind_index[i]]
-            for s, code in events:
-                t = t_base + s / velocity
-                if code == _EV_H_IN:
-                    if inside_h[i]:
-                        continue
-                    inside_h[i] = True
-                    active[i] = True
-                    t_enter[i] = t
-                    fail_checked[i] = False
-                    failed[i] = False
-                    pc.triggered += 1
-                elif code == _EV_F_IN:
-                    if inside_f[i]:
-                        continue
-                    inside_f[i] = True
-                    if active[i] and not fail_checked[i]:
-                        # Only the first failure-circle arrival of a
-                        # residence can decide failure: later arrivals are
-                        # necessarily past the threshold.
-                        fail_checked[i] = True
-                        if t - t_enter[i] < t_min:
-                            failed[i] = True
-                            pc.failures += 1
-                elif code == _EV_F_OUT:
-                    inside_f[i] = False
-                else:  # _EV_H_OUT
-                    if not inside_h[i]:
-                        continue
-                    inside_h[i] = False
-                    if active[i]:
-                        sojourn = t - t_enter[i]
-                        completed = sojourn >= t_min
-                        if completed:
-                            pc.handovers += 1
-                            if failed[i]:
-                                pc.overlap += 1
-                        if sojourn < t_pp:
-                            s_out = min(s + _EXIT_NUDGE * length, length)
-                            exit_xy = (x0 + ux * s_out, y0 + uy * s_out)
-                            winner = smap.query(exit_xy)
-                            if winner == (fld.serving_tier[i], fld.serving_idx[i]):
-                                pc.pingpongs += 1
-                        active[i] = False
-                        failed[i] = False
-        t_base += length / velocity + pause
+    for i, k, s, code in zip(*(a.tolist() for a in events)):
+        t = t_base[k] + s / velocity
+        if code == _EV_H_IN:
+            if inside_h[i]:
+                continue
+            inside_h[i] = True
+            tracked[i] = [t, False, False]
+            pcs[kind[i]].triggered += 1
+        elif code == _EV_F_IN:
+            if inside_f[i]:
+                continue
+            inside_f[i] = True
+            res = tracked.get(i)
+            if res is not None and not res[1]:
+                # Only the first failure-circle arrival of a residence can
+                # decide failure: later arrivals are necessarily past the
+                # threshold.
+                res[1] = True
+                if t - res[0] < t_min:
+                    res[2] = True
+                    pcs[kind[i]].failures += 1
+        elif code == _EV_F_OUT:
+            inside_f[i] = False
+        else:  # _EV_H_OUT
+            if not inside_h[i]:
+                continue
+            inside_h[i] = False
+            res = tracked.pop(i, None)
+            if res is not None:
+                pc = pcs[kind[i]]
+                sojourn = t - res[0]
+                if sojourn >= t_min:
+                    pc.handovers += 1
+                    if res[2]:
+                        pc.overlap += 1
+                if sojourn < t_pp:
+                    s_out = min(s + _EXIT_NUDGE * length[k], length[k])
+                    quick_exits.append((i, x0[k] + ux[k] * s_out, y0[k] + uy[k] * s_out))
 
     # Trajectory over: residences still open completed their handover if the
     # accumulated time (through the final pause) already reached the
     # threshold; with no exit there is nothing to classify as ping-pong.
-    for i in np.nonzero(active & inside_h)[0]:
-        if t_base - t_enter[i] >= t_min:
-            pc = pcs[fld.kind_index[i]]
+    for i, (t_enter, _, failed) in tracked.items():
+        if t_base[-1] - t_enter >= t_min:
+            pc = pcs[kind[i]]
             pc.handovers += 1
-            if failed[i]:
+            if failed:
                 pc.overlap += 1
+
+    # A quick exit is a ping-pong when the original serving BS is again the
+    # strongest at the exit point: one association query for all of them.
+    if quick_exits:
+        circle, ex, ey = (np.array(c) for c in zip(*quick_exits))
+        tier, idx = smap.query(np.column_stack((ex, ey)))
+        back = (tier == fld.serving_tier[circle]) & (idx == fld.serving_idx[circle])
+        per_kind = np.bincount(fld.kind_index[circle[back]], minlength=len(pcs))
+        for pc, n in zip(pcs, per_kind.tolist()):
+            pc.pingpongs += n
 
 
 def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
@@ -645,6 +686,8 @@ def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # A fork-based pool starts all of its workers at once.
+    workers = min(workers, cfg.n_trials)
     if workers == 1:
         results = [run_trial(cfg, i) for i in range(cfg.n_trials)]
     else:

@@ -35,7 +35,7 @@ from hetnet_handover.geometry import (
     sample_tcp,
 )
 from hetnet_handover.mobility import Trajectory
-from hetnet_handover.radio import Circle, serving_bs
+from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair, serving_bs
 from hetnet_handover.simengine import (
     EventCounts,
     PairCounts,
@@ -45,7 +45,6 @@ from hetnet_handover.simengine import (
     compare_to_analytics,
     run_campaign,
     run_trial,
-    segment_circle_crossings,
     summarize_trials,
 )
 
@@ -110,58 +109,76 @@ def test_with_default_ratios_ties_densities_to_small_cells():
 
 
 # ---------------------------------------------------------------------------
-# Segment-circle crossings
+# Segment-circle crossings (the walk's batched root kernel)
 # ---------------------------------------------------------------------------
 
+def kernel_crossings(p0, p1, center, radius):
+    """Handover-circle crossings of one segment, from the walk's kernel.
+
+    Returns the crossing positions as fractions of the segment and the
+    length of the part of the segment inside the circle, derived from the
+    entry/exit arclengths and whether the segment starts inside.
+    """
+    fld = one_circle_field(center, r_h=radius, r_f=radius / 2.0)
+    wp = np.array([p0, p1], dtype=float)
+    segs = se._segments(wp)
+    circle, segment, s, code = se._crossing_events(wp, segs, fld)
+    assert np.all(circle == 0) and np.all(segment == 0)
+    length = float(segs.length[0])
+    s_in = s[code == se._EV_H_IN].tolist()
+    s_out = s[code == se._EV_H_OUT].tolist()
+    assert len(s_in) <= 1 and len(s_out) <= 1
+    starts_inside = (wp[0, 0] - center[0]) ** 2 + (wp[0, 1] - center[1]) ** 2 < radius**2
+    if s_in:
+        inside_from = s_in[0]
+    else:
+        inside_from = 0.0 if starts_inside else None
+    chord = 0.0 if inside_from is None else (s_out[0] if s_out else length) - inside_from
+    return tuple(x / length for x in sorted(s_in + s_out)), chord
+
+
 def test_crossing_through_diameter():
-    circle = Circle(center=np.array([3.0, 4.0]), radius=10.0)
-    out = segment_circle_crossings(
-        np.array([-17.0, 4.0]), np.array([23.0, 4.0]), circle
-    )
-    assert out.params == pytest.approx((0.25, 0.75))
-    assert out.chord_length == pytest.approx(20.0)
+    fractions, chord = kernel_crossings((-17.0, 4.0), (23.0, 4.0), (3.0, 4.0), 10.0)
+    assert fractions == pytest.approx((0.25, 0.75))
+    assert chord == pytest.approx(20.0)
 
 
 def test_crossing_hand_solved_quadratic():
     # Unit circle, segment from (-2, 0) to (2, 0): roots at arclength 1 and 3.
-    circle = Circle(center=np.array([0.0, 0.0]), radius=1.0)
-    out = segment_circle_crossings(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), circle)
-    assert out.params == pytest.approx((0.25, 0.75))
-    assert out.chord_length == pytest.approx(2.0)
+    fractions, chord = kernel_crossings((-2.0, 0.0), (2.0, 0.0), (0.0, 0.0), 1.0)
+    assert fractions == (0.25, 0.75)
+    assert chord == 2.0
 
 
-def test_crossing_tangent_touches_once():
-    circle = Circle(center=np.array([0.0, 0.0]), radius=1.0)
-    out = segment_circle_crossings(np.array([-2.0, 1.0]), np.array([2.0, 1.0]), circle)
-    assert out.params == pytest.approx((0.5,))
-    assert out.chord_length == 0.0
+def test_crossing_tangent_is_no_crossing():
+    # The kernel needs two distinct roots (disc > 0): a segment that only
+    # touches the circle produces no event, so no residence starts.
+    fractions, chord = kernel_crossings((-2.0, 1.0), (2.0, 1.0), (0.0, 0.0), 1.0)
+    assert fractions == ()
+    assert chord == 0.0
 
 
 def test_crossing_miss():
-    circle = Circle(center=np.array([0.0, 0.0]), radius=1.0)
-    out = segment_circle_crossings(np.array([-2.0, 2.0]), np.array([2.0, 2.0]), circle)
-    assert out.params == ()
-    assert out.chord_length == 0.0
+    fractions, chord = kernel_crossings((-2.0, 2.0), (2.0, 2.0), (0.0, 0.0), 1.0)
+    assert fractions == ()
+    assert chord == 0.0
 
 
 def test_crossing_start_inside_reports_exit_only():
-    circle = Circle(center=np.array([0.0, 0.0]), radius=10.0)
-    out = segment_circle_crossings(np.array([0.0, 0.0]), np.array([20.0, 0.0]), circle)
-    assert out.params == pytest.approx((0.5,))
-    assert out.chord_length == pytest.approx(10.0)
+    fractions, chord = kernel_crossings((0.0, 0.0), (20.0, 0.0), (0.0, 0.0), 10.0)
+    assert fractions == pytest.approx((0.5,))
+    assert chord == pytest.approx(10.0)
 
 
 def test_crossing_segment_entirely_inside():
-    circle = Circle(center=np.array([0.0, 0.0]), radius=100.0)
-    out = segment_circle_crossings(np.array([-5.0, 0.0]), np.array([5.0, 0.0]), circle)
-    assert out.params == ()
-    assert out.chord_length == pytest.approx(10.0)
+    fractions, chord = kernel_crossings((-5.0, 0.0), (5.0, 0.0), (0.0, 0.0), 100.0)
+    assert fractions == ()
+    assert chord == pytest.approx(10.0)
 
 
 def test_crossing_equal_endpoints_rejected():
-    circle = Circle(center=np.array([0.0, 0.0]), radius=1.0)
     with pytest.raises(ValueError, match="endpoints"):
-        segment_circle_crossings(np.array([1.0, 1.0]), np.array([1.0, 1.0]), circle)
+        se._segments(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_chord_matches_point_sampling():
@@ -178,12 +195,11 @@ def test_chord_matches_point_sampling():
         length = float(np.hypot(*(p1 - p0)))
         if length < 1e-6:
             continue
-        circle = Circle(center=center, radius=radius)
-        out = segment_circle_crossings(p0, p1, circle)
+        _, chord = kernel_crossings(p0, p1, center, radius)
         pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
         inside = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]) < radius
         approx = inside.mean() * length
-        assert out.chord_length == pytest.approx(approx, abs=2.0 * length / n + 1e-9)
+        assert chord == pytest.approx(approx, abs=2.0 * length / n + 1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -200,11 +216,10 @@ def test_crossing_invariants(cx, cy, r, x0, y0, x1, y1):
     length = math.hypot(x1 - x0, y1 - y0)
     if length < 1e-9:
         return
-    circle = Circle(center=np.array([cx, cy]), radius=r)
-    out = segment_circle_crossings(np.array([x0, y0]), np.array([x1, y1]), circle)
-    assert 0.0 <= out.chord_length <= min(2.0 * r, length) * (1.0 + 1e-9)
-    assert all(0.0 <= p <= 1.0 for p in out.params)
-    assert list(out.params) == sorted(out.params)
+    fractions, chord = kernel_crossings((x0, y0), (x1, y1), (cx, cy), r)
+    assert 0.0 <= chord <= min(2.0 * r, length) * (1.0 + 1e-9)
+    assert all(0.0 < p <= 1.0 for p in fractions)
+    assert list(fractions) == sorted(fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +283,10 @@ def test_serving_map_matches_reference_association():
     )
     deployment = [(macro, mp), (small, sp), (children, hp)]
     labels = (TIER_MACRO, TIER_SMALL, TIER_HOTSPOT)
-    for xy in region.sample_uniform(200, rng):
-        tier_pos, idx = smap.query(xy)
-        ref_tier, ref_idx = serving_bs(xy, deployment)
-        assert (labels[tier_pos], idx) == (ref_tier, ref_idx)
+    points = region.sample_uniform(200, rng)
+    tier_pos, idx = smap.query(points)
+    for xy, t, i in zip(points, tier_pos.tolist(), idx.tolist()):
+        assert (labels[t], i) == serving_bs(xy, deployment)
 
 
 def test_serving_map_on_bs_position_and_empty_tier():
@@ -282,8 +297,9 @@ def test_serving_map_on_bs_position_and_empty_tier():
             (pts, default_small_params()),
         ]
     )
-    assert smap.query((50.0, 50.0)) == (1, 1)
-    assert smap.query((11.0, 10.0)) == (1, 0)
+    tier_pos, idx = smap.query(np.array([[50.0, 50.0], [11.0, 10.0]]))
+    assert tier_pos.tolist() == [1, 1]
+    assert idx.tolist() == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +440,71 @@ def test_walk_reentry_counts_a_second_trigger():
     assert pc.handovers == 2
 
 
+def two_circle_field(order=(0, 1)) -> se._CircleField:
+    """Circle A (SM, r 100/50 m at the origin) and circle B (SpS, r 50/20 m
+    at x = 300 m), listed in ``order``."""
+    rows = [
+        (0, 0.0, 0.0, 100.0, 50.0, 0, 0),
+        (1, 300.0, 0.0, 50.0, 20.0, 1, 0),
+    ]
+    rows = [rows[j] for j in order]
+
+    def col(j, dtype=float):
+        return np.array([r[j] for r in rows], dtype=dtype)
+
+    return se._CircleField(
+        kind_index=col(0, np.intp),
+        cx_h=col(1), cy_h=col(2), r2_h=col(3) ** 2,
+        cx_f=col(1), cy_f=col(2), r2_f=col(4) ** 2,
+        serving_tier=col(5, np.intp), serving_idx=col(6, np.intp),
+    )
+
+
+def test_walk_box_overlap_without_crossing_gives_no_events():
+    # The segment's box [80, 200]^2 overlaps the circle's box [-100, 100]^2,
+    # but the line x + y = 280 passes 198 m from the centre: the broad phase
+    # lets the pair through and the root solve rejects it.
+    wp = np.array([[80.0, 200.0], [200.0, 80.0]])
+    fld = one_circle_field()
+    seg, circle = se._candidate_pairs(wp, fld)
+    assert (seg.tolist(), circle.tolist()) == ([0], [0])
+    assert all(len(a) == 0 for a in se._crossing_events(wp, se._segments(wp), fld))
+    th = HandoverThresholds(t_threshold=1.0, t_pingpong=4.0, q_out=0.5)
+    counts = walk(wp, th)
+    assert counts.pairs[PairKind.SM] == PairCounts()
+
+
+def test_walk_segment_ending_on_boundary():
+    # The first segment ends exactly on the handover circle (root s = 100 =
+    # length): the entry belongs to it, and the next segment, which starts
+    # on the boundary (root s = 0), does not trigger again.
+    th = HandoverThresholds(t_threshold=1.0, t_pingpong=0.01, q_out=0.5)
+    counts = walk([[-200.0, 0.0], [-100.0, 0.0], [200.0, 0.0]], th)
+    pc = counts.pairs[PairKind.SM]
+    assert (pc.triggered, pc.handovers, pc.failures, pc.pingpongs) == (1, 1, 0, 0)
+    # A path that stops on the boundary triggers once and, with no time
+    # spent inside, completes nothing.
+    counts = walk([[-200.0, 0.0], [-100.0, 0.0]], th)
+    pc = counts.pairs[PairKind.SM]
+    assert (pc.triggered, pc.handovers) == (1, 0)
+
+
+def test_walk_two_circles_on_one_segment_are_independent_of_order():
+    # One segment crosses both circles: A's residence lasts 200 s with a
+    # failure-circle arrival 50 s after the trigger, B's lasts 100 s with an
+    # arrival after 30 s.  A 40 s threshold fails B only; both complete.
+    th = HandoverThresholds(t_threshold=40.0, t_pingpong=0.01, q_out=0.5)
+    results = []
+    for order in ((0, 1), (1, 0)):
+        counts = walk([[-200.0, 0.0], [500.0, 0.0]], th, fld=two_circle_field(order))
+        results.append(counts.pairs)
+    assert results[0] == results[1]
+    assert results[0][PairKind.SM] == PairCounts(triggered=1, handovers=1)
+    assert results[0][PairKind.SPS] == PairCounts(
+        triggered=1, handovers=1, failures=1, overlap=1
+    )
+
+
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
@@ -448,6 +529,119 @@ def test_run_trial_produces_consistent_counts():
     assert counts.exposure_time > 0.0
     total = sum(pc.triggered for pc in counts.pairs.values())
     assert total > 0  # dense small-cell tier: some boundary is always crossed
+
+
+#: ``run_trial(reference_sim_config(0), i)`` for i = 0, 1, 2, recorded before
+#: the segment walk was batched; the walk must reproduce them exactly.
+_REFERENCE_SEED0_TRIALS = (
+    (48447.378174580415, (5883, 5869, 206, 24, 205), (20, 20, 0, 0, 0), (13, 13, 0, 0, 0)),
+    (49366.34561971334, (4239, 4222, 210, 21, 210), (60, 60, 6, 0, 6), (63, 63, 2, 0, 2)),
+    (49858.7116260757, (12150, 12148, 74, 8, 74), (44, 44, 2, 0, 2), (30, 30, 2, 0, 2)),
+)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_run_trial_reproduces_recorded_reference_counts(index):
+    exposure, *per_kind = _REFERENCE_SEED0_TRIALS[index]
+    expected = EventCounts(exposure_time=exposure)
+    for kind, (trig, hand, fail, ping, overlap) in zip(se._KIND_ORDER, per_kind):
+        expected.pairs[kind] = PairCounts(
+            triggered=trig, handovers=hand, failures=fail, pingpongs=ping, overlap=overlap
+        )
+    assert run_trial(reference_sim_config(0), index) == expected
+
+
+def sampled_deployment(cfg: SimConfig, trial_index: int) -> tuple:
+    """The deployment ``run_trial`` draws, in its draw order."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial_index]))
+    macro = sample_ppp(cfg.region, cfg.lambda_m, rng, tier=TIER_MACRO)
+    small = sample_ppp(cfg.region, cfg.lambda_s, rng, tier=TIER_SMALL)
+    parents, children = sample_tcp(cfg.region, cfg.cluster, rng)
+    return macro, small, parents, children
+
+
+def per_pair_field(cfg, macro, small, parents, children) -> tuple:
+    """Field columns and skip counts from one ``make_erb_pair`` call per pair,
+    serving BSs found by brute-force nearest neighbour."""
+
+    def nearest(points, queries):
+        d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        return np.argmin(d2, axis=1)
+
+    rows, skipped = [], {k: [0, 0] for k in se._KIND_ORDER}
+    m_of_small = nearest(macro.points, small.points)
+    s_of_parent = nearest(small.points, parents.points)
+    m_of_parent = nearest(macro.points, parents.points)
+    jobs = [
+        (0, cfg.macro, cfg.small, macro.points[m], small.points[i], 0, m)
+        for i, m in enumerate(m_of_small)
+    ]
+    for kind_pos, serving, tier_pos, of_parent in (
+        (1, (small, cfg.small), 1, s_of_parent),
+        (2, (macro, cfg.macro), 0, m_of_parent),
+    ):
+        for j in range(len(children)):
+            b = of_parent[children.parent_index[j]]
+            jobs.append((kind_pos, serving[1], cfg.hotspot, serving[0].points[b],
+                         children.points[j], tier_pos, b))
+    for kind_pos, sp, tp, sxy, txy, tier_pos, b in jobs:
+        kind = se._KIND_ORDER[kind_pos]
+        try:
+            erb = make_erb_pair(sp, tp, txy - sxy, cfg.thresholds.q_out)
+        except DegenerateBoundaryError:
+            skipped[kind][0] += 1
+            continue
+        h, f = erb.handover_circle, erb.failure_circle
+        if h.encloses_serving or f.encloses_serving:
+            skipped[kind][1] += 1
+            continue
+        rows.append((kind_pos, sxy[0] + h.center[0], sxy[1] + h.center[1],
+                     h.radius * h.radius, sxy[0] + f.center[0], sxy[1] + f.center[1],
+                     f.radius * f.radius, tier_pos, b))
+    dtypes = (np.intp, float, float, float, float, float, float, np.intp, np.intp)
+    columns = [np.array([r[c] for r in rows], dtype=dt) for c, dt in enumerate(dtypes)]
+    return columns, skipped
+
+
+def _field_configs():
+    ref = reference_sim_config(0)
+    default = SimConfig.with_default_ratios(
+        region=Region(0.0, 3000.0, 0.0, 3000.0),
+        macro=default_macro_params(), small=default_small_params(),
+        hotspot=default_hotspot_params(), lambda_s=1e-4, sigma=150.0,
+        mobility=default_mobility(), thresholds=default_thresholds(), master_seed=5,
+    )
+    cases = [
+        ("reference-0", ref, 0),
+        ("reference-1", ref, 1),
+        ("default-ratios", default, 0),
+        # Hotspot radio equal to the small cells: every SpS pair is degenerate.
+        ("hotspot-as-small", dataclasses.replace(default, hotspot=default.small), 0),
+        # Hotspot radio equal to the macro tier: SpM pairs are degenerate and
+        # SpS circles surround their serving small cell.
+        ("hotspot-as-macro", dataclasses.replace(default, hotspot=default.macro), 0),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("label,cfg,index", _field_configs())
+def test_circle_field_matches_per_pair_construction(label, cfg, index):
+    deployment = sampled_deployment(cfg, index)
+    counts = EventCounts()
+    fld = se._build_circle_field(cfg, *deployment, counts)
+    columns, skipped = per_pair_field(cfg, *deployment)
+    names = [f.name for f in dataclasses.fields(se._CircleField)]
+    for name, expected in zip(names, columns):
+        got = getattr(fld, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+    for kind in se._KIND_ORDER:
+        pc = counts.pairs[kind]
+        assert [pc.degenerate_skipped, pc.enclosing_skipped] == skipped[kind], kind
+    if label == "hotspot-as-small":
+        assert skipped[PairKind.SPS][0] == len(deployment[3]) > 0
+    if label == "hotspot-as-macro":
+        assert skipped[PairKind.SPM][0] > 0 and skipped[PairKind.SPS][1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +748,32 @@ def test_campaign_worker_count_does_not_change_results():
 def test_campaign_rejects_bad_worker_count():
     with pytest.raises(ValueError, match="workers"):
         run_campaign(small_config(), workers=0)
+
+
+def test_campaign_workers_bounded_by_trial_count(monkeypatch):
+    # A fork-based pool starts every worker up front, so the pool must not
+    # be larger than the campaign.  The recorder runs the trials inline.
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(se, "ProcessPoolExecutor", InlinePool)
+    estimate = run_campaign(small_config(n_trials=2), workers=5000)
+    assert started == [2]
+    assert estimate.n_trials == 2
+    run_campaign(small_config(n_trials=1), workers=5000)
+    assert started == [2]  # one trial runs in-process: no pool at all
 
 
 def test_campaign_csv_shape():
