@@ -330,6 +330,11 @@ class ClampDiagnostics:
 
 PINGPONG_CLAMP_DIAGNOSTICS = ClampDiagnostics()
 
+#: A negative ping-pong bracket above ``-PINGPONG_CLAMP_TOL`` is roundoff in
+#: the difference of two tails near 1 (the envelope's clamps all lie within
+#: a few ulps of zero); it is clamped and recorded but not warned about.
+PINGPONG_CLAMP_TOL = 1e-12
+
 
 def _radius_gain(lam_xi: float) -> float:
     """``g(u) = sqrt(u) / (1 - u)``: boundary radius per unit pair distance."""
@@ -419,8 +424,9 @@ def compute_metrics(
     of the tail at ``u_f``.  The ping-pong bracket deliberately compares the
     handover boundary (``u``) with the failure boundary (``u_f``), which can
     drive it negative for small ``T_p``; a negative bracket is clamped to
-    zero, recorded on ``diagnostics`` and warned about, since a negative
-    rate is meaningless.
+    zero, since a negative rate is meaningless, and recorded on
+    ``diagnostics``.  It is warned about only below ``-PINGPONG_CLAMP_TOL``,
+    where it is not roundoff.
     """
     if mean_distance < 0:
         raise ValueError(f"mean_distance must be >= 0, got {mean_distance}")
@@ -443,12 +449,13 @@ def compute_metrics(
     bracket = p_t - p_tp_f
     if bracket < 0.0:
         diagnostics.record(bracket)
-        warnings.warn(
-            f"ping-pong bracket negative ({bracket:.3e}) for {pair.value} at "
-            f"T={thresholds.t_threshold}, Tp={thresholds.t_pingpong}; clamped to 0",
-            UserWarning,
-            stacklevel=2,
-        )
+        if bracket < -PINGPONG_CLAMP_TOL:
+            warnings.warn(
+                f"ping-pong bracket negative ({bracket:.3e}) for {pair.value} at "
+                f"T={thresholds.t_threshold}, Tp={thresholds.t_pingpong}; clamped to 0",
+                UserWarning,
+                stacklevel=2,
+            )
         bracket = 0.0
     return HandoverMetrics(
         pair=pair,

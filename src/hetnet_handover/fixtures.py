@@ -157,6 +157,34 @@ def oracle_marcum_q1_quadrature(a: float = 1.0, b: float = 1.0) -> float:
     return val
 
 
+def oracle_marcum_q1_mpmath(a: float = 79.0, b: float = 80.0) -> float:
+    """Poisson-mixture series of the Marcum Q function in 50-digit arithmetic.
+
+    With ``x = a^2/2`` and ``y = b^2/2`` the sum covers the indices
+    ``x +- (14 sqrt(x) + 30)``, which leave out less than 1e-40 of the
+    mixture; the pmfs and the incomplete-gamma cdf at the first index are
+    formed directly in 50 digits and carried upward by the exact
+    recurrences.  Needs ``mpmath`` (installed with the ``test`` extra).
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(a) ** 2 / 2
+        y = mpmath.mpf(b) ** 2 / 2
+        half = int(14 * mpmath.sqrt(x)) + 30
+        j0 = max(0, int(x) - half)
+        pmf_x = mpmath.exp(-x + j0 * mpmath.log(x) - mpmath.loggamma(j0 + 1))
+        pmf_y = mpmath.exp(-y + j0 * mpmath.log(y) - mpmath.loggamma(j0 + 1))
+        cdf_y = mpmath.gammainc(j0 + 1, y, regularized=True)
+        total = pmf_x * cdf_y
+        for j in range(j0 + 1, int(x) + half + 1):
+            pmf_x = pmf_x * x / j
+            pmf_y = pmf_y * y / j
+            cdf_y += pmf_y
+            total += pmf_x * cdf_y
+        return float(total)
+
+
 def oracle_rician_cdf_quadrature(r: float = 1.0, w: float = 1.0, sigma: float = 1.0) -> float:
     """CDF by direct quadrature of the conditional-distance density."""
     val, _ = integrate.quad(lambda x: rician_pdf(x, w, sigma), 0.0, r, limit=200)
@@ -240,6 +268,7 @@ ORACLES = {
     "i0_at_1": oracle_i0_quadrature,
     "erf_at_1": oracle_erf_series,
     "marcum_q1_at_1_1": oracle_marcum_q1_quadrature,
+    "marcum_q1_at_79_80": oracle_marcum_q1_mpmath,
     "rician_cdf_at_1_1_1": oracle_rician_cdf_quadrature,
     "xi_6db_alpha4": oracle_xi_6db_alpha4,
     "xi_failure_scale_3db_alpha367": oracle_xi_failure_scale,

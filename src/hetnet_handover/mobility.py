@@ -136,6 +136,13 @@ def next_waypoint(
     cur = np.asarray(current, dtype=float)
     if not bool(region.contains(cur)[0]):
         raise ValueError(f"current position {cur} is outside the region")
+    return _step(cur, region, cfg, rng)
+
+
+def _step(
+    cur: np.ndarray, region: Region, cfg: MobilityConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """`next_waypoint` for a ``cur`` already known to lie inside ``region``."""
     while True:
         length = draw_transition_length(cfg, rng)
         theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -166,7 +173,9 @@ def generate_trajectory(
     waypoints[0] = start_arr
     pos = start_arr
     for k in range(1, n_moves + 1):
-        pos = next_waypoint(pos, region, cfg, rng)
+        # Each waypoint _step returns lies inside the region, so only the
+        # start needs the region check.
+        pos = _step(pos, region, cfg, rng)
         waypoints[k] = pos
     return Trajectory(waypoints=waypoints, velocity=cfg.velocity, pause=cfg.pause)
 

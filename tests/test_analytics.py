@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -39,7 +39,9 @@ from hetnet_handover.fixtures import (
     default_thresholds,
     fixture_value,
 )
-from hetnet_handover.radio import make_erb_pair
+from hetnet_handover.geometry import Region
+from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
+from hetnet_handover.simengine import SimConfig, analytic_metrics
 from hetnet_handover.specfun import marcum_q1
 
 MOBILITY = default_mobility()
@@ -69,6 +71,20 @@ def _sps_metrics(thresholds=THRESHOLDS, **kwargs):
 
 def _sps_tail(t: float, u: float) -> float:
     return prob_sojourn_ge(PairKind.SPS, t, MOBILITY.velocity, u, 2e-5, 150.0)
+
+
+def _envelope_config(lambda_s, sigma, v_kmh, t, t_p) -> SimConfig:
+    """A default-ratio deployment on 5 km x 5 km, as the closed forms see it."""
+    return SimConfig.with_default_ratios(
+        region=Region(0.0, 5000.0, 0.0, 5000.0),
+        macro=default_macro_params(),
+        small=default_small_params(),
+        hotspot=default_hotspot_params(),
+        lambda_s=lambda_s,
+        sigma=sigma,
+        mobility=dataclasses.replace(MOBILITY, velocity=v_kmh / 3.6),
+        thresholds=HandoverThresholds(t_threshold=t, t_pingpong=t_p, q_out=THRESHOLDS.q_out),
+    )
 
 
 class TestNearestDistanceLaw:
@@ -338,6 +354,31 @@ class TestRates:
         diag.reset()
         assert diag.count == 0 and diag.last_value is None
 
+    def test_pingpong_roundoff_clamp_records_without_warning(self, monkeypatch):
+        # Tails P(S >= T | u) = 0.5 and P(S >= T_p | u_f) one ulp above it:
+        # the bracket is -1.1e-16, roundoff rather than a real event.
+        tails = iter((0.5, 0.25, math.nextafter(0.5, 1.0)))
+        monkeypatch.setattr(analytics, "marcum_q1", lambda a, b: next(tails))
+        diag = ClampDiagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = _sps_metrics(diagnostics=diag)
+        assert m.pingpong_rate == 0.0
+        assert diag.count == 1
+        assert -analytics.PINGPONG_CLAMP_TOL < diag.last_value < 0.0
+
+    def test_real_config_roundoff_clamp_is_silent(self):
+        # lambda_S = 2e-6, sigma = 10 m: the SpS bracket comes out at -2.2e-16.
+        cfg = _envelope_config(2e-6, 10.0, 60.0, 1.0, 4.0)
+        diag = analytics.PINGPONG_CLAMP_DIAGNOSTICS
+        before = diag.count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = analytic_metrics(cfg)
+        assert diag.count == before + 1
+        assert -analytics.PINGPONG_CLAMP_TOL < diag.last_value < 0.0
+        assert metrics[PairKind.SPS].pingpong_rate == 0.0
+
     def test_compute_metrics_consistency(self):
         m = _sps_metrics()
         assert m.pair is PairKind.SPS
@@ -402,3 +443,35 @@ class TestRates:
         assert double.handover_rate == pytest.approx(2.0 * single.handover_rate, rel=1e-9)
         assert double.pingpong_rate == pytest.approx(2.0 * single.pingpong_rate, rel=1e-9)
         assert double.failure_rate == single.failure_rate
+
+
+class TestEnvelope:
+    """The closed forms over the documented envelope: lambda_S in [1e-6, 4e-4],
+    sigma in [5, 250] m, V in [5, 120] km/h, T in [0.5, 2] s, T_p in [2, 8] s,
+    default tier ratios and radio parameters."""
+
+    @given(
+        lambda_s=st.floats(min_value=-6.0, max_value=math.log10(4e-4)).map(lambda e: 10.0**e),
+        sigma=st.floats(min_value=5.0, max_value=250.0),
+        v_kmh=st.floats(min_value=5.0, max_value=120.0),
+        t=st.floats(min_value=0.5, max_value=2.0),
+        t_p=st.floats(min_value=2.0, max_value=8.0),
+    )
+    # Configs whose sojourn tails need a = 1/(2 sigma sqrt(lam)) above ~37.4.
+    @example(lambda_s=1e-6, sigma=20.0, v_kmh=60.0, t=1.0, t_p=4.0)
+    @example(lambda_s=2e-6, sigma=10.0, v_kmh=60.0, t=1.0, t_p=4.0)
+    @example(lambda_s=1e-5, sigma=5.0, v_kmh=60.0, t=1.0, t_p=4.0)
+    @settings(max_examples=200, deadline=None)
+    def test_metrics_valid_or_named_domain_error(self, lambda_s, sigma, v_kmh, t, t_p):
+        cfg = _envelope_config(lambda_s, sigma, v_kmh, t, t_p)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # real ping-pong clamps
+                metrics = analytic_metrics(cfg)
+        except DegenerateBoundaryError:
+            return
+        assert set(metrics) == set(PairKind)
+        for m in metrics.values():
+            values = (m.triggered_rate, m.handover_rate, m.failure_rate, m.pingpong_rate)
+            assert all(math.isfinite(v) for v in values), m
+            dataclasses.replace(m)  # re-runs the HandoverMetrics invariants

@@ -111,6 +111,12 @@ class TestNextWaypoint:
             cur = next_waypoint(cur, REGION, cfg, rng)
             assert REGION.contains(cur[None, :])[0]
 
+    def test_outside_current_rejected(self):
+        rng = np.random.default_rng(3)
+        for outside in ([-1.0, 2500.0], [2500.0, 5000.5]):
+            with pytest.raises(ValueError, match="outside the region"):
+                next_waypoint(np.array(outside), REGION, _cfg(), rng)
+
 
 class TestTrajectory:
     def test_shapes_and_time(self):
@@ -135,6 +141,21 @@ class TestTrajectory:
         t1 = generate_trajectory(start, 20, REGION, cfg, np.random.default_rng(9))
         t2 = generate_trajectory(start, 20, REGION, cfg, np.random.default_rng(9))
         assert np.array_equal(t1.waypoints, t2.waypoints)
+
+    def test_matches_chained_next_waypoint(self):
+        # generate_trajectory skips the region check on the points it made
+        # itself; the draws and the waypoints must match a next_waypoint chain.
+        cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)
+        traj = generate_trajectory(np.array([0.0, 5000.0]), 50, REGION, cfg, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        chain = [np.array([0.0, 5000.0])]
+        for _ in range(50):
+            chain.append(next_waypoint(chain[-1], REGION, cfg, rng))
+        assert np.array_equal(traj.waypoints, np.array(chain))
+
+    def test_outside_start_rejected(self):
+        with pytest.raises(ValueError, match="outside the region"):
+            generate_trajectory(np.array([5000.0, -0.1]), 5, REGION, _cfg(), np.random.default_rng(4))
 
     def test_validation(self):
         with pytest.raises(ValueError):

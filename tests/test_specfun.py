@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from hetnet_handover.fixtures import fixture_value
+from hetnet_handover.fixtures import fixture_value, oracle_marcum_q1_mpmath
 from hetnet_handover.specfun import (
     DEFAULT_BESSEL_TABLE,
     BesselApproxTable,
@@ -19,6 +19,85 @@ from hetnet_handover.specfun import (
     marcum_q1,
     marcum_q1_quadrature,
 )
+
+PIN_A = (0.0, 0.3, 1.0, 2.5, 7.0, 15.0, 30.0, 37.0)
+PIN_B = (0.0, 0.2, 1.0, 3.0, 10.0, 36.0, 50.0)
+#: float.hex of marcum_q1(a, b), one scalar call per a in PIN_A (rows) and
+#: b in PIN_B (columns).  Each equals the vectorised series run on that one
+#: element, which the Python-float route must reproduce bit for bit.
+SCALAR_PIN = (
+    (
+        "0x1.0000000000000p+0", "0x1.f5dc99badec5bp-1", "0x1.368b2fc6f960ap-1", "0x1.6c0504695c417p-7",
+        "0x1.d257d547e083fp-73", "0x1.18d77b8a44ad7p-935", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffffbp-1", "0x1.f64db10f32e8ap-1", "0x1.3d6a0ed83630bp-1", "0x1.b7cdb25293ffbp-7",
+        "0x1.16b832692d281p-70", "0x1.6e0a96f5975ddp-923", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffffcp-1", "0x1.f9d1f3ee9b784p-1", "0x1.773c058a6997fp-1", "0x1.661f0987c781bp-5",
+        "0x1.ad2e8586f5beep-62", "0x1.9dd3e40ec80b6p-892", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffffap-1", "0x1.ff8a60967d705p-1", "0x1.ef02a752d9d1dp-1", "0x1.8209a10423eb8p-2",
+        "0x1.22b64f163f007p-44", "0x1.572ff3a4fa4dbp-832", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffffap-1", "0x1.fffffffffebccp-1", "0x1.fffffffd01a5dp-1", "0x1.fffd5f102c3dbp-1",
+        "0x1.ad9d1b6d775dcp-10", "0x1.3a5da0b1d11cep-653", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffffbp-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffffbp-1", "0x1.ffffffffffffbp-1",
+        "0x1.fffff836bffa6p-1", "0x1.62e4507d0ad7bp-351", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffff7p-1", "0x1.ffffffffffff4p-1", "0x1.ffffffffffff7p-1", "0x1.ffffffffffff7p-1",
+        "0x1.ffffffffffff4p-1", "0x1.29c303e021c0dp-30", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1",
+        "0x1.ffffffffffff7p-1", "0x1.b0744dba06d74p-1", "0x0.0p+0",
+    ),
+)
+#: The same grid as one broadcast array call; the array series stops
+#: only when every element has converged, so some last bits differ.
+ARRAY_PIN = (
+    (
+        "0x1.0000000000000p+0", "0x1.f5dc99badec5bp-1", "0x1.368b2fc6f960ap-1", "0x1.6c0504695c417p-7",
+        "0x1.d257d547e083fp-73", "0x1.18d77b8a44ad7p-935", "0x0.0p+0",
+    ),
+    (
+        "0x1.fffffffffffffp-1", "0x1.f64db10f32e8ep-1", "0x1.3d6a0ed83630fp-1", "0x1.b7cdb252940d9p-7",
+        "0x1.16b83435fde7cp-70", "0x1.8dff9442fc084p-923", "0x0.0p+0",
+    ),
+    (
+        "0x1.0000000000000p+0", "0x1.f9d1f3ee9b788p-1", "0x1.773c058a69983p-1", "0x1.661f0987c785ap-5",
+        "0x1.ad2eca432d41ep-62", "0x1.65f81efffde1bp-888", "0x0.0p+0",
+    ),
+    (
+        "0x1.0000000000000p+0", "0x1.ff8a60967d70dp-1", "0x1.ef02a752d9d25p-1", "0x1.8209a10423ec8p-2",
+        "0x1.22b67a475d3abp-44", "0x1.0038113788b7bp-814", "0x0.0p+0",
+    ),
+    (
+        "0x1.fffffffffffffp-1", "0x1.fffffffffebd1p-1", "0x1.fffffffd01a62p-1", "0x1.fffd5f102c3e0p-1",
+        "0x1.ad9d1b6d78175p-10", "0x1.44ee227171a1ep-612", "0x0.0p+0",
+    ),
+    (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.fffff836bffaep-1", "0x1.bcdd871d48058p-324", "0x0.0p+0",
+    ),
+    (
+        "0x1.fffffffffffffp-1", "0x1.ffffffffffffcp-1", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1",
+        "0x1.ffffffffffffcp-1", "0x1.29c308abb8890p-30", "0x0.0p+0",
+    ),
+    (
+        "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1",
+        "0x1.ffffffffffff7p-1", "0x1.b0744dba06d74p-1", "0x0.0p+0",
+    ),
+)
+
+#: Large-a points: the windowed route for every b in a +- 30.
+LARGE_A = (40.0, 79.0, 200.0, 316.0)
 
 
 class TestI0Series:
@@ -110,11 +189,26 @@ class TestMarcumQ1:
                 ref = stats.ncx2.sf(b * b, 2, a * a)
                 assert marcum_q1(a, b) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
+    def test_pinned_large_a_value(self):
+        assert marcum_q1(79.0, 80.0) == pytest.approx(
+            fixture_value("marcum_q1_at_79_80"), rel=1e-12
+        )
+
     def test_edge_cases(self):
         assert marcum_q1(1.3, 0.0) == pytest.approx(1.0)
         assert marcum_q1(0.0, 2.0) == pytest.approx(math.exp(-2.0))
         assert marcum_q1(20.0, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert marcum_q1(0.5, 40.0) == pytest.approx(0.0, abs=1e-12)
+        assert marcum_q1(500.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+        # Q1(a, a) = (1 + e^{-a^2} I0(a^2)) / 2.
+        assert marcum_q1(100.0, 100.0) == pytest.approx((1.0 + sp.i0e(1e4)) / 2.0, rel=1e-12)
+
+    def test_invalid_inputs_rejected(self):
+        for a, b in ((-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                marcum_q1(a, b)
+        with pytest.raises(ValueError):
+            marcum_q1(np.array([1.0, math.nan]), 1.0)
 
     def test_vectorized(self):
         a = np.array([0.5, 1.0])
@@ -123,9 +217,56 @@ class TestMarcumQ1:
         assert out.shape == (2,)
         assert out[0] == pytest.approx(marcum_q1(0.5, 1.0))
 
+    def test_scalar_bits_pinned(self):
+        for a, row in zip(PIN_A, SCALAR_PIN):
+            for b, pinned in zip(PIN_B, row):
+                q = marcum_q1(a, b)
+                assert isinstance(q, float)
+                assert q == float.fromhex(pinned), (a, b)
+                assert marcum_q1(np.float64(a), np.array(b)) == q
+
+    def test_array_bits_pinned(self):
+        out = marcum_q1(np.array(PIN_A)[:, None], np.array(PIN_B)[None, :])
+        expected = np.array([[float.fromhex(h) for h in row] for row in ARRAY_PIN])
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+
+    def test_large_a_matches_noncentral_chi2(self):
+        for a in LARGE_A:
+            for b in np.linspace(a - 30.0, a + 30.0, 61):
+                q = marcum_q1(a, b)
+                ref = stats.ncx2.sf(b * b, 2, a * a)
+                if ref >= 1e-10:
+                    assert q == pytest.approx(ref, rel=1e-11, abs=0.0), (a, b)
+                else:
+                    assert q == pytest.approx(ref, rel=0.0, abs=1e-15), (a, b)
+
+    def test_large_b_near_a_matches_noncentral_chi2(self):
+        # a <= ~37.4 but b^2/2 > 700 with b - a below the negligible gap:
+        # e^{-b^2/2} is subnormal, so these take the windowed route too.
+        for a in (29.5, 33.0, 36.0, 37.4):
+            for b in np.linspace(37.5, a + 8.3, 9):
+                ref = stats.ncx2.sf(b * b, 2, a * a)
+                assert marcum_q1(a, b) == pytest.approx(ref, rel=1e-11, abs=1e-15), (a, b)
+
+    def test_large_a_matches_50_digit_series(self):
+        for a, b in ((40.0, 41.0), (79.0, 80.0), (200.0, 195.0), (316.0, 320.0)):
+            assert marcum_q1(a, b) == pytest.approx(
+                oracle_marcum_q1_mpmath(a, b), rel=1e-12
+            ), (a, b)
+
+    def test_array_with_large_a_matches_scalar_calls(self):
+        a = np.array([[1.0], [79.0]])
+        b = np.array([[0.5, 80.0, 120.0]])
+        out = marcum_q1(a, b)
+        assert out.shape == (2, 3)
+        for i in range(2):
+            for k in range(3):
+                assert out[i, k] == marcum_q1(float(a[i, 0]), float(b[0, k]))
+
     @given(
-        a=st.floats(min_value=0.0, max_value=8.0),
-        b=st.floats(min_value=0.0, max_value=8.0),
+        a=st.floats(min_value=0.0, max_value=400.0),
+        b=st.floats(min_value=0.0, max_value=400.0),
     )
     @settings(max_examples=200, deadline=None)
     def test_is_probability(self, a, b):
@@ -133,8 +274,8 @@ class TestMarcumQ1:
         assert 0.0 <= q <= 1.0
 
     @given(
-        a=st.floats(min_value=0.0, max_value=6.0),
-        b=st.floats(min_value=0.01, max_value=6.0),
+        a=st.floats(min_value=0.0, max_value=400.0),
+        b=st.floats(min_value=0.01, max_value=400.0),
         db=st.floats(min_value=0.01, max_value=2.0),
     )
     @settings(max_examples=200, deadline=None)
@@ -142,8 +283,8 @@ class TestMarcumQ1:
         assert marcum_q1(a, b + db) <= marcum_q1(a, b) + 1e-12
 
     @given(
-        a=st.floats(min_value=0.01, max_value=6.0),
-        b=st.floats(min_value=0.0, max_value=6.0),
+        a=st.floats(min_value=0.01, max_value=400.0),
+        b=st.floats(min_value=0.0, max_value=400.0),
         da=st.floats(min_value=0.01, max_value=2.0),
     )
     @settings(max_examples=200, deadline=None)
