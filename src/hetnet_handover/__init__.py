@@ -28,7 +28,6 @@ from .analytics import (
     mean_r_sm,
     prob_sojourn_ge,
     rician_cdf,
-    rician_mean,
     rician_pdf,
 )
 from .geometry import (
@@ -57,7 +56,6 @@ from .radio import (
     TierRadioParams,
     erb_circle,
     make_erb_pair,
-    serving_bs,
 )
 from .simengine import (
     ComparisonTable,
@@ -86,7 +84,6 @@ __all__ = [
     "mean_r_sm",
     "prob_sojourn_ge",
     "rician_cdf",
-    "rician_mean",
     "rician_pdf",
     "TIER_HOTSPOT",
     "TIER_MACRO",
@@ -109,7 +106,6 @@ __all__ = [
     "TierRadioParams",
     "erb_circle",
     "make_erb_pair",
-    "serving_bs",
     "ComparisonTable",
     "EventCounts",
     "MetricsEstimate",

@@ -13,13 +13,13 @@ the serving BS, the hotspot-to-serving distance is Rician:
     f(r | w) = (r / sigma^2) exp(-(r^2 + w^2) / (2 sigma^2)) I0(w r / sigma^2)
     F(r | w) = 1 - Q1(w / sigma, r / sigma)
 
-and the unconditional mean distance is the expectation of the Rician mean
-over the Rayleigh-distributed ``w``; `mean_cluster_distance_numeric` computes
-it by adaptive quadrature.  `mean_cluster_distance_ub` is the proven
-closed-form upper bound ``sqrt(1/(pi lam) + 2 sigma^2)`` (Jensen on E[R^2]);
+Averaged over the Rayleigh-distributed ``w`` the distance is itself
+Rayleigh, so `mean_cluster_distance_numeric` is the exact closed form
+``sqrt(1/(4 lam) + pi sigma^2 / 2)``.  `mean_cluster_distance_ub` is the
+Jensen bound ``sqrt(1/(pi lam) + 2 sigma^2)``, ``2/sqrt(pi)`` times it;
 `mean_cluster_distance_expsum` is the paper's exponential-sum expression,
-which exceeds the quadrature value only for ``q = pi lam sigma^2`` roughly
-above 0.05 — see the function docstrings.
+which exceeds the exact mean only for ``q = pi lam sigma^2`` roughly above
+0.05 — see the function docstrings.
 
 Rates
 -----
@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as _sp
 
 from .mobility import MobilityConfig, mean_transition_length
@@ -51,7 +50,7 @@ from .specfun import BesselApproxTable, DEFAULT_BESSEL_TABLE, marcum_q1
 
 #: Below this cluster-size parameter q = pi*lam*sigma^2 the paper's
 #: exponential-sum expression for the mean cluster distance falls below the
-#: quadrature value (measured crossover q ~ 0.052); a UserWarning is emitted.
+#: exact mean (measured crossover q ~ 0.052); a UserWarning is emitted.
 UB_VALIDITY_Q_FLOOR = 0.06
 
 
@@ -165,68 +164,22 @@ def rician_cdf(r, w: float, sigma: float):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def rician_mean(w: float, sigma: float) -> float:
-    """Mean of the Rician law via the exponentially scaled Bessel identity.
-
-    ``E[R | w] = sigma sqrt(pi/2) [(1 + nu) i0e(nu/2) + nu i1e(nu/2)]`` with
-    ``nu = w^2 / (2 sigma^2)``.  Exact and overflow-free for all ``w``.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if w < 0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    nu = w * w / (2.0 * sigma * sigma)
-    return float(
-        sigma
-        * math.sqrt(math.pi / 2.0)
-        * ((1.0 + nu) * _sp.i0e(nu / 2.0) + nu * _sp.i1e(nu / 2.0))
-    )
-
-
 def mean_cluster_distance_numeric(lam: float, sigma: float) -> float:
-    """Unconditional mean hotspot-to-serving distance, by adaptive quadrature.
+    """Mean hotspot-to-serving distance, in exact closed form.
 
-    Averages the conditional Rician mean over the Rayleigh-distributed
-    center-to-serving distance.  Substituting ``u = pi lam w^2`` turns the
-    Rayleigh weight into ``e^-u du`` on [0, inf), a well-conditioned
-    integrand for adaptive quadrature.
+    The offset from the serving BS to the cluster center is an isotropic
+    2-D Gaussian with per-axis variance ``1/(2 pi lam)`` (see
+    `mean_cluster_distance_ub`), and the child displacement adds ``sigma^2``
+    per axis, so the distance is Rayleigh with mean
+
+        sqrt(1/(4 lam) + pi sigma^2 / 2).
+
+    It equals the Rician mean averaged over the Rayleigh center distance;
+    the tests check it against that quadrature and against Monte Carlo.
     """
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive")
-
-    def integrand(u: float) -> float:
-        w = math.sqrt(u / (math.pi * lam))
-        return math.exp(-u) * rician_mean(w, sigma)
-
-    value, abserr = integrate.quad(
-        integrand, 0.0, np.inf, limit=300, epsabs=0.0, epsrel=1e-10
-    )
-    if not math.isfinite(value) or value <= 0 or abserr / value > 1e-6:
-        raise RuntimeError(
-            f"mean-distance quadrature did not converge: value={value}, abserr={abserr}"
-        )
-    return value
-
-
-def f_k_exact(w: float, sigma: float, b_k: float) -> float:
-    """Closed form of ``int_0^inf r^2 exp(-r^2/(2 sigma^2) + b w r / sigma^2) dr``.
-
-    Completing the square in the exponent gives
-
-        sigma^2 b w + sqrt(pi/2) (sigma b^2 w^2 + sigma^3)
-            * exp(b^2 w^2 / (2 sigma^2)) * (1 + erf(b w / (sqrt(2) sigma))).
-    """
-    if w < 0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    bw = b_k * w
-    gauss = math.exp(bw * bw / (2.0 * sigma * sigma))
-    tail = 1.0 + math.erf(bw / (math.sqrt(2.0) * sigma))
-    return (
-        sigma * sigma * bw
-        + math.sqrt(math.pi / 2.0) * (sigma * bw * bw + sigma**3) * gauss * tail
-    )
+    return math.sqrt(1.0 / (4.0 * lam) + math.pi * sigma * sigma / 2.0)
 
 
 def mean_cluster_distance_ub(lam: float, sigma: float) -> float:
@@ -299,9 +252,9 @@ def mean_pair_distance(pair: PairKind, lam: float, sigma: float) -> float:
     """Mean target-to-serving distance for a pair kind.
 
     ``lam`` is the serving tier's density.  ``SM`` uses the uniform-tier
-    law; the hotspot pairs average the Rician law of scatter ``sigma`` over
-    the serving tier (``SPS`` the small-cell density, ``SPM`` the macro
-    density) by adaptive quadrature.
+    mean; the hotspot pairs use the Rayleigh mean of the Rician law of
+    scatter ``sigma`` mixed over the serving tier (``SPS`` the small-cell
+    density, ``SPM`` the macro density).  Both are closed forms.
     """
     if pair is PairKind.SM:
         return mean_r_sm(lam)

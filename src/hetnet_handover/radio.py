@@ -35,8 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PointSet
-
 #: |1 - lam*xi| below this is treated as the degenerate (bisector) case.
 DEGENERACY_TOL = 1e-12
 
@@ -296,36 +294,3 @@ def make_erb_pair(
         failure_circle=_first_circle(failure),
         q_out=q_out_linear,
     )
-
-
-def serving_bs(
-    location: np.ndarray,
-    deployment: list[tuple[PointSet, TierRadioParams]],
-) -> tuple[str, int]:
-    """Strongest-RSS association: ``(tier label, index within that tier)``.
-
-    Ties break deterministically toward the earlier tier in ``deployment``
-    and then the lower index, so simulations are reproducible bit-for-bit.
-    A query placed exactly on a BS position associates to that BS (the RSS
-    power law diverges there).
-    """
-    if not deployment or all(len(ps) == 0 for ps, _ in deployment):
-        raise ValueError("no BS deployed anywhere")
-    loc = np.asarray(location, dtype=float)
-    best: tuple[str, int] | None = None
-    best_rss = -math.inf
-    for point_set, params in deployment:
-        if len(point_set) == 0:
-            continue
-        d2 = np.sum((point_set.points - loc) ** 2, axis=1)
-        zero = d2 == 0.0
-        if np.any(zero):
-            return point_set.tier, int(np.argmax(zero))
-        rss = params.linear_prefactor * d2 ** (-params.pathloss_exponent / 2.0)
-        idx = int(np.argmax(rss))
-        # strict > keeps the first (earlier-tier, lower-index) maximum
-        if rss[idx] > best_rss:
-            best_rss = float(rss[idx])
-            best = (point_set.tier, idx)
-    assert best is not None
-    return best

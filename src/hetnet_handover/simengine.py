@@ -60,7 +60,7 @@ from .geometry import (
     sample_tcp,
 )
 from .mobility import MobilityConfig, Trajectory, generate_trajectory
-from .radio import TierRadioParams, erb_pair_arrays, make_erb_pair
+from .radio import DegenerateBoundaryError, TierRadioParams, erb_pair_arrays, make_erb_pair
 
 #: Fixed pair-kind ordering used for array layouts and CSV row order.
 _KIND_ORDER = (PairKind.SM, PairKind.SPS, PairKind.SPM)
@@ -238,7 +238,8 @@ class _ServingMap:
     Within a tier the prefactor is constant, so the strongest BS of a tier
     is simply the nearest one; the overall winner maximizes
     ``prefactor * d**-alpha`` across tiers.  Ties break toward the earlier
-    tier, matching `radio.serving_bs`.
+    tier, and a query on a BS position associates to that BS.  The tests
+    check it against a brute-force scan over every BS.
     """
 
     def __init__(self, tiers) -> None:
@@ -726,23 +727,40 @@ def _pair_setup(cfg: SimConfig, kind: PairKind):
     return cfg.macro, cfg.hotspot, cfg.lambda_m, cfg.cluster.implied_density * area
 
 
+#: (target, serving) tier of each pair kind, named as the config sections.
+_PAIR_SECTIONS = {
+    PairKind.SM: ("small", "macro"),
+    PairKind.SPS: ("hotspot", "small"),
+    PairKind.SPM: ("hotspot", "macro"),
+}
+
+
 def analytic_metrics(cfg: SimConfig) -> dict:
     """Closed-form metrics per pair kind for this configuration.
 
     The boundary factor of the unequal-exponent pairs depends on the pair
-    distance; it is evaluated at the mean distance.
+    distance; it is evaluated at the mean distance.  A degenerate boundary
+    re-raises `DegenerateBoundaryError` naming the pair and the two tiers.
     """
     sigma = cfg.cluster.sigma
     out = {}
     for kind in _KIND_ORDER:
         serving_params, target_params, lam, n_bs = _pair_setup(cfg, kind)
         mean_distance = mean_pair_distance(kind, lam, sigma)
-        erb = make_erb_pair(
-            serving_params,
-            target_params,
-            np.array([mean_distance, 0.0]),
-            cfg.thresholds.q_out,
-        )
+        try:
+            erb = make_erb_pair(
+                serving_params,
+                target_params,
+                np.array([mean_distance, 0.0]),
+                cfg.thresholds.q_out,
+            )
+        except DegenerateBoundaryError as exc:
+            target, serving = _PAIR_SECTIONS[kind]
+            raise DegenerateBoundaryError(
+                f"{kind.value} pair, tiers [{target}] and [{serving}]: {exc}; make "
+                f"their biased RSS differ by changing tx_power_dbm, antenna_gain_dbi, "
+                f"bias_db or the path loss in [{target}] or [{serving}]"
+            ) from exc
         out[kind] = compute_metrics(
             kind,
             cfg.thresholds,

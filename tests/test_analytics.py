@@ -18,7 +18,6 @@ from hetnet_handover.analytics import (
     PairKind,
     cdf_r_sm,
     compute_metrics,
-    f_k_exact,
     mean_cluster_distance_expsum,
     mean_cluster_distance_numeric,
     mean_cluster_distance_ub,
@@ -28,7 +27,6 @@ from hetnet_handover.analytics import (
     pdf_r_sm,
     prob_sojourn_ge,
     rician_cdf,
-    rician_mean,
     rician_pdf,
 )
 from hetnet_handover.fixtures import (
@@ -38,11 +36,14 @@ from hetnet_handover.fixtures import (
     default_small_params,
     default_thresholds,
     fixture_value,
+    reference_sim_config,
 )
 from hetnet_handover.geometry import Region
 from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
 from hetnet_handover.simengine import SimConfig, analytic_metrics
 from hetnet_handover.specfun import marcum_q1
+
+from oracles import cluster_mean_rician_mixture, rician_mean
 
 MOBILITY = default_mobility()
 THRESHOLDS = default_thresholds()
@@ -170,22 +171,22 @@ class TestClusterMeanDistance:
             dist.mean(), abs=4.0 * se
         )
 
-    def test_f_k_exact_matches_quadrature(self):
-        for w, sigma, b in (
-            (50.0, 100.0, 0.7536),
-            (200.0, 150.0, -0.715),
-            (0.0, 80.0, 0.9736),
-            (120.0, 60.0, 0.2343),
-        ):
-            val, _ = integrate.quad(
-                lambda r: r * r * math.exp(
-                    -r * r / (2.0 * sigma * sigma) + b * w * r / (sigma * sigma)
-                ),
-                0.0,
-                np.inf,
-                limit=300,
-            )
-            assert f_k_exact(w, sigma, b) == pytest.approx(val, rel=1e-10)
+    def test_closed_form_matches_rician_mixture_quadrature(self):
+        # The Rician mean averaged over the Rayleigh center distance is the
+        # exact mean: the closed form must agree with that quadrature.
+        for lam in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            for sigma in (1.0, 5.0, 50.0, 250.0, 1000.0):
+                assert mean_cluster_distance_numeric(lam, sigma) == pytest.approx(
+                    cluster_mean_rician_mixture(lam, sigma), rel=1e-11
+                ), (lam, sigma)
+
+    def test_analytic_path_runs_without_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad called on the analytic path")
+
+        monkeypatch.setattr(integrate, "quad", no_quad)
+        metrics = analytic_metrics(reference_sim_config(0))
+        assert set(metrics) == set(PairKind)
 
     # The four test_ub_* tests pin the paper's exponential-sum expression,
     # `mean_cluster_distance_expsum`; the proven bound is tested below them.

@@ -432,6 +432,16 @@ def test_main_missing_config_fails_cleanly(capsys):
     assert "not found" in err
 
 
+def test_main_analyze_names_pair_with_equal_tiers(tmp_path, capsys):
+    # The hotspot tier defaults to the small tier 6 dB down; at equal power
+    # every SpS boundary is a straight line.
+    p = write(tmp_path, SMALL_INI + "[hotspot]\ntx_power_dbm = 30\n")
+    assert main(["analyze", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SpS pair")
+    assert "[hotspot]" in err and "[small]" in err
+
+
 def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

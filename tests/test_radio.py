@@ -22,10 +22,11 @@ from hetnet_handover.radio import (
     erb_circle,
     lambda_star,
     make_erb_pair,
-    serving_bs,
     xi_factor,
     xi_failure_factor,
 )
+
+from oracles import serving_bs
 
 
 def _tier(p_dbm: float, alpha: float, gain: float = 0.0, bias: float = 0.0):

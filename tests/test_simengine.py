@@ -35,7 +35,7 @@ from hetnet_handover.geometry import (
     sample_tcp,
 )
 from hetnet_handover.mobility import Trajectory
-from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair, serving_bs
+from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
 from hetnet_handover.simengine import (
     EventCounts,
     PairCounts,
@@ -47,6 +47,8 @@ from hetnet_handover.simengine import (
     run_trial,
     summarize_trials,
 )
+
+from oracles import serving_bs
 
 
 def small_config(**overrides) -> SimConfig:

@@ -293,8 +293,7 @@ class TestMarcumQ1:
 
 
 class TestErf:
-    # The closed forms use math.erf (f_k_exact); pin it against the stored
-    # series oracle.
+    # Pins math.erf against the stored series oracle (fixture erf_at_1).
     def test_pinned_value(self):
         assert math.erf(1.0) == pytest.approx(fixture_value("erf_at_1"), rel=1e-12)
 
