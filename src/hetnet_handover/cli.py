@@ -56,7 +56,7 @@ from .mobility import MobilityConfig
 from .radio import TierRadioParams
 from .simengine import (
     SimConfig,
-    analytic_metrics,
+    analytic_pair_metrics,
     compare_to_analytics,
     run_campaign,
 )
@@ -604,7 +604,7 @@ def format_metrics_row(metrics: HandoverMetrics, cfg: SimConfig) -> str:
 def cmd_analyze(spec: ExperimentSpec) -> str:
     """Closed-form metrics of the selected pair, one CSV row per sweep point."""
     rows = [
-        format_metrics_row(analytic_metrics(cfg)[spec.pair], cfg)
+        format_metrics_row(analytic_pair_metrics(cfg, spec.pair), cfg)
         for cfg in sweep_points(spec)
     ]
     return _render_csv(METRICS_CSV_HEADER, rows)

@@ -94,11 +94,6 @@ def mean_transition_length(cfg: MobilityConfig) -> float:
     return math.sqrt(math.pi / 2.0) * (cfg.sigma_rwp + cfg.p_z * cfg.sigma_z)
 
 
-def expected_movement_time(cfg: MobilityConfig) -> float:
-    """Mean wall-clock duration of one movement: E[L'] / V + pause."""
-    return mean_transition_length(cfg) / cfg.velocity + cfg.pause
-
-
 def clamp_to_region(
     current: np.ndarray, direction: np.ndarray, length: float, region: Region
 ) -> float:

@@ -62,11 +62,20 @@ from .geometry import (
 from .mobility import MobilityConfig, Trajectory, generate_trajectory
 from .radio import DegenerateBoundaryError, TierRadioParams, erb_pair_arrays, make_erb_pair
 
-#: Fixed pair-kind ordering used for array layouts and CSV row order.
-_KIND_ORDER = (PairKind.SM, PairKind.SPS, PairKind.SPM)
+#: The three tiers, in the tie-break order of the strongest-RSS map (ties go
+#: to the earlier tier).  Each name is both the `SimConfig` attribute holding
+#: the tier's radio parameters and the tier's config section.
+_TIERS = ("macro", "small", "hotspot")
 
-#: Tier ordering of the strongest-RSS map; ties break toward lower index.
-_TIER_ORDER = (TIER_MACRO, TIER_SMALL, "Sp")
+#: (serving, target) positions in `_TIERS` of each pair kind; the key order
+#: is the array layout and CSV row order of the pairs.
+_PAIR_TIERS = {
+    PairKind.SM: (0, 1),
+    PairKind.SPS: (1, 2),
+    PairKind.SPM: (0, 2),
+}
+
+_KIND_ORDER = tuple(_PAIR_TIERS)
 
 
 @dataclass(frozen=True)
@@ -146,26 +155,13 @@ class PairCounts:
     enclosing_skipped: int = 0  # pairs whose circle surrounds the serving BS
 
     def merge_in(self, other: "PairCounts") -> None:
-        self.triggered += other.triggered
-        self.handovers += other.handovers
-        self.failures += other.failures
-        self.pingpongs += other.pingpongs
-        self.overlap += other.overlap
-        self.degenerate_skipped += other.degenerate_skipped
-        self.enclosing_skipped += other.enclosing_skipped
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def validate(self) -> None:
-        for name in (
-            "triggered",
-            "handovers",
-            "failures",
-            "pingpongs",
-            "overlap",
-            "degenerate_skipped",
-            "enclosing_skipped",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
         if self.handovers > self.triggered:
             raise ValueError("handovers cannot exceed triggered events")
         if self.failures > self.triggered:
@@ -206,7 +202,7 @@ class _CircleField:
     cx_f: np.ndarray
     cy_f: np.ndarray
     r2_f: np.ndarray
-    serving_tier: np.ndarray  # (N,) position into _TIER_ORDER
+    serving_tier: np.ndarray  # (N,) position into _TIERS
     serving_idx: np.ndarray  # (N,) row within that tier's point set
 
     @property
@@ -242,15 +238,13 @@ class _ServingMap:
     check it against a brute-force scan over every BS.
     """
 
-    def __init__(self, tiers) -> None:
-        self._entries = []
-        for points, params in tiers:
-            if len(points) == 0:
-                self._entries.append(None)
-            else:
-                self._entries.append(
-                    (cKDTree(points), params.linear_prefactor, params.pathloss_exponent)
-                )
+    def __init__(self, trees, params) -> None:
+        """``trees`` (``None`` for an empty tier) and ``params`` run over the
+        tiers in `_TIERS` order."""
+        self._entries = [
+            None if tree is None else (tree, p.linear_prefactor, p.pathloss_exponent)
+            for tree, p in zip(trees, params)
+        ]
 
     def query(self, xy: np.ndarray) -> tuple:
         """``(tier position, index)`` arrays of the serving BS of each row of
@@ -316,46 +310,41 @@ def _pair_block(
     ]
 
 
+def _kdtrees(tiers) -> list:
+    """One KD-tree per tier point set, ``None`` for an empty tier."""
+    return [cKDTree(t.points) if len(t) > 0 else None for t in tiers]
+
+
 def _build_circle_field(
     cfg: SimConfig,
-    macro: PointSet,
-    small: PointSet,
+    tiers,
     parents: PointSet,
-    children: PointSet,
+    trees,
     counts: EventCounts,
 ) -> _CircleField:
     """One circle pair per (target BS, its serving BS).
 
-    Uniform small cells are served by their nearest macro BS.  Hotspot
-    children are served by the small cell / macro BS nearest to their
-    *cluster center*, which is where their users congregate.
+    ``tiers`` holds the point set of each tier in `_TIERS` order and
+    ``trees`` their `_kdtrees`.  A pair's serving BS is the serving-tier BS
+    nearest to the target, or, for a hotspot target, nearest to its *cluster
+    center*, which is where its users congregate.
     """
-    q_out = cfg.thresholds.q_out
+    params = [getattr(cfg, name) for name in _TIERS]
     blocks = []
-    macro_tree = cKDTree(macro.points) if len(macro) > 0 else None
-
-    if len(small) > 0 and macro_tree is not None:
-        _, m = macro_tree.query(small.points)
+    for kind_pos, kind in enumerate(_KIND_ORDER):
+        s, t = _PAIR_TIERS[kind]
+        target, tree = tiers[t], trees[s]
+        if tree is None or len(target) == 0:
+            continue
+        if target.parent_index is None:
+            _, b = tree.query(target.points)
+        else:
+            _, b_of_parent = tree.query(parents.points)
+            b = b_of_parent[target.parent_index]
         blocks.append(_pair_block(
-            q_out, counts.pairs[PairKind.SM], 0, cfg.macro, cfg.small,
-            macro.points[m], small.points, 0, m,
+            cfg.thresholds.q_out, counts.pairs[kind], kind_pos, params[s], params[t],
+            tiers[s].points[b], target.points, s, b,
         ))
-
-    if len(children) > 0:
-        if len(small) > 0:
-            _, s_of_parent = cKDTree(small.points).query(parents.points)
-            s = s_of_parent[children.parent_index]
-            blocks.append(_pair_block(
-                q_out, counts.pairs[PairKind.SPS], 1, cfg.small, cfg.hotspot,
-                small.points[s], children.points, 1, s,
-            ))
-        if macro_tree is not None:
-            _, m_of_parent = macro_tree.query(parents.points)
-            m = m_of_parent[children.parent_index]
-            blocks.append(_pair_block(
-                q_out, counts.pairs[PairKind.SPM], 2, cfg.macro, cfg.hotspot,
-                macro.points[m], children.points, 0, m,
-            ))
 
     if not blocks:
         empty_int, empty = np.empty(0, dtype=np.intp), np.empty(0)
@@ -576,15 +565,11 @@ def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
     small = sample_ppp(cfg.region, cfg.lambda_s, rng, tier=TIER_SMALL)
     parents, children = sample_tcp(cfg.region, cfg.cluster, rng)
 
+    tiers = (macro, small, children)
+    trees = _kdtrees(tiers)
     counts = EventCounts()
-    fld = _build_circle_field(cfg, macro, small, parents, children, counts)
-    smap = _ServingMap(
-        [
-            (macro.points, cfg.macro),
-            (small.points, cfg.small),
-            (children.points, cfg.hotspot),
-        ]
-    )
+    fld = _build_circle_field(cfg, tiers, parents, trees, counts)
+    smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
     for _ in range(cfg.n_users):
         start = cfg.region.sample_uniform(1, rng)[0]
         traj = generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, rng)
@@ -716,63 +701,66 @@ def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
 # Analytic side-by-side
 # ---------------------------------------------------------------------------
 
-def _pair_setup(cfg: SimConfig, kind: PairKind):
-    """(serving params, target params, serving-tier density, mean target
-    count) for one pair kind."""
-    area = cfg.region.area
-    if kind is PairKind.SM:
-        return cfg.macro, cfg.small, cfg.lambda_m, cfg.lambda_s * area
-    if kind is PairKind.SPS:
-        return cfg.small, cfg.hotspot, cfg.lambda_s, cfg.cluster.implied_density * area
-    return cfg.macro, cfg.hotspot, cfg.lambda_m, cfg.cluster.implied_density * area
+def _pair_domain_message(kind: PairKind, problem: str) -> str:
+    """A closed-form refusal naming the pair and its two config sections.
+
+    Only a target tier strictly weaker than its serving tier has a boundary
+    circle around the target, so one remedy fits every refusal.
+    """
+    serving, target = (_TIERS[p] for p in _PAIR_TIERS[kind])
+    return (
+        f"{kind.value} pair, tiers [{target}] and [{serving}]: {problem}; keep the "
+        f"biased RSS of [{target}] below that of [{serving}] by changing tx_power_dbm, "
+        f"antenna_gain_dbi, bias_db or the path loss in [{target}] or [{serving}]"
+    )
 
 
-#: (target, serving) tier of each pair kind, named as the config sections.
-_PAIR_SECTIONS = {
-    PairKind.SM: ("small", "macro"),
-    PairKind.SPS: ("hotspot", "small"),
-    PairKind.SPM: ("hotspot", "macro"),
-}
-
-
-def analytic_metrics(cfg: SimConfig) -> dict:
-    """Closed-form metrics per pair kind for this configuration.
+def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
+    """Closed-form metrics of one pair kind for this configuration.
 
     The boundary factor of the unequal-exponent pairs depends on the pair
     distance; it is evaluated at the mean distance.  A degenerate boundary
-    re-raises `DegenerateBoundaryError` naming the pair and the two tiers.
+    re-raises `DegenerateBoundaryError`, and a handover circle that encloses
+    the serving BS (the target tier is the stronger one) raises
+    `ValueError`; both messages name the pair and the two tiers.
     """
-    sigma = cfg.cluster.sigma
-    out = {}
-    for kind in _KIND_ORDER:
-        serving_params, target_params, lam, n_bs = _pair_setup(cfg, kind)
-        mean_distance = mean_pair_distance(kind, lam, sigma)
-        try:
-            erb = make_erb_pair(
-                serving_params,
-                target_params,
-                np.array([mean_distance, 0.0]),
-                cfg.thresholds.q_out,
-            )
-        except DegenerateBoundaryError as exc:
-            target, serving = _PAIR_SECTIONS[kind]
-            raise DegenerateBoundaryError(
-                f"{kind.value} pair, tiers [{target}] and [{serving}]: {exc}; make "
-                f"their biased RSS differ by changing tx_power_dbm, antenna_gain_dbi, "
-                f"bias_db or the path loss in [{target}] or [{serving}]"
-            ) from exc
-        out[kind] = compute_metrics(
-            kind,
-            cfg.thresholds,
-            mean_distance,
-            erb,
-            cfg.region.area,
-            n_bs,
-            cfg.mobility,
-            lam,
-            sigma,
+    s, t = _PAIR_TIERS[kind]
+    density = (cfg.lambda_m, cfg.lambda_s, cfg.cluster.implied_density)
+    lam, sigma = density[s], cfg.cluster.sigma
+    mean_distance = mean_pair_distance(kind, lam, sigma)
+    try:
+        erb = make_erb_pair(
+            getattr(cfg, _TIERS[s]),
+            getattr(cfg, _TIERS[t]),
+            np.array([mean_distance, 0.0]),
+            cfg.thresholds.q_out,
         )
-    return out
+    except DegenerateBoundaryError as exc:
+        raise DegenerateBoundaryError(_pair_domain_message(kind, str(exc))) from exc
+    if erb.handover_circle.encloses_serving:
+        # q_out < 1 puts the failure circle inside the handover circle, so
+        # this one check covers both.
+        raise ValueError(_pair_domain_message(
+            kind,
+            f"the handover circle at the mean pair distance encloses the serving "
+            f"BS (lam_star * xi = {erb.lam_xi!r} > 1)",
+        ))
+    return compute_metrics(
+        kind,
+        cfg.thresholds,
+        mean_distance,
+        erb,
+        cfg.region.area,
+        density[t] * cfg.region.area,
+        cfg.mobility,
+        lam,
+        sigma,
+    )
+
+
+def analytic_metrics(cfg: SimConfig) -> dict:
+    """`analytic_pair_metrics` of every pair kind, keyed by kind."""
+    return {kind: analytic_pair_metrics(cfg, kind) for kind in _KIND_ORDER}
 
 
 @dataclass(frozen=True)

@@ -442,6 +442,33 @@ def test_main_analyze_names_pair_with_equal_tiers(tmp_path, capsys):
     assert "[hotspot]" in err and "[small]" in err
 
 
+def test_main_analyze_evaluates_only_the_selected_pair(tmp_path, capsys):
+    # SM involves neither hotspot section, so an SpS-degenerate hotspot
+    # tier does not stop it; asking for SpS still refuses.
+    text = "[hotspot]\ntx_power_dbm = 30\n[experiment]\npair = {}\n"
+    assert main(["analyze", "--config", str(write(tmp_path, text.format("SM")))]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 1 and rows[0].startswith("SM,")
+    assert main(["analyze", "--config", str(write(tmp_path, text.format("SpS")))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SpS pair")
+    assert "[hotspot]" in err and "[small]" in err
+
+
+def test_main_analyze_names_pair_whose_circle_encloses_serving(tmp_path, capsys):
+    # A hotspot tier with the macro radio is stronger than the small cells
+    # serving it: the SpS handover circle surrounds the serving BS.
+    macro_radio = (
+        "[hotspot]\ntx_power_dbm = 46\nantenna_gain_dbi = 14\nbias_db = 0\n"
+        "pathloss_exponent = 3.76\npathloss_db_at_1km = 128.1\n"
+    )
+    assert main(["analyze", "--config", str(write(tmp_path, macro_radio))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SpS pair")
+    assert "encloses the serving BS" in err
+    assert "keep the biased RSS of [hotspot] below that of [small]" in err
+
+
 def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnet_handover.analytics import movement_time_per_meter
 from hetnet_handover.geometry import Region, partition_five
 from hetnet_handover.mobility import (
     MobilityConfig,
@@ -14,7 +15,6 @@ from hetnet_handover.mobility import (
     clamp_to_region,
     draw_transition_length,
     empirical_occupancy,
-    expected_movement_time,
     generate_trajectory,
     mean_transition_length,
     next_waypoint,
@@ -64,7 +64,8 @@ class TestTransitionLength:
     def test_movement_time_includes_pause(self):
         cfg = _cfg()
         expected = mean_transition_length(cfg) / cfg.velocity + cfg.pause
-        assert expected_movement_time(cfg) == pytest.approx(expected, rel=1e-12)
+        per_movement = movement_time_per_meter(cfg) * mean_transition_length(cfg)
+        assert per_movement == pytest.approx(expected, rel=1e-12)
 
 
 class TestClamp:

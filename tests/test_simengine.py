@@ -280,9 +280,7 @@ def test_serving_map_matches_reference_association():
         region, ClusterConfig(lambda_p=2e-6, sigma=150.0, mean_offspring=5.0), rng
     )
     mp, sp, hp = default_macro_params(), default_small_params(), default_hotspot_params()
-    smap = se._ServingMap(
-        [(macro.points, mp), (small.points, sp), (children.points, hp)]
-    )
+    smap = se._ServingMap(se._kdtrees((macro, small, children)), (mp, sp, hp))
     deployment = [(macro, mp), (small, sp), (children, hp)]
     labels = (TIER_MACRO, TIER_SMALL, TIER_HOTSPOT)
     points = region.sample_uniform(200, rng)
@@ -292,13 +290,13 @@ def test_serving_map_matches_reference_association():
 
 
 def test_serving_map_on_bs_position_and_empty_tier():
-    pts = np.array([[10.0, 10.0], [50.0, 50.0]])
-    smap = se._ServingMap(
-        [
-            (np.empty((0, 2)), default_macro_params()),
-            (pts, default_small_params()),
-        ]
+    tiers = (
+        PointSet(tier=TIER_MACRO, points=np.empty((0, 2))),
+        PointSet(tier=TIER_SMALL, points=np.array([[10.0, 10.0], [50.0, 50.0]])),
     )
+    trees = se._kdtrees(tiers)
+    assert trees[0] is None
+    smap = se._ServingMap(trees, (default_macro_params(), default_small_params()))
     tier_pos, idx = smap.query(np.array([[50.0, 50.0], [11.0, 10.0]]))
     assert tier_pos.tolist() == [1, 1]
     assert idx.tolist() == [1, 0]
@@ -323,7 +321,8 @@ def one_circle_field(center=(0.0, 0.0), r_h=100.0, r_f=50.0) -> se._CircleField:
 
 
 def single_bs_map() -> se._ServingMap:
-    return se._ServingMap([(np.array([[-1000.0, 0.0]]), default_macro_params())])
+    macro = PointSet(tier=TIER_MACRO, points=np.array([[-1000.0, 0.0]]))
+    return se._ServingMap(se._kdtrees([macro]), [default_macro_params()])
 
 
 def walk(waypoints, thresholds, velocity=1.0, pause=0.0, fld=None) -> EventCounts:
@@ -629,8 +628,10 @@ def _field_configs():
 @pytest.mark.parametrize("label,cfg,index", _field_configs())
 def test_circle_field_matches_per_pair_construction(label, cfg, index):
     deployment = sampled_deployment(cfg, index)
+    macro, small, parents, children = deployment
+    tiers = (macro, small, children)
     counts = EventCounts()
-    fld = se._build_circle_field(cfg, *deployment, counts)
+    fld = se._build_circle_field(cfg, tiers, parents, se._kdtrees(tiers), counts)
     columns, skipped = per_pair_field(cfg, *deployment)
     names = [f.name for f in dataclasses.fields(se._CircleField)]
     for name, expected in zip(names, columns):
