@@ -42,12 +42,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analytics import HandoverMetrics, HandoverThresholds, PairKind
+from . import fixtures
 from .fixtures import (
     checks_to_text,
-    default_hotspot_params,
-    default_macro_params,
     default_mobility,
-    default_small_params,
     default_thresholds,
     recompute_all,
 )
@@ -55,6 +53,7 @@ from .geometry import ClusterConfig, Region
 from .mobility import MobilityConfig
 from .radio import TierRadioParams
 from .simengine import (
+    _TIERS,
     SimConfig,
     analytic_pair_metrics,
     compare_to_analytics,
@@ -177,9 +176,7 @@ _TIER_KEYS = frozenset(
 
 _SECTION_KEYS = {
     "region": frozenset({"width_m", "height_m"}),
-    "macro": _TIER_KEYS,
-    "small": _TIER_KEYS,
-    "hotspot": _TIER_KEYS,
+    **dict.fromkeys(_TIERS, _TIER_KEYS),
     "deployment": frozenset(
         {
             "lambda_s_per_m2",
@@ -200,11 +197,9 @@ _SECTION_KEYS = {
     "output": frozenset({"path"}),
 }
 
-_TIER_DEFAULTS = {
-    "macro": default_macro_params(),
-    "small": default_small_params(),
-    "hotspot": default_hotspot_params(),
-}
+#: Radio parameters of each tier when its section leaves a key out; tier
+#: ``<name>`` defaults to ``fixtures.default_<name>_params()``.
+_TIER_DEFAULTS = {name: getattr(fixtures, f"default_{name}_params")() for name in _TIERS}
 
 _DEFAULT_MOBILITY = default_mobility()
 _DEFAULT_THRESHOLDS = default_thresholds()
@@ -220,9 +215,7 @@ def default_spec() -> ExperimentSpec:
     return ExperimentSpec(
         base=SimConfig(
             region=Region(0.0, _DEFAULT_REGION_SIDE, 0.0, _DEFAULT_REGION_SIDE),
-            macro=_TIER_DEFAULTS["macro"],
-            small=_TIER_DEFAULTS["small"],
-            hotspot=_TIER_DEFAULTS["hotspot"],
+            **_TIER_DEFAULTS,
             lambda_m=_DEFAULT_LAMBDA_S / 10.0,
             lambda_s=_DEFAULT_LAMBDA_S,
             cluster=ClusterConfig(
@@ -356,7 +349,7 @@ def load_config(path) -> ExperimentSpec:
     # Tiers
     tiers = {
         name: _build_tier(name, sections.get(name, {}), _TIER_DEFAULTS[name], errors)
-        for name in ("macro", "small", "hotspot")
+        for name in _TIERS
     }
 
     # Deployment densities; macro/hotspot-center default to a tenth of the
@@ -468,9 +461,7 @@ def load_config(path) -> ExperimentSpec:
     try:
         base = SimConfig(
             region=region,
-            macro=tiers["macro"],
-            small=tiers["small"],
-            hotspot=tiers["hotspot"],
+            **tiers,
             lambda_m=lambda_m,
             lambda_s=lambda_s,
             cluster=cluster,
@@ -513,7 +504,8 @@ def emit_config(spec: ExperimentSpec) -> str:
         ("width_m", cfg.region.x_max - cfg.region.x_min),
         ("height_m", cfg.region.y_max - cfg.region.y_min),
     )
-    for name, tier in (("macro", cfg.macro), ("small", cfg.small), ("hotspot", cfg.hotspot)):
+    for name in _TIERS:
+        tier = getattr(cfg, name)
         section(
             name,
             ("tx_power_dbm", tier.tx_power),

@@ -29,6 +29,7 @@ import numpy as np
 from .geometry import FivePartition, Region
 
 _MIN_SEGMENT = 1e-9  # meters; below this a candidate move is redrawn
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,6 @@ class Trajectory:
         """Travel time plus one pause per movement."""
         return float(self.total_length() / self.velocity + self.n_moves * self.pause)
 
-def draw_transition_length(cfg: MobilityConfig, rng: np.random.Generator) -> float:
-    """One draw of L' = L + mu * Z (always >= 0)."""
-    length = rng.rayleigh(cfg.sigma_rwp)
-    if cfg.p_z > 0 and rng.random() < cfg.p_z:
-        length += rng.rayleigh(cfg.sigma_z)
-    return float(length)
-
 
 def mean_transition_length(cfg: MobilityConfig) -> float:
     """Exact E[L'] = sqrt(pi/2) * (sigma_rwp + p_z * sigma_z)."""
@@ -95,61 +89,25 @@ def mean_transition_length(cfg: MobilityConfig) -> float:
 
 
 def clamp_to_region(
-    current: np.ndarray, direction: np.ndarray, length: float, region: Region
+    x: float, y: float, dx: float, dy: float, length: float, region: Region
 ) -> float:
-    """Largest travel distance <= ``length`` that stays inside ``region``.
+    """Largest travel distance <= ``length`` from ``(x, y)`` along the unit
+    direction ``(dx, dy)`` that stays inside ``region``.
 
-    Standard slab (ray vs. axis-aligned rectangle) intersection; ``current``
+    Standard slab (ray vs. axis-aligned rectangle) intersection; ``(x, y)``
     must already be inside.  Returns 0 when the ray immediately exits, i.e.
     the start point sits on the boundary heading outward.
     """
     t_max = length
-    for axis in range(2):
-        d = direction[axis]
-        lo = (region.x_min, region.y_min)[axis]
-        hi = (region.x_max, region.y_max)[axis]
-        p = current[axis]
-        if d > 1e-300:
-            t_max = min(t_max, (hi - p) / d)
-        elif d < -1e-300:
-            t_max = min(t_max, (lo - p) / d)
-    return max(0.0, min(length, t_max))
-
-
-def next_waypoint(
-    current: np.ndarray,
-    region: Region,
-    cfg: MobilityConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw the next waypoint from ``current``.
-
-    Draws (length, direction), clamps the candidate to the boundary along the
-    ray, and redraws whenever the resulting segment would be degenerate.  The
-    returned point always lies inside the region and differs from ``current``.
-    """
-    cur = np.asarray(current, dtype=float)
-    if not bool(region.contains(cur)[0]):
-        raise ValueError(f"current position {cur} is outside the region")
-    return _step(cur, region, cfg, rng)
-
-
-def _step(
-    cur: np.ndarray, region: Region, cfg: MobilityConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """`next_waypoint` for a ``cur`` already known to lie inside ``region``."""
-    while True:
-        length = draw_transition_length(cfg, rng)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        direction = np.array([math.cos(theta), math.sin(theta)])
-        step = clamp_to_region(cur, direction, length, region)
-        if step > _MIN_SEGMENT:
-            candidate = cur + step * direction
-            # The clamp is exact up to rounding; snap the last few ulps so
-            # the waypoint is inside the closed region by construction.
-            candidate[0] = min(max(candidate[0], region.x_min), region.x_max)
-            candidate[1] = min(max(candidate[1], region.y_min), region.y_max)
-            return candidate
+    if dx > 1e-300:
+        t_max = min(t_max, (region.x_max - x) / dx)
+    elif dx < -1e-300:
+        t_max = min(t_max, (region.x_min - x) / dx)
+    if dy > 1e-300:
+        t_max = min(t_max, (region.y_max - y) / dy)
+    elif dy < -1e-300:
+        t_max = min(t_max, (region.y_min - y) / dy)
+    return max(0.0, t_max)
 
 
 def generate_trajectory(
@@ -159,20 +117,51 @@ def generate_trajectory(
     cfg: MobilityConfig,
     rng: np.random.Generator,
 ) -> Trajectory:
+    """A trajectory of ``n_moves`` movements from ``start``.
+
+    Each movement draws a length L' (one Rayleigh draw, then a uniform coin
+    and a second Rayleigh draw when ``p_z > 0``) and a direction
+    ``2 pi U``, clamps the move to the region boundary along the ray, and
+    redraws whenever the resulting segment would be degenerate.  Every
+    waypoint lies inside the closed region and differs from the one before.
+    """
     if n_moves < 1:
         raise ValueError(f"n_moves must be >= 1, got {n_moves}")
     start_arr = np.asarray(start, dtype=float)
     if not bool(region.contains(start_arr)[0]):
         raise ValueError(f"start {start_arr} is outside the region")
-    waypoints = np.empty((n_moves + 1, 2))
-    waypoints[0] = start_arr
-    pos = start_arr
-    for k in range(1, n_moves + 1):
-        # Each waypoint _step returns lies inside the region, so only the
-        # start needs the region check.
-        pos = _step(pos, region, cfg, rng)
-        waypoints[k] = pos
+    x, y = float(start_arr[0]), float(start_arr[1])
+    coords = [x, y]
+    # Only the start is checked: every waypoint _step returns lies inside.
+    for _ in range(n_moves):
+        x, y = _step(x, y, region, cfg, rng)
+        coords += (x, y)
+    waypoints = np.array(coords).reshape(-1, 2)
     return Trajectory(waypoints=waypoints, velocity=cfg.velocity, pause=cfg.pause)
+
+
+def _step(
+    x: float, y: float, region: Region, cfg: MobilityConfig, rng: np.random.Generator
+) -> tuple:
+    """The waypoint after ``(x, y)``, a point already inside ``region``."""
+    rayleigh, random = rng.rayleigh, rng.random
+    p_z = cfg.p_z
+    while True:
+        length = rayleigh(cfg.sigma_rwp)
+        if p_z > 0 and random() < p_z:
+            length += rayleigh(cfg.sigma_z)
+        # Bit-identical to rng.uniform(0, 2 pi), which computes
+        # low + (high - low) * random() with low = 0, at a quarter of the cost.
+        theta = _TWO_PI * random()
+        dx, dy = math.cos(theta), math.sin(theta)
+        step = clamp_to_region(x, y, dx, dy, length, region)
+        if step > _MIN_SEGMENT:
+            # The clamp is exact up to rounding; snap the last few ulps so
+            # the waypoint is inside the closed region by construction.
+            return (
+                min(max(x + step * dx, region.x_min), region.x_max),
+                min(max(y + step * dy, region.y_min), region.y_max),
+            )
 
 
 def empirical_occupancy(

@@ -6,8 +6,11 @@ handover and failure boundary circles for every (target BS, serving BS)
 pair, and walks waypoint trajectories through the static circle field.
 Segment-circle intersections are solved in closed form (quadratic roots), so
 event times carry no time-step discretization error.  Per user, a bounding-box
-test picks the (segment, circle) pairs worth solving, all their crossings go
-into one time-ordered event table, and the state machine below scans it.
+test picks the (segment, circle) pairs worth solving, and all their crossings
+go into one event table, grouped by circle and time-ordered within each.
+The state machine below is evaluated on that table with array operations:
+which events change a circle's inside state, where each residence starts and
+ends, and which failure-circle entry falls inside it.
 
 Events, per boundary circle:
 
@@ -460,6 +463,25 @@ def _crossing_events(wp: np.ndarray, segs: _Segments, fld: _CircleField) -> tupl
     return circle[order], segment[order], arclength[order], code[order]
 
 
+def _effective(pos, circle, entering, start, cx, cy, r2) -> np.ndarray:
+    """Mask of the events at ``pos``, all on one kind of boundary (circles
+    ``cx, cy, r2``), that change the inside state.
+
+    An entry changes it when the user was outside, an exit when inside.  The
+    state before an event is the direction of the previous event of its kind
+    on the same circle; before the first, it is whether ``start`` lies
+    inside the circle.
+    """
+    c, e = circle[pos], entering[pos]
+    first = np.ones(len(pos), dtype=bool)
+    first[1:] = c[1:] != c[:-1]
+    c = c[first]
+    before = np.empty(len(pos), dtype=bool)
+    before[1:] = e[:-1]
+    before[first] = (start[0] - cx[c]) ** 2 + (start[1] - cy[c]) ** 2 < r2[c]
+    return e != before
+
+
 def _walk_trajectory(
     traj: Trajectory,
     fld: _CircleField,
@@ -467,91 +489,89 @@ def _walk_trajectory(
     thresholds: HandoverThresholds,
     counts: EventCounts,
 ) -> None:
-    """Run the event state machine for one user over the static circle field."""
+    """Run the event state machine for one user over the static circle field.
+
+    The machine is evaluated on the user's event table with array
+    operations; ``tests/oracles.py`` keeps the event-by-event loop that the
+    tests check it against.  Each circle's events are contiguous in the
+    table and in walking order.  A residence runs from an effective
+    handover-circle entry to the circle's next effective exit, or to the end
+    of the trajectory; effective events of one circle alternate, so that
+    exit is the next effective event on the circle.  The first effective
+    failure-circle entry inside a residence decides failure.
+    """
     if fld.n == 0:
         return
     wp = traj.waypoints
     velocity = traj.velocity
-    t_min = thresholds.t_threshold
-    t_pp = thresholds.t_pingpong
-    pcs = [counts.pairs[k] for k in _KIND_ORDER]
-    kind = fld.kind_index.tolist()
-
     segs = _segments(wp)
-    events = _crossing_events(wp, segs, fld)
-    x0, y0, ux, uy, length = (a.tolist() for a in segs)
+    circle, segment, arclength, code = _crossing_events(wp, segs, fld)
     # Start time of each segment, summed in walking order.
-    t_base = list(
-        itertools.accumulate((ln / velocity + traj.pause for ln in length), initial=0.0)
-    )
+    t_base = np.concatenate(([0.0], np.cumsum(segs.length / velocity + traj.pause)))
+    t = t_base[segment] + arclength / velocity
 
-    p = wp[0]
-    inside_h = (((p[0] - fld.cx_h) ** 2 + (p[1] - fld.cy_h) ** 2) < fld.r2_h).tolist()
-    inside_f = (((p[0] - fld.cx_f) ** 2 + (p[1] - fld.cy_f) ** 2) < fld.r2_f).tolist()
-    # Tracked residences: circle -> [t_enter, fail_checked, failed].  A user
-    # who *starts* inside a circle never produced an entry event, so that
-    # residence is untracked and produces no counts.
-    tracked = {}
-    quick_exits = []  # (circle, x, y) of exits within t_pingpong of the trigger
+    h_pos = np.flatnonzero((code == _EV_H_IN) | (code == _EV_H_OUT))
+    h_eff = h_pos[_effective(
+        h_pos, circle, code == _EV_H_IN, wp[0], fld.cx_h, fld.cy_h, fld.r2_h
+    )]
+    f_pos = np.flatnonzero((code == _EV_F_IN) | (code == _EV_F_OUT))
+    f_eff = f_pos[_effective(
+        f_pos, circle, code == _EV_F_IN, wp[0], fld.cx_f, fld.cy_f, fld.r2_f
+    )]
+    f_in = f_eff[code[f_eff] == _EV_F_IN]
 
-    for i, k, s, code in zip(*(a.tolist() for a in events)):
-        t = t_base[k] + s / velocity
-        if code == _EV_H_IN:
-            if inside_h[i]:
-                continue
-            inside_h[i] = True
-            tracked[i] = [t, False, False]
-            pcs[kind[i]].triggered += 1
-        elif code == _EV_F_IN:
-            if inside_f[i]:
-                continue
-            inside_f[i] = True
-            res = tracked.get(i)
-            if res is not None and not res[1]:
-                # Only the first failure-circle arrival of a residence can
-                # decide failure: later arrivals are necessarily past the
-                # threshold.
-                res[1] = True
-                if t - res[0] < t_min:
-                    res[2] = True
-                    pcs[kind[i]].failures += 1
-        elif code == _EV_F_OUT:
-            inside_f[i] = False
-        else:  # _EV_H_OUT
-            if not inside_h[i]:
-                continue
-            inside_h[i] = False
-            res = tracked.pop(i, None)
-            if res is not None:
-                pc = pcs[kind[i]]
-                sojourn = t - res[0]
-                if sojourn >= t_min:
-                    pc.handovers += 1
-                    if res[2]:
-                        pc.overlap += 1
-                if sojourn < t_pp:
-                    s_out = min(s + _EXIT_NUDGE * length[k], length[k])
-                    quick_exits.append((i, x0[k] + ux[k] * s_out, y0[k] + uy[k] * s_out))
+    # Residences.  A user who *starts* inside a circle never produced an
+    # entry event, so that residence is untracked and produces no counts.
+    opens = np.flatnonzero(code[h_eff] == _EV_H_IN)
+    enter = h_eff[opens]
+    leave = h_eff[np.minimum(opens + 1, len(h_eff) - 1)]
+    closed = (opens + 1 < len(h_eff)) & (circle[leave] == circle[enter])
 
-    # Trajectory over: residences still open completed their handover if the
-    # accumulated time (through the final pause) already reached the
+    # Open residence of each failure-circle entry: the latest effective
+    # handover-circle event before it on its circle, if that is an entry.
+    latest = np.full(len(code), -1)
+    latest[h_eff] = h_eff
+    res = np.maximum.accumulate(latest)[f_in]
+    # (res = -1, no effective event yet, wraps to the last row; the first
+    # test rejects it.)
+    in_res = (res >= 0) & (circle[res] == circle[f_in]) & (code[res] == _EV_H_IN)
+    f_in, res = f_in[in_res], res[in_res]
+    # Only the first failure-circle arrival of a residence can decide
+    # failure, but event times never decrease along a circle's events, so a
+    # later arrival within the threshold implies that the first one was.
+    failed_at = np.zeros(len(code), dtype=bool)
+    failed_at[res[t[f_in] - t[res] < thresholds.t_threshold]] = True
+    failed = failed_at[enter]
+
+    # A residence still open when the trajectory ends completed its handover
+    # if the accumulated time (through the final pause) already reached the
     # threshold; with no exit there is nothing to classify as ping-pong.
-    for i, (t_enter, _, failed) in tracked.items():
-        if t_base[-1] - t_enter >= t_min:
-            pc = pcs[kind[i]]
-            pc.handovers += 1
-            if failed:
-                pc.overlap += 1
+    sojourn = np.where(closed, t[leave], t_base[-1]) - t[enter]
+    handover = sojourn >= thresholds.t_threshold
 
     # A quick exit is a ping-pong when the original serving BS is again the
     # strongest at the exit point: one association query for all of them.
-    if quick_exits:
-        circle, ex, ey = (np.array(c) for c in zip(*quick_exits))
-        tier, idx = smap.query(np.column_stack((ex, ey)))
-        back = (tier == fld.serving_tier[circle]) & (idx == fld.serving_idx[circle])
-        per_kind = np.bincount(fld.kind_index[circle[back]], minlength=len(pcs))
+    quick = leave[closed & (sojourn < thresholds.t_pingpong)]
+    if len(quick):
+        k = segment[quick]
+        length = segs.length[k]
+        s_out = np.minimum(arclength[quick] + _EXIT_NUDGE * length, length)
+        exits = np.column_stack((segs.x0[k] + segs.ux[k] * s_out, segs.y0[k] + segs.uy[k] * s_out))
+        tier, idx = smap.query(exits)
+        c = circle[quick]
+        quick = quick[(tier == fld.serving_tier[c]) & (idx == fld.serving_idx[c])]
+
+    pcs = [counts.pairs[k] for k in _KIND_ORDER]
+    for name, pos in (
+        ("triggered", enter),
+        ("handovers", enter[handover]),
+        ("failures", enter[failed]),
+        ("pingpongs", quick),
+        ("overlap", enter[handover & failed]),
+    ):
+        per_kind = np.bincount(fld.kind_index[circle[pos]], minlength=len(pcs))
         for pc, n in zip(pcs, per_kind.tolist()):
-            pc.pingpongs += n
+            setattr(pc, name, getattr(pc, name) + n)
 
 
 def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:

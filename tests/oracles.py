@@ -6,12 +6,14 @@ more direct method, a number that the package computes another way.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
+from hetnet_handover import simengine as se
 from hetnet_handover.geometry import PointSet
 from hetnet_handover.radio import TierRadioParams
 
@@ -83,3 +85,84 @@ def serving_bs(
             best = (point_set.tier, idx)
     assert best is not None
     return best
+
+
+def walk_trajectory_loop(traj, fld, smap, thresholds, counts) -> None:
+    """`simengine._walk_trajectory` as an event-by-event loop over the same
+    event table, keeping per-circle inside flags and a dict of tracked
+    residences.  Its times, sojourns and exit points use the same float
+    operations, so the counts must agree exactly.
+    """
+    if fld.n == 0:
+        return
+    wp = traj.waypoints
+    velocity = traj.velocity
+    t_min = thresholds.t_threshold
+    t_pp = thresholds.t_pingpong
+    pcs = [counts.pairs[k] for k in se._KIND_ORDER]
+    kind = fld.kind_index.tolist()
+
+    segs = se._segments(wp)
+    events = se._crossing_events(wp, segs, fld)
+    x0, y0, ux, uy, length = (a.tolist() for a in segs)
+    t_base = list(
+        itertools.accumulate((ln / velocity + traj.pause for ln in length), initial=0.0)
+    )
+
+    p = wp[0]
+    inside_h = (((p[0] - fld.cx_h) ** 2 + (p[1] - fld.cy_h) ** 2) < fld.r2_h).tolist()
+    inside_f = (((p[0] - fld.cx_f) ** 2 + (p[1] - fld.cy_f) ** 2) < fld.r2_f).tolist()
+    # circle -> [t_enter, fail_checked, failed]; a start inside is untracked.
+    tracked = {}
+    quick_exits = []  # (circle, x, y) of exits within t_pingpong of the trigger
+
+    for i, k, s, code in zip(*(a.tolist() for a in events)):
+        t = t_base[k] + s / velocity
+        if code == se._EV_H_IN:
+            if inside_h[i]:
+                continue
+            inside_h[i] = True
+            tracked[i] = [t, False, False]
+            pcs[kind[i]].triggered += 1
+        elif code == se._EV_F_IN:
+            if inside_f[i]:
+                continue
+            inside_f[i] = True
+            res = tracked.get(i)
+            if res is not None and not res[1]:
+                res[1] = True
+                if t - res[0] < t_min:
+                    res[2] = True
+                    pcs[kind[i]].failures += 1
+        elif code == se._EV_F_OUT:
+            inside_f[i] = False
+        else:  # _EV_H_OUT
+            if not inside_h[i]:
+                continue
+            inside_h[i] = False
+            res = tracked.pop(i, None)
+            if res is not None:
+                pc = pcs[kind[i]]
+                sojourn = t - res[0]
+                if sojourn >= t_min:
+                    pc.handovers += 1
+                    if res[2]:
+                        pc.overlap += 1
+                if sojourn < t_pp:
+                    s_out = min(s + se._EXIT_NUDGE * length[k], length[k])
+                    quick_exits.append((i, x0[k] + ux[k] * s_out, y0[k] + uy[k] * s_out))
+
+    for i, (t_enter, _, failed) in tracked.items():
+        if t_base[-1] - t_enter >= t_min:
+            pc = pcs[kind[i]]
+            pc.handovers += 1
+            if failed:
+                pc.overlap += 1
+
+    if quick_exits:
+        circle, ex, ey = (np.array(c) for c in zip(*quick_exits))
+        tier, idx = smap.query(np.column_stack((ex, ey)))
+        back = (tier == fld.serving_tier[circle]) & (idx == fld.serving_idx[circle])
+        per_kind = np.bincount(fld.kind_index[circle[back]], minlength=len(pcs))
+        for pc, n in zip(pcs, per_kind.tolist()):
+            pc.pingpongs += n

@@ -13,11 +13,9 @@ from hetnet_handover.mobility import (
     MobilityConfig,
     Trajectory,
     clamp_to_region,
-    draw_transition_length,
     empirical_occupancy,
     generate_trajectory,
     mean_transition_length,
-    next_waypoint,
 )
 
 
@@ -55,11 +53,16 @@ class TestTransitionLength:
         assert mean_transition_length(cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_empirical_mean_matches(self):
+        # In a region far wider than the walk's spread no move is clamped,
+        # so the segment lengths are the drawn transition lengths.
         cfg = _cfg()
-        rng = np.random.default_rng(11)
-        draws = np.array([draw_transition_length(cfg, rng) for _ in range(100_000)])
-        assert draws.mean() == pytest.approx(mean_transition_length(cfg), rel=0.01)
-        assert np.all(draws >= 0)
+        side = 1e8
+        traj = generate_trajectory(
+            np.array([side / 2, side / 2]), 50_000, Region(0.0, side, 0.0, side),
+            cfg, np.random.default_rng(11),
+        )
+        lengths = traj.segment_lengths()
+        assert lengths.mean() == pytest.approx(mean_transition_length(cfg), rel=0.01)
 
     def test_movement_time_includes_pause(self):
         cfg = _cfg()
@@ -70,53 +73,84 @@ class TestTransitionLength:
 
 class TestClamp:
     def test_unobstructed_keeps_length(self):
-        cur = np.array([2500.0, 2500.0])
-        d = np.array([1.0, 0.0])
-        assert clamp_to_region(cur, d, 100.0, REGION) == pytest.approx(100.0)
+        assert clamp_to_region(2500.0, 2500.0, 1.0, 0.0, 100.0, REGION) == pytest.approx(100.0)
 
     def test_wall_hit_truncates(self):
-        cur = np.array([4900.0, 2500.0])
-        d = np.array([1.0, 0.0])
-        assert clamp_to_region(cur, d, 500.0, REGION) == pytest.approx(100.0)
+        assert clamp_to_region(4900.0, 2500.0, 1.0, 0.0, 500.0, REGION) == pytest.approx(100.0)
 
     def test_diagonal_corner(self):
-        cur = np.array([4900.0, 4800.0])
-        d = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        d = 1.0 / math.sqrt(2.0)
         # x wall at 100/cos(45) ~ 141.42; y wall at 200/cos(45) ~ 282.84.
-        assert clamp_to_region(cur, d, 1e4, REGION) == pytest.approx(
+        assert clamp_to_region(4900.0, 4800.0, d, d, 1e4, REGION) == pytest.approx(
             100.0 * math.sqrt(2.0)
         )
 
     def test_not_shorter_than_needed(self):
-        cur = np.array([0.0, 0.0])
-        d = np.array([-1.0, 0.0])
-        assert clamp_to_region(cur, d, 50.0, REGION) == pytest.approx(0.0)
+        assert clamp_to_region(0.0, 0.0, -1.0, 0.0, 50.0, REGION) == pytest.approx(0.0)
 
 
 class TestNextWaypoint:
+    """Every waypoint a trajectory draws stays inside the closed region."""
+
     def test_inside_closed_region(self):
-        cfg = _cfg()
-        rng = np.random.default_rng(12)
-        cur = np.array([2500.0, 2500.0])
-        for _ in range(2000):
-            cur = next_waypoint(cur, REGION, cfg, rng)
-            assert REGION.contains(cur[None, :])[0]
+        traj = generate_trajectory(
+            np.array([2500.0, 2500.0]), 2000, REGION, _cfg(), np.random.default_rng(12)
+        )
+        assert np.all(REGION.contains(traj.waypoints))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_stays_inside_from_boundary_starts(self, seed):
         cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)  # long hops stress the walls
-        rng = np.random.default_rng(seed)
-        cur = np.array([0.0, 5000.0])  # a corner
-        for _ in range(30):
-            cur = next_waypoint(cur, REGION, cfg, rng)
-            assert REGION.contains(cur[None, :])[0]
+        start = np.array([0.0, 5000.0])  # a corner
+        traj = generate_trajectory(start, 30, REGION, cfg, np.random.default_rng(seed))
+        assert np.all(REGION.contains(traj.waypoints))
+        assert np.all(traj.segment_lengths() > 0)
 
     def test_outside_current_rejected(self):
         rng = np.random.default_rng(3)
         for outside in ([-1.0, 2500.0], [2500.0, 5000.5]):
             with pytest.raises(ValueError, match="outside the region"):
-                next_waypoint(np.array(outside), REGION, _cfg(), rng)
+                generate_trajectory(np.array(outside), 1, REGION, _cfg(), rng)
+
+
+#: ``generate_trajectory`` from the corner (0, 5000) of REGION, 8 moves with
+#: long hops (sigma_rwp = sigma_z = 2000 m), seed 21, as ``float.hex`` pairs,
+#: and the generator's next ``random()`` after it.  Recorded from the
+#: trajectory code that drew its angle with ``rng.uniform(0, 2 pi)`` and
+#: stepped on NumPy arrays; the Python-float step must reproduce it bit for
+#: bit, and so consume exactly the same draws.
+_PINNED_CORNER_TRAJECTORY = (
+    ("0x0.0p+0", "0x1.3880000000000p+12"),
+    ("0x1.2b016b5d0663dp+10", "0x1.2f717c5127e1bp+12"),
+    ("0x0.0p+0", "0x1.34f086b2da6dap+11"),
+    ("0x1.9e8dc0978dd63p+10", "0x1.2b7ae0a509dafp+11"),
+    ("0x1.f4c3ce21b8b8cp+9", "0x1.a4dd47d4197ccp+8"),
+    ("0x0.0p+0", "0x1.f15e5d4c0f383p+10"),
+    ("0x1.1a302865108cdp+7", "0x0.0p+0"),
+    ("0x1.8949eb44d36e7p+10", "0x1.cccc9f442be1dp+11"),
+    ("0x0.0p+0", "0x1.d0007c23e6554p+11"),
+)
+_PINNED_NEXT_DRAW = "0x1.1abaf90f5c7efp-1"
+
+
+class TestStream:
+    def test_pinned_corner_trajectory(self):
+        cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)
+        rng = np.random.default_rng(21)
+        traj = generate_trajectory(np.array([0.0, 5000.0]), 8, REGION, cfg, rng)
+        got = tuple((x.hex(), y.hex()) for x, y in traj.waypoints.tolist())
+        assert got == _PINNED_CORNER_TRAJECTORY
+        assert rng.random().hex() == _PINNED_NEXT_DRAW
+
+    def test_two_pi_random_is_uniform_zero_two_pi(self):
+        # NumPy's uniform(low, high) is low + (high - low) * random(), so with
+        # low = 0 the two draw the same bits from the same stream.
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        two_pi = 2.0 * math.pi
+        scaled = [two_pi * a.random() for _ in range(100_000)]
+        uniform = [b.uniform(0.0, two_pi) for _ in range(100_000)]
+        assert scaled == uniform
 
 
 class TestTrajectory:
@@ -143,16 +177,17 @@ class TestTrajectory:
         t2 = generate_trajectory(start, 20, REGION, cfg, np.random.default_rng(9))
         assert np.array_equal(t1.waypoints, t2.waypoints)
 
-    def test_matches_chained_next_waypoint(self):
-        # generate_trajectory skips the region check on the points it made
-        # itself; the draws and the waypoints must match a next_waypoint chain.
+    def test_matches_chained_trajectories(self):
+        # Continuing from the last waypoint with the same generator draws
+        # the same moves: the start check consumes no draws and the step
+        # carries no state beyond the position.
         cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)
-        traj = generate_trajectory(np.array([0.0, 5000.0]), 50, REGION, cfg, np.random.default_rng(21))
+        start = np.array([0.0, 5000.0])
+        whole = generate_trajectory(start, 50, REGION, cfg, np.random.default_rng(21))
         rng = np.random.default_rng(21)
-        chain = [np.array([0.0, 5000.0])]
-        for _ in range(50):
-            chain.append(next_waypoint(chain[-1], REGION, cfg, rng))
-        assert np.array_equal(traj.waypoints, np.array(chain))
+        head = generate_trajectory(start, 20, REGION, cfg, rng)
+        tail = generate_trajectory(head.waypoints[-1], 30, REGION, cfg, rng)
+        assert np.array_equal(whole.waypoints, np.vstack((head.waypoints, tail.waypoints[1:])))
 
     def test_outside_start_rejected(self):
         with pytest.raises(ValueError, match="outside the region"):

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import hypothesis
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetnet_handover import simengine as se
@@ -48,7 +49,7 @@ from hetnet_handover.simengine import (
     summarize_trials,
 )
 
-from oracles import serving_bs
+from oracles import serving_bs, walk_trajectory_loop
 
 
 def small_config(**overrides) -> SimConfig:
@@ -504,6 +505,196 @@ def test_walk_two_circles_on_one_segment_are_independent_of_order():
     assert results[0][PairKind.SPS] == PairCounts(
         triggered=1, handovers=1, failures=1, overlap=1
     )
+
+
+#: Integer points on circles of integer radius: a waypoint built from one of
+#: them lies exactly on that boundary, at any power-of-two scale.
+_ON_CIRCLE = {
+    5: ((3, 4), (4, 3), (5, 0)),
+    13: ((5, 12), (12, 5), (13, 0)),
+    25: ((7, 24), (15, 20), (24, 7), (25, 0)),
+}
+
+#: Relative offsets of a near-tangent leg from its circle (0 is tangent).
+_TANGENT_GAPS = (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-6, -1e-6)
+
+
+def _boundary_point(draw, ox, oy, r) -> tuple:
+    a, b = draw(st.sampled_from(_ON_CIRCLE[r]))
+    if draw(st.booleans()):
+        a, b = b, a
+    return ox + draw(st.sampled_from((-a, a))), oy + draw(st.sampled_from((-b, b)))
+
+
+def _transpose_about(points, cx, cy) -> list:
+    """Mirror ``points`` in the diagonal through ``(cx, cy)``."""
+    return [(cx + (y - cy), cy + (x - cx)) for x, y in points]
+
+
+def _mixed_path(draw, rows) -> list:
+    """Free points, boundary points, points near a failure-circle centre and
+    near-tangent legs, in any order."""
+    coord = st.floats(-60.0, 60.0, allow_nan=False)
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        cx, cy, r_h, fx, fy, r_f = draw(st.sampled_from(rows))
+        piece = draw(st.sampled_from(("free", "boundary", "inside", "tangent")))
+        if piece == "free":
+            points.append((draw(coord), draw(coord)))
+        elif piece == "boundary":
+            circle = draw(st.sampled_from(((cx, cy, r_h), (fx, fy, r_f))))
+            points.append(_boundary_point(draw, *circle))
+        elif piece == "inside":
+            jitter = st.floats(-r_f / 2.0, r_f / 2.0, allow_nan=False)
+            points.append((fx + draw(jitter), fy + draw(jitter)))
+        else:
+            gap = draw(st.sampled_from(_TANGENT_GAPS))
+            level = cy + draw(st.sampled_from((-1, 1))) * r_h * (1.0 + gap)
+            reach = st.floats(0.5 * r_h, 3.0 * r_h, allow_nan=False)
+            leg = [(cx - draw(reach), level), (cx + draw(reach), level)]
+            if draw(st.booleans()):
+                leg = _transpose_about(leg, cx, cy)
+            points.extend(leg[:: draw(st.sampled_from((1, -1)))])
+    return points
+
+
+def _line_path(draw, rows) -> list:
+    """Integer waypoints back and forth along one axis-parallel line that
+    cuts a chosen circle at integer arclengths: every event time is exact,
+    so a time difference can equal an integer threshold."""
+    cx, cy, r_h, fx, fy, r_f = draw(st.sampled_from(rows))
+    ox, oy, r = draw(st.sampled_from(((cx, cy, r_h), (fx, fy, r_f))))
+    level = oy + draw(st.sampled_from((-1, 1))) * draw(
+        st.sampled_from([0] + [a for a, _ in _ON_CIRCLE[r]])
+    )
+    xs = draw(st.lists(st.integers(ox - 2 * r, ox + 2 * r), min_size=2, max_size=6))
+    points = [(x, level) for x in xs]
+    return _transpose_about(points, ox, oy) if draw(st.booleans()) else points
+
+
+@st.composite
+def walk_scenes(draw):
+    """A small random circle field, waypoints and motion parameters.
+
+    Paths either mix free points, points exactly on a handover or failure
+    boundary, points near a circle centre and near-tangent legs, or run
+    along one line with exact event times (see `_line_path`).  A path may
+    start inside a circle or within an ulp of a boundary point.  Speeds and
+    thresholds are often small integers.
+    """
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        cx, cy = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+        r_h = draw(st.sampled_from(sorted(_ON_CIRCLE)))
+        r_f = draw(st.sampled_from([r for r in _ON_CIRCLE if r <= r_h]))
+        offset = st.one_of(st.just((0, 0)), st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        dx, dy = draw(offset)
+        rows.append((cx, cy, r_h, cx + dx, cy + dy, r_f))
+
+    points = draw(st.sampled_from((_mixed_path, _line_path)))(draw, rows)
+    cx, cy, r_h, *_ = draw(st.sampled_from(rows))
+    start = draw(st.sampled_from(("as drawn", "inside", "on the boundary")))
+    if start == "inside":
+        points.insert(0, (cx + 0.25, cy - 0.5))
+    elif start == "on the boundary":
+        # The inside test and the root solve may disagree about such a start.
+        x, y = _boundary_point(draw, cx, cy, r_h)
+        nudge = 1.0 + draw(st.sampled_from((-2e-16, 0.0, 2e-16)))
+        points.insert(0, (cx + (x - cx) * nudge, cy + (y - cy) * nudge))
+    wp = [points[0]] + [q for p, q in zip(points, points[1:]) if q != p]
+    hypothesis.assume(len(wp) >= 2)
+
+    seconds = st.one_of(st.integers(1, 12).map(float), st.floats(0.01, 30.0))
+    bit = st.integers(0, 1)
+    return walk_scene(
+        rows,
+        wp,
+        kinds=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        serving=draw(st.lists(st.tuples(bit, bit), min_size=n, max_size=n)),
+        velocity=draw(st.one_of(st.sampled_from((1.0, 2.0)), st.floats(0.5, 50.0))),
+        pause=draw(st.sampled_from((0.0, 0.5, 7.0))),
+        t_threshold=draw(seconds),
+        t_pingpong=draw(seconds),
+        scale=draw(st.sampled_from((0.5, 1.0, 8.0))),
+    )
+
+
+def walk_scene(rows, waypoints, *, kinds, serving, velocity, pause, t_threshold,
+               t_pingpong, scale=1.0) -> tuple:
+    """``(field, trajectory, thresholds)`` from circle rows ``(cx, cy, r_h,
+    fx, fy, r_f)``, their pair kinds and ``(tier, index)`` servers, with
+    every length multiplied by ``scale``."""
+
+    def col(j):
+        return np.array([r[j] for r in rows], dtype=float) * scale
+
+    tier, idx = np.array(serving, dtype=np.intp).reshape(-1, 2).T
+    fld = se._CircleField(
+        kind_index=np.array(kinds, dtype=np.intp),
+        cx_h=col(0), cy_h=col(1), r2_h=col(2) ** 2,
+        cx_f=col(3), cy_f=col(4), r2_f=col(5) ** 2,
+        serving_tier=tier, serving_idx=idx,
+    )
+    traj = Trajectory(
+        waypoints=np.array(waypoints, dtype=float) * scale, velocity=velocity, pause=pause
+    )
+    thresholds = HandoverThresholds(
+        t_threshold=t_threshold, t_pingpong=t_pingpong, q_out=0.5
+    )
+    return fld, traj, thresholds
+
+
+def two_tier_map() -> se._ServingMap:
+    """Two macro and two small BSs around the scene, so the serving BS at a
+    quick exit is sometimes the circle's own server and sometimes not."""
+    macro = PointSet(tier=TIER_MACRO, points=np.array([[-300.0, 0.0], [300.0, 40.0]]))
+    small = PointSet(tier=TIER_SMALL, points=np.array([[0.0, -250.0], [20.0, 260.0]]))
+    return se._ServingMap(
+        se._kdtrees([macro, small]), [default_macro_params(), default_small_params()]
+    )
+
+
+#: One row: handover circle r 13 m and failure circle r 5 m at the origin.
+_CONCENTRIC = [(0, 0, 13, 0, 0, 5)]
+
+
+@given(scene=walk_scenes())
+@settings(max_examples=300, deadline=None)
+# Start inside; the exit root on the leg that ends on the boundary at
+# (0, 1) rounds past the leg's end, so the user is next seen entering: the
+# start state says that entry changes nothing.
+@example(scene=walk_scene(
+    [(0, 6, 5, 0, 6, 5)], [(0, 6), (1, 6), (0, 1), (0, 0), (0, 6)],
+    kinds=[0], serving=[(0, 0)], velocity=1.0, pause=0.0, t_threshold=1.0, t_pingpong=1.0,
+))
+# Trigger at t = 7 s, failure circle at 15 s: exactly the 8 s threshold,
+# so no failure.
+@example(scene=walk_scene(
+    _CONCENTRIC, [(-20, 0), (20, 0)],
+    kinds=[0], serving=[(0, 1)], velocity=1.0, pause=0.0, t_threshold=8.0, t_pingpong=1.0,
+))
+# A 26 s sojourn completes a 26 s threshold, and with a 26 s ping-pong
+# window it is no quick exit, although the strongest BS at the exit point
+# is the circle's serving BS.
+@example(scene=walk_scene(
+    _CONCENTRIC, [(-20, 0), (20, 0)],
+    kinds=[0], serving=[(0, 1)], velocity=1.0, pause=0.0, t_threshold=26.0, t_pingpong=26.0,
+))
+def test_walk_matches_event_loop_oracle(scene):
+    fld, traj, thresholds = scene
+    smap = two_tier_map()
+    results = []
+    for walker in (se._walk_trajectory, walk_trajectory_loop):
+        counts = EventCounts()
+        for pc in counts.pairs.values():  # counts accumulate onto earlier ones
+            pc.triggered, pc.handovers, pc.failures = 7, 5, 3
+        walker(traj, fld, smap, thresholds, counts)
+        results.append(counts)
+    for kind in se._KIND_ORDER:
+        assert dataclasses.asdict(results[0].pairs[kind]) == dataclasses.asdict(
+            results[1].pairs[kind]
+        ), kind
 
 
 # ---------------------------------------------------------------------------
