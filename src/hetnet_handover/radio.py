@@ -128,6 +128,8 @@ def lambda_star_array(tx: np.ndarray, ty: np.ndarray, alpha_ratio: float) -> np.
     if np.any(r2 == 0.0):
         raise ValueError("target must not sit on the serving BS (origin)")
     exponent = alpha_ratio - 1.0
+    if exponent == 0.0:
+        return np.ones(len(r2))  # v**0.0 is exactly 1.0
     return np.array([v**exponent for v in r2.tolist()], dtype=float)
 
 
@@ -179,10 +181,17 @@ class CircleArrays(NamedTuple):
     encloses_serving: np.ndarray
 
 
+def _offset_norm(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """``|X|`` of each target offset ``(tx, ty)``."""
+    # math.hypot per element: np.hypot differs from it by 1 ulp on some inputs.
+    return np.array([math.hypot(x, y) for x, y in zip(tx.tolist(), ty.tolist())], dtype=float)
+
+
 def erb_circle_arrays(
-    tx: np.ndarray, ty: np.ndarray, xi: float, lam_star: np.ndarray
+    tx: np.ndarray, ty: np.ndarray, norm: np.ndarray, xi: float, lam_star: np.ndarray
 ) -> CircleArrays:
-    """The circular boundary approximation for targets at ``(tx, ty)``.
+    """The circular boundary approximation for targets at ``(tx, ty)``,
+    whose `_offset_norm` is ``norm``.
 
     ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|`` with
     ``u = lam_star * xi``.  This is the one implementation of the formula:
@@ -190,10 +199,6 @@ def erb_circle_arrays(
     """
     u = lam_star * xi
     denom = 1.0 - u
-    # math.hypot per element: np.hypot differs from it by 1 ulp on some inputs.
-    norm = np.array(
-        [math.hypot(x, y) for x, y in zip(tx.tolist(), ty.tolist())], dtype=float
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
         return CircleArrays(
             cx=tx / denom,
@@ -228,7 +233,10 @@ def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
     t = np.asarray(target, dtype=float)
     if not t.any():
         raise ValueError("target must not coincide with the serving BS")
-    return _first_circle(erb_circle_arrays(t[:1], t[1:2], xi, np.full(1, lam_star)))
+    tx, ty = t[:1], t[1:2]
+    return _first_circle(
+        erb_circle_arrays(tx, ty, _offset_norm(tx, ty), xi, np.full(1, lam_star))
+    )
 
 
 @dataclass(frozen=True)
@@ -265,12 +273,13 @@ def erb_pair_arrays(
     lam = lambda_star_array(
         tx, ty, serving.pathloss_exponent / target.pathloss_exponent
     )
+    norm = _offset_norm(tx, ty)
     return (
         xi,
         xi_f,
         lam,
-        erb_circle_arrays(tx, ty, xi, lam),
-        erb_circle_arrays(tx, ty, xi_f, lam),
+        erb_circle_arrays(tx, ty, norm, xi, lam),
+        erb_circle_arrays(tx, ty, norm, xi_f, lam),
     )
 
 

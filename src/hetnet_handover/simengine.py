@@ -6,11 +6,12 @@ handover and failure boundary circles for every (target BS, serving BS)
 pair, and walks waypoint trajectories through the static circle field.
 Segment-circle intersections are solved in closed form (quadratic roots), so
 event times carry no time-step discretization error.  Per user, a bounding-box
-test picks the (segment, circle) pairs worth solving, and all their crossings
-go into one event table, grouped by circle and time-ordered within each.
-The state machine below is evaluated on that table with array operations:
-which events change a circle's inside state, where each residence starts and
-ends, and which failure-circle entry falls inside it.
+test picks the (segment, circle) pairs worth solving.  Consecutive users
+whose pairs fit a fixed budget share one event table, which holds their
+crossings grouped by circle and user and time-ordered within each.  The
+state machine below is evaluated on that table with array operations: which
+events change a circle's inside state, where each residence starts and ends,
+and which failure-circle entry falls inside it.
 
 Events, per boundary circle:
 
@@ -379,6 +380,11 @@ _EXIT_NUDGE = 1e-6
 #: holds at most this many bytes per circle, whatever the trajectory length.
 _BROAD_CHUNK = 32
 
+#: Broad-phase candidates per event table: consecutive users are walked as
+#: one table while their (segment, circle) candidates fit this budget, so the
+#: table's memory is bounded whatever ``n_users`` is.
+_WALK_BUDGET = 8192
+
 #: Relative slack of the broad-phase boxes.  A root of a near-tangent segment
 #: is accurate only to about sqrt(machine epsilon) times the coordinate scale,
 #: so the boxes grow by 1e-6 of that scale and never drop a pair whose roots
@@ -387,7 +393,7 @@ _BOX_SLACK = 1e-6
 
 
 class _Segments(NamedTuple):
-    """Start points, unit directions and lengths of a waypoint path's legs."""
+    """Start points, unit directions and lengths of waypoint paths' legs."""
 
     x0: np.ndarray
     y0: np.ndarray
@@ -396,9 +402,12 @@ class _Segments(NamedTuple):
     length: np.ndarray
 
 
-def _segments(wp: np.ndarray) -> _Segments:
-    x0, y0 = wp[:-1, 0], wp[:-1, 1]
-    dx, dy = wp[1:, 0] - x0, wp[1:, 1] - y0
+def _segments(paths) -> _Segments:
+    """The legs of every waypoint path in ``paths``, concatenated in order."""
+    x0 = np.concatenate([wp[:-1, 0] for wp in paths])
+    y0 = np.concatenate([wp[:-1, 1] for wp in paths])
+    dx = np.concatenate([wp[1:, 0] for wp in paths]) - x0
+    dy = np.concatenate([wp[1:, 1] for wp in paths]) - y0
     # math.hypot per segment: np.hypot differs from it by 1 ulp on some inputs.
     length = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
     if not np.all(length > 0.0):
@@ -436,141 +445,213 @@ def _candidate_pairs(wp: np.ndarray, fld: _CircleField) -> tuple:
     return np.concatenate(segs), np.concatenate(circles)
 
 
-def _crossing_events(wp: np.ndarray, segs: _Segments, fld: _CircleField) -> tuple:
-    """Boundary crossings of a waypoint path against every circle of ``fld``.
+def _candidate_groups(paths, first_leg, fld: _CircleField):
+    """Broad-phase ``(leg, circle)`` candidates of consecutive paths, one
+    group at a time.
 
-    Returns ``(circle, segment, arclength, code)`` arrays, lexsorted in that
-    key order.  A crossing counts when the quadratic has two distinct roots
-    (``disc > 0``: a tangent touch is no crossing) and the root lies in
-    ``(0, length]`` of its segment, so a boundary point shared by two
-    segments belongs to the one that ends there.
+    ``first_leg`` holds the index of each path's first leg among all legs.
+    A group holds at most `_WALK_BUDGET` candidates unless one path alone
+    has more; a path is never split.
     """
-    k, i = _candidate_pairs(wp, fld)
-    args = (segs.x0[k], segs.y0[k], segs.ux[k], segs.uy[k])
-    length = segs.length[k]
-    s1h, s2h, has_h = _segment_roots(*args, fld.cx_h[i], fld.cy_h[i], fld.r2_h[i])
-    s1f, s2f, has_f = _segment_roots(*args, fld.cx_f[i], fld.cy_f[i], fld.r2_f[i])
-    roots = ((s1h, has_h, _EV_H_IN), (s2h, has_h, _EV_H_OUT),
-             (s1f, has_f, _EV_F_IN), (s2f, has_f, _EV_F_OUT))
-    masks = [has & (s > 0.0) & (s <= length) for s, has, _ in roots]
-    circle = np.concatenate([i[m] for m in masks])
-    segment = np.concatenate([k[m] for m in masks])
-    arclength = np.concatenate([s[m] for m, (s, _, _) in zip(masks, roots)])
-    code = np.concatenate(
-        [np.full(np.count_nonzero(m), c, dtype=np.intp) for m, (_, _, c) in zip(masks, roots)]
+    legs, circles, size = [], [], 0
+    for wp, first in zip(paths, first_leg):
+        k, i = _candidate_pairs(wp, fld)
+        if legs and size + len(k) > _WALK_BUDGET:
+            yield np.concatenate(legs), np.concatenate(circles)
+            legs, circles, size = [], [], 0
+        legs.append(k + first)
+        circles.append(i)
+        size += len(k)
+    yield np.concatenate(legs), np.concatenate(circles)
+
+
+def _count(*masks) -> np.ndarray:
+    """How many of ``masks`` hold, element by element."""
+    return sum(m.view(np.int8) for m in masks)
+
+
+def _crossing_events(
+    segs: _Segments, leg: np.ndarray, circle: np.ndarray, fld: _CircleField
+) -> tuple:
+    """Boundary crossings of the candidate (``leg``, ``circle``) pairs.
+
+    Returns ``(circle, leg, arclength, code)`` arrays in the order of
+    ``np.lexsort((code, arclength, leg, circle))``: legs of one path are
+    numbered in walking order, so each circle's events are grouped per path
+    and time-ordered within it.  A crossing counts when the quadratic has
+    two distinct roots (``disc > 0``: a tangent touch is no crossing) and
+    the root lies in ``(0, length]`` of its leg, so a boundary point shared
+    by two legs belongs to the one that ends there.
+
+    The candidates are sorted once, on the unique key ``circle * n_legs +
+    leg``; the at most four events of each are then merged by (arclength,
+    code).
+    """
+    order = np.argsort(circle * len(segs.length) + leg)
+    leg, circle = leg[order], circle[order]
+    args = (segs.x0[leg], segs.y0[leg], segs.ux[leg], segs.uy[leg])
+    length = segs.length[leg]
+    s1h, s2h, has_h = _segment_roots(*args, fld.cx_h[circle], fld.cy_h[circle], fld.r2_h[circle])
+    s1f, s2f, has_f = _segment_roots(*args, fld.cx_f[circle], fld.cy_f[circle], fld.r2_f[circle])
+    h_in, h_out, f_in, f_out = (
+        has & (s > 0.0) & (s <= length)
+        for s, has in ((s1h, has_h), (s2h, has_h), (s1f, has_f), (s2f, has_f))
     )
-    order = np.lexsort((code, arclength, segment, circle))
-    return circle[order], segment[order], arclength[order], code[order]
+    # Rank of each event among its candidate's events.  On one boundary
+    # s1 <= s2 (the roots are -b -/+ sqrt(disc), and rounding is monotonic)
+    # and the entry has the smaller code, so an entry precedes its own exit:
+    # only events on different boundaries need comparing.
+    events = (
+        (_EV_H_IN, s1h, h_in, _count(f_in & (s1f < s1h), f_out & (s2f < s1h))),
+        (_EV_F_IN, s1f, f_in, _count(h_in & (s1h <= s1f), h_out & (s2h < s1f))),
+        (_EV_F_OUT, s2f, f_out, _count(f_in, h_in & (s1h <= s2f), h_out & (s2h < s2f))),
+        (_EV_H_OUT, s2h, h_out, _count(h_in, f_in & (s1f <= s2h), f_out & (s2f <= s2h))),
+    )
+    n_events = _count(h_in, h_out, f_in, f_out)
+    first = np.cumsum(n_events) - n_events
+    arclength = np.empty(int(n_events.sum()))
+    code = np.empty(len(arclength), dtype=np.intp)
+    for c, s, valid, rank in events:
+        at = (first + rank)[valid]
+        arclength[at] = s[valid]
+        code[at] = c
+    return np.repeat(circle, n_events), np.repeat(leg, n_events), arclength, code
 
 
-def _effective(pos, circle, entering, start, cx, cy, r2) -> np.ndarray:
+def _effective(pos, circle, run, entering, start, cx, cy, r2) -> np.ndarray:
     """Mask of the events at ``pos``, all on one kind of boundary (circles
     ``cx, cy, r2``), that change the inside state.
 
     An entry changes it when the user was outside, an exit when inside.  The
     state before an event is the direction of the previous event of its kind
-    on the same circle; before the first, it is whether ``start`` lies
+    in the same run (one user on one circle); before the first, it is
+    whether the user's start (``start``, one ``(x, y)`` row per event) lies
     inside the circle.
     """
-    c, e = circle[pos], entering[pos]
+    r, e = run[pos], entering[pos]
     first = np.ones(len(pos), dtype=bool)
-    first[1:] = c[1:] != c[:-1]
-    c = c[first]
+    first[1:] = r[1:] != r[:-1]
+    p = pos[first]
+    c = circle[p]
     before = np.empty(len(pos), dtype=bool)
     before[1:] = e[:-1]
-    before[first] = (start[0] - cx[c]) ** 2 + (start[1] - cy[c]) ** 2 < r2[c]
+    before[first] = (start[0][p] - cx[c]) ** 2 + (start[1][p] - cy[c]) ** 2 < r2[c]
     return e != before
 
 
-def _walk_trajectory(
-    traj: Trajectory,
+def _walk_trajectories(
+    trajs: list[Trajectory],
     fld: _CircleField,
     smap: _ServingMap,
     thresholds: HandoverThresholds,
     counts: EventCounts,
 ) -> None:
-    """Run the event state machine for one user over the static circle field.
+    """Run the event state machine for every user over the static circle field.
 
-    The machine is evaluated on the user's event table with array
-    operations; ``tests/oracles.py`` keeps the event-by-event loop that the
-    tests check it against.  Each circle's events are contiguous in the
-    table and in walking order.  A residence runs from an effective
-    handover-circle entry to the circle's next effective exit, or to the end
-    of the trajectory; effective events of one circle alternate, so that
-    exit is the next effective event on the circle.  The first effective
-    failure-circle entry inside a residence decides failure.
+    The users' legs form one `_Segments`, and consecutive users are walked
+    together, one `_candidate_groups` group at a time, each as one event
+    table evaluated with array operations; ``tests/oracles.py`` keeps the
+    event-by-event loop, one user at a time, that the tests check it
+    against.  The events of one user on one circle (a *run*) are contiguous
+    in the table and in walking order.  A residence runs from an effective
+    handover-circle entry to the run's next effective exit, or to the end of
+    the user's trajectory; effective events of one run alternate, so that
+    exit is the next effective event of the run.  The first effective
+    failure-circle entry inside a residence decides failure.  The quick
+    exits of all groups go to one association query.
     """
     if fld.n == 0:
         return
-    wp = traj.waypoints
-    velocity = traj.velocity
-    segs = _segments(wp)
-    circle, segment, arclength, code = _crossing_events(wp, segs, fld)
-    # Start time of each segment, summed in walking order.
-    t_base = np.concatenate(([0.0], np.cumsum(segs.length / velocity + traj.pause)))
-    t = t_base[segment] + arclength / velocity
+    paths = [traj.waypoints for traj in trajs]
+    segs = _segments(paths)
+    n_legs = [len(wp) - 1 for wp in paths]
+    first_leg = np.cumsum([0] + n_legs[:-1]).tolist()
+    owner = np.repeat(np.arange(len(trajs)), n_legs)
+    velocity = np.repeat([traj.velocity for traj in trajs], n_legs)
+    start_xy = np.array([wp[0] for wp in paths]).T
+    # Start time of each leg and end time of each user, summed per user in
+    # walking order.
+    t_leg = np.zeros(len(owner))
+    t_end = np.empty(len(trajs))
+    for u, (traj, lo, n) in enumerate(zip(trajs, first_leg, n_legs)):
+        t_base = np.cumsum(segs.length[lo:lo + n] / traj.velocity + traj.pause)
+        t_leg[lo + 1:lo + n] = t_base[:-1]
+        t_end[u] = t_base[-1]
 
-    h_pos = np.flatnonzero((code == _EV_H_IN) | (code == _EV_H_OUT))
-    h_eff = h_pos[_effective(
-        h_pos, circle, code == _EV_H_IN, wp[0], fld.cx_h, fld.cy_h, fld.r2_h
-    )]
-    f_pos = np.flatnonzero((code == _EV_F_IN) | (code == _EV_F_OUT))
-    f_eff = f_pos[_effective(
-        f_pos, circle, code == _EV_F_IN, wp[0], fld.cx_f, fld.cy_f, fld.r2_f
-    )]
-    f_in = f_eff[code[f_eff] == _EV_F_IN]
+    # Rows: triggered, handovers, failures, overlap; columns: `_KIND_ORDER`.
+    tally = np.zeros((4, len(_KIND_ORDER)), dtype=np.intp)
+    exits = []
+    for k, i in _candidate_groups(paths, first_leg, fld):
+        circle, leg, arclength, code = _crossing_events(segs, k, i, fld)
+        user = owner[leg]
+        run = circle * len(trajs) + user
+        start = start_xy[:, user]
+        t = t_leg[leg] + arclength / velocity[leg]
 
-    # Residences.  A user who *starts* inside a circle never produced an
-    # entry event, so that residence is untracked and produces no counts.
-    opens = np.flatnonzero(code[h_eff] == _EV_H_IN)
-    enter = h_eff[opens]
-    leave = h_eff[np.minimum(opens + 1, len(h_eff) - 1)]
-    closed = (opens + 1 < len(h_eff)) & (circle[leave] == circle[enter])
+        h_pos = np.flatnonzero((code == _EV_H_IN) | (code == _EV_H_OUT))
+        h_eff = h_pos[_effective(
+            h_pos, circle, run, code == _EV_H_IN, start, fld.cx_h, fld.cy_h, fld.r2_h
+        )]
+        f_pos = np.flatnonzero((code == _EV_F_IN) | (code == _EV_F_OUT))
+        f_eff = f_pos[_effective(
+            f_pos, circle, run, code == _EV_F_IN, start, fld.cx_f, fld.cy_f, fld.r2_f
+        )]
+        f_in = f_eff[code[f_eff] == _EV_F_IN]
 
-    # Open residence of each failure-circle entry: the latest effective
-    # handover-circle event before it on its circle, if that is an entry.
-    latest = np.full(len(code), -1)
-    latest[h_eff] = h_eff
-    res = np.maximum.accumulate(latest)[f_in]
-    # (res = -1, no effective event yet, wraps to the last row; the first
-    # test rejects it.)
-    in_res = (res >= 0) & (circle[res] == circle[f_in]) & (code[res] == _EV_H_IN)
-    f_in, res = f_in[in_res], res[in_res]
-    # Only the first failure-circle arrival of a residence can decide
-    # failure, but event times never decrease along a circle's events, so a
-    # later arrival within the threshold implies that the first one was.
-    failed_at = np.zeros(len(code), dtype=bool)
-    failed_at[res[t[f_in] - t[res] < thresholds.t_threshold]] = True
-    failed = failed_at[enter]
+        # Residences.  A user who *starts* inside a circle never produced an
+        # entry event, so that residence is untracked and produces no counts.
+        opens = np.flatnonzero(code[h_eff] == _EV_H_IN)
+        enter = h_eff[opens]
+        leave = h_eff[np.minimum(opens + 1, len(h_eff) - 1)]
+        closed = (opens + 1 < len(h_eff)) & (run[leave] == run[enter])
 
-    # A residence still open when the trajectory ends completed its handover
-    # if the accumulated time (through the final pause) already reached the
-    # threshold; with no exit there is nothing to classify as ping-pong.
-    sojourn = np.where(closed, t[leave], t_base[-1]) - t[enter]
-    handover = sojourn >= thresholds.t_threshold
+        # Open residence of each failure-circle entry: the latest effective
+        # handover-circle event before it in its run, if that is an entry.
+        latest = np.full(len(code), -1)
+        latest[h_eff] = h_eff
+        res = np.maximum.accumulate(latest)[f_in]
+        # (res = -1, no effective event yet, wraps to the last row; the
+        # first test rejects it.)
+        in_res = (res >= 0) & (run[res] == run[f_in]) & (code[res] == _EV_H_IN)
+        f_in, res = f_in[in_res], res[in_res]
+        # Only the first failure-circle arrival of a residence can decide
+        # failure, but event times never decrease along a run, so a later
+        # arrival within the threshold implies that the first one was.
+        failed_at = np.zeros(len(code), dtype=bool)
+        failed_at[res[t[f_in] - t[res] < thresholds.t_threshold]] = True
+        failed = failed_at[enter]
+
+        # A residence still open when the trajectory ends completed its
+        # handover if the accumulated time (through the final pause) already
+        # reached the threshold; with no exit there is nothing to classify
+        # as ping-pong.
+        sojourn = np.where(closed, t[leave], t_end[user[enter]]) - t[enter]
+        handover = sojourn >= thresholds.t_threshold
+        quick = leave[closed & (sojourn < thresholds.t_pingpong)]
+        exits.append((leg[quick], arclength[quick], circle[quick]))
+        for row, pos in enumerate(
+            (enter, enter[handover], enter[failed], enter[handover & failed])
+        ):
+            tally[row] += np.bincount(fld.kind_index[circle[pos]], minlength=len(_KIND_ORDER))
 
     # A quick exit is a ping-pong when the original serving BS is again the
     # strongest at the exit point: one association query for all of them.
-    quick = leave[closed & (sojourn < thresholds.t_pingpong)]
-    if len(quick):
-        k = segment[quick]
-        length = segs.length[k]
-        s_out = np.minimum(arclength[quick] + _EXIT_NUDGE * length, length)
-        exits = np.column_stack((segs.x0[k] + segs.ux[k] * s_out, segs.y0[k] + segs.uy[k] * s_out))
-        tier, idx = smap.query(exits)
-        c = circle[quick]
-        quick = quick[(tier == fld.serving_tier[c]) & (idx == fld.serving_idx[c])]
+    leg, arclength, circle = (np.concatenate(a) for a in zip(*exits))
+    if len(leg):
+        length = segs.length[leg]
+        s_out = np.minimum(arclength + _EXIT_NUDGE * length, length)
+        tier, idx = smap.query(np.column_stack(
+            (segs.x0[leg] + segs.ux[leg] * s_out, segs.y0[leg] + segs.uy[leg] * s_out)
+        ))
+        circle = circle[(tier == fld.serving_tier[circle]) & (idx == fld.serving_idx[circle])]
+    pingpongs = np.bincount(fld.kind_index[circle], minlength=len(_KIND_ORDER))
 
     pcs = [counts.pairs[k] for k in _KIND_ORDER]
-    for name, pos in (
-        ("triggered", enter),
-        ("handovers", enter[handover]),
-        ("failures", enter[failed]),
-        ("pingpongs", quick),
-        ("overlap", enter[handover & failed]),
+    for name, per_kind in zip(
+        ("triggered", "handovers", "failures", "overlap", "pingpongs"),
+        tally.tolist() + [pingpongs.tolist()],
     ):
-        per_kind = np.bincount(fld.kind_index[circle[pos]], minlength=len(pcs))
-        for pc, n in zip(pcs, per_kind.tolist()):
+        for pc, n in zip(pcs, per_kind):
             setattr(pc, name, getattr(pc, name) + n)
 
 
@@ -590,11 +671,12 @@ def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
     counts = EventCounts()
     fld = _build_circle_field(cfg, tiers, parents, trees, counts)
     smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
+    trajs = []
     for _ in range(cfg.n_users):
         start = cfg.region.sample_uniform(1, rng)[0]
-        traj = generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, rng)
-        counts.exposure_time += traj.total_time()
-        _walk_trajectory(traj, fld, smap, cfg.thresholds, counts)
+        trajs.append(generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, rng))
+        counts.exposure_time += trajs[-1].total_time()
+    _walk_trajectories(trajs, fld, smap, cfg.thresholds, counts)
     counts.validate()
     return counts
 

@@ -87,11 +87,37 @@ def serving_bs(
     return best
 
 
+def crossing_events_lexsort(segs, leg, circle, fld) -> tuple:
+    """`simengine._crossing_events` by one ``np.lexsort`` over every
+    crossing of the candidate (``leg``, ``circle``) pairs: the order the
+    production merge must reproduce row for row."""
+    args = (segs.x0[leg], segs.y0[leg], segs.ux[leg], segs.uy[leg])
+    length = segs.length[leg]
+    s1h, s2h, has_h = se._segment_roots(
+        *args, fld.cx_h[circle], fld.cy_h[circle], fld.r2_h[circle]
+    )
+    s1f, s2f, has_f = se._segment_roots(
+        *args, fld.cx_f[circle], fld.cy_f[circle], fld.r2_f[circle]
+    )
+    roots = ((s1h, has_h, se._EV_H_IN), (s2h, has_h, se._EV_H_OUT),
+             (s1f, has_f, se._EV_F_IN), (s2f, has_f, se._EV_F_OUT))
+    masks = [has & (s > 0.0) & (s <= length) for s, has, _ in roots]
+    circle = np.concatenate([circle[m] for m in masks])
+    leg = np.concatenate([leg[m] for m in masks])
+    arclength = np.concatenate([s[m] for m, (s, _, _) in zip(masks, roots)])
+    code = np.concatenate(
+        [np.full(np.count_nonzero(m), c, dtype=np.intp) for m, (_, _, c) in zip(masks, roots)]
+    )
+    order = np.lexsort((code, arclength, leg, circle))
+    return circle[order], leg[order], arclength[order], code[order]
+
+
 def walk_trajectory_loop(traj, fld, smap, thresholds, counts) -> None:
-    """`simengine._walk_trajectory` as an event-by-event loop over the same
-    event table, keeping per-circle inside flags and a dict of tracked
-    residences.  Its times, sojourns and exit points use the same float
-    operations, so the counts must agree exactly.
+    """`simengine._walk_trajectories` for one user, as an event-by-event
+    loop over the user's lexsorted event table (`crossing_events_lexsort`),
+    keeping per-circle inside flags and a dict of tracked residences.  Its
+    times, sojourns and exit points use the same float operations, so the
+    counts must agree exactly.
     """
     if fld.n == 0:
         return
@@ -102,8 +128,8 @@ def walk_trajectory_loop(traj, fld, smap, thresholds, counts) -> None:
     pcs = [counts.pairs[k] for k in se._KIND_ORDER]
     kind = fld.kind_index.tolist()
 
-    segs = se._segments(wp)
-    events = se._crossing_events(wp, segs, fld)
+    segs = se._segments([wp])
+    events = crossing_events_lexsort(segs, *se._candidate_pairs(wp, fld), fld)
     x0, y0, ux, uy, length = (a.tolist() for a in segs)
     t_base = list(
         itertools.accumulate((ln / velocity + traj.pause for ln in length), initial=0.0)

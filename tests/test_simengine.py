@@ -49,7 +49,7 @@ from hetnet_handover.simengine import (
     summarize_trials,
 )
 
-from oracles import serving_bs, walk_trajectory_loop
+from oracles import crossing_events_lexsort, serving_bs, walk_trajectory_loop
 
 
 def small_config(**overrides) -> SimConfig:
@@ -124,8 +124,8 @@ def kernel_crossings(p0, p1, center, radius):
     """
     fld = one_circle_field(center, r_h=radius, r_f=radius / 2.0)
     wp = np.array([p0, p1], dtype=float)
-    segs = se._segments(wp)
-    circle, segment, s, code = se._crossing_events(wp, segs, fld)
+    segs = se._segments([wp])
+    circle, segment, s, code = se._crossing_events(segs, *se._candidate_pairs(wp, fld), fld)
     assert np.all(circle == 0) and np.all(segment == 0)
     length = float(segs.length[0])
     s_in = s[code == se._EV_H_IN].tolist()
@@ -181,7 +181,7 @@ def test_crossing_segment_entirely_inside():
 
 def test_crossing_equal_endpoints_rejected():
     with pytest.raises(ValueError, match="endpoints"):
-        se._segments(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        se._segments([np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])])
 
 
 def test_chord_matches_point_sampling():
@@ -330,8 +330,8 @@ def walk(waypoints, thresholds, velocity=1.0, pause=0.0, fld=None) -> EventCount
     counts = EventCounts()
     traj = Trajectory(waypoints=np.asarray(waypoints, float),
                       velocity=velocity, pause=pause)
-    se._walk_trajectory(
-        traj, one_circle_field() if fld is None else fld,
+    se._walk_trajectories(
+        [traj], one_circle_field() if fld is None else fld,
         single_bs_map(), thresholds, counts,
     )
     counts.exposure_time = traj.total_time()
@@ -470,7 +470,7 @@ def test_walk_box_overlap_without_crossing_gives_no_events():
     fld = one_circle_field()
     seg, circle = se._candidate_pairs(wp, fld)
     assert (seg.tolist(), circle.tolist()) == ([0], [0])
-    assert all(len(a) == 0 for a in se._crossing_events(wp, se._segments(wp), fld))
+    assert all(len(a) == 0 for a in se._crossing_events(se._segments([wp]), seg, circle, fld))
     th = HandoverThresholds(t_threshold=1.0, t_pingpong=4.0, q_out=0.5)
     counts = walk(wp, th)
     assert counts.pairs[PairKind.SM] == PairCounts()
@@ -572,26 +572,24 @@ def _line_path(draw, rows) -> list:
     return _transpose_about(points, ox, oy) if draw(st.booleans()) else points
 
 
-@st.composite
-def walk_scenes(draw):
-    """A small random circle field, waypoints and motion parameters.
-
-    Paths either mix free points, points exactly on a handover or failure
-    boundary, points near a circle centre and near-tangent legs, or run
-    along one line with exact event times (see `_line_path`).  A path may
-    start inside a circle or within an ulp of a boundary point.  Speeds and
-    thresholds are often small integers.
-    """
-    n = draw(st.integers(1, 4))
+def _field_rows(draw) -> list:
+    """1-4 circle rows ``(cx, cy, r_h, fx, fy, r_f)`` with integer centres;
+    a failure circle is concentric or slightly off its handover circle."""
     rows = []
-    for _ in range(n):
+    for _ in range(draw(st.integers(1, 4))):
         cx, cy = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
         r_h = draw(st.sampled_from(sorted(_ON_CIRCLE)))
         r_f = draw(st.sampled_from([r for r in _ON_CIRCLE if r <= r_h]))
         offset = st.one_of(st.just((0, 0)), st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
         dx, dy = draw(offset)
         rows.append((cx, cy, r_h, cx + dx, cy + dy, r_f))
+    return rows
 
+
+def _scene_path(draw, rows) -> list:
+    """Waypoints through the field ``rows``: a `_mixed_path` or a
+    `_line_path`, which may start inside a circle or within an ulp of a
+    boundary point."""
     points = draw(st.sampled_from((_mixed_path, _line_path)))(draw, rows)
     cx, cy, r_h, *_ = draw(st.sampled_from(rows))
     start = draw(st.sampled_from(("as drawn", "inside", "on the boundary")))
@@ -604,27 +602,65 @@ def walk_scenes(draw):
         points.insert(0, (cx + (x - cx) * nudge, cy + (y - cy) * nudge))
     wp = [points[0]] + [q for p, q in zip(points, points[1:]) if q != p]
     hypothesis.assume(len(wp) >= 2)
+    return wp
 
-    seconds = st.one_of(st.integers(1, 12).map(float), st.floats(0.01, 30.0))
+
+_SECONDS = st.one_of(st.integers(1, 12).map(float), st.floats(0.01, 30.0))
+_VELOCITY = st.one_of(st.sampled_from((1.0, 2.0)), st.floats(0.5, 50.0))
+_PAUSE = st.sampled_from((0.0, 0.5, 7.0))
+
+
+def _scene_roles(draw, n) -> dict:
+    """Pair kinds and ``(tier, index)`` servers of ``n`` circles, the
+    thresholds and the length scale of a scene."""
     bit = st.integers(0, 1)
-    return walk_scene(
-        rows,
-        wp,
+    return dict(
         kinds=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
         serving=draw(st.lists(st.tuples(bit, bit), min_size=n, max_size=n)),
-        velocity=draw(st.one_of(st.sampled_from((1.0, 2.0)), st.floats(0.5, 50.0))),
-        pause=draw(st.sampled_from((0.0, 0.5, 7.0))),
-        t_threshold=draw(seconds),
-        t_pingpong=draw(seconds),
+        t_threshold=draw(_SECONDS),
+        t_pingpong=draw(_SECONDS),
         scale=draw(st.sampled_from((0.5, 1.0, 8.0))),
     )
 
 
-def walk_scene(rows, waypoints, *, kinds, serving, velocity, pause, t_threshold,
-               t_pingpong, scale=1.0) -> tuple:
-    """``(field, trajectory, thresholds)`` from circle rows ``(cx, cy, r_h,
-    fx, fy, r_f)``, their pair kinds and ``(tier, index)`` servers, with
-    every length multiplied by ``scale``."""
+@st.composite
+def walk_scenes(draw):
+    """A small random circle field, waypoints and motion parameters.
+
+    Paths either mix free points, points exactly on a handover or failure
+    boundary, points near a circle centre and near-tangent legs, or run
+    along one line with exact event times (see `_line_path`).  A path may
+    start inside a circle or within an ulp of a boundary point.  Speeds and
+    thresholds are often small integers.
+    """
+    rows = _field_rows(draw)
+    wp = _scene_path(draw, rows)
+    return walk_scene(
+        rows, wp, velocity=draw(_VELOCITY), pause=draw(_PAUSE), **_scene_roles(draw, len(rows))
+    )
+
+
+@st.composite
+def multi_walk_scenes(draw):
+    """One to four users on one small random field (as in `walk_scenes`),
+    each with its own path, speed and pause.  A user may repeat an earlier
+    user's path and motion: the two then start inside the same circles and
+    cross each circle at equal times."""
+    rows = _field_rows(draw)
+    users = []
+    for _ in range(draw(st.integers(1, 4))):
+        if users and draw(st.booleans()):
+            users.append(draw(st.sampled_from(users)))
+        else:
+            users.append((_scene_path(draw, rows), draw(_VELOCITY), draw(_PAUSE)))
+    return users_scene(rows, users, **_scene_roles(draw, len(rows)))
+
+
+def users_scene(rows, users, *, kinds, serving, t_threshold, t_pingpong, scale=1.0) -> tuple:
+    """``(field, trajectories, thresholds)`` from circle rows ``(cx, cy,
+    r_h, fx, fy, r_f)``, their pair kinds and ``(tier, index)`` servers, and
+    one ``(waypoints, velocity, pause)`` per user, with every length
+    multiplied by ``scale``."""
 
     def col(j):
         return np.array([r[j] for r in rows], dtype=float) * scale
@@ -636,12 +672,19 @@ def walk_scene(rows, waypoints, *, kinds, serving, velocity, pause, t_threshold,
         cx_f=col(3), cy_f=col(4), r2_f=col(5) ** 2,
         serving_tier=tier, serving_idx=idx,
     )
-    traj = Trajectory(
-        waypoints=np.array(waypoints, dtype=float) * scale, velocity=velocity, pause=pause
-    )
+    trajs = [
+        Trajectory(waypoints=np.array(wp, dtype=float) * scale, velocity=v, pause=p)
+        for wp, v, p in users
+    ]
     thresholds = HandoverThresholds(
         t_threshold=t_threshold, t_pingpong=t_pingpong, q_out=0.5
     )
+    return fld, trajs, thresholds
+
+
+def walk_scene(rows, waypoints, *, velocity, pause, **roles) -> tuple:
+    """`users_scene` of a single user: ``(field, trajectory, thresholds)``."""
+    fld, (traj,), thresholds = users_scene(rows, [(waypoints, velocity, pause)], **roles)
     return fld, traj, thresholds
 
 
@@ -658,44 +701,140 @@ def two_tier_map() -> se._ServingMap:
 #: One row: handover circle r 13 m and failure circle r 5 m at the origin.
 _CONCENTRIC = [(0, 0, 13, 0, 0, 5)]
 
+#: Single-user scenes pinned as examples, ``(rows, waypoints, roles)``.
+_EDGE_SCENES = (
+    # Start inside; the exit root on the leg that ends on the boundary at
+    # (0, 1) rounds past the leg's end, so the user is next seen entering:
+    # the start state says that entry changes nothing.
+    ([(0, 6, 5, 0, 6, 5)], [(0, 6), (1, 6), (0, 1), (0, 0), (0, 6)],
+     dict(kinds=[0], serving=[(0, 0)], t_threshold=1.0, t_pingpong=1.0)),
+    # Trigger at t = 7 s, failure circle at 15 s: exactly the 8 s threshold,
+    # so no failure.
+    (_CONCENTRIC, [(-20, 0), (20, 0)],
+     dict(kinds=[0], serving=[(0, 1)], t_threshold=8.0, t_pingpong=1.0)),
+    # A 26 s sojourn completes a 26 s threshold, and with a 26 s ping-pong
+    # window it is no quick exit, although the strongest BS at the exit
+    # point is the circle's serving BS.
+    (_CONCENTRIC, [(-20, 0), (20, 0)],
+     dict(kinds=[0], serving=[(0, 1)], t_threshold=26.0, t_pingpong=26.0)),
+)
+
+
+def edge_scene_examples(scene_of):
+    """Pin ``scene_of(rows, waypoints, roles)`` of each of `_EDGE_SCENES` as
+    a hypothesis example."""
+
+    def decorate(test):
+        for rows, wp, roles in _EDGE_SCENES:
+            test = example(scene=scene_of(rows, wp, roles))(test)
+        return test
+
+    return decorate
+
+
+def _counts_dicts(counts: EventCounts) -> list:
+    return [dataclasses.asdict(counts.pairs[kind]) for kind in se._KIND_ORDER]
+
+
+def walk_trajectories_loop(trajs, fld, smap, thresholds, counts) -> None:
+    """`walk_trajectory_loop` for each of ``trajs`` in turn."""
+    for traj in trajs:
+        walk_trajectory_loop(traj, fld, smap, thresholds, counts)
+
 
 @given(scene=walk_scenes())
 @settings(max_examples=300, deadline=None)
-# Start inside; the exit root on the leg that ends on the boundary at
-# (0, 1) rounds past the leg's end, so the user is next seen entering: the
-# start state says that entry changes nothing.
-@example(scene=walk_scene(
-    [(0, 6, 5, 0, 6, 5)], [(0, 6), (1, 6), (0, 1), (0, 0), (0, 6)],
-    kinds=[0], serving=[(0, 0)], velocity=1.0, pause=0.0, t_threshold=1.0, t_pingpong=1.0,
-))
-# Trigger at t = 7 s, failure circle at 15 s: exactly the 8 s threshold,
-# so no failure.
-@example(scene=walk_scene(
-    _CONCENTRIC, [(-20, 0), (20, 0)],
-    kinds=[0], serving=[(0, 1)], velocity=1.0, pause=0.0, t_threshold=8.0, t_pingpong=1.0,
-))
-# A 26 s sojourn completes a 26 s threshold, and with a 26 s ping-pong
-# window it is no quick exit, although the strongest BS at the exit point
-# is the circle's serving BS.
-@example(scene=walk_scene(
-    _CONCENTRIC, [(-20, 0), (20, 0)],
-    kinds=[0], serving=[(0, 1)], velocity=1.0, pause=0.0, t_threshold=26.0, t_pingpong=26.0,
-))
+@edge_scene_examples(
+    lambda rows, wp, roles: walk_scene(rows, wp, velocity=1.0, pause=0.0, **roles)
+)
 def test_walk_matches_event_loop_oracle(scene):
     fld, traj, thresholds = scene
     smap = two_tier_map()
     results = []
-    for walker in (se._walk_trajectory, walk_trajectory_loop):
+    for walker in (se._walk_trajectories, walk_trajectories_loop):
         counts = EventCounts()
         for pc in counts.pairs.values():  # counts accumulate onto earlier ones
             pc.triggered, pc.handovers, pc.failures = 7, 5, 3
-        walker(traj, fld, smap, thresholds, counts)
-        results.append(counts)
-    for kind in se._KIND_ORDER:
-        assert dataclasses.asdict(results[0].pairs[kind]) == dataclasses.asdict(
-            results[1].pairs[kind]
-        ), kind
+        walker([traj], fld, smap, thresholds, counts)
+        results.append(_counts_dicts(counts))
+    assert results[0] == results[1]
 
+
+def recording_crossing_events(tables: list):
+    """A stand-in for `simengine._crossing_events` that records each call's
+    arguments and result in ``tables``."""
+    crossing_events = se._crossing_events
+
+    def record(*args):
+        result = crossing_events(*args)
+        tables.append((args, result))
+        return result
+
+    return record
+
+
+def assert_tables_match_lexsort(tables: list) -> None:
+    """Every recorded event table equals the lexsort oracle row for row."""
+    for args, result in tables:
+        for got, want in zip(result, crossing_events_lexsort(*args)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@given(scene=multi_walk_scenes())
+@settings(max_examples=200, deadline=None)
+# Two users start inside the same circles; the second leaves, comes back
+# through both and leaves again.
+@example(scene=users_scene(
+    _CONCENTRIC,
+    [([(1, 1), (20, 0)], 1.0, 0.0), ([(-2, 1), (-20, 0), (20, 0)], 1.0, 0.5)],
+    kinds=[1], serving=[(0, 1)], t_threshold=8.0, t_pingpong=30.0,
+))
+# Two users on crossing paths enter the handover circle at t = 7 s and the
+# failure circle at t = 15 s, and leave them at equal times too.
+@example(scene=users_scene(
+    _CONCENTRIC,
+    [([(-20, 0), (20, 0)], 1.0, 0.0), ([(0, -20), (0, 20)], 1.0, 0.0)],
+    kinds=[2], serving=[(0, 1)], t_threshold=8.0, t_pingpong=26.0,
+))
+# The single-user edge scenes, each walked by two identical users: their
+# identical handover and failure circles tie arclengths, broken by code.
+@edge_scene_examples(
+    lambda rows, wp, roles: users_scene(rows, [(wp, 1.0, 0.0)] * 2, **roles)
+)
+def test_multi_user_walk_matches_per_user_loop(scene):
+    # One event table per user (budget 1) and one for all users (budget
+    # 10**9) must both give the per-user loop's counts, and each table must
+    # be the lexsorted one.
+    fld, trajs, thresholds = scene
+    smap = two_tier_map()
+    expected = EventCounts()
+    walk_trajectories_loop(trajs, fld, smap, thresholds, expected)
+    owner = np.repeat(np.arange(len(trajs)), [len(t.waypoints) - 1 for t in trajs])
+    for budget in (1, 10**9):
+        counts, tables = EventCounts(), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(se, "_WALK_BUDGET", budget)
+            mp.setattr(se, "_crossing_events", recording_crossing_events(tables))
+            se._walk_trajectories(trajs, fld, smap, thresholds, counts)
+        assert _counts_dicts(counts) == _counts_dicts(expected), budget
+        users_per_table = [len(set(owner[leg].tolist())) for (_, leg, _, _), _ in tables]
+        if budget == 1:
+            assert max(users_per_table) <= 1
+        else:
+            assert len(tables) == 1
+        assert_tables_match_lexsort(tables)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_trial_event_tables_match_lexsort(index, monkeypatch):
+    # The recorded reference trials below: every group's event table is the
+    # lexsorted one.
+    tables = []
+    monkeypatch.setattr(se, "_crossing_events", recording_crossing_events(tables))
+    run_trial(reference_sim_config(0), index)
+    assert tables and sum(len(result[0]) for _, result in tables) > 1000
+    assert_tables_match_lexsort(tables)
 
 # ---------------------------------------------------------------------------
 # Trials
