@@ -9,16 +9,22 @@ fixtures   recompute the pinned regression constants with their oracles.
 
 Configuration is a flat INI file.  Every key carries its unit in its name
 (``sigma_m``, ``velocity_kmh``, ``tx_power_dbm``); decibel quantities are
-converted to linear form exactly once, at load time.  Velocity may be given
-as ``velocity_kmh`` (the conventional figure unit) or ``velocity_mps``; it
-is stored in m/s internally.  An empty or absent config file yields the
-full default experiment: a 5 km x 5 km region, macro/small/hotspot tiers at
-46/30/24 dBm with 14/5/5 dBi gains and 0/4/4 dB biases, path-loss exponents
-3.76/3.67/3.67 (128.1 and 140.7 dB at 1 km), small-cell density 2e-5 per
-m^2 with macro and hotspot-center densities one tenth of it, hotspot
-scatter 150 m with 5 expected members, 60 km/h motion with 5 s pauses and a
-0.3-probability boundary-biased waypoint mixture, and 1 s / 4 s / -3 dB
-handover thresholds.
+converted to linear form exactly once, at load time.  Velocity, the outage
+offset and the path loss at 1 m may each be given in a conventional unit
+(``velocity_kmh``, ``q_out_db``, ``pathloss_db_at_1km``) or in the internal
+one (``velocity_mps``, ``q_out_linear``, ``pathloss_intercept``), not both.
+One table, ``_FIELDS``, lists every key; the loader, the emitter and the
+known-key check all read it.
+
+Defaults live in ``default_spec()``, which an empty or absent config file
+yields: a 5 km x 5 km region, small-cell density 2e-5 per m^2 and hotspot
+scatter 150 m are written there; the macro and hotspot-center densities (a
+tenth of the small-cell density) come from ``SimConfig.with_default_ratios``,
+the 5 expected hotspot members from ``ClusterConfig``, the tier radios,
+mobility and handover thresholds from ``fixtures.default_*``, and the trial
+counts from ``SimConfig``.  A key a file leaves out keeps its
+``default_spec()`` value, except that absent macro and hotspot-center
+densities follow a configured small-cell density at the default ratios.
 
 Sweeps replace one quantity per run. Axis units match the config keys:
 ``lambda_s`` per m^2, ``sigma`` m, ``velocity`` km/h, ``tx_power_sprime``
@@ -41,17 +47,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytics import HandoverMetrics, HandoverThresholds, PairKind
+from .analytics import HandoverMetrics, PairKind
 from . import fixtures
-from .fixtures import (
-    checks_to_text,
-    default_mobility,
-    default_thresholds,
-    recompute_all,
-)
-from .geometry import ClusterConfig, Region
-from .mobility import MobilityConfig
-from .radio import TierRadioParams
+from .fixtures import checks_to_text, recompute_all
+from .geometry import Region
 from .simengine import (
     _TIERS,
     SimConfig,
@@ -163,134 +162,73 @@ def sweep_points(spec: ExperimentSpec) -> list:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_TIER_KEYS = frozenset(
-    {
-        "tx_power_dbm",
-        "antenna_gain_dbi",
-        "bias_db",
-        "pathloss_exponent",
-        "pathloss_db_at_1km",
-        "pathloss_intercept",
-    }
-)
-
-_SECTION_KEYS = {
-    "region": frozenset({"width_m", "height_m"}),
-    **dict.fromkeys(_TIERS, _TIER_KEYS),
-    "deployment": frozenset(
-        {
-            "lambda_s_per_m2",
-            "lambda_m_per_m2",
-            "lambda_p_per_m2",
-            "sigma_m",
-            "mean_offspring",
-        }
+#: Every key of each section, in internal units and in the order
+#: ``emit_config`` writes them, with the field of the section's objects (see
+#: ``_parts``) that it sets.
+_FIELDS = {
+    "region": (("width_m", "x_max"), ("height_m", "y_max")),
+    **dict.fromkeys(
+        _TIERS,
+        (
+            ("tx_power_dbm", "tx_power"),
+            ("antenna_gain_dbi", "antenna_gain"),
+            ("bias_db", "bias"),
+            ("pathloss_exponent", "pathloss_exponent"),
+            ("pathloss_intercept", "pathloss_intercept"),
+        ),
     ),
-    "mobility": frozenset(
-        {"sigma_rwp_m", "p_z", "sigma_z_m", "velocity_kmh", "velocity_mps", "pause_s"}
+    "deployment": (
+        ("lambda_s_per_m2", "lambda_s"),
+        ("lambda_m_per_m2", "lambda_m"),
+        ("lambda_p_per_m2", "lambda_p"),
+        ("sigma_m", "sigma"),
+        ("mean_offspring", "mean_offspring"),
     ),
-    "thresholds": frozenset(
-        {"t_threshold_s", "t_pingpong_s", "q_out_db", "q_out_linear"}
+    "mobility": (
+        ("sigma_rwp_m", "sigma_rwp"),
+        ("p_z", "p_z"),
+        ("sigma_z_m", "sigma_z"),
+        ("velocity_mps", "velocity"),
+        ("pause_s", "pause"),
     ),
-    "experiment": frozenset({"n_users", "n_moves", "n_trials", "master_seed", "pair"}),
-    "sweep": frozenset({"axis", "values"}),
-    "output": frozenset({"path"}),
+    "thresholds": (
+        ("t_threshold_s", "t_threshold"),
+        ("t_pingpong_s", "t_pingpong"),
+        ("q_out_linear", "q_out"),
+    ),
+    "experiment": (
+        ("n_users", "n_users"),
+        ("n_moves", "n_moves"),
+        ("n_trials", "n_trials"),
+        ("master_seed", "master_seed"),
+        ("pair", "pair"),
+    ),
+    "sweep": (("axis", "sweep_axis"), ("values", "sweep_values")),
+    "output": (("path", "output_path"),),
 }
 
-#: Radio parameters of each tier when its section leaves a key out; tier
-#: ``<name>`` defaults to ``fixtures.default_<name>_params()``.
-_TIER_DEFAULTS = {name: getattr(fixtures, f"default_{name}_params")() for name in _TIERS}
+#: Keys in a conventional unit: key -> (internal key, conversion).  The
+#: conversion gets the value and a lookup of the section's other fields.
+_CONVENTIONAL = {
+    "pathloss_db_at_1km": (
+        "pathloss_intercept",
+        lambda pl_1km, field: 10.0 ** ((30.0 * field("pathloss_exponent") - pl_1km) / 10.0),
+    ),
+    "velocity_kmh": ("velocity_mps", lambda kmh, field: kmh / 3.6),
+    "q_out_db": ("q_out_linear", lambda q_db, field: 10.0 ** (q_db / 10.0)),
+}
 
-_DEFAULT_MOBILITY = default_mobility()
-_DEFAULT_THRESHOLDS = default_thresholds()
-
-_DEFAULT_LAMBDA_S = 2e-5
-_DEFAULT_SIGMA = 150.0
-_DEFAULT_MEAN_OFFSPRING = 5.0
-_DEFAULT_REGION_SIDE = 5000.0
-
-
-def default_spec() -> ExperimentSpec:
-    """The full-default experiment (see module docstring)."""
-    return ExperimentSpec(
-        base=SimConfig(
-            region=Region(0.0, _DEFAULT_REGION_SIDE, 0.0, _DEFAULT_REGION_SIDE),
-            **_TIER_DEFAULTS,
-            lambda_m=_DEFAULT_LAMBDA_S / 10.0,
-            lambda_s=_DEFAULT_LAMBDA_S,
-            cluster=ClusterConfig(
-                lambda_p=_DEFAULT_LAMBDA_S / 10.0,
-                sigma=_DEFAULT_SIGMA,
-                mean_offspring=_DEFAULT_MEAN_OFFSPRING,
-            ),
-            mobility=_DEFAULT_MOBILITY,
-            thresholds=_DEFAULT_THRESHOLDS,
-        )
-    )
+_SECTION_KEYS = {
+    section: frozenset(key for key, _ in pairs)
+    | {conv for conv, (key, _) in _CONVENTIONAL.items() if key in dict(pairs)}
+    for section, pairs in _FIELDS.items()
+}
 
 
-class _SectionReader:
-    """Typed key access over one config section with error accumulation."""
-
-    def __init__(self, section: str, raw: dict, errors: list) -> None:
-        self.section = section
-        self.raw = raw
-        self.errors = errors
-
-    def _parse(self, key: str, default, caster, kind: str):
-        if key not in self.raw:
-            return default
-        text = self.raw[key]
-        try:
-            return caster(text)
-        except ValueError:
-            self.errors.append(
-                f"[{self.section}] {key}: expected {kind}, got {text!r}"
-            )
-            return default
-
-    def get_float(self, key: str, default: float | None) -> float | None:
-        return self._parse(key, default, float, "a number")
-
-    def get_int(self, key: str, default: int | None) -> int | None:
-        return self._parse(key, default, int, "an integer")
-
-    def exactly_one(self, *keys: str) -> None:
-        present = [k for k in keys if k in self.raw]
-        if len(present) > 1:
-            self.errors.append(
-                f"[{self.section}] keys {present} are mutually exclusive; give one"
-            )
-
-
-def _build_tier(
-    section: str, raw: dict, defaults: TierRadioParams, errors: list
-) -> TierRadioParams:
-    r = _SectionReader(section, raw, errors)
-    r.exactly_one("pathloss_db_at_1km", "pathloss_intercept")
-    alpha = r.get_float("pathloss_exponent", defaults.pathloss_exponent)
-    if "pathloss_db_at_1km" in raw:
-        pl_1km = r.get_float("pathloss_db_at_1km", None)
-        intercept = (
-            10.0 ** ((30.0 * alpha - pl_1km) / 10.0) if pl_1km is not None else None
-        )
-    elif "pathloss_intercept" in raw:
-        intercept = r.get_float("pathloss_intercept", None)
-    else:
-        intercept = defaults.pathloss_intercept
-    try:
-        return TierRadioParams(
-            tx_power=r.get_float("tx_power_dbm", defaults.tx_power),
-            antenna_gain=r.get_float("antenna_gain_dbi", defaults.antenna_gain),
-            bias=r.get_float("bias_db", defaults.bias),
-            pathloss_intercept=(
-                intercept if intercept is not None else defaults.pathloss_intercept
-            ),
-            pathloss_exponent=alpha,
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"[{section}] {exc}")
-        return defaults
+def _sweep_axis(text: str) -> str:
+    if text not in SWEEP_AXES:
+        raise ValueError(text)
+    return text
 
 
 def _parse_sweep_values(text: str) -> tuple:
@@ -298,8 +236,130 @@ def _parse_sweep_values(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
+#: Parser and error message of a numeric key, by the type of its default.
+_NUMBERS = {
+    float: (float, "expected a number, got {!r}"),
+    int: (int, "expected an integer, got {!r}"),
+}
+
+#: Parser and error message of each non-numeric field.
+_PARSERS = {
+    "pair": (PairKind, "{!r} not one of " + ", ".join(k.value for k in PairKind)),
+    "sweep_axis": (_sweep_axis, "{!r} not one of " + ", ".join(SWEEP_AXES)),
+    "sweep_values": (_parse_sweep_values, "expected numbers, got {!r}"),
+    "output_path": (str, ""),
+}
+
+
+def _parts(spec: ExperimentSpec) -> dict:
+    """The objects that hold each section's fields in ``spec``."""
+    cfg = spec.base
+    return {
+        # A file gives the region's size; the region is loaded at the origin.
+        "region": (Region(0.0, cfg.region.width, 0.0, cfg.region.height),),
+        **{name: (getattr(cfg, name),) for name in (*_TIERS, "mobility", "thresholds")},
+        "deployment": (cfg, cfg.cluster),
+        "experiment": (cfg, spec),
+        "sweep": (spec,),
+        "output": (spec,),
+    }
+
+
+def _attr(objs, field: str):
+    """``field`` of the first of ``objs`` that has it."""
+    return next(getattr(obj, field) for obj in objs if hasattr(obj, field))
+
+
+def _default_config(lambda_s: float = 2e-5) -> SimConfig:
+    """The default configuration at small-cell density ``lambda_s``."""
+    return SimConfig.with_default_ratios(
+        region=Region(0.0, 5000.0, 0.0, 5000.0),
+        macro=fixtures.default_macro_params(),
+        small=fixtures.default_small_params(),
+        hotspot=fixtures.default_hotspot_params(),
+        lambda_s=lambda_s,
+        sigma=150.0,
+        mobility=fixtures.default_mobility(),
+        thresholds=fixtures.default_thresholds(),
+    )
+
+
+def default_spec() -> ExperimentSpec:
+    """The full-default experiment (see module docstring)."""
+    return ExperimentSpec(base=_default_config())
+
+
+class _SectionReader:
+    """One config section's keys, parsed and checked with every error collected."""
+
+    def __init__(self, section: str, raw: dict, errors: list) -> None:
+        self.section = section
+        self.raw = raw
+        self.errors = errors
+
+    def get(self, key: str, default, parse, expected: str):
+        """``key``'s text through ``parse``; ``default`` if absent or malformed."""
+        if key not in self.raw:
+            return default
+        try:
+            return parse(self.raw[key])
+        except ValueError:
+            self.errors.append(f"[{self.section}] {key}: " + expected.format(self.raw[key]))
+            return default
+
+    def fields(self, *objs, required: bool = False) -> dict:
+        """``field -> value`` of the keys this section gives, in internal units.
+
+        A number parses as the type of the field's default in ``objs``.  A
+        quantity with a conventional twin is given in one unit or the other;
+        given both, the section is refused and both are still parsed, so that
+        every malformed value is listed.  A ``required`` section that is given
+        at all must give every key.
+        """
+        values = {}
+
+        def field_value(field: str):
+            return values[field] if field in values else _attr(objs, field)
+
+        twins = {
+            key: (conv, convert)
+            for conv, (key, convert) in _CONVENTIONAL.items()
+            if conv in self.raw and conv in _SECTION_KEYS[self.section]
+        }
+        for key, (conv, _) in twins.items():
+            if key in self.raw:
+                self.errors.append(
+                    f"[{self.section}] keys {[conv, key]} are mutually exclusive; give one"
+                )
+        for key, field in _FIELDS[self.section]:
+            if key in twins:
+                conv, convert = twins[key]
+                value = self.get(conv, None, *_NUMBERS[float])
+                if value is not None:
+                    values[field] = convert(value, field_value)
+            if key in self.raw:
+                default = field_value(field)
+                parse, expected = _PARSERS.get(field) or _NUMBERS[type(default)]
+                values[field] = self.get(key, default, parse, expected)
+            elif required and self.raw:
+                self.errors.append(
+                    f"[{self.section}] {key} is required when a {self.section} "
+                    "section is given"
+                )
+        return values
+
+    def build(self, obj, changes: dict):
+        """``obj`` with ``changes``, checked by its own constructor; on
+        refusal the error is collected and ``obj`` returned."""
+        try:
+            return dataclasses.replace(obj, **changes)
+        except ValueError as exc:
+            self.errors.append(f"[{self.section}] {exc}")
+            return obj
+
+
 def load_config(path) -> ExperimentSpec:
-    """Parse and validate a config file; absent keys get the defaults.
+    """Parse and validate a config file; absent keys keep ``default_spec()``.
 
     Raises ``ConfigError`` whose message lists *every* problem found:
     unknown sections/keys by name, malformed values with their text, and
@@ -336,151 +396,49 @@ def load_config(path) -> ExperimentSpec:
                 + ", ".join(sorted(_SECTION_KEYS[name]))
             )
 
-    # Region
-    r = _SectionReader("region", sections.get("region", {}), errors)
-    width = r.get_float("width_m", _DEFAULT_REGION_SIDE)
-    height = r.get_float("height_m", _DEFAULT_REGION_SIDE)
-    try:
-        region = Region(0.0, width, 0.0, height)
-    except ValueError as exc:
-        errors.append(f"[region] {exc}")
-        region = Region(0.0, _DEFAULT_REGION_SIDE, 0.0, _DEFAULT_REGION_SIDE)
-
-    # Tiers
-    tiers = {
-        name: _build_tier(name, sections.get(name, {}), _TIER_DEFAULTS[name], errors)
-        for name in _TIERS
+    default = default_spec()
+    cfg = default.base
+    parts = _parts(default)
+    readers = {
+        name: _SectionReader(name, sections.get(name, {}), errors) for name in _FIELDS
     }
 
-    # Deployment densities; macro/hotspot-center default to a tenth of the
-    # (possibly overridden) small-cell density.
-    r = _SectionReader("deployment", sections.get("deployment", {}), errors)
-    lambda_s = r.get_float("lambda_s_per_m2", _DEFAULT_LAMBDA_S)
-    lambda_m = r.get_float("lambda_m_per_m2", lambda_s / 10.0)
-    lambda_p = r.get_float("lambda_p_per_m2", lambda_s / 10.0)
-    sigma = r.get_float("sigma_m", _DEFAULT_SIGMA)
-    mean_offspring = r.get_float("mean_offspring", _DEFAULT_MEAN_OFFSPRING)
+    def read(name: str):
+        return readers[name].build(parts[name][0], readers[name].fields(*parts[name]))
+
+    base = {name: read(name) for name in ("region", *_TIERS)}
+    # Macro and hotspot-center densities not given follow the (possibly
+    # overridden) small-cell density at the default ratios.
+    given = readers["deployment"].fields(*parts["deployment"])
+    base["lambda_s"] = given.pop("lambda_s", cfg.lambda_s)
     try:
-        cluster = ClusterConfig(
-            lambda_p=lambda_p, sigma=sigma, mean_offspring=mean_offspring
-        )
-    except ValueError as exc:
-        errors.append(f"[deployment] {exc}")
-        cluster = ClusterConfig(
-            lambda_p=_DEFAULT_LAMBDA_S / 10.0,
-            sigma=_DEFAULT_SIGMA,
-            mean_offspring=_DEFAULT_MEAN_OFFSPRING,
-        )
-
-    # Mobility
-    r = _SectionReader("mobility", sections.get("mobility", {}), errors)
-    r.exactly_one("velocity_kmh", "velocity_mps")
-    raw_mob = sections.get("mobility", {})
-    if "velocity_mps" in raw_mob:
-        velocity = r.get_float("velocity_mps", _DEFAULT_MOBILITY.velocity)
-    elif "velocity_kmh" in raw_mob:
-        kmh = r.get_float("velocity_kmh", _DEFAULT_MOBILITY.velocity * 3.6)
-        velocity = kmh / 3.6 if kmh is not None else _DEFAULT_MOBILITY.velocity
-    else:
-        velocity = _DEFAULT_MOBILITY.velocity
-    try:
-        mobility = MobilityConfig(
-            sigma_rwp=r.get_float("sigma_rwp_m", _DEFAULT_MOBILITY.sigma_rwp),
-            p_z=r.get_float("p_z", _DEFAULT_MOBILITY.p_z),
-            sigma_z=r.get_float("sigma_z_m", _DEFAULT_MOBILITY.sigma_z),
-            velocity=velocity,
-            pause=r.get_float("pause_s", _DEFAULT_MOBILITY.pause),
-        )
-    except ValueError as exc:
-        errors.append(f"[mobility] {exc}")
-        mobility = _DEFAULT_MOBILITY
-
-    # Thresholds; q_out converted from dB exactly once, here.
-    r = _SectionReader("thresholds", sections.get("thresholds", {}), errors)
-    r.exactly_one("q_out_db", "q_out_linear")
-    raw_thr = sections.get("thresholds", {})
-    if "q_out_linear" in raw_thr:
-        q_out = r.get_float("q_out_linear", _DEFAULT_THRESHOLDS.q_out)
-    elif "q_out_db" in raw_thr:
-        q_db = r.get_float("q_out_db", None)
-        q_out = 10.0 ** (q_db / 10.0) if q_db is not None else _DEFAULT_THRESHOLDS.q_out
-    else:
-        q_out = _DEFAULT_THRESHOLDS.q_out
-    try:
-        thresholds = HandoverThresholds(
-            t_threshold=r.get_float("t_threshold_s", _DEFAULT_THRESHOLDS.t_threshold),
-            t_pingpong=r.get_float("t_pingpong_s", _DEFAULT_THRESHOLDS.t_pingpong),
-            q_out=q_out,
-        )
-    except ValueError as exc:
-        errors.append(f"[thresholds] {exc}")
-        thresholds = _DEFAULT_THRESHOLDS
-
-    # Experiment
-    r = _SectionReader("experiment", sections.get("experiment", {}), errors)
-    n_users = r.get_int("n_users", 10)
-    n_moves = r.get_int("n_moves", 100)
-    n_trials = r.get_int("n_trials", 100)
-    master_seed = r.get_int("master_seed", 0)
-    pair = PairKind.SPS
-    raw_pair = sections.get("experiment", {}).get("pair")
-    if raw_pair is not None:
-        try:
-            pair = PairKind(raw_pair)
-        except ValueError:
-            valid = ", ".join(k.value for k in PairKind)
-            errors.append(f"[experiment] pair: {raw_pair!r} not one of {valid}")
-
-    # Sweep
-    sweep_axis = None
-    sweep_values: tuple = ()
-    raw_sweep = sections.get("sweep", {})
-    if raw_sweep:
-        sweep_axis = raw_sweep.get("axis")
-        if sweep_axis is None:
-            errors.append("[sweep] axis is required when a sweep section is given")
-        elif sweep_axis not in SWEEP_AXES:
-            errors.append(
-                f"[sweep] axis: {sweep_axis!r} not one of {', '.join(SWEEP_AXES)}"
-            )
-        if "values" in raw_sweep:
-            try:
-                sweep_values = _parse_sweep_values(raw_sweep["values"])
-            except ValueError:
-                errors.append(
-                    f"[sweep] values: expected numbers, got {raw_sweep['values']!r}"
-                )
-        else:
-            errors.append("[sweep] values is required when a sweep section is given")
-
-    output_path = sections.get("output", {}).get("path")
+        ratios = _default_config(base["lambda_s"])
+    except ValueError:  # lambda_s <= 0: SimConfig refuses it below
+        ratios = cfg
+    base["lambda_m"] = given.pop("lambda_m", ratios.lambda_m)
+    base["cluster"] = readers["deployment"].build(ratios.cluster, given)
+    base.update((name, read(name)) for name in ("mobility", "thresholds"))
+    base.update(readers["experiment"].fields(*parts["experiment"]))
+    spec = {
+        "pair": base.pop("pair", default.pair),
+        **readers["sweep"].fields(*parts["sweep"], required=True),
+        **readers["output"].fields(*parts["output"]),
+    }
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-
     try:
-        base = SimConfig(
-            region=region,
-            **tiers,
-            lambda_m=lambda_m,
-            lambda_s=lambda_s,
-            cluster=cluster,
-            mobility=mobility,
-            thresholds=thresholds,
-            n_users=n_users,
-            n_moves=n_moves,
-            n_trials=n_trials,
-            master_seed=master_seed,
-        )
-        return ExperimentSpec(
-            base=base,
-            pair=pair,
-            sweep_axis=sweep_axis,
-            sweep_values=sweep_values,
-            output_path=output_path,
-        )
+        return dataclasses.replace(default, base=dataclasses.replace(cfg, **base), **spec)
     except ValueError as exc:
         raise ConfigError(f"invalid config:\n  {exc}") from exc
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    if isinstance(value, PairKind):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_config(spec: ExperimentSpec) -> str:
@@ -488,70 +446,15 @@ def emit_config(spec: ExperimentSpec) -> str:
 
     Floats are written with ``repr`` precision and in the internal unit
     (``velocity_mps``, linear ``q_out``/``pathloss_intercept``) so the round
-    trip is bit-exact.
+    trip is bit-exact.  The sweep and output sections appear when set.
     """
-    cfg = spec.base
     lines = []
-
-    def section(name: str, *pairs) -> None:
-        lines.append(f"[{name}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-        lines.append("")
-
-    section(
-        "region",
-        ("width_m", cfg.region.x_max - cfg.region.x_min),
-        ("height_m", cfg.region.y_max - cfg.region.y_min),
-    )
-    for name in _TIERS:
-        tier = getattr(cfg, name)
-        section(
-            name,
-            ("tx_power_dbm", tier.tx_power),
-            ("antenna_gain_dbi", tier.antenna_gain),
-            ("bias_db", tier.bias),
-            ("pathloss_exponent", tier.pathloss_exponent),
-            ("pathloss_intercept", tier.pathloss_intercept),
-        )
-    section(
-        "deployment",
-        ("lambda_s_per_m2", cfg.lambda_s),
-        ("lambda_m_per_m2", cfg.lambda_m),
-        ("lambda_p_per_m2", cfg.cluster.lambda_p),
-        ("sigma_m", cfg.cluster.sigma),
-        ("mean_offspring", cfg.cluster.mean_offspring),
-    )
-    section(
-        "mobility",
-        ("sigma_rwp_m", cfg.mobility.sigma_rwp),
-        ("p_z", cfg.mobility.p_z),
-        ("sigma_z_m", cfg.mobility.sigma_z),
-        ("velocity_mps", cfg.mobility.velocity),
-        ("pause_s", cfg.mobility.pause),
-    )
-    section(
-        "thresholds",
-        ("t_threshold_s", cfg.thresholds.t_threshold),
-        ("t_pingpong_s", cfg.thresholds.t_pingpong),
-        ("q_out_linear", cfg.thresholds.q_out),
-    )
-    section(
-        "experiment",
-        ("n_users", cfg.n_users),
-        ("n_moves", cfg.n_moves),
-        ("n_trials", cfg.n_trials),
-        ("master_seed", cfg.master_seed),
-        ("pair", spec.pair.value),
-    )
-    if spec.sweep_axis is not None:
-        section(
-            "sweep",
-            ("axis", spec.sweep_axis),
-            ("values", ", ".join(repr(v) for v in spec.sweep_values)),
-        )
-    if spec.output_path is not None:
-        section("output", ("path", spec.output_path))
+    parts = _parts(spec)
+    for section, pairs in _FIELDS.items():
+        values = [(key, _attr(parts[section], field)) for key, field in pairs]
+        values = [(key, value) for key, value in values if value not in (None, ())]
+        if values:
+            lines += [f"[{section}]", *(f"{k} = {_text(v)}" for k, v in values), ""]
     return "\n".join(lines)
 
 

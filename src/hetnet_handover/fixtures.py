@@ -23,7 +23,12 @@ from .geometry import ClusterConfig, Region
 from .mobility import MobilityConfig
 from .radio import TierRadioParams
 from .simengine import SimConfig, analytic_metrics, run_campaign
-from .specfun import DEFAULT_BESSEL_TABLE, i0_exp_approx, i0_series
+from .specfun import (
+    DEFAULT_BESSEL_TABLE,
+    i0_exp_approx,
+    i0_series,
+    marcum_q1_quadrature,
+)
 
 FIXTURES_RESOURCE = "fixtures.json"
 
@@ -146,17 +151,6 @@ def oracle_erf_series(x: float = 1.0) -> float:
     return 2.0 / math.sqrt(math.pi) * total
 
 
-def oracle_marcum_q1_quadrature(a: float = 1.0, b: float = 1.0) -> float:
-    """Defining tail integral of the Marcum Q function, by adaptive quadrature."""
-    from scipy import special as sp
-
-    def integrand(x: float) -> float:
-        return x * sp.i0e(a * x) * math.exp(-((x - a) ** 2) / 2.0)
-
-    val, _ = integrate.quad(integrand, b, np.inf, limit=400, epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
 def oracle_marcum_q1_mpmath(a: float = 79.0, b: float = 80.0) -> float:
     """Poisson-mixture series of the Marcum Q function in 50-digit arithmetic.
 
@@ -267,7 +261,7 @@ def oracle_i0_approx_max_rel_err(interval: int) -> float:
 ORACLES = {
     "i0_at_1": oracle_i0_quadrature,
     "erf_at_1": oracle_erf_series,
-    "marcum_q1_at_1_1": oracle_marcum_q1_quadrature,
+    "marcum_q1_at_1_1": lambda: marcum_q1_quadrature(1.0, 1.0),
     "marcum_q1_at_79_80": oracle_marcum_q1_mpmath,
     "rician_cdf_at_1_1_1": oracle_rician_cdf_quadrature,
     "xi_6db_alpha4": oracle_xi_6db_alpha4,

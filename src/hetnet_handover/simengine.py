@@ -126,7 +126,6 @@ class SimConfig:
         hotspot: TierRadioParams,
         lambda_s: float,
         sigma: float,
-        mean_offspring: float = 5.0,
         mobility: MobilityConfig,
         thresholds: HandoverThresholds,
         **counts,
@@ -139,9 +138,7 @@ class SimConfig:
             hotspot=hotspot,
             lambda_m=lambda_s / 10.0,
             lambda_s=lambda_s,
-            cluster=ClusterConfig(
-                lambda_p=lambda_s / 10.0, sigma=sigma, mean_offspring=mean_offspring
-            ),
+            cluster=ClusterConfig(lambda_p=lambda_s / 10.0, sigma=sigma),
             mobility=mobility,
             thresholds=thresholds,
             **counts,
@@ -901,18 +898,12 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def compare_to_analytics(
-    cfg: SimConfig,
-    workers: int = 1,
-    estimate: MetricsEstimate | None = None,
-) -> ComparisonTable:
+def compare_to_analytics(cfg: SimConfig, workers: int = 1) -> ComparisonTable:
     """Analytic vs. simulated metrics, row per (pair, metric).
 
-    Pass a precomputed ``estimate`` to avoid re-running the campaign.  The
-    ``flag`` of every row is empty: no agreement criterion is defined yet.
+    The ``flag`` of every row is empty: no agreement criterion is defined yet.
     """
-    if estimate is None:
-        estimate = run_campaign(cfg, workers=workers)
+    estimate = run_campaign(cfg, workers=workers)
     analytic = analytic_metrics(cfg)
     rows = []
     for kind in _KIND_ORDER:

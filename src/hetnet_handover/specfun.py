@@ -293,8 +293,9 @@ def marcum_q1_quadrature(a: float, b: float) -> float:
 
     Integrates the defining density with the numerically stable scaling
     ``x * i0e(a x) * exp(-(x - a)^2 / 2)`` from ``b`` to infinity, where
-    ``i0e(t) = e^{-t} I0(t)``.  Used as the reference route in tests; the
-    production path is the series in :func:`marcum_q1`.
+    ``i0e(t) = e^{-t} I0(t)``.  Used as the reference route in tests and as
+    the oracle of the pinned ``marcum_q1_at_1_1``; the production path is the
+    series in :func:`marcum_q1`.
     """
     if a < 0 or b < 0:
         raise ValueError("marcum_q1_quadrature requires a >= 0 and b >= 0")

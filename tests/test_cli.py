@@ -1,6 +1,7 @@
 """Tests for config parsing, sweeps, and the command-line entry point."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnet_handover import cli
 from hetnet_handover.analytics import HandoverMetrics, PairKind
 from hetnet_handover.cli import (
     METRICS_CSV_HEADER,
@@ -30,8 +32,16 @@ from hetnet_handover.cli import (
     main,
     sweep_points,
 )
-from hetnet_handover.fixtures import FixtureCheck
-from hetnet_handover.geometry import Region
+from hetnet_handover.fixtures import (
+    FixtureCheck,
+    default_hotspot_params,
+    default_macro_params,
+    default_mobility,
+    default_small_params,
+    default_thresholds,
+    reference_sim_config,
+)
+from hetnet_handover.geometry import ClusterConfig, Region
 from hetnet_handover.simengine import SimConfig
 
 
@@ -285,6 +295,242 @@ def test_comments_and_inline_comments_ignored(tmp_path):
         "# full-line comment\n[deployment]\nsigma_m = 200  # meters\n",
     )
     assert load_config(p).base.cluster.sigma == 200.0
+
+
+# ---------------------------------------------------------------------------
+# Schema oracles: defaults, key sets, error text and emitted bytes, each
+# recorded from the loader and emitter as they stood before the schema table
+# ---------------------------------------------------------------------------
+
+# The hand-built default configuration; the macro and hotspot-center
+# densities are a tenth of the small-cell density, divided as the loader does.
+HAND_DEFAULT = SimConfig(
+    region=Region(0.0, 5000.0, 0.0, 5000.0),
+    macro=default_macro_params(),
+    small=default_small_params(),
+    hotspot=default_hotspot_params(),
+    lambda_m=2e-5 / 10.0,
+    lambda_s=2e-5,
+    cluster=ClusterConfig(lambda_p=2e-5 / 10.0, sigma=150.0, mean_offspring=5.0),
+    mobility=default_mobility(),
+    thresholds=default_thresholds(),
+    n_users=10,
+    n_moves=100,
+    n_trials=100,
+    master_seed=0,
+)
+
+TIER_KEYS = frozenset(
+    {
+        "tx_power_dbm",
+        "antenna_gain_dbi",
+        "bias_db",
+        "pathloss_exponent",
+        "pathloss_db_at_1km",
+        "pathloss_intercept",
+    }
+)
+
+SECTION_KEYS = {
+    "region": frozenset({"width_m", "height_m"}),
+    "macro": TIER_KEYS,
+    "small": TIER_KEYS,
+    "hotspot": TIER_KEYS,
+    "deployment": frozenset(
+        {"lambda_s_per_m2", "lambda_m_per_m2", "lambda_p_per_m2", "sigma_m", "mean_offspring"}
+    ),
+    "mobility": frozenset(
+        {"sigma_rwp_m", "p_z", "sigma_z_m", "velocity_kmh", "velocity_mps", "pause_s"}
+    ),
+    "thresholds": frozenset({"t_threshold_s", "t_pingpong_s", "q_out_db", "q_out_linear"}),
+    "experiment": frozenset({"n_users", "n_moves", "n_trials", "master_seed", "pair"}),
+    "sweep": frozenset({"axis", "values"}),
+    "output": frozenset({"path"}),
+}
+
+#: name -> (config text, full ConfigError message).
+ERROR_TEXT = {
+    'velocity_pair_mps_bad': (
+        '[mobility]\nvelocity_kmh = 30\nvelocity_mps = slow\n',
+        "invalid config:\n  [mobility] keys ['velocity_kmh', 'velocity_mps'] are mutually exclusive; give one\n  [mobility] velocity_mps: expected a number, got 'slow'",
+    ),
+    'q_out_pair_linear_bad': (
+        '[thresholds]\nq_out_db = -3\nq_out_linear = half\n',
+        "invalid config:\n  [thresholds] keys ['q_out_db', 'q_out_linear'] are mutually exclusive; give one\n  [thresholds] q_out_linear: expected a number, got 'half'",
+    ),
+    'pathloss_pair_db_bad': (
+        '[macro]\npathloss_db_at_1km = loud\npathloss_intercept = 1e-13\n',
+        "invalid config:\n  [macro] keys ['pathloss_db_at_1km', 'pathloss_intercept'] are mutually exclusive; give one\n  [macro] pathloss_db_at_1km: expected a number, got 'loud'",
+    ),
+    'pathloss_pair_bad_exponent': (
+        '[macro]\npathloss_exponent = steep\npathloss_db_at_1km = loud\npathloss_intercept = 1e-13\n',
+        "invalid config:\n  [macro] keys ['pathloss_db_at_1km', 'pathloss_intercept'] are mutually exclusive; give one\n  [macro] pathloss_exponent: expected a number, got 'steep'\n  [macro] pathloss_db_at_1km: expected a number, got 'loud'",
+    ),
+    'exponent_bad': (
+        '[small]\npathloss_exponent = steep\n',
+        "invalid config:\n  [small] pathloss_exponent: expected a number, got 'steep'",
+    ),
+    'exponent_bad_with_db': (
+        '[small]\npathloss_exponent = steep\npathloss_db_at_1km = 140.7\n',
+        "invalid config:\n  [small] pathloss_exponent: expected a number, got 'steep'",
+    ),
+    'region_refusal': (
+        '[region]\nwidth_m = -100\n',
+        'invalid config:\n  [region] degenerate region: x [0.0, -100.0], y [0.0, 5000.0]',
+    ),
+    'region_malformed': (
+        '[region]\nwidth_m = wide\nheight_m = 0\n',
+        "invalid config:\n  [region] width_m: expected a number, got 'wide'\n  [region] degenerate region: x [0.0, 5000.0], y [0.0, 0.0]",
+    ),
+    'tier_refusal': (
+        '[hotspot]\npathloss_exponent = 1.5\n',
+        'invalid config:\n  [hotspot] pathloss_exponent must exceed 2, got 1.5',
+    ),
+    'tier_refusal_intercept': (
+        '[small]\npathloss_intercept = -1\n',
+        'invalid config:\n  [small] pathloss_intercept must be positive, got -1.0',
+    ),
+    'deployment_refusal': (
+        '[deployment]\nsigma_m = -5\n',
+        'invalid config:\n  [deployment] sigma must be positive, got -5.0',
+    ),
+    'deployment_offspring_refusal': (
+        '[deployment]\nmean_offspring = 0\nlambda_p_per_m2 = 1e-6\n',
+        'invalid config:\n  [deployment] mean_offspring must be positive, got 0.0',
+    ),
+    'deployment_lambda_s_negative_all_given': (
+        '[deployment]\nlambda_s_per_m2 = -1e-5\nlambda_p_per_m2 = 1e-6\nlambda_m_per_m2 = 1e-6\n',
+        'invalid config:\n  lambda_s must be positive, got -1e-05',
+    ),
+    'deployment_lambda_m_negative': (
+        '[deployment]\nlambda_m_per_m2 = -1e-6\n',
+        'invalid config:\n  lambda_m must be positive, got -1e-06',
+    ),
+    'deployment_malformed': (
+        '[deployment]\nlambda_s_per_m2 = abc\nsigma_m = wide\n',
+        "invalid config:\n  [deployment] lambda_s_per_m2: expected a number, got 'abc'\n  [deployment] sigma_m: expected a number, got 'wide'",
+    ),
+    'mobility_refusal': (
+        '[mobility]\np_z = 1.5\n',
+        'invalid config:\n  [mobility] p_z must lie in [0, 1], got 1.5',
+    ),
+    'mobility_velocity_refusal': (
+        '[mobility]\nvelocity_kmh = -5\n',
+        'invalid config:\n  [mobility] velocity must be positive, got -1.3888888888888888',
+    ),
+    'thresholds_refusal': (
+        '[thresholds]\nq_out_linear = 1.5\n',
+        'invalid config:\n  [thresholds] q_out must be a linear ratio in (0, 1), got 1.5',
+    ),
+    'thresholds_db_refusal': (
+        '[thresholds]\nq_out_db = 3\nt_pingpong_s = 0\n',
+        'invalid config:\n  [thresholds] t_pingpong must be positive, got 0.0',
+    ),
+    'experiment_counts_refusal': (
+        '[experiment]\nn_trials = 0\n',
+        'invalid config:\n  n_trials must be >= 1, got 0',
+    ),
+    'experiment_seed_refusal': (
+        '[experiment]\nmaster_seed = -1\n',
+        'invalid config:\n  master_seed must fit in an unsigned 64-bit integer',
+    ),
+    'experiment_int_malformed': (
+        '[experiment]\nn_users = 2.5\nn_moves = many\n',
+        "invalid config:\n  [experiment] n_users: expected an integer, got '2.5'\n  [experiment] n_moves: expected an integer, got 'many'",
+    ),
+    'pair_refusal': (
+        '[experiment]\npair = XY\n',
+        "invalid config:\n  [experiment] pair: 'XY' not one of SM, SpS, SpM",
+    ),
+    'sweep_refusal': (
+        '[sweep]\naxis = sigma\nvalues = 150, 50\n',
+        'invalid config:\n  sweep values must be strictly increasing: (150.0, 50.0)',
+    ),
+    'sweep_bad_axis_no_values': (
+        '[sweep]\naxis = speed\n',
+        "invalid config:\n  [sweep] axis: 'speed' not one of lambda_s, sigma, velocity, tx_power_sprime, T, T_p\n  [sweep] values is required when a sweep section is given",
+    ),
+    'sweep_no_axis_bad_values': (
+        '[sweep]\nvalues = 1, x\n',
+        "invalid config:\n  [sweep] axis is required when a sweep section is given\n  [sweep] values: expected numbers, got '1, x'",
+    ),
+    'everything_wrong': (
+        '[nonsense]\na = 1\n[region]\nheight_m = tall\nbogus = 2\n[macro]\ntx_power_dbm = hot\npathloss_exponent = 2\n[deployment]\nlambda_s_per_m2 = abc\nmean_offspring = -1\n[mobility]\nvelocity_kmh = 30\nvelocity_mps = 10\npause_s = -1\n[thresholds]\nt_threshold_s = soon\n[experiment]\nn_users = x\npair = QQ\n[sweep]\naxis = nope\nvalues = 1, b\n',
+        "invalid config:\n  unknown section [nonsense]; known sections: deployment, experiment, hotspot, macro, mobility, output, region, small, sweep, thresholds\n  unknown key [region] bogus; known keys: height_m, width_m\n  [region] height_m: expected a number, got 'tall'\n  [macro] tx_power_dbm: expected a number, got 'hot'\n  [macro] pathloss_exponent must exceed 2, got 2.0\n  [deployment] lambda_s_per_m2: expected a number, got 'abc'\n  [deployment] mean_offspring must be positive, got -1.0\n  [mobility] keys ['velocity_kmh', 'velocity_mps'] are mutually exclusive; give one\n  [mobility] pause must be non-negative, got -1.0\n  [thresholds] t_threshold_s: expected a number, got 'soon'\n  [experiment] n_users: expected an integer, got 'x'\n  [experiment] pair: 'QQ' not one of SM, SpS, SpM\n  [sweep] axis: 'nope' not one of lambda_s, sigma, velocity, tx_power_sprime, T, T_p\n  [sweep] values: expected numbers, got '1, b'",
+    ),
+}
+
+#: Messages that changed on purpose with the schema table: a quantity given in
+#: both units lists the parse error of each; parse errors within a section
+#: follow the section's key order; a non-positive small-cell density is named
+#: as such instead of through the densities derived from it.
+CHANGED_ERROR_TEXT = {
+    'velocity_pair_both_bad': (
+        '[mobility]\nvelocity_kmh = fast\nvelocity_mps = slow\n',
+        "invalid config:\n  [mobility] keys ['velocity_kmh', 'velocity_mps'] are mutually exclusive; give one\n  [mobility] velocity_kmh: expected a number, got 'fast'\n  [mobility] velocity_mps: expected a number, got 'slow'",
+    ),
+    'velocity_pair_kmh_bad': (
+        '[mobility]\nvelocity_kmh = fast\nvelocity_mps = 10\n',
+        "invalid config:\n  [mobility] keys ['velocity_kmh', 'velocity_mps'] are mutually exclusive; give one\n  [mobility] velocity_kmh: expected a number, got 'fast'",
+    ),
+    'q_out_pair_both_bad': (
+        '[thresholds]\nq_out_db = low\nq_out_linear = half\n',
+        "invalid config:\n  [thresholds] keys ['q_out_db', 'q_out_linear'] are mutually exclusive; give one\n  [thresholds] q_out_db: expected a number, got 'low'\n  [thresholds] q_out_linear: expected a number, got 'half'",
+    ),
+    'pathloss_pair_both_bad': (
+        '[macro]\npathloss_db_at_1km = loud\npathloss_intercept = tiny\n',
+        "invalid config:\n  [macro] keys ['pathloss_db_at_1km', 'pathloss_intercept'] are mutually exclusive; give one\n  [macro] pathloss_db_at_1km: expected a number, got 'loud'\n  [macro] pathloss_intercept: expected a number, got 'tiny'",
+    ),
+    'exponent_bad_tx_bad': (
+        '[small]\ntx_power_dbm = strong\npathloss_exponent = steep\n',
+        "invalid config:\n  [small] tx_power_dbm: expected a number, got 'strong'\n  [small] pathloss_exponent: expected a number, got 'steep'",
+    ),
+    'deployment_lambda_s_negative': (
+        '[deployment]\nlambda_s_per_m2 = -1e-5\n',
+        'invalid config:\n  lambda_s must be positive, got -1e-05',
+    ),
+    'deployment_lambda_s_negative_p_given': (
+        '[deployment]\nlambda_s_per_m2 = -1e-5\nlambda_p_per_m2 = 1e-6\n',
+        'invalid config:\n  lambda_s must be positive, got -1e-05',
+    ),
+}
+
+
+def test_default_spec_equals_hand_built_defaults(tmp_path):
+    assert default_spec() == ExperimentSpec(base=HAND_DEFAULT)
+    assert load_config(write(tmp_path, "")).base == HAND_DEFAULT
+
+
+def test_absent_densities_follow_the_small_cell_density(tmp_path):
+    base = load_config(write(tmp_path, "[deployment]\nlambda_s_per_m2 = 3e-5\n")).base
+    assert base.lambda_s == 3e-5
+    assert base.lambda_m == 3e-5 / 10.0
+    assert base.cluster.lambda_p == 3e-5 / 10.0
+
+
+def test_section_keys_are_derived_from_the_table():
+    assert cli._SECTION_KEYS == SECTION_KEYS
+
+
+@pytest.mark.parametrize("name", sorted({**ERROR_TEXT, **CHANGED_ERROR_TEXT}))
+def test_config_error_text(tmp_path, name):
+    text, message = {**ERROR_TEXT, **CHANGED_ERROR_TEXT}[name]
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert str(err.value) == message
+
+
+def test_benchmark_ini_bytes_are_pinned():
+    # perfbench hashes this INI as its config_sha256.
+    def sha(spec):
+        return hashlib.sha256(emit_config(spec).encode("utf-8")).hexdigest()
+
+    assert sha(ExperimentSpec(base=reference_sim_config(1))) == (
+        "66fbb1fb56d7f34c63543a0e836be4fe497f7fa3ff7d2318967046a9481a1085"
+    )
+    assert sha(default_spec()) == (
+        "132150e4b6e4a2d49b6a231dc015551231b0b0dc75658b0bd0a7d5d54f39c15d"
+    )
 
 
 # ---------------------------------------------------------------------------
