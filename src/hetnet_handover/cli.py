@@ -231,14 +231,25 @@ def _sweep_axis(text: str) -> str:
     return text
 
 
+class _NotFinite(ValueError):
+    """A number that parses but is nan or infinite."""
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotFinite(text)
+    return value
+
+
 def _parse_sweep_values(text: str) -> tuple:
     parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 #: Parser and error message of a numeric key, by the type of its default.
 _NUMBERS = {
-    float: (float, "expected a number, got {!r}"),
+    float: (_finite, "expected a number, got {!r}"),
     int: (int, "expected an integer, got {!r}"),
 }
 
@@ -303,7 +314,9 @@ class _SectionReader:
             return default
         try:
             return parse(self.raw[key])
-        except ValueError:
+        except ValueError as exc:
+            if isinstance(exc, _NotFinite):
+                expected = "must be finite, got {!r}"
             self.errors.append(f"[{self.section}] {key}: " + expected.format(self.raw[key]))
             return default
 
@@ -336,7 +349,12 @@ class _SectionReader:
                 conv, convert = twins[key]
                 value = self.get(conv, None, *_NUMBERS[float])
                 if value is not None:
-                    values[field] = convert(value, field_value)
+                    try:
+                        values[field] = convert(value, field_value)
+                    except OverflowError:
+                        self.errors.append(
+                            f"[{self.section}] {conv}: {self.raw[conv]!r} overflows in linear units"
+                        )
             if key in self.raw:
                 default = field_value(field)
                 parse, expected = _PARSERS.get(field) or _NUMBERS[type(default)]

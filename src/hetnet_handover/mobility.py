@@ -88,28 +88,6 @@ def mean_transition_length(cfg: MobilityConfig) -> float:
     return math.sqrt(math.pi / 2.0) * (cfg.sigma_rwp + cfg.p_z * cfg.sigma_z)
 
 
-def clamp_to_region(
-    x: float, y: float, dx: float, dy: float, length: float, region: Region
-) -> float:
-    """Largest travel distance <= ``length`` from ``(x, y)`` along the unit
-    direction ``(dx, dy)`` that stays inside ``region``.
-
-    Standard slab (ray vs. axis-aligned rectangle) intersection; ``(x, y)``
-    must already be inside.  Returns 0 when the ray immediately exits, i.e.
-    the start point sits on the boundary heading outward.
-    """
-    t_max = length
-    if dx > 1e-300:
-        t_max = min(t_max, (region.x_max - x) / dx)
-    elif dx < -1e-300:
-        t_max = min(t_max, (region.x_min - x) / dx)
-    if dy > 1e-300:
-        t_max = min(t_max, (region.y_max - y) / dy)
-    elif dy < -1e-300:
-        t_max = min(t_max, (region.y_min - y) / dy)
-    return max(0.0, t_max)
-
-
 def generate_trajectory(
     start: np.ndarray,
     n_moves: int,
@@ -131,37 +109,56 @@ def generate_trajectory(
     if not bool(region.contains(start_arr)[0]):
         raise ValueError(f"start {start_arr} is outside the region")
     x, y = float(start_arr[0]), float(start_arr[1])
+    x_min, x_max, y_min, y_max = region.x_min, region.x_max, region.y_min, region.y_max
+    rayleigh, random, cos, sin = rng.rayleigh, rng.random, math.cos, math.sin
+    sigma_rwp, p_z, sigma_z = cfg.sigma_rwp, cfg.p_z, cfg.sigma_z
+    mixed = p_z > 0
     coords = [x, y]
-    # Only the start is checked: every waypoint _step returns lies inside.
+    # Only the start is checked: every waypoint drawn below lies inside.
     for _ in range(n_moves):
-        x, y = _step(x, y, region, cfg, rng)
+        while True:
+            step = rayleigh(sigma_rwp)
+            if mixed and random() < p_z:
+                step += rayleigh(sigma_z)
+            # Bit-identical to rng.uniform(0, 2 pi), which computes
+            # low + (high - low) * random() with low = 0, at a quarter of the cost.
+            theta = _TWO_PI * random()
+            dx, dy = cos(theta), sin(theta)
+            # Slab clamp: walk along the ray no further than the first wall.
+            # From a boundary point heading outward the step is <= 0.
+            if dx > 1e-300:
+                wall = (x_max - x) / dx
+                if wall < step:
+                    step = wall
+            elif dx < -1e-300:
+                wall = (x_min - x) / dx
+                if wall < step:
+                    step = wall
+            if dy > 1e-300:
+                wall = (y_max - y) / dy
+                if wall < step:
+                    step = wall
+            elif dy < -1e-300:
+                wall = (y_min - y) / dy
+                if wall < step:
+                    step = wall
+            if step > _MIN_SEGMENT:
+                break
+        # The clamp is exact up to rounding; snap the last few ulps so the
+        # waypoint is inside the closed region by construction.
+        x += step * dx
+        if x < x_min:
+            x = x_min
+        elif x > x_max:
+            x = x_max
+        y += step * dy
+        if y < y_min:
+            y = y_min
+        elif y > y_max:
+            y = y_max
         coords += (x, y)
     waypoints = np.array(coords).reshape(-1, 2)
     return Trajectory(waypoints=waypoints, velocity=cfg.velocity, pause=cfg.pause)
-
-
-def _step(
-    x: float, y: float, region: Region, cfg: MobilityConfig, rng: np.random.Generator
-) -> tuple:
-    """The waypoint after ``(x, y)``, a point already inside ``region``."""
-    rayleigh, random = rng.rayleigh, rng.random
-    p_z = cfg.p_z
-    while True:
-        length = rayleigh(cfg.sigma_rwp)
-        if p_z > 0 and random() < p_z:
-            length += rayleigh(cfg.sigma_z)
-        # Bit-identical to rng.uniform(0, 2 pi), which computes
-        # low + (high - low) * random() with low = 0, at a quarter of the cost.
-        theta = _TWO_PI * random()
-        dx, dy = math.cos(theta), math.sin(theta)
-        step = clamp_to_region(x, y, dx, dy, length, region)
-        if step > _MIN_SEGMENT:
-            # The clamp is exact up to rounding; snap the last few ulps so
-            # the waypoint is inside the closed region by construction.
-            return (
-                min(max(x + step * dx, region.x_min), region.x_max),
-                min(max(y + step * dy, region.y_min), region.y_max),
-            )
 
 
 def empirical_occupancy(

@@ -118,19 +118,11 @@ def xi_failure_factor(
 
 
 def lambda_star_array(tx: np.ndarray, ty: np.ndarray, alpha_ratio: float) -> np.ndarray:
-    """``lambda_star`` for many targets at ``(tx, ty)`` (serving-BS frames).
-
-    The power runs per element through Python's float ``**`` (C ``pow``):
-    NumPy's vectorised power differs from it by 1 ulp on some inputs, and
-    the circle field must equal the scalar path bit for bit.
-    """
+    """``lambda_star`` for many targets at ``(tx, ty)`` (serving-BS frames)."""
     r2 = tx * tx + ty * ty
     if np.any(r2 == 0.0):
         raise ValueError("target must not sit on the serving BS (origin)")
-    exponent = alpha_ratio - 1.0
-    if exponent == 0.0:
-        return np.ones(len(r2))  # v**0.0 is exactly 1.0
-    return np.array([v**exponent for v in r2.tolist()], dtype=float)
+    return r2 ** (alpha_ratio - 1.0)
 
 
 def lambda_star(target: np.ndarray, alpha_ratio: float) -> float:
@@ -181,17 +173,11 @@ class CircleArrays(NamedTuple):
     encloses_serving: np.ndarray
 
 
-def _offset_norm(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """``|X|`` of each target offset ``(tx, ty)``."""
-    # math.hypot per element: np.hypot differs from it by 1 ulp on some inputs.
-    return np.array([math.hypot(x, y) for x, y in zip(tx.tolist(), ty.tolist())], dtype=float)
-
-
 def erb_circle_arrays(
     tx: np.ndarray, ty: np.ndarray, norm: np.ndarray, xi: float, lam_star: np.ndarray
 ) -> CircleArrays:
     """The circular boundary approximation for targets at ``(tx, ty)``,
-    whose `_offset_norm` is ``norm``.
+    whose norm ``np.hypot(tx, ty)`` is ``norm``.
 
     ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|`` with
     ``u = lam_star * xi``.  This is the one implementation of the formula:
@@ -235,7 +221,7 @@ def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
         raise ValueError("target must not coincide with the serving BS")
     tx, ty = t[:1], t[1:2]
     return _first_circle(
-        erb_circle_arrays(tx, ty, _offset_norm(tx, ty), xi, np.full(1, lam_star))
+        erb_circle_arrays(tx, ty, np.hypot(tx, ty), xi, np.full(1, lam_star))
     )
 
 
@@ -273,7 +259,7 @@ def erb_pair_arrays(
     lam = lambda_star_array(
         tx, ty, serving.pathloss_exponent / target.pathloss_exponent
     )
-    norm = _offset_norm(tx, ty)
+    norm = np.hypot(tx, ty)
     return (
         xi,
         xi_f,

@@ -258,11 +258,8 @@ class _ServingMap:
                 continue
             tree, prefactor, alpha = entry
             d, idx = tree.query(xy)
-            # Per-point C pow, as in `radio.dl_rss` on one distance: NumPy's
-            # vectorised power differs from it by 1 ulp on some inputs.
-            rss = np.array(
-                [math.inf if v == 0.0 else prefactor * v ** (-alpha) for v in d.tolist()]
-            )
+            with np.errstate(divide="ignore"):  # d = 0 on a BS: rss = inf
+                rss = prefactor * d ** (-alpha)
             better = rss > best_rss
             best_rss[better] = rss[better]
             best_tier[better] = tier_pos
@@ -405,8 +402,7 @@ def _segments(paths) -> _Segments:
     y0 = np.concatenate([wp[:-1, 1] for wp in paths])
     dx = np.concatenate([wp[1:, 0] for wp in paths]) - x0
     dy = np.concatenate([wp[1:, 1] for wp in paths]) - y0
-    # math.hypot per segment: np.hypot differs from it by 1 ulp on some inputs.
-    length = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+    length = np.hypot(dx, dy)  # as `Trajectory.segment_lengths`
     if not np.all(length > 0.0):
         raise ValueError("segment endpoints must differ")
     return _Segments(x0, y0, dx / length, dy / length, length)

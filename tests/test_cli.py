@@ -463,8 +463,26 @@ ERROR_TEXT = {
 #: Messages that changed on purpose with the schema table: a quantity given in
 #: both units lists the parse error of each; parse errors within a section
 #: follow the section's key order; a non-positive small-cell density is named
-#: as such instead of through the densities derived from it.
+#: as such instead of through the densities derived from it.  A decibel key
+#: whose linear value overflows and a nan or infinite number are named with
+#: their section and key; they used to raise a bare ``OverflowError`` or load.
 CHANGED_ERROR_TEXT = {
+    'pathloss_db_overflows': (
+        '[macro]\npathloss_db_at_1km = -5000\n',
+        "invalid config:\n  [macro] pathloss_db_at_1km: '-5000' overflows in linear units",
+    ),
+    'q_out_db_overflows': (
+        '[thresholds]\nq_out_db = 5000\n',
+        "invalid config:\n  [thresholds] q_out_db: '5000' overflows in linear units",
+    ),
+    'deployment_non_finite': (
+        '[deployment]\nsigma_m = nan\nlambda_s_per_m2 = inf\n',
+        "invalid config:\n  [deployment] lambda_s_per_m2: must be finite, got 'inf'\n  [deployment] sigma_m: must be finite, got 'nan'",
+    ),
+    'sweep_values_non_finite': (
+        '[sweep]\naxis = sigma\nvalues = 50, -inf\n',
+        "invalid config:\n  [sweep] values: must be finite, got '50, -inf'",
+    ),
     'velocity_pair_both_bad': (
         '[mobility]\nvelocity_kmh = fast\nvelocity_mps = slow\n',
         "invalid config:\n  [mobility] keys ['velocity_kmh', 'velocity_mps'] are mutually exclusive; give one\n  [mobility] velocity_kmh: expected a number, got 'fast'\n  [mobility] velocity_mps: expected a number, got 'slow'",

@@ -12,7 +12,6 @@ from hetnet_handover.geometry import Region, partition_five
 from hetnet_handover.mobility import (
     MobilityConfig,
     Trajectory,
-    clamp_to_region,
     empirical_occupancy,
     generate_trajectory,
     mean_transition_length,
@@ -71,22 +70,57 @@ class TestTransitionLength:
         assert per_movement == pytest.approx(expected, rel=1e-12)
 
 
+class ScriptedDraws:
+    """A generator stand-in whose ``rayleigh`` and ``random`` return fixed
+    values in order, whatever the scale."""
+
+    def __init__(self, lengths, turns) -> None:
+        self.lengths = list(lengths)
+        self.turns = list(turns)
+
+    def rayleigh(self, scale):
+        return self.lengths.pop(0)
+
+    def random(self):
+        return self.turns.pop(0)
+
+
+def scripted_move(start, lengths, turns) -> tuple:
+    """``(segment length, end point, stub)`` of one move from ``start`` when
+    the walk draws the transition ``lengths`` and the direction ``turns``
+    (fractions of a full turn), one pair per attempt; ``p_z = 0``, so no
+    coin is drawn."""
+    draws = ScriptedDraws(lengths, turns)
+    traj = generate_trajectory(np.array(start), 1, REGION, _cfg(p_z=0.0), draws)
+    return float(traj.segment_lengths()[0]), traj.waypoints[1], draws
+
+
 class TestClamp:
+    """The slab clamp of a move, driven through ``generate_trajectory``."""
+
     def test_unobstructed_keeps_length(self):
-        assert clamp_to_region(2500.0, 2500.0, 1.0, 0.0, 100.0, REGION) == pytest.approx(100.0)
+        length, _, _ = scripted_move([2500.0, 2500.0], [100.0], [0.0])
+        assert length == pytest.approx(100.0)
 
     def test_wall_hit_truncates(self):
-        assert clamp_to_region(4900.0, 2500.0, 1.0, 0.0, 500.0, REGION) == pytest.approx(100.0)
+        length, end, _ = scripted_move([4900.0, 2500.0], [500.0], [0.0])
+        assert length == pytest.approx(100.0)
+        assert end[0] == 5000.0  # snapped onto the wall
 
     def test_diagonal_corner(self):
-        d = 1.0 / math.sqrt(2.0)
-        # x wall at 100/cos(45) ~ 141.42; y wall at 200/cos(45) ~ 282.84.
-        assert clamp_to_region(4900.0, 4800.0, d, d, 1e4, REGION) == pytest.approx(
-            100.0 * math.sqrt(2.0)
-        )
+        # A turn of 1/8 heads along the diagonal: x wall at 100/cos(45)
+        # ~ 141.42; y wall at 200/cos(45) ~ 282.84.
+        length, _, _ = scripted_move([4900.0, 4800.0], [1e4], [0.125])
+        assert length == pytest.approx(100.0 * math.sqrt(2.0))
 
     def test_not_shorter_than_needed(self):
-        assert clamp_to_region(0.0, 0.0, -1.0, 0.0, 50.0, REGION) == pytest.approx(0.0)
+        # From the corner (0, 0) heading in -x the clamped step is 0, so the
+        # move is redrawn: the waypoint comes from the second draw (50 m in
+        # +y), and both scripted draws are consumed.
+        length, end, draws = scripted_move([0.0, 0.0], [50.0, 50.0], [0.5, 0.25])
+        assert length == pytest.approx(50.0)
+        assert end == pytest.approx([0.0, 50.0])
+        assert draws.lengths == [] and draws.turns == []
 
 
 class TestNextWaypoint:

@@ -35,7 +35,7 @@ from hetnet_handover.geometry import (
     sample_ppp,
     sample_tcp,
 )
-from hetnet_handover.mobility import Trajectory
+from hetnet_handover.mobility import Trajectory, generate_trajectory
 from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
 from hetnet_handover.simengine import (
     EventCounts,
@@ -182,6 +182,18 @@ def test_crossing_segment_entirely_inside():
 def test_crossing_equal_endpoints_rejected():
     with pytest.raises(ValueError, match="endpoints"):
         se._segments([np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])])
+
+
+def test_segment_lengths_are_the_trajectory_lengths():
+    # The walk's clock and the exposure time measure legs with one routine.
+    cfg = reference_sim_config(0)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        wp = generate_trajectory(
+            cfg.region.sample_uniform(1, rng)[0], cfg.n_moves, cfg.region, cfg.mobility, rng
+        ).waypoints
+        lengths = Trajectory(wp, velocity=1.0, pause=0.0).segment_lengths()
+        assert se._segments([wp]).length.tobytes() == lengths.tobytes()
 
 
 def test_chord_matches_point_sampling():
@@ -874,12 +886,51 @@ _REFERENCE_SEED0_TRIALS = (
 @pytest.mark.parametrize("index", range(3))
 def test_run_trial_reproduces_recorded_reference_counts(index):
     exposure, *per_kind = _REFERENCE_SEED0_TRIALS[index]
+    assert run_trial(reference_sim_config(0), index) == pinned_counts(exposure, per_kind)
+
+
+def dense_config() -> SimConfig:
+    """Default ratios at lambda_S = 1e-4 on a 10 km square, seed 0: ~20 000
+    circle pairs and ~2 500 strongest-RSS queries per trial."""
+    return SimConfig.with_default_ratios(
+        region=Region(0.0, 10_000.0, 0.0, 10_000.0),
+        macro=default_macro_params(),
+        small=default_small_params(),
+        hotspot=default_hotspot_params(),
+        lambda_s=1e-4,
+        sigma=150.0,
+        mobility=default_mobility(),
+        thresholds=default_thresholds(),
+        master_seed=0,
+    )
+
+
+#: ``run_trial(dense_config(), i)`` for i = 0, 1 (exposure as ``float.hex``),
+#: recorded while the serving map and the leg lengths still ran per element
+#: through C ``pow`` and ``math.hypot``.
+_DENSE_SEED0_TRIALS = (
+    ("0x1.0416400350c9dp+15", (1805, 1542, 1463, 551, 1346), (11175, 11167, 722, 2, 722),
+     (891, 781, 737, 92, 689)),
+    ("0x1.0570bff01d3d2p+15", (1727, 1470, 1412, 573, 1307), (11596, 11586, 747, 4, 747),
+     (961, 815, 793, 106, 733)),
+)
+
+
+def pinned_counts(exposure: float, per_kind) -> EventCounts:
     expected = EventCounts(exposure_time=exposure)
     for kind, (trig, hand, fail, ping, overlap) in zip(se._KIND_ORDER, per_kind):
         expected.pairs[kind] = PairCounts(
             triggered=trig, handovers=hand, failures=fail, pingpongs=ping, overlap=overlap
         )
-    assert run_trial(reference_sim_config(0), index) == expected
+    return expected
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_run_trial_reproduces_recorded_dense_counts(index):
+    exposure, *per_kind = _DENSE_SEED0_TRIALS[index]
+    got = run_trial(dense_config(), index)
+    assert got.exposure_time.hex() == exposure
+    assert got == pinned_counts(float.fromhex(exposure), per_kind)
 
 
 def sampled_deployment(cfg: SimConfig, trial_index: int) -> tuple:
