@@ -301,6 +301,32 @@ def movement_time_per_meter(mobility: MobilityConfig) -> float:
     return 1.0 / mobility.velocity + mobility.pause / mean_transition_length(mobility)
 
 
+def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
+    """``P(S >= t | u)`` for each ``(t, u)`` of ``tails``; see
+    :func:`prob_sojourn_ge`.  The Marcum tails of a hotspot pair share ``a``
+    and are taken in one :func:`marcum_q1` call."""
+    if velocity <= 0:
+        raise ValueError(f"velocity must be positive, got {velocity}")
+    for t, u in tails:
+        if t < 0:
+            raise ValueError(f"t_threshold must be >= 0, got {t}")
+        if not (0.0 < u < 1.0):
+            raise ValueError(f"lam_star * xi must lie in (0, 1), got {u}")
+    if lam <= 0 or sigma <= 0:
+        raise ValueError("lam and sigma must be positive")
+    if pair is PairKind.SM:
+        q = tuple(
+            math.exp(-4.0 * lam * velocity**2 * t**2 * (1.0 - u) ** 2 / (math.pi * u))
+            for t, u in tails
+        )
+    else:
+        a = 1.0 / (2.0 * sigma * math.sqrt(lam))
+        q = marcum_q1(a, tuple(
+            2.0 * t * velocity * (1.0 - u) / (math.pi * sigma * math.sqrt(u)) for t, u in tails
+        ))
+    return tuple(1.0 if t == 0.0 else q_k for (t, _u), q_k in zip(tails, q))
+
+
 def prob_sojourn_ge(
     pair: PairKind,
     t_threshold: float,
@@ -320,31 +346,9 @@ def prob_sojourn_ge(
         SM      :  exp(-4 lam V^2 T^2 (1-u)^2 / (pi u))
         SPS, SPM:  Q1( 1/(2 sigma sqrt(lam)), 2 T V (1-u) / (pi sigma sqrt(u)) )
 
-    with ``u = lam_xi``.
+    with ``u = lam_xi``; ``T = 0`` gives exactly 1.
     """
-    if t_threshold < 0:
-        raise ValueError(f"t_threshold must be >= 0, got {t_threshold}")
-    if velocity <= 0:
-        raise ValueError(f"velocity must be positive, got {velocity}")
-    if not (0.0 < lam_xi < 1.0):
-        raise ValueError(f"lam_star * xi must lie in (0, 1), got {lam_xi}")
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    if t_threshold == 0.0:
-        return 1.0
-    if pair is PairKind.SM:
-        expo = (
-            4.0
-            * lam
-            * velocity**2
-            * t_threshold**2
-            * (1.0 - lam_xi) ** 2
-            / (math.pi * lam_xi)
-        )
-        return math.exp(-expo)
-    a = 1.0 / (2.0 * sigma * math.sqrt(lam))
-    b = 2.0 * t_threshold * velocity * (1.0 - lam_xi) / (math.pi * sigma * math.sqrt(lam_xi))
-    return float(marcum_q1(a, b))
+    return _sojourn_tails(pair, ((t_threshold, lam_xi),), velocity, lam, sigma)[0]
 
 
 def compute_metrics(
@@ -364,7 +368,8 @@ def compute_metrics(
     ``lam`` is the serving-tier density and ``sigma`` the hotspot scatter.
     With ``u = erb.lam_xi``, ``u_f = erb.lam_xi_f`` and the sojourn tail
     ``P(S >= t | u)`` of :func:`prob_sojourn_ge`, each factor is evaluated
-    once:
+    once, and a hotspot pair's three Marcum-Q tails in one
+    :func:`marcum_q1` call that shares their Poisson(x) series:
 
         H_t = (2 / A) g(u) N E[R] / (1/V + pause/E[L'])
         H   = H_t P(S >= T | u)
@@ -395,10 +400,10 @@ def compute_metrics(
         * mean_distance
         / movement_time_per_meter(mobility)
     )
-    v = mobility.velocity
-    p_t = prob_sojourn_ge(pair, thresholds.t_threshold, v, u, lam, sigma)
-    p_t_f = prob_sojourn_ge(pair, thresholds.t_threshold, v, u_f, lam, sigma)
-    p_tp_f = prob_sojourn_ge(pair, thresholds.t_pingpong, v, u_f, lam, sigma)
+    t, t_p = thresholds.t_threshold, thresholds.t_pingpong
+    p_t, p_t_f, p_tp_f = _sojourn_tails(
+        pair, ((t, u), (t, u_f), (t_p, u_f)), mobility.velocity, lam, sigma
+    )
     bracket = p_t - p_tp_f
     if bracket < 0.0:
         diagnostics.record(bracket)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,12 @@ DEGENERACY_TOL = 1e-12
 
 class DegenerateBoundaryError(ValueError):
     """The equal-RSS locus is a straight line, not a circle (lam * xi == 1)."""
+
+
+_DEGENERATE_MESSAGE = (
+    "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
+    "no circular approximation exists"
+)
 
 
 def db_to_linear(db: float) -> float:
@@ -181,26 +188,31 @@ def erb_circle_arrays(
 
     ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|`` with
     ``u = lam_star * xi``.  This is the one implementation of the formula:
-    the scalar :func:`erb_circle` and :func:`make_erb_pair` call it too.
+    the scalar :func:`erb_circle`, which builds the circles of :class:`ErbPair`,
+    calls it too.
     """
     u = lam_star * xi
     denom = 1.0 - u
+    degenerate, encloses_serving = _boundary_flags(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         return CircleArrays(
             cx=tx / denom,
             cy=ty / denom,
             radius=np.sqrt(u) * norm / np.abs(denom),
-            degenerate=np.abs(denom) < DEGENERACY_TOL,
-            encloses_serving=u > 1.0,
+            degenerate=degenerate,
+            encloses_serving=encloses_serving,
         )
+
+
+def _boundary_flags(u):
+    """``(degenerate, encloses_serving)`` of the boundary with
+    ``u = lam_star * xi``, for Python floats and NumPy arrays alike."""
+    return abs(1.0 - u) < DEGENERACY_TOL, u > 1.0
 
 
 def _first_circle(circles: CircleArrays) -> Circle:
     if circles.degenerate[0]:
-        raise DegenerateBoundaryError(
-            "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
-            "no circular approximation exists"
-        )
+        raise DegenerateBoundaryError(_DEGENERATE_MESSAGE)
     return Circle(
         center=np.array([circles.cx[0], circles.cy[0]]),
         radius=float(circles.radius[0]),
@@ -227,14 +239,20 @@ def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
 
 @dataclass(frozen=True)
 class ErbPair:
-    """Both boundary circles plus the scalar factors for one (serving, target) pair."""
+    """Both boundary circles plus the scalar factors for one (serving, target) pair.
+
+    The factors are Python floats.  The circles are built from ``target``
+    (the target-BS position in the serving-BS frame, m) when first read; the
+    closed forms read only the factors and ``encloses_serving``, the
+    orientation of the handover circle.
+    """
 
     xi: float
     xi_f: float
     lam_star: float
-    handover_circle: Circle
-    failure_circle: Circle
     q_out: float  # linear ratio
+    target: tuple[float, float]
+    encloses_serving: bool
 
     @property
     def lam_xi(self) -> float:
@@ -243,6 +261,14 @@ class ErbPair:
     @property
     def lam_xi_f(self) -> float:
         return self.lam_star * self.xi_f
+
+    @cached_property
+    def handover_circle(self) -> Circle:
+        return erb_circle(np.array(self.target), self.xi, self.lam_star)
+
+    @cached_property
+    def failure_circle(self) -> Circle:
+        return erb_circle(np.array(self.target), self.xi_f, self.lam_star)
 
 
 def erb_pair_arrays(
@@ -276,16 +302,25 @@ def make_erb_pair(
     q_out_linear: float,
 ) -> ErbPair:
     """Build handover and failure circles for a target BS at ``target_position``
-    (serving-BS frame)."""
+    (serving-BS frame).
+
+    Raises :class:`DegenerateBoundaryError` when either boundary is a
+    bisector.  Everything but ``lam_star`` is computed in Python floats:
+    ``lam_star`` keeps the NumPy array power of :func:`lambda_star_array`,
+    which the simulator's circles use too.
+    """
     t = np.asarray(target_position, dtype=float)
-    xi, xi_f, lam, handover, failure = erb_pair_arrays(
-        serving, target, t[:1], t[1:2], q_out_linear
-    )
+    xi = xi_factor(serving, target)
+    xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
+    lam = lambda_star(t, serving.pathloss_exponent / target.pathloss_exponent)
+    degenerate, encloses_serving = _boundary_flags(lam * xi)
+    if degenerate or _boundary_flags(lam * xi_f)[0]:
+        raise DegenerateBoundaryError(_DEGENERATE_MESSAGE)
     return ErbPair(
         xi=xi,
         xi_f=xi_f,
-        lam_star=float(lam[0]),
-        handover_circle=_first_circle(handover),
-        failure_circle=_first_circle(failure),
+        lam_star=lam,
         q_out=q_out_linear,
+        target=(float(t[0]), float(t[1])),
+        encloses_serving=encloses_serving,
     )

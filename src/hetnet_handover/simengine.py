@@ -832,7 +832,7 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
         )
     except DegenerateBoundaryError as exc:
         raise DegenerateBoundaryError(_pair_domain_message(kind, str(exc))) from exc
-    if erb.handover_circle.encloses_serving:
+    if erb.encloses_serving:
         # q_out < 1 puts the failure circle inside the handover circle, so
         # this one check covers both.
         raise ValueError(_pair_domain_message(

@@ -7,10 +7,12 @@ approximation) and the first-order Marcum Q function.
 ``marcum_q1`` is implemented from scratch as the canonical Poisson-mixture
 series so that the adaptive-quadrature route (``marcum_q1_quadrature``) stays
 an independent cross-check rather than a re-statement of the implementation.
-One recurrence serves every input: scalars run it in Python floats (the
-closed forms make thousands of scalar calls), arrays run it vectorised, and
-large arguments sum only the window of indices where the Poisson mixture
-has its mass, so the function is defined for every finite ``a, b >= 0``.
+One recurrence serves every input: it carries three lanes of ``b`` that
+share the Poisson(x) series of ``a``.  Scalars and tuples of ``b`` run it in
+Python floats (the closed forms take a hotspot pair's three tails in one
+call), arrays run it vectorised, and large arguments sum only the window of
+indices where the Poisson mixture has its mass, so the function is defined
+for every finite ``a, b >= 0``.
 """
 
 from __future__ import annotations
@@ -144,37 +146,60 @@ _NEGLIGIBLE_GAP = math.sqrt(-2.0 * math.log(_SERIES_TOL))
 _WINDOW_SIGMAS = 10.0
 
 
-def _mixture_sum(x, y, j, j_max, pois, term_b, cdf_b, converged):
-    """Sum ``pmf_x(i) * P[Poisson(y) <= i]`` for ``i`` from ``j`` to at most ``j_max``.
+def _mixture_sums(x, ys, j, j_maxes, pois, term_bs, cdf_bs, converged):
+    """Sum ``pmf_x(i) * P[Poisson(y_k) <= i]`` for ``i`` from ``j`` to at most
+    ``j_maxes[k]``, for three lanes ``k`` that share ``x``.
 
-    ``pois``, ``term_b`` and ``cdf_b`` are the Poisson(x) pmf, the Poisson(y)
-    pmf and the Poisson(y) cdf at index ``j``.  The recurrence is written once
-    for Python floats and NumPy arrays alike; ``converged`` is called on the
-    Poisson(x) mass accumulated so far and ends the sum early.
+    ``pois`` is the Poisson(x) pmf at ``j``; ``term_bs`` and ``cdf_bs`` hold
+    each lane's Poisson(y_k) pmf and cdf there.  The lanes share the Poisson(x)
+    recurrence, its running mass and its stopping point, and are unrolled: a
+    loop over a list of lanes is slower than three separate sums.  The
+    recurrence is written once for Python floats and NumPy arrays alike.
+    ``converged(pois, pois_cum)`` ends every lane; otherwise the loop runs to
+    the smallest ``j_max``, records the lanes that end there and resumes from
+    its state up to the next; ``None`` runs every lane to its ``j_max``.
     """
-    q = pois * cdf_b
+    y1, y2, y3 = ys
+    t1, t2, t3 = term_bs
+    c1, c2, c3 = cdf_bs
+    q1, q2, q3 = pois * c1, pois * c2, pois * c3
     pois_cum = pois
-    for i in range(j + 1, j_max + 1):
-        pois = pois * x / i
-        term_b = term_b * y / i
-        cdf_b = cdf_b + term_b
-        q = q + pois * cdf_b
-        pois_cum = pois_cum + pois
-        if converged(pois_cum):
+    sums = [None, None, None]
+    i = j
+    for stop in sorted(set(j_maxes)):
+        done = False
+        for i in range(i + 1, stop + 1):
+            pois = pois * x / i
+            t1 = t1 * y1 / i
+            c1 = c1 + t1
+            q1 = q1 + pois * c1
+            t2 = t2 * y2 / i
+            c2 = c2 + t2
+            q2 = q2 + pois * c2
+            t3 = t3 * y3 / i
+            c3 = c3 + t3
+            q3 = q3 + pois * c3
+            pois_cum = pois_cum + pois
+            if converged is not None and converged(pois, pois_cum):
+                done = True
+                break
+        for k, q in enumerate((q1, q2, q3)):
+            if sums[k] is None and (done or j_maxes[k] == stop):
+                sums[k] = q
+        if done:
             break
-    return q
+    return sums
 
 
-def _float_converged(pois_cum: float) -> bool:
-    return 1.0 - pois_cum < _SERIES_TOL
+def _float_converged(pois: float, pois_cum: float) -> bool:
+    # Once the pmf has underflowed to 0 every later term adds exactly 0, so
+    # stopping there changes no bit.  It ends the sums whose unaccumulated
+    # mass stalls above the tolerance from rounding.
+    return pois == 0.0 or 1.0 - pois_cum < _SERIES_TOL
 
 
-def _array_converged(pois_cum: np.ndarray) -> bool:
-    return bool(np.all(1.0 - pois_cum < _SERIES_TOL))
-
-
-def _never_converged(_pois_cum: float) -> bool:
-    return False
+def _array_converged(pois: np.ndarray, pois_cum: np.ndarray) -> bool:
+    return bool(np.all(1.0 - pois_cum < _SERIES_TOL)) or not pois.any()
 
 
 def _log_poisson_pmf(j: int, mean: float) -> float:
@@ -194,24 +219,6 @@ def _log_poisson_pmf(j: int, mean: float) -> float:
     return -bd0 - 0.5 * math.log(2.0 * math.pi * j) - stirlerr
 
 
-def _marcum_q1_windowed(x: float, y: float) -> float:
-    """The Poisson mixture over the window where Poisson(x) has its mass.
-
-    The sum starts at ``j0 = floor(x - 10 sqrt(x))`` with both pmfs from
-    :func:`_log_poisson_pmf` and ``P[Poisson(y) <= j0]`` from the regularized
-    upper incomplete gamma function, then runs the series recurrence up to
-    ``x + 10 sqrt(x) + 25``: O(sqrt(x)) terms.  Callers route here only with
-    ``x > 400``, so ``j0 >= 200``.
-    """
-    half_width = _WINDOW_SIGMAS * math.sqrt(x)
-    j0 = math.floor(x - half_width)
-    j_end = math.ceil(x + half_width + 25.0)
-    pois = math.exp(_log_poisson_pmf(j0, x))
-    term_b = math.exp(_log_poisson_pmf(j0, y)) if y > 0.0 else 0.0
-    cdf_b = float(_sp.gammaincc(j0 + 1, y))
-    return _mixture_sum(x, y, j0, j_end, pois, term_b, cdf_b, _never_converged)
-
-
 def _needs_window(a, b, x, y):
     """Where the j = 0 series would start from a subnormal or zero pmf and
     ``Q1`` is not negligible; elementwise on arrays."""
@@ -223,18 +230,51 @@ def _series_j_max(m: float) -> int:
     return math.ceil(m + 8.0 * math.sqrt(m) + 25)
 
 
-def _marcum_q1_scalar(a: float, b: float) -> float:
+def _marcum_q1_lanes(a: float, bs: tuple, windowed: bool) -> list:
+    """``Q1(a, b)`` for up to three ``b`` of one route, in one shared recurrence.
+
+    Fewer than three ``b`` are padded by repeating the last; each lane's bits
+    equal those of a call with that ``b`` alone.  The windowed route sums the
+    window where Poisson(x) has its mass: it starts at
+    ``j0 = floor(x - 10 sqrt(x))`` with both pmfs from
+    :func:`_log_poisson_pmf` and ``P[Poisson(y) <= j0]`` from the regularized
+    upper incomplete gamma function, and runs up to ``x + 10 sqrt(x) + 25``:
+    O(sqrt(x)) terms.  It is taken only with ``x > 400``, so ``j0 >= 200``.
+    """
     x = a * a / 2.0  # Poisson mean of the mixture index
-    y = b * b / 2.0
-    if _needs_window(a, b, x, y):
-        q = _marcum_q1_windowed(x, y)
+    ys = [b * b / 2.0 for b in bs + bs[-1:] * (3 - len(bs))]
+    if windowed:
+        half_width = _WINDOW_SIGMAS * math.sqrt(x)
+        j0 = math.floor(x - half_width)
+        j_end = math.ceil(x + half_width + 25.0)
+        pois = math.exp(_log_poisson_pmf(j0, x))
+        term_bs = [math.exp(_log_poisson_pmf(j0, y)) if y > 0.0 else 0.0 for y in ys]
+        cdf_bs = [float(_sp.gammaincc(j0 + 1, y)) for y in ys]
+        sums = _mixture_sums(x, ys, j0, (j_end,) * 3, pois, term_bs, cdf_bs, None)
     else:
         # NumPy's exp, not math.exp: the two may differ in the last ulp, and
         # this route is bit-identical to the array route on one element.
         pois = float(np.exp(-x))
-        term_b = float(np.exp(-y))
-        q = _mixture_sum(x, y, 0, _series_j_max(max(x, y)), pois, term_b, term_b, _float_converged)
-    return min(max(q, 0.0), 1.0)
+        term_bs = [float(np.exp(-y)) for y in ys]
+        j_maxes = [_series_j_max(max(x, y)) for y in ys]
+        sums = _mixture_sums(x, ys, 0, j_maxes, pois, term_bs, term_bs, _float_converged)
+    return [min(max(q, 0.0), 1.0) for q in sums[: len(bs)]]
+
+
+def _marcum_q1_floats(a: float, bs: tuple) -> tuple:
+    """``Q1(a, b)`` for every ``b`` of ``bs``: three at a time when they take
+    the same route, one at a time otherwise."""
+    x = a * a / 2.0
+    out = []
+    for k in range(0, len(bs), 3):
+        chunk = bs[k : k + 3]
+        routes = [_needs_window(a, b, x, b * b / 2.0) for b in chunk]
+        if all(r == routes[0] for r in routes):
+            out += _marcum_q1_lanes(a, chunk, routes[0])
+        else:
+            for b, windowed in zip(chunk, routes):
+                out += _marcum_q1_lanes(a, (b,), windowed)
+    return tuple(out)
 
 
 def marcum_q1(a, b):
@@ -261,16 +301,28 @@ def marcum_q1(a, b):
       against ``scipy.stats.ncx2.sf`` and a 50-digit ``mpmath`` series up
       to ``a = 400``).
 
-    Scalar ``a`` and ``b`` run in Python floats and return a float.  Arrays
-    broadcast against each other and run one vectorised series from j = 0,
-    stopped when every element has converged; if any element needs the
-    windowed route, every element is evaluated as a scalar instead.
+    The series also stops once the Poisson(x) pmf has underflowed to 0,
+    after which every term adds exactly 0: where rounding stalls the
+    unaccumulated mass above 1e-15, it would otherwise run to ``j_max``,
+    which grows like ``b^2``.
+
+    Scalar ``a`` and ``b`` run in Python floats and return a float.  A
+    scalar ``a`` with a tuple of ``b`` returns a tuple: up to three ``b`` of
+    one route share one Poisson(x) recurrence, and each element is
+    bit-identical to the call with that ``b`` alone (the closed forms take
+    a hotspot pair's three sojourn tails this way).  Arrays broadcast
+    against each other and run one vectorised series from j = 0, stopped
+    when every element has converged; if any element needs the windowed
+    route, every element is evaluated in Python floats instead, as the
+    tuple of its ``b`` with its ``a``.
     """
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        a, b = float(a), float(b)
-        if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+    if np.ndim(a) == 0 and (isinstance(b, tuple) or np.ndim(b) == 0):
+        bs = tuple(map(float, b)) if isinstance(b, tuple) else (float(b),)
+        a = float(a)
+        if not (0.0 <= a < math.inf and all(0.0 <= b_k < math.inf for b_k in bs)):
             raise ValueError("marcum_q1 requires finite a >= 0 and b >= 0")
-        return _marcum_q1_scalar(a, b)
+        out = _marcum_q1_floats(a, bs)
+        return out if isinstance(b, tuple) else out[0]
     a_b, b_b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a_b.shape
     a_flat, b_flat = a_b.ravel(), b_b.ravel()
@@ -279,12 +331,20 @@ def marcum_q1(a, b):
     x = a_flat**2 / 2.0
     y = b_flat**2 / 2.0
     if np.any(_needs_window(a_flat, b_flat, x, y)):
-        out = [_marcum_q1_scalar(ai, bi) for ai, bi in zip(a_flat.tolist(), b_flat.tolist())]
-        return np.array(out).reshape(shape)
+        # Elements with one ``a`` share lanes, three ``b`` at a time.
+        out = np.empty(a_flat.size)
+        for a_k in np.unique(a_flat).tolist():
+            at = np.flatnonzero(a_flat == a_k)
+            out[at] = _marcum_q1_floats(a_k, tuple(b_flat[at].tolist()))
+        return out.reshape(shape)
     pois = np.exp(-x)
     term_b = np.exp(-y)
     j_max = _series_j_max(max(x.max(), y.max()))
-    q = _mixture_sum(x, y, 0, j_max, pois, term_b, term_b, _array_converged)
+    # Lanes two and three are float placeholders that no caller reads.
+    q = _mixture_sums(
+        x, (y, 0.0, 0.0), 0, (j_max,) * 3, pois, (term_b, 0.0, 0.0), (term_b, 0.0, 0.0),
+        _array_converged,
+    )[0]
     return np.clip(q.reshape(shape), 0.0, 1.0)
 
 

@@ -358,8 +358,8 @@ class TestRates:
     def test_pingpong_roundoff_clamp_records_without_warning(self, monkeypatch):
         # Tails P(S >= T | u) = 0.5 and P(S >= T_p | u_f) one ulp above it:
         # the bracket is -1.1e-16, roundoff rather than a real event.
-        tails = iter((0.5, 0.25, math.nextafter(0.5, 1.0)))
-        monkeypatch.setattr(analytics, "marcum_q1", lambda a, b: next(tails))
+        tails = (0.5, 0.25, math.nextafter(0.5, 1.0))
+        monkeypatch.setattr(analytics, "marcum_q1", lambda a, bs: tails)
         diag = ClampDiagnostics()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -395,18 +395,21 @@ class TestRates:
                 compute_metrics(*args[:pos], bad, *args[pos + 1:])
 
     def test_each_marcum_tail_evaluated_once(self, monkeypatch):
-        # P(S >= T | u), P(S >= T | u_f) and P(S >= T_p | u_f): three
-        # Marcum-Q evaluations per hotspot pair, none for the Rayleigh pair.
+        # P(S >= T | u), P(S >= T | u_f) and P(S >= T_p | u_f): one Marcum-Q
+        # call with three distinct b per hotspot pair, none for the Rayleigh
+        # pair.
         calls = []
 
-        def counting(a, b):
-            calls.append((a, b))
-            return marcum_q1(a, b)
+        def counting(a, bs):
+            calls.append((a, bs))
+            return marcum_q1(a, bs)
 
         monkeypatch.setattr(analytics, "marcum_q1", counting)
         _sps_metrics()
-        assert len(calls) == 3
-        assert len(set(calls)) == 3
+        assert len(calls) == 1
+        _a, bs = calls[0]
+        assert len(bs) == 3
+        assert len(set(bs)) == 3
         calls.clear()
         sm_erb = make_erb_pair(
             default_macro_params(), default_small_params(),
@@ -446,6 +449,74 @@ class TestRates:
         assert double.failure_rate == single.failure_rate
 
 
+#: float.hex of ``analytic_metrics`` at every 42nd point of the 504-point
+#: envelope grid (lambda_S, sigma, V km/h, T, T_p), recorded before the
+#: hotspot tails shared one Marcum-Q call: per point the SM, SpS and SpM
+#: rows of (H_t, H, H_f, H_p).
+ENVELOPE_PIN = (
+    ((1e-06, 5.0, 5.0, 0.5, 2.0), (
+        "0x1.1b2e07246c22fp-11", "0x1.1b2dbde3bf1f0p-11", "0x1.414845d428d39p-18", "0x1.9cb9c9b6da5bbp-25",
+        "0x1.d1c5f6fe1225ap-11", "0x1.d1c5f6fe1225ap-11", "0x0.0p+0", "0x0.0p+0",
+        "0x1.8191b297c9865p-13", "0x1.8191b297c9865p-13", "0x0.0p+0", "0x0.0p+0",
+    )),
+    ((1e-06, 100.0, 120.0, 0.5, 2.0), (
+        "0x1.414309595716fp-7", "0x1.408843ea841d2p-7", "0x1.68d701926e9b1p-9", "0x1.002c8f81d1da3p-11",
+        "0x1.105b92e251464p-6", "0x1.105b92a8447c6p-6", "0x1.5a00b7528d78bp-26", "0x1.faa29a6c61413p-27",
+        "0x1.b6d2bf03a44f0p-9", "0x1.b6d2bf03a44e9p-9", "0x1.a734b9aacdf92p-51", "0x0.0p+0",
+    )),
+    ((2e-06, 20.0, 60.0, 0.5, 2.0), (
+        "0x1.01fc3ecc5e7ddp-7", "0x1.01afe2b166798p-7", "0x1.6f7cb22d0629cp-10", "0x1.a85fd71029e39p-13",
+        "0x1.ad1b4d1991eadp-7", "0x1.ad1b4d1991ea4p-7", "0x1.74fe7d99d67e5p-51", "0x0.0p+0",
+        "0x1.5f66ad095baacp-9", "0x1.5f66ad095ba5cp-9", "0x1.7f8b8c3448df6p-47", "0x0.0p+0",
+    )),
+    ((5e-06, 5.0, 5.0, 0.5, 2.0), (
+        "0x1.363be602cd584p-10", "0x1.363a441c58cf4p-10", "0x1.a22eb2a1eedecp-16", "0x1.2625d6f8e275ap-21",
+        "0x1.0474fb952e52fp-9", "0x1.0474fb952e498p-9", "0x1.7f5ae4a538e56p-46", "0x0.0p+0",
+        "0x1.a68d63b96b874p-12", "0x1.a68d63b96b874p-12", "0x0.0p+0", "0x0.0p+0",
+    )),
+    ((5e-06, 100.0, 120.0, 0.5, 2.0), (
+        "0x1.5ff44c9ed0113p-6", "0x1.5bcfdab76b1abp-6", "0x1.d263f296e4a6fp-7", "0x1.45b92d0af8b3dp-8",
+        "0x1.52997d51de860p-5", "0x1.5281a25a928c7p-5", "0x1.bf2d04c8ffd24p-12", "0x1.e46763a620304p-12",
+        "0x1.e70442df62adcp-8", "0x1.e70442d446dd5p-8", "0x1.96769dcc76713p-28", "0x1.3e51230f1d128p-10",
+    )),
+    ((1e-05, 20.0, 60.0, 0.5, 2.0), (
+        "0x1.1aa2a7e12f0fap-6", "0x1.18f016ae0b26ap-6", "0x1.dc9d1237f056fp-8", "0x1.1d31dad7cbbe2p-9",
+        "0x1.e487ecf604ee4p-6", "0x1.e487ecf604ed5p-6", "0x1.4b8ce16c4ce21p-49", "0x1.86992f1ee7439p-43",
+        "0x1.817e209b86b1dp-8", "0x1.817e209b86b16p-8", "0x1.3d71a03345958p-50", "0x1.817e209b86b1dp-60",
+    )),
+    ((2e-05, 5.0, 5.0, 0.5, 2.0), (
+        "0x1.30daeae7fc3a7p-9", "0x1.30d445dde14cep-9", "0x1.b0fb35f00d771p-14", "0x1.2b00e44cb42aap-18",
+        "0x1.04c36d4aedb46p-8", "0x1.04c36d4aedb41p-8", "0x1.f153522273532p-51", "0x0.0p+0",
+        "0x1.9f62911f7f148p-11", "0x1.9f62911f7f148p-11", "0x0.0p+0", "0x0.0p+0",
+    )),
+    ((2e-05, 100.0, 120.0, 0.5, 2.0), (
+        "0x1.59da244d93c6dp-5", "0x1.494cad2e41ab5p-5", "0x1.d5fcdecfced83p-5", "0x1.b85e112cb4f44p-6",
+        "0x1.bbb43394904f9p-4", "0x1.bae8ff0bbbc95p-4", "0x1.69c9c51519f2dp-9", "0x1.cc88fdfef58e7p-8",
+        "0x1.f4a2796392c11p-7", "0x1.f14c564511127p-7", "0x1.891b5be35bc62p-7", "0x1.ef219398384bbp-7",
+    )),
+    ((5e-05, 20.0, 60.0, 0.5, 2.0), (
+        "0x1.35a5d3d2cc07cp-5", "0x1.2c15d7060f8a1p-5", "0x1.30786e616bb2fp-5", "0x1.300454c4d5638p-6",
+        "0x1.1bd4e70863cb8p-4", "0x1.1bd1ced8cea66p-4", "0x1.286b4c8a132a8p-14", "0x1.b3c6e8a7837a0p-12",
+        "0x1.a8a07deb3f77bp-7", "0x1.a8a07deb3f771p-7", "0x1.2a0a97b0a14c2p-43", "0x1.a8a04f303be26p-7",
+    )),
+    ((0.0001, 5.0, 5.0, 0.5, 2.0), (
+        "0x1.4dfe8d91208b6p-8", "0x1.4dd8a7593be57p-8", "0x1.19b1bc2fc72d5p-11", "0x1.a8697e7633781p-15",
+        "0x1.255cdb7198335p-7", "0x1.255cdb7198331p-7", "0x1.221b453ec345dp-51", "0x0.0p+0",
+        "0x1.c783ef53cc861p-10", "0x1.c783ef53cc856p-10", "0x1.a74ed9696e026p-51", "0x0.0p+0",
+    )),
+    ((0.0001, 100.0, 120.0, 0.5, 2.0), (
+        "0x1.7ae8f33ee97dep-4", "0x1.2583ca8d038c0p-4", "0x1.0850e18b3fbb1p-2", "0x1.24947beec8899p-4",
+        "0x1.bd9a5d2843444p-2", "0x1.bc4a2ea33d9f6p-2", "0x1.29a6a47427deep-8", "0x1.71538a4d62bfdp-5",
+        "0x1.4b7394b5df856p-5", "0x1.ecba3e1b7f5c8p-6", "0x1.387d8ce79e869p-2", "0x1.ecb9f0682f586p-6",
+    )),
+    ((0.0004, 20.0, 60.0, 0.5, 2.0), (
+        "0x1.aa96c5e855c22p-4", "0x1.4776c8ae2a813p-4", "0x1.0ffa41df06baap-2", "0x1.469cbacfe10bap-4",
+        "0x1.0be0013a3b6e4p-2", "0x1.095145043df64p-2", "0x1.e18e3b244cbd8p-7", "0x1.53b798c9fd94ep-4",
+        "0x1.315d186a6aa9bp-5", "0x1.d4a9b98d5b2bep-6", "0x1.a2cbd60838081p-2", "0x1.d4a9b98d5b2bep-6",
+    )),
+)
+
+
 class TestEnvelope:
     """The closed forms over the documented envelope: lambda_S in [1e-6, 4e-4],
     sigma in [5, 250] m, V in [5, 120] km/h, T in [0.5, 2] s, T_p in [2, 8] s,
@@ -476,3 +547,15 @@ class TestEnvelope:
             values = (m.triggered_rate, m.handover_rate, m.failure_rate, m.pingpong_rate)
             assert all(math.isfinite(v) for v in values), m
             dataclasses.replace(m)  # re-runs the HandoverMetrics invariants
+
+    def test_metrics_bits_pinned(self):
+        for point, rows in ENVELOPE_PIN:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # real ping-pong clamps
+                metrics = analytic_metrics(_envelope_config(*point))
+            got = tuple(
+                v.hex()
+                for kind in (PairKind.SM, PairKind.SPS, PairKind.SPM)
+                for v in dataclasses.astuple(metrics[kind])[1:]
+            )
+            assert got == rows, point

@@ -1181,6 +1181,52 @@ def test_analytic_metrics_match_pinned_reference():
     assert rate == pytest.approx(pinned, rel=1e-12)
 
 
+#: Refusals of ``analytic_pair_metrics``, recorded before the boundary
+#: factors moved to Python floats: the hotspot tier at the small-cell power
+#: (SpS bisector), the hotspot tier with the macro radio (SpS circle around
+#: the serving BS, SpM bisector) and a 90 dBm small tier (SM circle around
+#: the serving BS).
+DOMAIN_ERROR_PIN = (
+    ("small_power_hotspot", PairKind.SPS, DegenerateBoundaryError,
+     "SpS pair, tiers [hotspot] and [small]: equal-RSS boundary is a perpendicular bisector "
+     "(lam*xi == 1); no circular approximation exists; keep the biased RSS of [hotspot] below "
+     "that of [small] by changing tx_power_dbm, antenna_gain_dbi, bias_db or the path loss in "
+     "[hotspot] or [small]"),
+    ("macro_radio_hotspot", PairKind.SPS, ValueError,
+     "SpS pair, tiers [hotspot] and [small]: the handover circle at the mean pair distance "
+     "encloses the serving BS (lam_star * xi = 65.89222183907846 > 1); keep the biased RSS of "
+     "[hotspot] below that of [small] by changing tx_power_dbm, antenna_gain_dbi, bias_db or "
+     "the path loss in [hotspot] or [small]"),
+    ("macro_radio_hotspot", PairKind.SPM, DegenerateBoundaryError,
+     "SpM pair, tiers [hotspot] and [macro]: equal-RSS boundary is a perpendicular bisector "
+     "(lam*xi == 1); no circular approximation exists; keep the biased RSS of [hotspot] below "
+     "that of [macro] by changing tx_power_dbm, antenna_gain_dbi, bias_db or the path loss in "
+     "[hotspot] or [macro]"),
+    ("strong_small", PairKind.SM, ValueError,
+     "SM pair, tiers [small] and [macro]: the handover circle at the mean pair distance "
+     "encloses the serving BS (lam_star * xi = 28.083474953318767 > 1); keep the biased RSS of "
+     "[small] below that of [macro] by changing tx_power_dbm, antenna_gain_dbi, bias_db or the "
+     "path loss in [small] or [macro]"),
+)
+
+
+def test_analytic_domain_error_text_pinned():
+    base = reference_sim_config(0)
+    configs = {
+        "small_power_hotspot": dataclasses.replace(
+            base, hotspot=dataclasses.replace(base.hotspot, tx_power=base.small.tx_power)
+        ),
+        "macro_radio_hotspot": dataclasses.replace(base, hotspot=base.macro),
+        "strong_small": dataclasses.replace(
+            base, small=dataclasses.replace(base.small, tx_power=90.0)
+        ),
+    }
+    for name, kind, exc_type, text in DOMAIN_ERROR_PIN:
+        with pytest.raises(exc_type) as info:
+            se.analytic_pair_metrics(configs[name], kind)
+        assert str(info.value) == text, (name, kind)
+
+
 def test_analytic_metrics_structure():
     out = analytic_metrics(small_config())
     assert set(out) == {PairKind.SM, PairKind.SPS, PairKind.SPM}

@@ -5,11 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
+from hetnet_handover import specfun
 from hetnet_handover.fixtures import fixture_value, oracle_marcum_q1_mpmath
 from hetnet_handover.specfun import (
     DEFAULT_BESSEL_TABLE,
@@ -98,6 +99,28 @@ ARRAY_PIN = (
 
 #: Large-a points: the windowed route for every b in a +- 30.
 LARGE_A = (40.0, 79.0, 200.0, 316.0)
+
+#: At x = a^2/2 = 68.79598662207358 rounding stalls 1 - sum(pmf) above the
+#: series tolerance: the accumulated Poisson(x) mass never passes 1 - 1e-15.
+STALLED_A = math.sqrt(2.0 * 68.79598662207358)
+
+
+@st.composite
+def a_and_bs(draw):
+    """A scalar ``a`` with one to five ``b`` that mix both routes, lanes of
+    different length (``b > a``) and ``b = 0`` (a zero sojourn threshold)."""
+    a = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=40.0),
+        st.floats(min_value=36.0, max_value=120.0),
+        st.just(STALLED_A),
+    ))
+    b = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=60.0),
+        st.floats(min_value=-12.0, max_value=12.0).map(lambda d: max(a + d, 0.0)),
+        st.floats(min_value=36.0, max_value=130.0),
+    )
+    return a, tuple(draw(st.lists(b, min_size=1, max_size=5)))
 
 
 class TestI0Series:
@@ -263,6 +286,11 @@ class TestMarcumQ1:
         for i in range(2):
             for k in range(3):
                 assert out[i, k] == marcum_q1(float(a[i, 0]), float(b[0, k]))
+        # Repeated a in scattered positions share lanes; each keeps its bits.
+        a = np.array([79.0, 1.0, 79.0, 12.5, 1.0, 79.0, 79.0])
+        b = np.array([80.0, 0.5, 95.0, 3.0, 2.0, 0.0, 60.0])
+        out = marcum_q1(a, b)
+        assert [q.hex() for q in out] == [marcum_q1(ai, bi).hex() for ai, bi in zip(a, b)]
 
     @given(
         a=st.floats(min_value=0.0, max_value=400.0),
@@ -290,6 +318,50 @@ class TestMarcumQ1:
     @settings(max_examples=200, deadline=None)
     def test_increasing_in_a(self, a, b, da):
         assert marcum_q1(a + da, b) >= marcum_q1(a, b) - 1e-12
+
+    def test_tuple_bits_pinned(self):
+        for a, row in zip(PIN_A, SCALAR_PIN):
+            out = marcum_q1(a, PIN_B)
+            assert isinstance(out, tuple)
+            assert tuple(q.hex() for q in out) == row, a
+            for k in range(len(PIN_B) - 2):
+                triple = marcum_q1(a, PIN_B[k : k + 3])
+                assert tuple(q.hex() for q in triple) == row[k : k + 3], (a, k)
+
+    @given(case=a_and_bs())
+    # Series lanes of different length, the stalled x, a zero b.
+    @example(case=(STALLED_A, (0.0, 5.0, 30.0)))
+    # Windowed by a, and windowed by b within the gap of a.
+    @example(case=(79.0, (70.0, 80.0, 95.0)))
+    @example(case=(33.0, (37.5, 40.0, 41.0)))
+    # Both routes in one tuple: falls back to one b at a time.
+    @example(case=(33.0, (2.0, 40.0, 60.0, 39.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_tuple_bits_equal_one_b_calls(self, case):
+        a, bs = case
+        assert [q.hex() for q in marcum_q1(a, bs)] == [marcum_q1(a, b).hex() for b in bs]
+
+    def test_tuple_rejects_invalid_b(self):
+        for bs in ((1.0, -0.5), (1.0, math.inf, 2.0), (math.nan,)):
+            with pytest.raises(ValueError):
+                marcum_q1(1.0, bs)
+
+    def test_underflowed_pmf_ends_the_series(self, monkeypatch):
+        # j_max grows like b^2/2 (4.5e6 terms at b = 3000), and at the stalled
+        # x the mass test never fires: the series ends where the Poisson(x)
+        # pmf has underflowed to 0, after which every term adds exactly 0.
+        pmfs = []
+        converged = specfun._float_converged
+
+        def recording(pois, pois_cum):
+            pmfs.append(pois)
+            return converged(pois, pois_cum)
+
+        monkeypatch.setattr(specfun, "_float_converged", recording)
+        assert marcum_q1(STALLED_A, 3000.0) == 0.0
+        assert marcum_q1(STALLED_A, 30.0) == float.fromhex("0x1.4c3a8ba2eba57p-246")
+        assert pmfs[-1] == 0.0
+        assert len(pmfs) < 2000
 
 
 class TestErf:
