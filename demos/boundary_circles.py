@@ -17,6 +17,7 @@ from hetnet_handover.fixtures import (
     default_small_params,
     default_thresholds,
 )
+from hetnet_handover.radio import erb_pair_arrays
 
 
 def main() -> None:
@@ -37,12 +38,11 @@ def main() -> None:
     print("-" * len(header))
     for name, serving, target in pairs:
         for d in (100.0, 300.0, 1000.0):
-            erb = make_erb_pair(serving, target, np.array([d, 0.0]), q_out)
-            h, f = erb.handover_circle, erb.failure_circle
+            *_, h, f = erb_pair_arrays(serving, target, np.array([d]), np.zeros(1), q_out)
             # Near-side gap between the two boundaries along the approach axis.
-            near_h = np.hypot(*(h.center - [d, 0.0])) - h.radius
-            near_f = np.hypot(*(f.center - [d, 0.0])) - f.radius
-            print(f"{name:<32} {d:>7.0f} {h.radius:>11.1f} {f.radius:>10.1f} "
+            near_h = np.hypot(h.cx[0] - d, h.cy[0]) - h.radius[0]
+            near_f = np.hypot(f.cx[0] - d, f.cy[0]) - f.radius[0]
+            print(f"{name:<32} {d:>7.0f} {h.radius[0]:>11.1f} {f.radius[0]:>10.1f} "
                   f"{abs(near_f) - abs(near_h):>14.1f}")
 
     print("\nfailure circle sits inside the handover circle: a user must cross")

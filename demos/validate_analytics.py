@@ -29,12 +29,12 @@ from hetnet_handover import compare_to_analytics
 from hetnet_handover.fixtures import reference_sim_config
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=40)
     parser.add_argument("--workers", type=int, default=4)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg = dataclasses.replace(
         reference_sim_config(master_seed=args.seed), n_trials=args.trials

@@ -10,9 +10,10 @@ Modules
 geometry   Rectangular regions, Poisson and clustered base-station layouts.
 mobility   Random-waypoint motion with a boundary-biased waypoint mixture.
 radio      Per-tier radio parameters and exact cell-boundary circles.
-specfun    Bessel and Marcum-Q special functions used by the closed forms.
+specfun    The Marcum-Q function of the hotspot sojourn tails.
 analytics  Distance laws and the closed-form handover rate expressions.
 simengine  Event-driven trajectory simulator and analytic/simulated tables.
+fixtures   Default parameter sets and the reference validation campaign.
 cli        ``hetnet-handover`` command line front end.
 """
 
@@ -21,14 +22,9 @@ from .analytics import (
     HandoverThresholds,
     PairKind,
     compute_metrics,
-    mean_cluster_distance_expsum,
     mean_cluster_distance_numeric,
-    mean_cluster_distance_ub,
     mean_pair_distance,
     mean_r_sm,
-    prob_sojourn_ge,
-    rician_cdf,
-    rician_pdf,
 )
 from .geometry import (
     TIER_HOTSPOT,
@@ -37,24 +33,19 @@ from .geometry import (
     ClusterConfig,
     PointSet,
     Region,
-    nearest_point_batch,
-    partition_five,
     sample_ppp,
     sample_tcp,
 )
 from .mobility import (
     MobilityConfig,
     Trajectory,
-    empirical_occupancy,
     generate_trajectory,
     mean_transition_length,
 )
 from .radio import (
-    Circle,
     DegenerateBoundaryError,
     ErbPair,
     TierRadioParams,
-    erb_circle,
     make_erb_pair,
 )
 from .simengine import (
@@ -68,7 +59,7 @@ from .simengine import (
     run_trial,
     summarize_trials,
 )
-from .specfun import i0_exp_approx, i0_series, marcum_q1, marcum_q1_quadrature
+from .specfun import marcum_q1
 
 __version__ = "0.1.0"
 
@@ -77,34 +68,24 @@ __all__ = [
     "HandoverThresholds",
     "PairKind",
     "compute_metrics",
-    "mean_cluster_distance_expsum",
     "mean_cluster_distance_numeric",
-    "mean_cluster_distance_ub",
     "mean_pair_distance",
     "mean_r_sm",
-    "prob_sojourn_ge",
-    "rician_cdf",
-    "rician_pdf",
     "TIER_HOTSPOT",
     "TIER_MACRO",
     "TIER_SMALL",
     "ClusterConfig",
     "PointSet",
     "Region",
-    "nearest_point_batch",
-    "partition_five",
     "sample_ppp",
     "sample_tcp",
     "MobilityConfig",
     "Trajectory",
-    "empirical_occupancy",
     "generate_trajectory",
     "mean_transition_length",
-    "Circle",
     "DegenerateBoundaryError",
     "ErbPair",
     "TierRadioParams",
-    "erb_circle",
     "make_erb_pair",
     "ComparisonTable",
     "EventCounts",
@@ -115,9 +96,6 @@ __all__ = [
     "run_campaign",
     "run_trial",
     "summarize_trials",
-    "i0_exp_approx",
-    "i0_series",
     "marcum_q1",
-    "marcum_q1_quadrature",
     "__version__",
 ]

@@ -15,11 +15,9 @@ the serving BS, the hotspot-to-serving distance is Rician:
 
 Averaged over the Rayleigh-distributed ``w`` the distance is itself
 Rayleigh, so `mean_cluster_distance_numeric` is the exact closed form
-``sqrt(1/(4 lam) + pi sigma^2 / 2)``.  `mean_cluster_distance_ub` is the
-Jensen bound ``sqrt(1/(pi lam) + 2 sigma^2)``, ``2/sqrt(pi)`` times it;
-`mean_cluster_distance_expsum` is the paper's exponential-sum expression,
-which exceeds the exact mean only for ``q = pi lam sigma^2`` roughly above
-0.05 — see the function docstrings.
+``sqrt(1/(4 lam) + pi sigma^2 / 2)``.  The sojourn tails of `_sojourn_tails`
+inherit these laws: a Rayleigh tail for ``SM`` and a Marcum-Q tail for the
+hotspot pairs.
 
 Rates
 -----
@@ -41,17 +39,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import special as _sp
-
 from .mobility import MobilityConfig, mean_transition_length
 from .radio import ErbPair
-from .specfun import BesselApproxTable, DEFAULT_BESSEL_TABLE, marcum_q1
-
-#: Below this cluster-size parameter q = pi*lam*sigma^2 the paper's
-#: exponential-sum expression for the mean cluster distance falls below the
-#: exact mean (measured crossover q ~ 0.052); a UserWarning is emitted.
-UB_VALIDITY_Q_FLOOR = 0.06
+from .specfun import marcum_q1
 
 
 class PairKind(enum.Enum):
@@ -106,24 +96,6 @@ class HandoverMetrics:
 # Distance distributions
 # ---------------------------------------------------------------------------
 
-def pdf_r_sm(r, lambda_m: float):
-    """Nearest-BS distance density for a uniform tier of density ``lambda_m``."""
-    if lambda_m <= 0:
-        raise ValueError(f"lambda_m must be positive, got {lambda_m}")
-    r_arr = np.asarray(r, dtype=float)
-    out = 2.0 * math.pi * lambda_m * r_arr * np.exp(-math.pi * lambda_m * r_arr**2)
-    out = np.where(r_arr < 0, 0.0, out)
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def cdf_r_sm(r, lambda_m: float):
-    if lambda_m <= 0:
-        raise ValueError(f"lambda_m must be positive, got {lambda_m}")
-    r_arr = np.asarray(r, dtype=float)
-    out = 1.0 - np.exp(-math.pi * lambda_m * np.clip(r_arr, 0.0, None) ** 2)
-    return float(out) if np.ndim(r) == 0 else out
-
-
 def mean_r_sm(lambda_m: float) -> float:
     """Mean nearest-BS distance of a uniform tier: ``1 / (2 sqrt(lambda))``."""
     if lambda_m <= 0:
@@ -131,46 +103,14 @@ def mean_r_sm(lambda_m: float) -> float:
     return 1.0 / (2.0 * math.sqrt(lambda_m))
 
 
-def rician_pdf(r, w: float, sigma: float):
-    """Density of the hotspot-to-serving distance given center distance ``w``.
-
-    Evaluated in the scaled form ``(r/sigma^2) i0e(wr/sigma^2)
-    exp(-(r-w)^2 / (2 sigma^2))``, which stays finite for large arguments.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if w < 0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    r_arr = np.asarray(r, dtype=float)
-    z = w * r_arr / sigma**2
-    out = (
-        (r_arr / sigma**2)
-        * _sp.i0e(z)
-        * np.exp(-((r_arr - w) ** 2) / (2.0 * sigma**2))
-    )
-    out = np.where(r_arr < 0, 0.0, out)
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def rician_cdf(r, w: float, sigma: float):
-    """CDF of the conditional hotspot-to-serving distance: ``1 - Q1(w/sigma, r/sigma)``."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if w < 0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    r_arr = np.asarray(r, dtype=float)
-    out = 1.0 - marcum_q1(w / sigma, np.clip(r_arr, 0.0, None) / sigma)
-    out = np.where(r_arr < 0, 0.0, out)
-    return float(out) if np.ndim(r) == 0 else out
-
-
 def mean_cluster_distance_numeric(lam: float, sigma: float) -> float:
     """Mean hotspot-to-serving distance, in exact closed form.
 
-    The offset from the serving BS to the cluster center is an isotropic
-    2-D Gaussian with per-axis variance ``1/(2 pi lam)`` (see
-    `mean_cluster_distance_ub`), and the child displacement adds ``sigma^2``
-    per axis, so the distance is Rayleigh with mean
+    The offset from the serving BS to the cluster center has a Rayleigh
+    length of scale ``1/sqrt(2 pi lam)`` and a uniform direction, so it is an
+    isotropic 2-D Gaussian with per-axis variance ``1/(2 pi lam)``.  The
+    child displacement adds ``sigma^2`` per axis, so the distance is
+    Rayleigh with mean
 
         sqrt(1/(4 lam) + pi sigma^2 / 2).
 
@@ -180,72 +120,6 @@ def mean_cluster_distance_numeric(lam: float, sigma: float) -> float:
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive")
     return math.sqrt(1.0 / (4.0 * lam) + math.pi * sigma * sigma / 2.0)
-
-
-def mean_cluster_distance_ub(lam: float, sigma: float) -> float:
-    """Proven closed-form upper bound on the mean hotspot-to-serving distance.
-
-    The offset from the serving BS to the cluster center has a Rayleigh
-    length of scale ``1/sqrt(2 pi lam)`` and a uniform direction, so it is an
-    isotropic 2-D Gaussian vector with per-axis variance ``1/(2 pi lam)``.
-    Adding the independent child displacement (per-axis variance
-    ``sigma^2``) gives ``E[R^2] = 1/(pi lam) + 2 sigma^2``, and Jensen's
-    inequality gives ``E[R] <= sqrt(E[R^2])``.  Since ``R`` is in fact
-    exactly Rayleigh, the bound is ``2/sqrt(pi) ~ 1.128`` times
-    `mean_cluster_distance_numeric` for every ``lam`` and ``sigma``.
-    """
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    return math.sqrt(1.0 / (math.pi * lam) + 2.0 * sigma * sigma)
-
-
-def mean_cluster_distance_expsum(
-    lam: float,
-    sigma: float,
-    table: BesselApproxTable = DEFAULT_BESSEL_TABLE,
-    interval: int = 0,
-) -> float:
-    """The paper's exponential-sum expression for the mean hotspot distance.
-
-    With ``q = pi lam sigma^2`` and the exponential-sum coefficients
-    ``(a_k, b_k)`` of the chosen table interval:
-
-        sqrt(2 pi) q sigma * sum_k a_k [ 2/(2q+1-b_k^2)
-                                         + b_k/(2q+1)^(3/2)
-                                         + 4 b_k^2/(2q+1-b_k^2)^2 ]
-
-    Kept for reproducing the paper; it is not a bound.  It integrates the
-    interval-0 fit of I0 (fitted on [0, 11.5)) over every argument
-    ``w r / sigma^2``, and that fit's largest exponent ``b = 0.9736 < 1``
-    falls exponentially below I0 where ``w >> sigma``: below ``q ~ 0.052``
-    the value undershoots `mean_cluster_distance_numeric` (a UserWarning
-    flags ``q < UB_VALIDITY_Q_FLOOR``), above it the value exceeds it
-    (420.4 m vs 218.7 m at ``lam = 2e-5``, ``sigma = 150``).  A coefficient
-    with ``b_k^2 >= 2q+1`` puts the formula outside its validity range
-    entirely and raises ``ValueError``.
-    """
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    q = math.pi * lam * sigma * sigma
-    coeffs = table.coefficients[interval]
-    for _a, b in coeffs:
-        if 2.0 * q + 1.0 - b * b <= 0.0:
-            raise ValueError(
-                f"coefficient b={b} violates 2q+1-b^2 > 0 at q={q:.4g}; "
-                "closed-form bound out of validity range"
-            )
-    if q < UB_VALIDITY_Q_FLOOR:
-        warnings.warn(
-            f"closed-form mean-distance bound is not a true upper bound for "
-            f"q = pi*lam*sigma^2 = {q:.4g} < {UB_VALIDITY_Q_FLOOR}",
-            UserWarning,
-            stacklevel=2,
-        )
-    total = 0.0
-    for a, b in coeffs:
-        d1 = 2.0 * q + 1.0 - b * b
-        total += a * (2.0 / d1 + b / (2.0 * q + 1.0) ** 1.5 + 4.0 * b * b / (d1 * d1))
-    return math.sqrt(2.0 * math.pi) * q * sigma * total
 
 
 def mean_pair_distance(pair: PairKind, lam: float, sigma: float) -> float:
@@ -302,9 +176,21 @@ def movement_time_per_meter(mobility: MobilityConfig) -> float:
 
 
 def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
-    """``P(S >= t | u)`` for each ``(t, u)`` of ``tails``; see
-    :func:`prob_sojourn_ge`.  The Marcum tails of a hotspot pair share ``a``
-    and are taken in one :func:`marcum_q1` call."""
+    """``P(S >= t | u)``, the probability that the in-circle sojourn is at
+    least ``t``, for each ``(t, u)`` of ``tails``.
+
+    The circle radius is proportional to the (random) pair distance, so the
+    sojourn tail inherits the pair's distance law over the serving-tier
+    density ``lam``: the ``SM`` branch is the Rayleigh tail in closed
+    exponential form, and the hotspot branches are Marcum-Q tails of the
+    Rician mixture with scatter ``sigma``,
+
+        SM      :  exp(-4 lam V^2 t^2 (1-u)^2 / (pi u))
+        SPS, SPM:  Q1( 1/(2 sigma sqrt(lam)), 2 t V (1-u) / (pi sigma sqrt(u)) )
+
+    with ``V = velocity``; ``t = 0`` gives exactly 1.  The Marcum tails of a
+    hotspot pair share ``a`` and are taken in one :func:`marcum_q1` call.
+    """
     if velocity <= 0:
         raise ValueError(f"velocity must be positive, got {velocity}")
     for t, u in tails:
@@ -327,30 +213,6 @@ def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
     return tuple(1.0 if t == 0.0 else q_k for (t, _u), q_k in zip(tails, q))
 
 
-def prob_sojourn_ge(
-    pair: PairKind,
-    t_threshold: float,
-    velocity: float,
-    lam_xi: float,
-    lam: float,
-    sigma: float,
-) -> float:
-    """Probability that the in-circle sojourn is at least ``t_threshold``.
-
-    The circle radius is proportional to the (random) pair distance, so the
-    sojourn tail inherits the pair's distance law over the serving-tier
-    density ``lam``: the ``SM`` branch is the Rayleigh tail in closed
-    exponential form, and the hotspot branches are Marcum-Q tails of the
-    Rician mixture with scatter ``sigma``,
-
-        SM      :  exp(-4 lam V^2 T^2 (1-u)^2 / (pi u))
-        SPS, SPM:  Q1( 1/(2 sigma sqrt(lam)), 2 T V (1-u) / (pi sigma sqrt(u)) )
-
-    with ``u = lam_xi``; ``T = 0`` gives exactly 1.
-    """
-    return _sojourn_tails(pair, ((t_threshold, lam_xi),), velocity, lam, sigma)[0]
-
-
 def compute_metrics(
     pair: PairKind,
     thresholds: HandoverThresholds,
@@ -367,7 +229,7 @@ def compute_metrics(
 
     ``lam`` is the serving-tier density and ``sigma`` the hotspot scatter.
     With ``u = erb.lam_xi``, ``u_f = erb.lam_xi_f`` and the sojourn tail
-    ``P(S >= t | u)`` of :func:`prob_sojourn_ge`, each factor is evaluated
+    ``P(S >= t | u)`` of :func:`_sojourn_tails`, each factor is evaluated
     once, and a hotspot pair's three Marcum-Q tails in one
     :func:`marcum_q1` call that shares their Poisson(x) series:
 

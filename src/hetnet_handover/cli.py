@@ -5,7 +5,6 @@ Subcommands
 analyze    closed-form metrics only; one CSV row per sweep point.
 simulate   Monte Carlo campaigns only; one summary row per sweep point.
 validate   both, side by side, with ratio/flag columns and a text summary.
-fixtures   recompute the pinned regression constants with their oracles.
 
 Configuration is a flat INI file.  Every key carries its unit in its name
 (``sigma_m``, ``velocity_kmh``, ``tx_power_dbm``); decibel quantities are
@@ -49,7 +48,6 @@ from pathlib import Path
 
 from .analytics import HandoverMetrics, PairKind
 from . import fixtures
-from .fixtures import checks_to_text, recompute_all
 from .geometry import Region
 from .simengine import (
     _TIERS,
@@ -567,15 +565,6 @@ def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
     return _render_csv(VALIDATE_CSV_HEADER, rows), "\n".join(summaries) + "\n"
 
 
-def cmd_fixtures(workers: int = 1) -> tuple:
-    """Recompute every pinned constant with its oracle.
-
-    Returns ``(report_text, ok)``.
-    """
-    checks = recompute_all(workers=workers)
-    return checks_to_text(checks), all(c.ok for c in checks)
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -612,11 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser("validate", help="simulated vs closed-form, side by side"),
         workers=True,
     )
-    fix = sub.add_parser("fixtures", help="recompute pinned constants with oracles")
-    fix.add_argument("--out", metavar="PATH", help="write report here as well")
-    fix.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="parallel trial workers"
-    )
     return parser
 
 
@@ -646,24 +630,14 @@ def _deliver(csv_text: str, path: str | None, summary: str | None = None) -> Non
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        spec = _load_spec(args)
         if args.command == "analyze":
-            spec = _load_spec(args)
             _deliver(cmd_analyze(spec), spec.output_path)
         elif args.command == "simulate":
-            spec = _load_spec(args)
             _deliver(cmd_simulate(spec, workers=args.workers), spec.output_path)
-        elif args.command == "validate":
-            spec = _load_spec(args)
+        else:
             csv_text, summary = cmd_validate(spec, workers=args.workers)
             _deliver(csv_text, spec.output_path, summary)
-        elif args.command == "fixtures":
-            report, ok = cmd_fixtures(workers=args.workers)
-            sys.stdout.write(report)
-            if args.out is not None:
-                Path(args.out).write_text(report, encoding="utf-8")
-            if not ok:
-                sys.stderr.write("fixture drift detected\n")
-                return 1
         return 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report, not crash
         sys.stderr.write(f"error: {exc}\n")

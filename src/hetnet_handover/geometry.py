@@ -1,4 +1,4 @@
-"""Spatial deployment sampling and queries for a three-tier cellular layout.
+"""Spatial deployment sampling for a three-tier cellular layout.
 
 Two kinds of point processes are supported:
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 TIER_MACRO = "M"
 TIER_SMALL = "S"
@@ -129,43 +128,6 @@ class PointSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class FivePartition:
-    """A disjoint five-way cover of a region: one central rectangle plus the
-    left / right / bottom / top border strips."""
-
-    region: Region
-    central: Region
-    # Strips, in (left, right, bottom, top) order.  Left/right strips span the
-    # full height; bottom/top strips span only the central x-range so that the
-    # five pieces are disjoint and cover the region exactly.
-    strips: tuple[Region, Region, Region, Region]
-
-    @property
-    def parts(self) -> tuple[Region, ...]:
-        return (self.central, *self.strips)
-
-    def areas(self) -> np.ndarray:
-        return np.array([p.area for p in self.parts])
-
-    def index_of(self, points: np.ndarray) -> np.ndarray:
-        """Map points to sub-region indices 0..4 (0 = central).
-
-        Boundary points between sub-regions are assigned to the lowest index
-        whose closed rectangle contains them, so every in-region point gets
-        exactly one label.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full(len(pts), -1, dtype=int)
-        for i, part in enumerate(self.parts):
-            hit = part.contains(pts) & (out == -1)
-            out[hit] = i
-        if np.any(out == -1):
-            bad = pts[out == -1][0]
-            raise ValueError(f"point {bad} lies outside the partitioned region")
-        return out
-
-
 def sample_ppp(
     region: Region,
     density: float,
@@ -212,36 +174,3 @@ def sample_tcp(
         tier=TIER_HOTSPOT, points=children, parent_index=parent_index
     )
 
-
-def nearest_point_batch(
-    queries: np.ndarray, targets: PointSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest-point lookup via a k-d tree: ``(distances, indices)``."""
-    if len(targets) == 0:
-        raise ValueError(f"no points in tier {targets.tier!r}")
-    tree = cKDTree(targets.points)
-    dists, idx = tree.query(np.atleast_2d(queries))
-    return dists, idx
-
-
-def partition_five(region: Region, border_fraction: float) -> FivePartition:
-    """Split ``region`` into a central rectangle and four border strips.
-
-    ``border_fraction`` is the strip width as a fraction of the corresponding
-    region side; it must lie strictly between 0 and 0.5 so that the central
-    part is non-degenerate.
-    """
-    if not (0.0 < border_fraction < 0.5):
-        raise ValueError(
-            f"border_fraction must be in (0, 0.5), got {border_fraction}"
-        )
-    bx = border_fraction * region.width
-    by = border_fraction * region.height
-    cx0, cx1 = region.x_min + bx, region.x_max - bx
-    cy0, cy1 = region.y_min + by, region.y_max - by
-    central = Region(cx0, cx1, cy0, cy1)
-    left = Region(region.x_min, cx0, region.y_min, region.y_max)
-    right = Region(cx1, region.x_max, region.y_min, region.y_max)
-    bottom = Region(cx0, cx1, region.y_min, cy0)
-    top = Region(cx0, cx1, cy1, region.y_max)
-    return FivePartition(region=region, central=central, strips=(left, right, bottom, top))

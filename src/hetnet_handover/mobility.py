@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FivePartition, Region
+from .geometry import Region
 
 _MIN_SEGMENT = 1e-9  # meters; below this a candidate move is redrawn
 _TWO_PI = 2.0 * math.pi
@@ -160,17 +160,3 @@ def generate_trajectory(
     waypoints = np.array(coords).reshape(-1, 2)
     return Trajectory(waypoints=waypoints, velocity=cfg.velocity, pause=cfg.pause)
 
-
-def empirical_occupancy(
-    trajectories: list[Trajectory], partition: FivePartition
-) -> np.ndarray:
-    """Fraction of waypoints in each of the five sub-regions (sums to 1)."""
-    all_points = [t.waypoints for t in trajectories]
-    if not all_points:
-        raise ValueError("no trajectories supplied")
-    pts = np.concatenate(all_points, axis=0)
-    if len(pts) == 0:
-        raise ValueError("trajectories contain no waypoints")
-    idx = partition.index_of(pts)
-    counts = np.bincount(idx, minlength=5).astype(float)
-    return counts / counts.sum()

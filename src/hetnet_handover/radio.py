@@ -21,7 +21,11 @@ the approximating circle is
 ``u == 1`` means the boundary degenerates to the perpendicular bisector (no
 circle exists) and is treated as a hard error.  ``u > 1`` (target effectively
 stronger than serving) yields a circle that encloses the *serving* BS; the
-flag on the returned Circle records that orientation.
+``encloses_serving`` flag records that orientation.
+
+`erb_pair_arrays` builds the circles of many pairs at once, as the simulator
+needs them; `make_erb_pair` gives the closed forms the boundary factors of
+one pair.
 
 The handover-failure boundary is the same construction with
 ``xi_f = xi * q_out^(2/alpha_j)`` for the outage offset ``q_out < 1``.
@@ -29,9 +33,7 @@ The handover-failure boundary is the same construction with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -94,17 +96,6 @@ class TierRadioParams:
         object.__setattr__(self, "linear_prefactor", prefactor)
 
 
-def dl_rss(tier: TierRadioParams, distance) -> np.ndarray | float:
-    """Long-term downlink RSS (linear watts) at ``distance`` meters."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("dl_rss requires distance > 0")
-    out = tier.linear_prefactor * d ** (-tier.pathloss_exponent)
-    if np.ndim(distance) == 0:
-        return float(out)
-    return out
-
-
 def xi_factor(serving: TierRadioParams, target: TierRadioParams) -> float:
     """Power-ratio factor of the (serving, target) pair.
 
@@ -143,29 +134,6 @@ def lambda_star(target: np.ndarray, alpha_ratio: float) -> float:
     return float(lambda_star_array(t[:1], t[1:2], alpha_ratio)[0])
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: np.ndarray
-    radius: float
-    #: True when the circle encloses the serving BS rather than the target
-    #: (the lam*xi > 1 orientation).
-    encloses_serving: bool = False
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", c)
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-
-    def contains(self, points) -> np.ndarray | bool:
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        pts_2d = np.atleast_2d(pts)
-        d2 = np.sum((pts_2d - self.center) ** 2, axis=1)
-        inside = d2 < self.radius * self.radius
-        return bool(inside[0]) if scalar else inside
-
-
 class CircleArrays(NamedTuple):
     """Boundary circles of many pairs, centres in their serving-BS frames.
 
@@ -187,9 +155,7 @@ def erb_circle_arrays(
     whose norm ``np.hypot(tx, ty)`` is ``norm``.
 
     ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|`` with
-    ``u = lam_star * xi``.  This is the one implementation of the formula:
-    the scalar :func:`erb_circle`, which builds the circles of :class:`ErbPair`,
-    calls it too.
+    ``u = lam_star * xi``.  This is the one implementation of the formula.
     """
     u = lam_star * xi
     denom = 1.0 - u
@@ -210,48 +176,17 @@ def _boundary_flags(u):
     return abs(1.0 - u) < DEGENERACY_TOL, u > 1.0
 
 
-def _first_circle(circles: CircleArrays) -> Circle:
-    if circles.degenerate[0]:
-        raise DegenerateBoundaryError(_DEGENERATE_MESSAGE)
-    return Circle(
-        center=np.array([circles.cx[0], circles.cy[0]]),
-        radius=float(circles.radius[0]),
-        encloses_serving=bool(circles.encloses_serving[0]),
-    )
-
-
-def erb_circle(target: np.ndarray, xi: float, lam_star: float) -> Circle:
-    """Circular approximation of the equal-RSS boundary for one BS pair.
-
-    ``target`` is the target-BS position in the serving-BS frame (meters).
-    Raises :class:`DegenerateBoundaryError` when ``lam_star * xi == 1``.
-    """
-    if xi <= 0 or lam_star <= 0:
-        raise ValueError("xi and lam_star must be positive")
-    t = np.asarray(target, dtype=float)
-    if not t.any():
-        raise ValueError("target must not coincide with the serving BS")
-    tx, ty = t[:1], t[1:2]
-    return _first_circle(
-        erb_circle_arrays(tx, ty, np.hypot(tx, ty), xi, np.full(1, lam_star))
-    )
-
-
 @dataclass(frozen=True)
 class ErbPair:
-    """Both boundary circles plus the scalar factors for one (serving, target) pair.
-
-    The factors are Python floats.  The circles are built from ``target``
-    (the target-BS position in the serving-BS frame, m) when first read; the
-    closed forms read only the factors and ``encloses_serving``, the
-    orientation of the handover circle.
+    """The boundary factors of one (serving, target) pair, as Python floats,
+    and ``encloses_serving``, the orientation of the handover circle: what
+    the closed forms read.  The circles themselves are built by
+    :func:`erb_pair_arrays`.
     """
 
     xi: float
     xi_f: float
     lam_star: float
-    q_out: float  # linear ratio
-    target: tuple[float, float]
     encloses_serving: bool
 
     @property
@@ -261,14 +196,6 @@ class ErbPair:
     @property
     def lam_xi_f(self) -> float:
         return self.lam_star * self.xi_f
-
-    @cached_property
-    def handover_circle(self) -> Circle:
-        return erb_circle(np.array(self.target), self.xi, self.lam_star)
-
-    @cached_property
-    def failure_circle(self) -> Circle:
-        return erb_circle(np.array(self.target), self.xi_f, self.lam_star)
 
 
 def erb_pair_arrays(
@@ -301,7 +228,7 @@ def make_erb_pair(
     target_position: np.ndarray,
     q_out_linear: float,
 ) -> ErbPair:
-    """Build handover and failure circles for a target BS at ``target_position``
+    """The boundary factors for a target BS at ``target_position``
     (serving-BS frame).
 
     Raises :class:`DegenerateBoundaryError` when either boundary is a
@@ -316,11 +243,4 @@ def make_erb_pair(
     degenerate, encloses_serving = _boundary_flags(lam * xi)
     if degenerate or _boundary_flags(lam * xi_f)[0]:
         raise DegenerateBoundaryError(_DEGENERATE_MESSAGE)
-    return ErbPair(
-        xi=xi,
-        xi_f=xi_f,
-        lam_star=lam,
-        q_out=q_out_linear,
-        target=(float(t[0]), float(t[1])),
-        encloses_serving=encloses_serving,
-    )
+    return ErbPair(xi=xi, xi_f=xi_f, lam_star=lam, encloses_serving=encloses_serving)

@@ -1,21 +1,205 @@
-"""Independent second routes that the tests check the program against.
+"""Independent second routes that the tests check the program against, and
+the pinned regression constants (``fixtures.json``).
 
-None of these is on a production path: each one recomputes, by a slower or
-more direct method, a number that the package computes another way.
+None of these is on a production path.  Most recompute, by a slower or more
+direct method, a number that the package computes another way.  The rest are
+the reference expressions that acceptance checks measure the program
+against: the paper's exponential-sum I0 fit and mean-distance expression,
+the Jensen bound on that mean and the border-strip occupancy of a walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
 from hetnet_handover import simengine as se
-from hetnet_handover.geometry import PointSet
+from hetnet_handover.geometry import PointSet, Region
 from hetnet_handover.radio import TierRadioParams
+from hetnet_handover.specfun import marcum_q1
+
+#: The pinned regression constants: ``name -> {value, rel_tolerance, oracle}``.
+PINS = json.loads(Path(__file__).with_name("fixtures.json").read_text(encoding="utf-8"))[
+    "fixtures"
+]
+
+
+def pin(name: str) -> float:
+    return float(PINS[name]["value"])
+
+
+# ---------------------------------------------------------------------------
+# Special functions
+# ---------------------------------------------------------------------------
+
+#: Break points of the paper's piecewise fit I0(z) ~ sum_k a_k exp(b_k z):
+#: interval k is [edges[k], edges[k+1]), the last one open-ended.
+I0_EXP_EDGES = (0.0, 11.5, 20.0, 37.25)
+#: Four (a, b) pairs per interval, kept exactly as tabulated (including the
+#: tiny 2.4e-9 and negative entries; the b = -163.4 term is numerically inert
+#: on its interval because exp(-163.4 z) underflows for z >= 11.5).
+I0_EXP_COEFFICIENTS = (
+    ((0.1682, 0.7536), (0.1472, 0.9736), (0.4450, -0.715), (0.2382, 0.2343)),
+    ((0.2667, 0.4710), (0.4916, -163.4), (0.1110, 0.9852), (0.1304, 0.8554)),
+    ((0.1121, 0.9807), (0.1055, 0.8672), (-1.8e-4, 1.0795), (0.0033, 1.0385)),
+    ((2.4e-9, 1.144), (0.0675, 0.995), (0.0547, 0.567), (0.0787, 0.946)),
+)
+
+
+def i0_exp_approx(z) -> np.ndarray:
+    """The paper's piecewise exponential-sum approximation of I0 at ``z >= 0``.
+
+    Only a few-percent accurate and not continuous at interval joins; it
+    exists because it integrates in closed form (see
+    `mean_cluster_distance_expsum`).
+    """
+    z = np.asarray(z, dtype=float)
+    block = np.array(I0_EXP_COEFFICIENTS)[np.searchsorted(I0_EXP_EDGES, z, side="right") - 1]
+    with np.errstate(under="ignore", over="ignore"):
+        return np.sum(block[..., 0] * np.exp(block[..., 1] * z[..., None]), axis=-1)
+
+
+def i0_approx_max_rel_err(interval: int) -> float:
+    """Largest relative error of `i0_exp_approx` against ``scipy.special.i0``
+    on 2001 points of one finite interval."""
+    z = np.linspace(I0_EXP_EDGES[interval], I0_EXP_EDGES[interval + 1], 2001, endpoint=False)
+    exact = sp.i0(z)
+    return float(np.max(np.abs(i0_exp_approx(z) - exact) / exact))
+
+
+def marcum_q1_quadrature(a: float, b: float) -> float:
+    """Q1 by adaptive quadrature of its defining density.
+
+    Integrates ``x * i0e(a x) * exp(-(x - a)^2 / 2)`` from ``b`` to infinity,
+    where ``i0e(t) = e^{-t} I0(t)`` keeps the integrand finite.
+    """
+
+    def integrand(x: float) -> float:
+        return x * sp.i0e(a * x) * math.exp(-0.5 * (x - a) ** 2)
+
+    val, _err = integrate.quad(integrand, b, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12)
+    return min(1.0, max(0.0, val))
+
+
+def marcum_q1_mpmath(a: float, b: float) -> float:
+    """Poisson-mixture series of the Marcum Q function in 50-digit arithmetic.
+
+    With ``x = a^2/2`` and ``y = b^2/2`` the sum covers the indices
+    ``x +- (14 sqrt(x) + 30)``, which leave out less than 1e-40 of the
+    mixture; the pmfs and the incomplete-gamma cdf at the first index are
+    formed directly in 50 digits and carried upward by the exact
+    recurrences.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(a) ** 2 / 2
+        y = mpmath.mpf(b) ** 2 / 2
+        half = int(14 * mpmath.sqrt(x)) + 30
+        j0 = max(0, int(x) - half)
+        pmf_x = mpmath.exp(-x + j0 * mpmath.log(x) - mpmath.loggamma(j0 + 1))
+        pmf_y = mpmath.exp(-y + j0 * mpmath.log(y) - mpmath.loggamma(j0 + 1))
+        cdf_y = mpmath.gammainc(j0 + 1, y, regularized=True)
+        total = pmf_x * cdf_y
+        for j in range(j0 + 1, int(x) + half + 1):
+            pmf_x = pmf_x * x / j
+            pmf_y = pmf_y * y / j
+            cdf_y += pmf_y
+            total += pmf_x * cdf_y
+        return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Distance laws
+# ---------------------------------------------------------------------------
+
+def rician_pdf(r: float, w: float, sigma: float) -> float:
+    """Density of the hotspot-to-serving distance ``r >= 0`` given the centre
+    distance ``w``, in the scaled form
+    ``(r/sigma^2) i0e(wr/sigma^2) exp(-(r-w)^2 / (2 sigma^2))``, which stays
+    finite for large arguments."""
+    return float(
+        (r / sigma**2) * sp.i0e(w * r / sigma**2) * math.exp(-((r - w) ** 2) / (2.0 * sigma**2))
+    )
+
+
+def rician_cdf(r, w: float, sigma: float):
+    """CDF of the conditional hotspot-to-serving distance at ``r >= 0``:
+    ``1 - Q1(w/sigma, r/sigma)``, one `marcum_q1` call over the tuple of
+    every ``r``."""
+    r_arr = np.asarray(r, dtype=float)
+    q = marcum_q1(w / sigma, tuple((r_arr / sigma).ravel().tolist()))
+    out = 1.0 - np.array(q).reshape(r_arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def mean_cluster_distance_ub(lam: float, sigma: float) -> float:
+    """Proven closed-form upper bound on the mean hotspot-to-serving distance.
+
+    The centre offset is an isotropic 2-D Gaussian with per-axis variance
+    ``1/(2 pi lam)``; adding the child displacement (per-axis ``sigma^2``)
+    gives ``E[R^2] = 1/(pi lam) + 2 sigma^2``, and Jensen's inequality gives
+    ``E[R] <= sqrt(E[R^2])``.  Since ``R`` is exactly Rayleigh, the bound is
+    ``2/sqrt(pi) ~ 1.128`` times the exact mean for every ``lam`` and
+    ``sigma``.
+    """
+    if lam <= 0 or sigma <= 0:
+        raise ValueError("lam and sigma must be positive")
+    return math.sqrt(1.0 / (math.pi * lam) + 2.0 * sigma * sigma)
+
+
+#: Below this cluster-size parameter q = pi*lam*sigma^2 the paper's
+#: exponential-sum expression for the mean cluster distance falls below the
+#: exact mean (measured crossover q ~ 0.052); a UserWarning is emitted.
+UB_VALIDITY_Q_FLOOR = 0.06
+
+
+def mean_cluster_distance_expsum(lam: float, sigma: float, interval: int = 0) -> float:
+    """The paper's exponential-sum expression for the mean hotspot distance.
+
+    With ``q = pi lam sigma^2`` and the coefficients ``(a_k, b_k)`` of one
+    interval of `i0_exp_approx`:
+
+        sqrt(2 pi) q sigma * sum_k a_k [ 2/(2q+1-b_k^2)
+                                         + b_k/(2q+1)^(3/2)
+                                         + 4 b_k^2/(2q+1-b_k^2)^2 ]
+
+    It is not a bound.  It integrates the interval-0 fit of I0 (fitted on
+    [0, 11.5)) over every argument ``w r / sigma^2``, and that fit's largest
+    exponent ``b = 0.9736 < 1`` falls exponentially below I0 where
+    ``w >> sigma``: below ``q ~ 0.052`` the value undershoots the exact mean
+    (a UserWarning flags ``q < UB_VALIDITY_Q_FLOOR``), above it the value
+    exceeds it (420.4 m vs 218.7 m at ``lam = 2e-5``, ``sigma = 150``).  A
+    coefficient with ``b_k^2 >= 2q+1`` puts the formula outside its validity
+    range entirely and raises ``ValueError``.
+    """
+    q = math.pi * lam * sigma * sigma
+    coeffs = I0_EXP_COEFFICIENTS[interval]
+    for _a, b in coeffs:
+        if 2.0 * q + 1.0 - b * b <= 0.0:
+            raise ValueError(
+                f"coefficient b={b} violates 2q+1-b^2 > 0 at q={q:.4g}; "
+                "closed-form bound out of validity range"
+            )
+    if q < UB_VALIDITY_Q_FLOOR:
+        warnings.warn(
+            f"closed-form mean-distance bound is not a true upper bound for "
+            f"q = pi*lam*sigma^2 = {q:.4g} < {UB_VALIDITY_Q_FLOOR}",
+            UserWarning,
+            stacklevel=2,
+        )
+    total = 0.0
+    for a, b in coeffs:
+        d1 = 2.0 * q + 1.0 - b * b
+        total += a * (2.0 / d1 + b / (2.0 * q + 1.0) ** 1.5 + 4.0 * b * b / (d1 * d1))
+    return math.sqrt(2.0 * math.pi) * q * sigma * total
 
 
 def rician_mean(w: float, sigma: float) -> float:
@@ -85,6 +269,15 @@ def serving_bs(
             best = (point_set.tier, idx)
     assert best is not None
     return best
+
+
+def strip_occupancy(trajectories, region: Region, border_fraction: float) -> float:
+    """Fraction of all waypoints in the border strips of ``region``: outside
+    the closed central rectangle inset by ``border_fraction`` of each side."""
+    pts = np.concatenate([t.waypoints for t in trajectories])
+    bx, by = border_fraction * region.width, border_fraction * region.height
+    central = Region(region.x_min + bx, region.x_max - bx, region.y_min + by, region.y_max - by)
+    return np.count_nonzero(~central.contains(pts)) / len(pts)
 
 
 def crossing_events_lexsort(segs, leg, circle, fld) -> tuple:

@@ -18,45 +18,43 @@ import time
 import warnings
 
 import numpy as np
-import scipy.integrate as integrate
 import scipy.special as sp
+from scipy.spatial import cKDTree
 from scipy.stats import kstest
 
 import conftest
 from hetnet_handover.analytics import (
     PairKind,
     mean_cluster_distance_numeric,
-    mean_cluster_distance_ub,
     mean_r_sm,
-    rician_cdf,
 )
 from hetnet_handover.cli import apply_sweep, default_spec, main
 from hetnet_handover.fixtures import (
     default_macro_params,
     default_small_params,
-    load_fixtures,
     reference_sim_config,
 )
 from hetnet_handover.geometry import (
     TIER_MACRO,
     Region,
-    nearest_point_batch,
-    partition_five,
     sample_ppp,
 )
 from hetnet_handover.mobility import (
     MobilityConfig,
-    empirical_occupancy,
     generate_trajectory,
 )
-from hetnet_handover.radio import lambda_star, make_erb_pair
+from hetnet_handover.radio import erb_pair_arrays, lambda_star
 from hetnet_handover.simengine import analytic_metrics, run_campaign
-from hetnet_handover.specfun import (
-    DEFAULT_BESSEL_TABLE,
+from hetnet_handover.specfun import marcum_q1
+
+from oracles import (
+    I0_EXP_EDGES,
+    PINS,
     i0_exp_approx,
-    i0_series,
-    marcum_q1,
     marcum_q1_quadrature,
+    mean_cluster_distance_ub,
+    rician_cdf,
+    strip_occupancy,
 )
 
 
@@ -111,9 +109,9 @@ def test_equal_exponent_boundary_is_exact():
         target, pathloss_exponent=serving.pathloss_exponent
     )
     target_xy = np.array([800.0, 600.0])
-    circle = make_erb_pair(serving, target, target_xy, q_out_linear=0.5).handover_circle
+    circle = erb_pair_arrays(serving, target, target_xy[:1], target_xy[1:], 0.5)[3]
     theta = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-    pts = circle.center + circle.radius * np.column_stack(
+    pts = np.array([circle.cx[0], circle.cy[0]]) + circle.radius[0] * np.column_stack(
         (np.cos(theta), np.sin(theta))
     )
     d_serving = np.hypot(pts[:, 0], pts[:, 1])
@@ -167,7 +165,7 @@ def test_mean_nearest_macro_distance():
         if len(field) == 0:
             continue
         queries = rng.uniform(2750.0, 3250.0, (50, 2))
-        d, _ = nearest_point_batch(queries, field)
+        d, _ = cKDTree(field.points).query(queries)
         samples.append(d)
     mc_mean = float(np.concatenate(samples).mean())
     closed = mean_r_sm(lam)
@@ -241,14 +239,15 @@ def test_special_function_accuracy():
     worst_q = 0.0
     for a in a_grid:
         quad_vals = np.array([marcum_q1_quadrature(a, b) for b in b_grid])
-        worst_q = max(worst_q, float(np.max(np.abs(marcum_q1(a, b_grid) - quad_vals))))
+        series = np.array(marcum_q1(a, tuple(b_grid)))
+        worst_q = max(worst_q, float(np.max(np.abs(series - quad_vals))))
 
-    edges = DEFAULT_BESSEL_TABLE.edges
+    edges = I0_EXP_EDGES
     interval_errors = []
     for k in range(len(edges) - 1):
         lo, hi = edges[k], edges[k + 1]
         z = lo + (hi - lo) * np.arange(2001) / 2001.0  # [lo, hi)
-        exact = i0_series(z) if hi <= 60 else sp.i0(z)
+        exact = sp.i0(z)
         rel = np.max(np.abs(i0_exp_approx(z) - exact) / exact)
         interval_errors.append((lo, hi, float(rel)))
     i0_ok = all(err <= 0.05 for _, _, err in interval_errors)
@@ -272,7 +271,6 @@ def test_boundary_biased_mobility_lifts_edge_occupancy():
     # paired seed.
     t0 = time.perf_counter()
     region = Region(0.0, 5000.0, 0.0, 5000.0)
-    partition = partition_five(region, border_fraction=0.05)
     occupancy = {}
     for p_z in (0.0, 0.3):
         cfg = MobilityConfig(
@@ -285,7 +283,7 @@ def test_boundary_biased_mobility_lifts_edge_occupancy():
             )
             for _ in range(100)
         ]
-        occupancy[p_z] = float(empirical_occupancy(trajectories, partition)[1:].sum())
+        occupancy[p_z] = strip_occupancy(trajectories, region, border_fraction=0.05)
     verdict(
         "boundary-biased mobility edge occupancy",
         occupancy[0.3] > occupancy[0.0],
@@ -311,7 +309,7 @@ def test_simulated_trigger_rate_tracks_closed_form():
     sim = estimate.pairs[PairKind.SPS]
     ratio = sim.triggered_rate / analytic.triggered_rate
     direction_ok = sim.handover_rate <= analytic.handover_rate
-    pin = load_fixtures()["sim_triggered_rate_sps_reference_seed0"]
+    pin = PINS["sim_triggered_rate_sps_reference_seed0"]
     pin_err = abs(sim.triggered_rate - pin["value"]) / pin["value"]
     verdict(
         "simulated vs closed-form trigger rate",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from hetnet_handover import analytics
 from hetnet_handover.analytics import (
@@ -16,18 +16,12 @@ from hetnet_handover.analytics import (
     HandoverMetrics,
     HandoverThresholds,
     PairKind,
-    cdf_r_sm,
+    _sojourn_tails,
     compute_metrics,
-    mean_cluster_distance_expsum,
     mean_cluster_distance_numeric,
-    mean_cluster_distance_ub,
     mean_pair_distance,
     mean_r_sm,
     movement_time_per_meter,
-    pdf_r_sm,
-    prob_sojourn_ge,
-    rician_cdf,
-    rician_pdf,
 )
 from hetnet_handover.fixtures import (
     default_hotspot_params,
@@ -35,7 +29,6 @@ from hetnet_handover.fixtures import (
     default_mobility,
     default_small_params,
     default_thresholds,
-    fixture_value,
     reference_sim_config,
 )
 from hetnet_handover.geometry import Region
@@ -43,7 +36,15 @@ from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
 from hetnet_handover.simengine import SimConfig, analytic_metrics
 from hetnet_handover.specfun import marcum_q1
 
-from oracles import cluster_mean_rician_mixture, rician_mean
+from oracles import (
+    cluster_mean_rician_mixture,
+    mean_cluster_distance_expsum,
+    mean_cluster_distance_ub,
+    pin,
+    rician_cdf,
+    rician_mean,
+    rician_pdf,
+)
 
 MOBILITY = default_mobility()
 THRESHOLDS = default_thresholds()
@@ -70,8 +71,13 @@ def _sps_metrics(thresholds=THRESHOLDS, **kwargs):
     )
 
 
+def _tail(pair, t, velocity, u, lam, sigma) -> float:
+    """``P(S >= t | u)`` of one ``(t, u)``."""
+    return _sojourn_tails(pair, ((t, u),), velocity, lam, sigma)[0]
+
+
 def _sps_tail(t: float, u: float) -> float:
-    return prob_sojourn_ge(PairKind.SPS, t, MOBILITY.velocity, u, 2e-5, 150.0)
+    return _tail(PairKind.SPS, t, MOBILITY.velocity, u, 2e-5, 150.0)
 
 
 def _envelope_config(lambda_s, sigma, v_kmh, t, t_p) -> SimConfig:
@@ -88,21 +94,31 @@ def _envelope_config(lambda_s, sigma, v_kmh, t, t_p) -> SimConfig:
     )
 
 
+def _rayleigh_pdf(r: float, lam: float) -> float:
+    """Nearest-BS distance density of a uniform tier of density ``lam``."""
+    return 2.0 * math.pi * lam * r * math.exp(-math.pi * lam * r * r)
+
+
 class TestNearestDistanceLaw:
     def test_pdf_integrates_to_one(self):
-        val, _ = integrate.quad(lambda r: pdf_r_sm(r, 1e-6), 0.0, np.inf)
+        val, _ = integrate.quad(lambda r: _rayleigh_pdf(r, 1e-6), 0.0, np.inf)
         assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_cdf_matches_pdf_quadrature(self):
-        lam = 2e-6
-        for r in (100.0, 400.0, 900.0):
-            val, _ = integrate.quad(lambda x: pdf_r_sm(x, lam), 0.0, r)
-            assert cdf_r_sm(r, lam) == pytest.approx(val, rel=1e-10)
+        # The SM sojourn tail is the Rayleigh tail P(R > r) of the pair
+        # distance at r = 2 T V (1 - u) / (pi sqrt(u)).
+        lam, v, u = 2e-6, 16.7, 0.4
+        for t in (0.5, 4.0, 12.0):
+            r = 2.0 * t * v * (1.0 - u) / (math.pi * math.sqrt(u))
+            cdf, _ = integrate.quad(lambda x: _rayleigh_pdf(x, lam), 0.0, r)
+            assert _tail(PairKind.SM, t, v, u, lam, 150.0) == pytest.approx(1.0 - cdf, rel=1e-10)
 
     def test_mean_closed_form(self):
         lam = 2e-6
         assert mean_r_sm(lam) == pytest.approx(1.0 / (2.0 * math.sqrt(lam)), rel=1e-12)
         assert mean_r_sm(2e-6) == pytest.approx(353.5533905932738, rel=1e-12)
+        mean, _ = integrate.quad(lambda r: r * _rayleigh_pdf(r, lam), 0.0, np.inf)
+        assert mean_r_sm(lam) == pytest.approx(mean, rel=1e-9)
 
     def test_invalid_density(self):
         with pytest.raises(ValueError):
@@ -118,14 +134,16 @@ class TestConditionalDistanceLaw:
             assert val == pytest.approx(1.0, rel=1e-8)
 
     def test_cdf_is_marcum_complement(self):
+        # Q1(a, b) is the tail of a noncentral chi-square with 2 degrees of
+        # freedom and noncentrality a^2 at b^2, here by scipy's own route.
         r, w, sigma = 120.0, 90.0, 70.0
         assert rician_cdf(r, w, sigma) == pytest.approx(
-            1.0 - marcum_q1(w / sigma, r / sigma), rel=1e-12
+            stats.ncx2.cdf((r / sigma) ** 2, 2, (w / sigma) ** 2), rel=1e-12
         )
 
     def test_pinned_cdf_value(self):
         assert rician_cdf(1.0, 1.0, 1.0) == pytest.approx(
-            fixture_value("rician_cdf_at_1_1_1"), rel=1e-9
+            1.0 - pin("marcum_q1_at_1_1"), rel=1e-9
         )
 
     def test_cdf_matches_pdf_quadrature_grid(self):
@@ -152,7 +170,7 @@ class TestConditionalDistanceLaw:
 class TestClusterMeanDistance:
     def test_pinned_against_independent_quadrature(self):
         assert mean_cluster_distance_numeric(2e-5, 150.0) == pytest.approx(
-            fixture_value("cluster_mean_numeric_lam2e-5_sigma150"), rel=1e-7
+            pin("cluster_mean_numeric_lam2e-5_sigma150"), rel=1e-7
         )
 
     def test_monte_carlo_cross_check(self):
@@ -192,7 +210,7 @@ class TestClusterMeanDistance:
     # `mean_cluster_distance_expsum`; the proven bound is tested below them.
     def test_ub_pinned(self):
         assert mean_cluster_distance_expsum(2e-5, 150.0) == pytest.approx(
-            fixture_value("cluster_mean_ub_lam2e-5_sigma150"), rel=1e-12
+            pin("cluster_mean_ub_lam2e-5_sigma150"), rel=1e-12
         )
 
     def test_ub_dominates_numeric_in_validity_range(self):
@@ -283,14 +301,12 @@ class TestRates:
         assert _sps_metrics().triggered_rate == pytest.approx(manual, rel=1e-12)
 
     def test_sojourn_tail_at_zero_threshold_is_one(self):
-        assert prob_sojourn_ge(PairKind.SM, 0.0, 16.7, 0.3, 2e-6, 150.0) == 1.0
+        assert _tail(PairKind.SM, 0.0, 16.7, 0.3, 2e-6, 150.0) == 1.0
 
     def test_sojourn_tail_sm_branch(self):
         u, lam_m, v, t = 0.4, 2e-6, 16.7, 1.5
         manual = math.exp(-4.0 * lam_m * v * v * t * t * (1.0 - u) ** 2 / (math.pi * u))
-        assert prob_sojourn_ge(
-            PairKind.SM, t, v, u, lam_m, 150.0
-        ) == pytest.approx(manual, rel=1e-12)
+        assert _tail(PairKind.SM, t, v, u, lam_m, 150.0) == pytest.approx(manual, rel=1e-12)
 
     def test_sojourn_tail_hotspot_branches(self):
         u, lam, sigma, v, t = 0.47, 2e-5, 150.0, 16.7, 1.0
@@ -299,15 +315,15 @@ class TestRates:
         manual = float(marcum_q1(a, b))
         # Both hotspot pairs use the serving-tier density in the same formula.
         for pair in (PairKind.SPS, PairKind.SPM):
-            assert prob_sojourn_ge(pair, t, v, u, lam, sigma) == pytest.approx(
+            assert _tail(pair, t, v, u, lam, sigma) == pytest.approx(
                 manual, rel=1e-12
             )
 
     def test_sojourn_tail_requires_density(self):
         with pytest.raises(ValueError):
-            prob_sojourn_ge(PairKind.SM, 1.0, 16.7, 0.4, 0.0, 150.0)
+            _tail(PairKind.SM, 1.0, 16.7, 0.4, 0.0, 150.0)
         with pytest.raises(ValueError):
-            prob_sojourn_ge(PairKind.SPS, 1.0, 16.7, 0.4, 2e-5, 0.0)
+            _tail(PairKind.SPS, 1.0, 16.7, 0.4, 2e-5, 0.0)
 
     @given(
         t1=st.floats(min_value=0.0, max_value=30.0),
@@ -316,8 +332,8 @@ class TestRates:
     )
     @settings(max_examples=100, deadline=None)
     def test_sojourn_tail_decreasing_in_threshold(self, t1, dt, u):
-        p1 = prob_sojourn_ge(PairKind.SPS, t1, 16.7, u, 2e-5, 150.0)
-        p2 = prob_sojourn_ge(PairKind.SPS, t1 + dt, 16.7, u, 2e-5, 150.0)
+        p1 = _tail(PairKind.SPS, t1, 16.7, u, 2e-5, 150.0)
+        p2 = _tail(PairKind.SPS, t1 + dt, 16.7, u, 2e-5, 150.0)
         assert p2 <= p1 + 1e-12
         assert 0.0 <= p2 <= 1.0
 

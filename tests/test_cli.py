@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetnet_handover
 from hetnet_handover import cli
 from hetnet_handover.analytics import HandoverMetrics, PairKind
 from hetnet_handover.cli import (
@@ -22,7 +25,6 @@ from hetnet_handover.cli import (
     ExperimentSpec,
     apply_sweep,
     cmd_analyze,
-    cmd_fixtures,
     cmd_simulate,
     cmd_validate,
     default_spec,
@@ -33,7 +35,6 @@ from hetnet_handover.cli import (
     sweep_points,
 )
 from hetnet_handover.fixtures import (
-    FixtureCheck,
     default_hotspot_params,
     default_macro_params,
     default_mobility,
@@ -624,28 +625,6 @@ def test_validate_reports_all_pairs():
     assert "sim/ana" in summary
 
 
-def test_fixtures_command_reports_drift(monkeypatch, capsys):
-    good = FixtureCheck(
-        name="x", stored=1.0, recomputed=1.0, rel_error=0.0, tolerance=1e-9, ok=True
-    )
-    bad = dataclasses.replace(good, recomputed=2.0, rel_error=1.0, ok=False)
-
-    monkeypatch.setattr(
-        "hetnet_handover.cli.recompute_all", lambda workers=1: [good]
-    )
-    report, ok = cmd_fixtures()
-    assert ok and "x" in report
-    assert main(["fixtures"]) == 0
-
-    monkeypatch.setattr(
-        "hetnet_handover.cli.recompute_all", lambda workers=1: [good, bad]
-    )
-    report, ok = cmd_fixtures()
-    assert not ok
-    assert main(["fixtures"]) == 1
-    assert "fixture drift" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -736,4 +715,38 @@ def test_main_analyze_names_pair_whose_circle_encloses_serving(tmp_path, capsys)
 def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+# ---------------------------------------------------------------------------
+
+#: What ``import hetnet_handover`` exports: the production path
+#: (``analyze``, ``simulate``, ``validate``) and what it calls.
+PACKAGE_ALL = [
+    "HandoverMetrics", "HandoverThresholds", "PairKind", "compute_metrics",
+    "mean_cluster_distance_numeric", "mean_pair_distance", "mean_r_sm",
+    "TIER_HOTSPOT", "TIER_MACRO", "TIER_SMALL", "ClusterConfig", "PointSet", "Region",
+    "sample_ppp", "sample_tcp",
+    "MobilityConfig", "Trajectory", "generate_trajectory", "mean_transition_length",
+    "DegenerateBoundaryError", "ErbPair", "TierRadioParams", "make_erb_pair",
+    "ComparisonTable", "EventCounts", "MetricsEstimate", "SimConfig", "analytic_metrics",
+    "compare_to_analytics", "run_campaign", "run_trial", "summarize_trials",
+    "marcum_q1", "__version__",
+]
+
+
+def test_package_is_the_production_path_only():
+    # The tests' quadrature and 50-digit oracles stay out of a CLI run.
+    src = os.path.dirname(os.path.dirname(hetnet_handover.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hetnet_handover.cli; print(sorted({'scipy.integrate', 'mpmath'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout == "[]\n"
+    assert hetnet_handover.__all__ == PACKAGE_ALL
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures"])
     assert exc.value.code == 2

@@ -1,57 +1,56 @@
-"""Tests for the pinned-constant registry and its oracles."""
+"""The pinned regression constants, each recomputed by its oracle, and the
+default parameter sets of ``hetnet_handover.fixtures``."""
 
 import math
 
 import pytest
 
 from hetnet_handover import fixtures
-from hetnet_handover.fixtures import (
-    ORACLES,
-    SLOW_ORACLES,
-    checks_to_text,
-    fixture_value,
-    load_fixtures,
-    recompute,
-    recompute_all,
+from hetnet_handover.analytics import PairKind
+from hetnet_handover.simengine import analytic_metrics
+
+from oracles import (
+    PINS,
+    cluster_mean_rician_mixture,
+    i0_approx_max_rel_err,
+    marcum_q1_mpmath,
+    marcum_q1_quadrature,
+    mean_cluster_distance_expsum,
 )
+
+#: The pin that needs a full 200-trial campaign; the acceptance check of the
+#: simulated trigger rate recomputes it.
+SLOW_PIN = "sim_triggered_rate_sps_reference_seed0"
+
+#: The oracle of every other pin.
+PIN_ORACLES = {
+    "marcum_q1_at_1_1": lambda: marcum_q1_quadrature(1.0, 1.0),
+    "marcum_q1_at_79_80": lambda: marcum_q1_mpmath(79.0, 80.0),
+    "xi_6db_alpha4": lambda: 10.0 ** ((-6.0 / 10.0) * (2.0 / 4.0)),
+    "xi_failure_scale_3db_alpha367": lambda: (10.0 ** (-3.0 / 10.0)) ** (2.0 / 3.67),
+    "cluster_mean_numeric_lam2e-5_sigma150": lambda: cluster_mean_rician_mixture(2e-5, 150.0),
+    "cluster_mean_ub_lam2e-5_sigma150": lambda: mean_cluster_distance_expsum(2e-5, 150.0),
+    "analytic_triggered_rate_sps_reference": lambda: analytic_metrics(
+        fixtures.reference_sim_config()
+    )[PairKind.SPS].triggered_rate,
+    "i0_approx_max_rel_err_interval0": lambda: i0_approx_max_rel_err(0),
+    "i0_approx_max_rel_err_interval1": lambda: i0_approx_max_rel_err(1),
+    "i0_approx_max_rel_err_interval2": lambda: i0_approx_max_rel_err(2),
+}
 
 
 def test_every_fixture_has_an_oracle_and_vice_versa():
-    stored = load_fixtures()
-    assert set(stored) == set(ORACLES)
-    assert SLOW_ORACLES <= set(stored)
-    for entry in stored.values():
+    assert set(PINS) == set(PIN_ORACLES) | {SLOW_PIN}
+    for entry in PINS.values():
         assert math.isfinite(entry["value"])
         assert 0 < entry["rel_tolerance"] < 1
         assert entry["oracle"]
 
 
-def test_fast_oracles_reproduce_pinned_values():
-    checks = recompute_all(include_slow=False)
-    assert len(checks) == len(ORACLES) - len(SLOW_ORACLES)
-    drifted = [c for c in checks if not c.ok]
-    assert drifted == [], checks_to_text(drifted)
-
-
-def test_recompute_single():
-    value = recompute("i0_at_1")
-    assert value == pytest.approx(fixture_value("i0_at_1"), rel=1e-14)
-
-
-def test_unknown_fixture_name_raises():
-    with pytest.raises(KeyError):
-        fixture_value("no_such_constant")
-    with pytest.raises(KeyError):
-        recompute("no_such_constant")
-
-
-def test_report_formatting_flags_drift():
-    checks = recompute_all(include_slow=False)
-    text = checks_to_text(checks)
-    lines = text.splitlines()
-    assert "fixture" in lines[0] and "status" in lines[0]
-    assert len(lines) == 2 + len(checks)
-    assert all(ln.endswith("OK") for ln in lines[2:])
+@pytest.mark.parametrize("name", sorted(PIN_ORACLES))
+def test_pin_matches_its_oracle(name):
+    entry = PINS[name]
+    assert PIN_ORACLES[name]() == pytest.approx(entry["value"], rel=entry["rel_tolerance"])
 
 
 def test_default_builders_are_self_consistent():

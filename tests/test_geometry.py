@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnet_handover import simengine
 from hetnet_handover.geometry import (
     TIER_HOTSPOT,
     TIER_MACRO,
@@ -12,8 +13,6 @@ from hetnet_handover.geometry import (
     ClusterConfig,
     PointSet,
     Region,
-    nearest_point_batch,
-    partition_five,
     sample_ppp,
     sample_tcp,
 )
@@ -123,59 +122,33 @@ class TestSampleTCP:
 
 
 class TestNearest:
+    # The simulator finds each target's nearest serving-tier BS through the
+    # per-tier KD-trees of `simengine._kdtrees`.
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         pts = PointSet(tier=TIER_SMALL, points=rng.uniform(0, 1000, (40, 2)))
         q = np.array([300.0, 700.0])
-        d, i = nearest_point_batch(q, pts)
+        d, i = simengine._kdtrees([pts])[0].query(q)
         brute = np.linalg.norm(pts.points - q, axis=1)
-        assert i.tolist() == [int(np.argmin(brute))]
-        assert d[0] == pytest.approx(brute.min())
+        assert i == int(np.argmin(brute))
+        assert d == pytest.approx(brute.min())
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(7)
         pts = PointSet(tier=TIER_SMALL, points=rng.uniform(0, 1000, (25, 2)))
         queries = rng.uniform(0, 1000, (30, 2))
-        d_batch, i_batch = nearest_point_batch(queries, pts)
+        d_batch, i_batch = simengine._kdtrees([pts])[0].query(queries)
         for k, q in enumerate(queries):
             brute = np.linalg.norm(pts.points - q, axis=1)
             assert i_batch[k] == int(np.argmin(brute))
             assert d_batch[k] == pytest.approx(brute.min())
 
     def test_empty_targets_rejected(self):
+        # An empty tier gets no tree, so no query can land on it.
         empty = PointSet(tier=TIER_SMALL, points=np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="no points"):
-            nearest_point_batch(np.array([0.0, 0.0]), empty)
-
-
-class TestPartitionFive:
-    def test_areas_cover_region(self):
-        region = Region(0.0, 1000.0, 0.0, 600.0)
-        part = partition_five(region, 0.1)
-        assert part.areas().sum() == pytest.approx(region.area)
-
-    def test_every_point_in_exactly_one_part(self):
-        region = Region(0.0, 1000.0, 0.0, 600.0)
-        part = partition_five(region, 0.15)
-        pts = region.sample_uniform(5000, np.random.default_rng(8))
-        idx = part.index_of(pts)
-        assert idx.min() >= 0 and idx.max() <= 4
-        # Cross-check against per-part membership with boundary tie-breaking:
-        # membership counts can exceed 1 only on shared edges (measure zero).
-        member = np.stack([p.contains(pts) for p in part.parts])
-        assert np.all(member.sum(axis=0) >= 1)
-
-    def test_border_fraction_validated(self):
-        region = Region(0.0, 10.0, 0.0, 10.0)
-        for bad in (0.0, 0.5, 0.9, -0.1):
-            with pytest.raises(ValueError):
-                partition_five(region, bad)
-
-    def test_outside_point_rejected(self):
-        region = Region(0.0, 10.0, 0.0, 10.0)
-        part = partition_five(region, 0.2)
-        with pytest.raises(ValueError):
-            part.index_of(np.array([[11.0, 5.0]]))
+        full = PointSet(tier=TIER_MACRO, points=np.ones((1, 2)))
+        trees = simengine._kdtrees([empty, full])
+        assert trees[0] is None and trees[1].n == 1
 
 
 @given(

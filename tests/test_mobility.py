@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnet_handover.analytics import movement_time_per_meter
-from hetnet_handover.geometry import Region, partition_five
+from hetnet_handover.geometry import Region
 from hetnet_handover.mobility import (
     MobilityConfig,
     Trajectory,
-    empirical_occupancy,
     generate_trajectory,
     mean_transition_length,
 )
+
+from oracles import strip_occupancy
 
 
 def _cfg(**kw) -> MobilityConfig:
@@ -235,23 +236,11 @@ class TestTrajectory:
 
 
 class TestOccupancy:
-    def test_sums_to_one(self):
-        cfg = _cfg()
-        rng = np.random.default_rng(21)
-        trajs = [
-            generate_trajectory(REGION.sample_uniform(1, rng)[0], 50, REGION, cfg, rng)
-            for _ in range(20)
-        ]
-        occ = empirical_occupancy(trajs, partition_five(REGION, 0.1))
-        assert occ.shape == (5,)
-        assert occ.sum() == pytest.approx(1.0)
-
     def test_boundary_mixture_raises_strip_occupancy(self):
         # Same seed with and without the boundary-biased length extension:
         # extended hops clamp to the walls more often, so the mixture puts
         # more waypoint mass in narrow border strips.  (The full-size check
         # lives in the acceptance suite; this is a fast scaled-down version.)
-        part = partition_five(REGION, 0.05)
         occ = {}
         for p_z in (0.0, 0.3):
             cfg = _cfg(p_z=p_z)
@@ -262,9 +251,5 @@ class TestOccupancy:
                 )
                 for _ in range(30)
             ]
-            occ[p_z] = empirical_occupancy(trajs, part)[1:].sum()
+            occ[p_z] = strip_occupancy(trajs, REGION, 0.05)
         assert occ[0.3] > occ[0.0]
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_occupancy([], partition_five(REGION, 0.1))

@@ -1,6 +1,5 @@
 """RSS model and boundary-circle geometry."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,23 +12,21 @@ from hetnet_handover.fixtures import (
     default_macro_params,
     default_small_params,
     default_thresholds,
-    fixture_value,
 )
 from hetnet_handover.geometry import TIER_MACRO, TIER_SMALL, PointSet
 from hetnet_handover.radio import (
-    Circle,
+    CircleArrays,
     DegenerateBoundaryError,
-    ErbPair,
     TierRadioParams,
-    dl_rss,
-    erb_circle,
+    erb_circle_arrays,
+    erb_pair_arrays,
     lambda_star,
     make_erb_pair,
     xi_factor,
     xi_failure_factor,
 )
 
-from oracles import serving_bs
+from oracles import pin, serving_bs
 
 
 def _tier(p_dbm: float, alpha: float, gain: float = 0.0, bias: float = 0.0):
@@ -75,31 +72,15 @@ class TestTierRadioParams:
             TierRadioParams(30.0, 0.0, 0.0, pathloss_intercept=0.0, pathloss_exponent=4.0)
 
 
-class TestRss:
-    def test_decreasing_in_distance(self):
-        t = _tier(30.0, 3.67)
-        d = np.linspace(10.0, 1000.0, 50)
-        rss = dl_rss(t, d)
-        assert np.all(np.diff(rss) < 0)
-
-    def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            dl_rss(_tier(30.0, 3.67), 0.0)
-
-
 class TestXiFactors:
     def test_pinned_6db_alpha4(self):
         serving = _tier(30.0, 4.0)
         target = _tier(24.0, 4.0)
-        assert xi_factor(serving, target) == pytest.approx(
-            fixture_value("xi_6db_alpha4"), rel=1e-12
-        )
+        assert xi_factor(serving, target) == pytest.approx(pin("xi_6db_alpha4"), rel=1e-12)
 
     def test_pinned_failure_scale(self):
         scale = xi_failure_factor(1.0, 10.0 ** (-0.3), 3.67)
-        assert scale == pytest.approx(
-            fixture_value("xi_failure_scale_3db_alpha367"), rel=1e-12
-        )
+        assert scale == pytest.approx(pin("xi_failure_scale_3db_alpha367"), rel=1e-12)
 
     def test_failure_factor_shrinks_xi(self):
         assert xi_failure_factor(0.7, 0.5, 3.67) < 0.7
@@ -116,9 +97,29 @@ class TestXiFactors:
             lambda_star(np.array([0.0, 0.0]), 0.9)
 
 
-def _boundary_points(circle: Circle, n: int = 360) -> np.ndarray:
+def _rss(tier: TierRadioParams, distance: np.ndarray) -> np.ndarray:
+    return tier.linear_prefactor * distance ** (-tier.pathloss_exponent)
+
+
+def _circles(serving, target, pos, q_out) -> tuple:
+    """Handover and failure circles of one target at ``pos``, from the
+    simulator's kernel."""
+    *_, h, f = erb_pair_arrays(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
+    return h, f
+
+
+def _circle(pos, xi: float, lam_star: float) -> CircleArrays:
+    tx, ty = np.array(pos[:1]), np.array(pos[1:])
+    return erb_circle_arrays(tx, ty, np.hypot(tx, ty), xi, np.full(1, lam_star))
+
+
+def _contains(c: CircleArrays, point) -> bool:
+    return bool(np.hypot(point[0] - c.cx[0], point[1] - c.cy[0]) < c.radius[0])
+
+
+def _boundary_points(c: CircleArrays, n: int = 360) -> np.ndarray:
     ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return circle.center + circle.radius * np.stack(
+    return np.array([c.cx[0], c.cy[0]]) + c.radius[0] * np.stack(
         [np.cos(ang), np.sin(ang)], axis=1
     )
 
@@ -130,45 +131,35 @@ class TestErbCircle:
         serving = _tier(30.0, 3.67, gain=5.0, bias=4.0)
         target = _tier(24.0, 3.67, gain=5.0, bias=4.0)
         pos = np.array([210.0, -140.0])
-        pair = make_erb_pair(serving, target, pos, q_out_linear=10.0 ** (-0.3))
-        pts = _boundary_points(pair.handover_circle)
-        rss_serving = dl_rss(serving, np.linalg.norm(pts, axis=1))
-        rss_target = dl_rss(target, np.linalg.norm(pts - pos, axis=1))
+        h, _ = _circles(serving, target, pos, 10.0 ** (-0.3))
+        pts = _boundary_points(h)
+        rss_serving = _rss(serving, np.linalg.norm(pts, axis=1))
+        rss_target = _rss(target, np.linalg.norm(pts - pos, axis=1))
         assert np.max(np.abs(rss_serving - rss_target) / rss_serving) < 1e-9
 
     def test_failure_circle_nested_inside_handover_circle(self):
         serving = _tier(30.0, 3.67)
         target = _tier(24.0, 3.67)
-        pair = make_erb_pair(
-            serving, target, np.array([300.0, 0.0]), q_out_linear=10.0 ** (-0.3)
-        )
-        h, f = pair.handover_circle, pair.failure_circle
-        center_gap = float(np.linalg.norm(h.center - f.center))
-        assert center_gap + f.radius <= h.radius + 1e-9
-        assert f.radius < h.radius
+        h, f = _circles(serving, target, (300.0, 0.0), 10.0 ** (-0.3))
+        center_gap = float(np.hypot(h.cx[0] - f.cx[0], h.cy[0] - f.cy[0]))
+        assert center_gap + f.radius[0] <= h.radius[0] + 1e-9
+        assert f.radius[0] < h.radius[0]
 
     def test_weaker_target_circle_covers_target_not_serving(self):
-        pair = make_erb_pair(
-            _tier(30.0, 3.67), _tier(24.0, 3.67), np.array([300.0, 0.0]), 0.5
-        )
-        c = pair.handover_circle
-        assert not c.encloses_serving
-        assert c.contains(np.array([300.0, 0.0]))
-        assert not c.contains(np.array([0.0, 0.0]))
+        c, _ = _circles(_tier(30.0, 3.67), _tier(24.0, 3.67), (300.0, 0.0), 0.5)
+        assert not c.encloses_serving[0]
+        assert _contains(c, (300.0, 0.0))
+        assert not _contains(c, (0.0, 0.0))
 
     def test_stronger_target_circle_encloses_serving(self):
-        pair = make_erb_pair(
-            _tier(24.0, 3.67), _tier(30.0, 3.67), np.array([300.0, 0.0]), 0.5
-        )
-        c = pair.handover_circle
-        assert c.encloses_serving
-        assert c.contains(np.array([0.0, 0.0]))
-        assert not c.contains(np.array([300.0, 0.0]))
+        c, _ = _circles(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5)
+        assert c.encloses_serving[0]
+        assert _contains(c, (0.0, 0.0))
+        assert not _contains(c, (300.0, 0.0))
 
     def test_degenerate_equal_parameters(self):
         t = _tier(30.0, 3.67)
-        with pytest.raises(DegenerateBoundaryError):
-            erb_circle(np.array([100.0, 0.0]), xi=1.0, lam_star=1.0)
+        assert _circle((100.0, 0.0), xi=1.0, lam_star=1.0).degenerate[0]
         with pytest.raises(DegenerateBoundaryError):
             make_erb_pair(t, t, np.array([100.0, 0.0]), 0.5)
 
@@ -182,17 +173,20 @@ class TestErbCircle:
 
     def test_center_and_radius_closed_form(self):
         xi, lam = 0.47, 1.0
-        pos = np.array([200.0, 0.0])
-        c = erb_circle(pos, xi, lam)
+        pos = (200.0, 0.0)
+        c = _circle(pos, xi, lam)
         u = lam * xi
-        assert np.allclose(c.center, pos / (1.0 - u))
-        assert c.radius == pytest.approx(math.sqrt(u) * 200.0 / (1.0 - u))
+        assert c.cx[0] == pytest.approx(200.0 / (1.0 - u))
+        assert c.cy[0] == 0.0
+        assert c.radius[0] == pytest.approx(math.sqrt(u) * 200.0 / (1.0 - u))
 
     def test_invalid_arguments(self):
+        # A target on the serving BS has no boundary.
+        t = _tier(30.0, 3.67)
         with pytest.raises(ValueError):
-            erb_circle(np.array([100.0, 0.0]), xi=-0.5, lam_star=1.0)
+            _circles(_tier(24.0, 3.76), t, (0.0, 0.0), 0.5)
         with pytest.raises(ValueError):
-            erb_circle(np.array([0.0, 0.0]), xi=0.5, lam_star=1.0)
+            make_erb_pair(_tier(24.0, 3.76), t, np.array([0.0, 0.0]), 0.5)
 
     @given(
         xi=st.floats(min_value=0.05, max_value=0.95),
@@ -205,7 +199,7 @@ class TestErbCircle:
         if math.hypot(x, y) < 1.0:
             return
         pos = np.array([x, y])
-        circle = erb_circle(pos, xi, 1.0)
+        circle = _circle(pos, xi, 1.0)
         alpha = 3.5
         # xi = (P_t/P_s)^(2/alpha)  =>  P_t/P_s = xi^(alpha/2)
         ratio = xi ** (alpha / 2.0)
@@ -215,11 +209,11 @@ class TestErbCircle:
         assert np.max(np.abs(rss_s - rss_t) / rss_s) < 1e-7
 
 
-#: ``make_erb_pair`` for the default SM, SpS and SpM tiers at q_out = -3 dB,
-#: recorded before the factors moved to Python floats: (pair, target
-#: position, float.hex of (xi, xi_f, lam_star, handover centre x and y,
-#: handover radius, failure centre x and y, failure radius), handover and
-#: failure ``encloses_serving``).
+#: ``make_erb_pair`` and the circles of ``erb_pair_arrays`` for the default
+#: SM, SpS and SpM tiers at q_out = -3 dB, recorded before the factors moved
+#: to Python floats: (pair, target position, float.hex of (xi, xi_f,
+#: lam_star, handover centre x and y, handover radius, failure centre x and
+#: y, failure radius), handover and failure ``encloses_serving``).
 ERB_PIN = (
     ("SM", (1.0, 0.0), ("0x1.588bff35df782p-7", "0x1.d8ec52651e72dp-8", "0x1.0000000000000p+0", "0x1.02b86a9690acbp+0", "0x0.0p+0", "0x1.a87905299f151p-4", "0x1.01dc5c545f1d5p+0", "0x0.0p+0", "0x1.5e7a555af487dp-4"), False, False),
     ("SM", (37.5, 0.0), ("0x1.588bff35df782p-7", "0x1.d8ec52651e72dp-8", "0x1.31cd53e909d31p+0", "0x1.2fd0e602227c2p+5", "0x0.0p+0", "0x1.10654456fbdacp+2", "0x1.2e9bc7315ea72p+5", "0x0.0p+0", "0x1.c1872484be51bp+1"), False, False),
@@ -263,31 +257,22 @@ class TestErbPair:
         q_out = default_thresholds().q_out
         for pair, pos, values, h_encloses, f_encloses in ERB_PIN:
             erb = make_erb_pair(*tiers[pair], np.array(pos), q_out)
-            h, f = erb.handover_circle, erb.failure_circle
-            got = (erb.xi, erb.xi_f, erb.lam_star, *h.center, h.radius, *f.center, f.radius)
+            h, f = _circles(*tiers[pair], pos, q_out)
+            got = (
+                erb.xi, erb.xi_f, erb.lam_star,
+                h.cx[0], h.cy[0], h.radius[0], f.cx[0], f.cy[0], f.radius[0],
+            )
             assert tuple(float(v).hex() for v in got) == values, (pair, pos)
-            assert (h.encloses_serving, f.encloses_serving) == (h_encloses, f_encloses)
-            assert erb.encloses_serving is h.encloses_serving
-            assert erb.q_out == q_out
-
-    def test_circles_built_once_on_first_read(self):
-        erb = make_erb_pair(
-            default_small_params(), default_hotspot_params(), np.array([218.73, 0.0]), 0.5
-        )
-        assert {f.name for f in dataclasses.fields(erb)}.isdisjoint(
-            {"handover_circle", "failure_circle"}
-        )
-        assert erb.handover_circle is erb.handover_circle
-        assert erb.failure_circle is erb.failure_circle
-        assert erb.failure_circle.radius < erb.handover_circle.radius
+            assert (h.encloses_serving[0], f.encloses_serving[0]) == (h_encloses, f_encloses)
+            assert erb.encloses_serving == h.encloses_serving[0]
 
     def test_stronger_target_flags_enclosure_without_building_circles(self):
         erb = make_erb_pair(
             _tier(24.0, 3.67), _tier(30.0, 3.67), np.array([300.0, 0.0]), 0.5
         )
         assert erb.encloses_serving and erb.lam_xi > 1.0
-        assert "handover_circle" not in vars(erb)
-        assert erb.handover_circle.encloses_serving
+        h, _ = _circles(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5)
+        assert h.encloses_serving[0]
 
     def test_unequal_exponents_use_distance_factor(self):
         macro = default_macro_params()

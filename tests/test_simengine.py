@@ -22,7 +22,6 @@ from hetnet_handover.fixtures import (
     default_mobility,
     default_small_params,
     default_thresholds,
-    fixture_value,
     reference_sim_config,
 )
 from hetnet_handover.geometry import (
@@ -36,7 +35,7 @@ from hetnet_handover.geometry import (
     sample_tcp,
 )
 from hetnet_handover.mobility import Trajectory, generate_trajectory
-from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
+from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
 from hetnet_handover.simengine import (
     EventCounts,
     PairCounts,
@@ -49,7 +48,7 @@ from hetnet_handover.simengine import (
     summarize_trials,
 )
 
-from oracles import crossing_events_lexsort, serving_bs, walk_trajectory_loop
+from oracles import crossing_events_lexsort, pin, serving_bs, walk_trajectory_loop
 
 
 def small_config(**overrides) -> SimConfig:
@@ -943,7 +942,7 @@ def sampled_deployment(cfg: SimConfig, trial_index: int) -> tuple:
 
 
 def per_pair_field(cfg, macro, small, parents, children) -> tuple:
-    """Field columns and skip counts from one ``make_erb_pair`` call per pair,
+    """Field columns and skip counts from one ``erb_pair_arrays`` call per pair,
     serving BSs found by brute-force nearest neighbour."""
 
     def nearest(points, queries):
@@ -968,18 +967,17 @@ def per_pair_field(cfg, macro, small, parents, children) -> tuple:
                          children.points[j], tier_pos, b))
     for kind_pos, sp, tp, sxy, txy, tier_pos, b in jobs:
         kind = se._KIND_ORDER[kind_pos]
-        try:
-            erb = make_erb_pair(sp, tp, txy - sxy, cfg.thresholds.q_out)
-        except DegenerateBoundaryError:
+        d = txy - sxy
+        *_, h, f = erb_pair_arrays(sp, tp, d[:1], d[1:], cfg.thresholds.q_out)
+        if h.degenerate[0] or f.degenerate[0]:
             skipped[kind][0] += 1
             continue
-        h, f = erb.handover_circle, erb.failure_circle
-        if h.encloses_serving or f.encloses_serving:
+        if h.encloses_serving[0] or f.encloses_serving[0]:
             skipped[kind][1] += 1
             continue
-        rows.append((kind_pos, sxy[0] + h.center[0], sxy[1] + h.center[1],
-                     h.radius * h.radius, sxy[0] + f.center[0], sxy[1] + f.center[1],
-                     f.radius * f.radius, tier_pos, b))
+        rows.append((kind_pos, sxy[0] + h.cx[0], sxy[1] + h.cy[0],
+                     h.radius[0] * h.radius[0], sxy[0] + f.cx[0], sxy[1] + f.cy[0],
+                     f.radius[0] * f.radius[0], tier_pos, b))
     dtypes = (np.intp, float, float, float, float, float, float, np.intp, np.intp)
     columns = [np.array([r[c] for r in rows], dtype=dt) for c, dt in enumerate(dtypes)]
     return columns, skipped
@@ -1177,7 +1175,7 @@ def test_campaign_csv_shape():
 def test_analytic_metrics_match_pinned_reference():
     cfg = reference_sim_config()
     rate = analytic_metrics(cfg)[PairKind.SPS].triggered_rate
-    pinned = fixture_value("analytic_triggered_rate_sps_reference")
+    pinned = pin("analytic_triggered_rate_sps_reference")
     assert rate == pytest.approx(pinned, rel=1e-12)
 
 

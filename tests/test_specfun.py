@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,21 +10,22 @@ from scipy import special as sp
 from scipy import stats
 
 from hetnet_handover import specfun
-from hetnet_handover.fixtures import fixture_value, oracle_marcum_q1_mpmath
-from hetnet_handover.specfun import (
-    DEFAULT_BESSEL_TABLE,
-    BesselApproxTable,
+from hetnet_handover.specfun import marcum_q1
+
+from oracles import (
+    I0_EXP_COEFFICIENTS,
+    I0_EXP_EDGES,
+    i0_approx_max_rel_err,
     i0_exp_approx,
-    i0_series,
-    marcum_q1,
+    marcum_q1_mpmath,
     marcum_q1_quadrature,
+    pin,
 )
 
 PIN_A = (0.0, 0.3, 1.0, 2.5, 7.0, 15.0, 30.0, 37.0)
 PIN_B = (0.0, 0.2, 1.0, 3.0, 10.0, 36.0, 50.0)
 #: float.hex of marcum_q1(a, b), one scalar call per a in PIN_A (rows) and
-#: b in PIN_B (columns).  Each equals the vectorised series run on that one
-#: element, which the Python-float route must reproduce bit for bit.
+#: b in PIN_B (columns).
 SCALAR_PIN = (
     (
         "0x1.0000000000000p+0", "0x1.f5dc99badec5bp-1", "0x1.368b2fc6f960ap-1", "0x1.6c0504695c417p-7",
@@ -60,43 +60,6 @@ SCALAR_PIN = (
         "0x1.ffffffffffff7p-1", "0x1.b0744dba06d74p-1", "0x0.0p+0",
     ),
 )
-#: The same grid as one broadcast array call; the array series stops
-#: only when every element has converged, so some last bits differ.
-ARRAY_PIN = (
-    (
-        "0x1.0000000000000p+0", "0x1.f5dc99badec5bp-1", "0x1.368b2fc6f960ap-1", "0x1.6c0504695c417p-7",
-        "0x1.d257d547e083fp-73", "0x1.18d77b8a44ad7p-935", "0x0.0p+0",
-    ),
-    (
-        "0x1.fffffffffffffp-1", "0x1.f64db10f32e8ep-1", "0x1.3d6a0ed83630fp-1", "0x1.b7cdb252940d9p-7",
-        "0x1.16b83435fde7cp-70", "0x1.8dff9442fc084p-923", "0x0.0p+0",
-    ),
-    (
-        "0x1.0000000000000p+0", "0x1.f9d1f3ee9b788p-1", "0x1.773c058a69983p-1", "0x1.661f0987c785ap-5",
-        "0x1.ad2eca432d41ep-62", "0x1.65f81efffde1bp-888", "0x0.0p+0",
-    ),
-    (
-        "0x1.0000000000000p+0", "0x1.ff8a60967d70dp-1", "0x1.ef02a752d9d25p-1", "0x1.8209a10423ec8p-2",
-        "0x1.22b67a475d3abp-44", "0x1.0038113788b7bp-814", "0x0.0p+0",
-    ),
-    (
-        "0x1.fffffffffffffp-1", "0x1.fffffffffebd1p-1", "0x1.fffffffd01a62p-1", "0x1.fffd5f102c3e0p-1",
-        "0x1.ad9d1b6d78175p-10", "0x1.44ee227171a1ep-612", "0x0.0p+0",
-    ),
-    (
-        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
-        "0x1.fffff836bffaep-1", "0x1.bcdd871d48058p-324", "0x0.0p+0",
-    ),
-    (
-        "0x1.fffffffffffffp-1", "0x1.ffffffffffffcp-1", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1",
-        "0x1.ffffffffffffcp-1", "0x1.29c308abb8890p-30", "0x0.0p+0",
-    ),
-    (
-        "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1",
-        "0x1.ffffffffffff7p-1", "0x1.b0744dba06d74p-1", "0x0.0p+0",
-    ),
-)
-
 #: Large-a points: the windowed route for every b in a +- 30.
 LARGE_A = (40.0, 79.0, 200.0, 316.0)
 
@@ -123,79 +86,30 @@ def a_and_bs(draw):
     return a, tuple(draw(st.lists(b, min_size=1, max_size=5)))
 
 
-class TestI0Series:
-    def test_matches_scipy_on_grid(self):
-        z = np.linspace(0.0, 50.0, 501)
-        mine = i0_series(z)
-        ref = sp.i0(z)
-        assert np.max(np.abs(mine - ref) / ref) < 1e-12
-
-    def test_matches_mpmath_spot_values(self):
-        for z in (0.0, 0.5, 1.0, 7.3, 25.0, 49.0):
-            ref = float(mpmath.besseli(0, z))
-            assert i0_series(z) == pytest.approx(ref, rel=1e-13)
-
-    def test_pinned_value_at_1(self):
-        assert i0_series(1.0) == pytest.approx(fixture_value("i0_at_1"), rel=1e-10)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            i0_series(-0.1)
-
-    def test_scalar_in_scalar_out(self):
-        assert isinstance(i0_series(2.0), float)
-        assert i0_series(np.array([2.0])).shape == (1,)
-
-
 class TestI0ExpApprox:
     def test_within_tolerance_per_finite_interval(self):
-        edges = DEFAULT_BESSEL_TABLE.edges
         for k in range(3):
-            z = np.linspace(edges[k], edges[k + 1], 400, endpoint=False)
-            rel = np.abs(i0_exp_approx(z) - i0_series(z)) / i0_series(z)
+            z = np.linspace(I0_EXP_EDGES[k], I0_EXP_EDGES[k + 1], 400, endpoint=False)
+            rel = np.abs(i0_exp_approx(z) - sp.i0(z)) / sp.i0(z)
             assert np.max(rel) < 0.05, f"interval {k}: {np.max(rel):.3%}"
+
+    def test_interval_selection(self):
+        # Intervals are half-open: an edge takes the coefficients above it.
+        def block_sum(k, z):
+            return sum(a * math.exp(b * z) for a, b in I0_EXP_COEFFICIENTS[k])
+
+        for z, k in ((0.0, 0), (11.4, 0), (11.5, 1), (25.0, 2), (37.25, 3), (40.0, 3)):
+            assert i0_exp_approx(z) == pytest.approx(block_sum(k, z), rel=1e-14), z
 
     def test_pinned_interval_errors(self):
         for k in range(3):
-            pinned = fixture_value(f"i0_approx_max_rel_err_interval{k}")
-            z = np.linspace(
-                DEFAULT_BESSEL_TABLE.edges[k],
-                DEFAULT_BESSEL_TABLE.edges[k + 1],
-                2001,
-                endpoint=False,
-            )
-            measured = float(
-                np.max(np.abs(i0_exp_approx(z) - i0_series(z)) / i0_series(z))
-            )
-            assert measured == pytest.approx(pinned, rel=1e-9)
-
-    def test_interval_selection(self):
-        table = DEFAULT_BESSEL_TABLE
-        assert table.interval_index(0.0) == 0
-        assert table.interval_index(11.5) == 1
-        assert np.array_equal(
-            table.interval_index(np.array([5.0, 12.0, 25.0, 40.0])),
-            np.array([0, 1, 2, 3]),
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            i0_exp_approx(-1.0)
-
-    def test_table_shape_validated(self):
-        with pytest.raises(ValueError):
-            BesselApproxTable(edges=(0.0, 1.0), coefficients=(((1.0, 1.0),) * 4,))
-        with pytest.raises(ValueError):
-            BesselApproxTable(
-                edges=(0.0,), coefficients=(((1.0, 1.0),) * 3,)
-            )
+            pinned = pin(f"i0_approx_max_rel_err_interval{k}")
+            assert i0_approx_max_rel_err(k) == pytest.approx(pinned, rel=1e-9)
 
 
 class TestMarcumQ1:
     def test_pinned_value(self):
-        assert marcum_q1(1.0, 1.0) == pytest.approx(
-            fixture_value("marcum_q1_at_1_1"), rel=1e-9
-        )
+        assert marcum_q1(1.0, 1.0) == pytest.approx(pin("marcum_q1_at_1_1"), rel=1e-9)
 
     def test_against_quadrature_grid(self):
         for a in (0.2, 1.0, 3.0):
@@ -213,9 +127,7 @@ class TestMarcumQ1:
                 assert marcum_q1(a, b) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_pinned_large_a_value(self):
-        assert marcum_q1(79.0, 80.0) == pytest.approx(
-            fixture_value("marcum_q1_at_79_80"), rel=1e-12
-        )
+        assert marcum_q1(79.0, 80.0) == pytest.approx(pin("marcum_q1_at_79_80"), rel=1e-12)
 
     def test_edge_cases(self):
         assert marcum_q1(1.3, 0.0) == pytest.approx(1.0)
@@ -231,14 +143,7 @@ class TestMarcumQ1:
             with pytest.raises(ValueError):
                 marcum_q1(a, b)
         with pytest.raises(ValueError):
-            marcum_q1(np.array([1.0, math.nan]), 1.0)
-
-    def test_vectorized(self):
-        a = np.array([0.5, 1.0])
-        b = np.array([1.0, 2.0])
-        out = marcum_q1(a, b)
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(marcum_q1(0.5, 1.0))
+            marcum_q1(1.0, (1.0, math.nan))
 
     def test_scalar_bits_pinned(self):
         for a, row in zip(PIN_A, SCALAR_PIN):
@@ -247,12 +152,6 @@ class TestMarcumQ1:
                 assert isinstance(q, float)
                 assert q == float.fromhex(pinned), (a, b)
                 assert marcum_q1(np.float64(a), np.array(b)) == q
-
-    def test_array_bits_pinned(self):
-        out = marcum_q1(np.array(PIN_A)[:, None], np.array(PIN_B)[None, :])
-        expected = np.array([[float.fromhex(h) for h in row] for row in ARRAY_PIN])
-        assert out.shape == expected.shape
-        assert np.array_equal(out, expected)
 
     def test_large_a_matches_noncentral_chi2(self):
         for a in LARGE_A:
@@ -275,22 +174,8 @@ class TestMarcumQ1:
     def test_large_a_matches_50_digit_series(self):
         for a, b in ((40.0, 41.0), (79.0, 80.0), (200.0, 195.0), (316.0, 320.0)):
             assert marcum_q1(a, b) == pytest.approx(
-                oracle_marcum_q1_mpmath(a, b), rel=1e-12
+                marcum_q1_mpmath(a, b), rel=1e-12
             ), (a, b)
-
-    def test_array_with_large_a_matches_scalar_calls(self):
-        a = np.array([[1.0], [79.0]])
-        b = np.array([[0.5, 80.0, 120.0]])
-        out = marcum_q1(a, b)
-        assert out.shape == (2, 3)
-        for i in range(2):
-            for k in range(3):
-                assert out[i, k] == marcum_q1(float(a[i, 0]), float(b[0, k]))
-        # Repeated a in scattered positions share lanes; each keeps its bits.
-        a = np.array([79.0, 1.0, 79.0, 12.5, 1.0, 79.0, 79.0])
-        b = np.array([80.0, 0.5, 95.0, 3.0, 2.0, 0.0, 60.0])
-        out = marcum_q1(a, b)
-        assert [q.hex() for q in out] == [marcum_q1(ai, bi).hex() for ai, bi in zip(a, b)]
 
     @given(
         a=st.floats(min_value=0.0, max_value=400.0),
@@ -363,16 +248,3 @@ class TestMarcumQ1:
         assert pmfs[-1] == 0.0
         assert len(pmfs) < 2000
 
-
-class TestErf:
-    # Pins math.erf against the stored series oracle (fixture erf_at_1).
-    def test_pinned_value(self):
-        assert math.erf(1.0) == pytest.approx(fixture_value("erf_at_1"), rel=1e-12)
-
-    def test_matches_scipy(self):
-        x = np.linspace(-4.0, 4.0, 101)
-        ours = np.array([math.erf(v) for v in x])
-        assert np.allclose(ours, sp.erf(x), rtol=0, atol=1e-14)
-
-    def test_odd_symmetry(self):
-        assert math.erf(-1.7) == pytest.approx(-math.erf(1.7), rel=1e-15)
