@@ -32,7 +32,8 @@ hotspot-center densities proportionally, preserving the configured density
 ratios.
 
 Exit status is 0 iff no error occurred.  All CSV output starts with a
-``# schema_version`` comment and a header row and ends with a newline.
+``# schema_version`` comment and a header row and ends with a newline;
+numbers have 10 significant digits in ``analyze`` and 12 elsewhere.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -51,6 +53,7 @@ from . import fixtures
 from .geometry import Region
 from .simengine import (
     _TIERS,
+    METRICS,
     SimConfig,
     analytic_pair_metrics,
     compare_to_analytics,
@@ -59,20 +62,42 @@ from .simengine import (
 
 SCHEMA_VERSION = 1
 
-SWEEP_AXES = ("lambda_s", "sigma", "velocity", "tx_power_sprime", "T", "T_p")
+#: Each sweep axis but ``lambda_s``: the `SimConfig` part it replaces, the
+#: field of that part, and the conversion from the axis unit.
+_SWEPT_FIELDS = {
+    "sigma": ("cluster", "sigma", float),
+    "velocity": ("mobility", "velocity", lambda kmh: kmh / 3.6),
+    "tx_power_sprime": ("hotspot", "tx_power", float),
+    "T": ("thresholds", "t_threshold", float),
+    "T_p": ("thresholds", "t_pingpong", float),
+}
 
-METRICS_CSV_HEADER = "pair,lambda_s,sigma,V_mps,T_s,Tp_s,H_t,H,H_f,H_p"
+SWEEP_AXES = ("lambda_s", *_SWEPT_FIELDS)
 
-SIMULATE_CSV_HEADER = (
-    "pair,lambda_s,sigma,V_mps,T_s,Tp_s,n_trials,exposure_s,"
-    "triggered,handovers,failures,pingpongs,"
-    "H_t,H_t_ci,H,H_ci,H_f,H_f_ci,H_p,H_p_ci"
+#: The sweep point's CSV columns: name and `SimConfig` attribute path.
+_POINT_COLUMNS = (
+    ("lambda_s", "lambda_s"),
+    ("sigma", "cluster.sigma"),
+    ("V_mps", "mobility.velocity"),
+    ("T_s", "thresholds.t_threshold"),
+    ("Tp_s", "thresholds.t_pingpong"),
 )
 
-VALIDATE_CSV_HEADER = (
-    "pair,metric,lambda_s,sigma,V_mps,T_s,Tp_s,"
-    "analytic,simulated,ci_halfwidth,ratio,flag"
-)
+#: The `PairCounts` fields ``simulate`` reports, one column each.
+_COUNT_COLUMNS = ("triggered", "handovers", "failures", "pingpongs")
+
+_POINT_NAMES = [name for name, _ in _POINT_COLUMNS]
+
+METRICS_CSV_HEADER = ",".join(["pair", *_POINT_NAMES, *(name for name, _ in METRICS)])
+
+SIMULATE_CSV_HEADER = ",".join([
+    "pair", *_POINT_NAMES, "n_trials", "exposure_s", *_COUNT_COLUMNS,
+    *(column for name, _ in METRICS for column in (name, f"{name}_ci")),
+])
+
+VALIDATE_CSV_HEADER = ",".join([
+    "pair", "metric", *_POINT_NAMES, "analytic", "simulated", "ci_halfwidth", "ratio", "flag",
+])
 
 
 class ConfigError(Exception):
@@ -118,35 +143,16 @@ def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     """``cfg`` with one swept quantity replaced (see module docstring for units)."""
     if axis == "lambda_s":
         scale = value / cfg.lambda_s
+        cluster = dataclasses.replace(cfg.cluster, lambda_p=cfg.cluster.lambda_p * scale)
         return dataclasses.replace(
-            cfg,
-            lambda_s=value,
-            lambda_m=cfg.lambda_m * scale,
-            cluster=dataclasses.replace(
-                cfg.cluster, lambda_p=cfg.cluster.lambda_p * scale
-            ),
+            cfg, lambda_s=value, lambda_m=cfg.lambda_m * scale, cluster=cluster
         )
-    if axis == "sigma":
-        return dataclasses.replace(
-            cfg, cluster=dataclasses.replace(cfg.cluster, sigma=value)
-        )
-    if axis == "velocity":
-        return dataclasses.replace(
-            cfg, mobility=dataclasses.replace(cfg.mobility, velocity=value / 3.6)
-        )
-    if axis == "tx_power_sprime":
-        return dataclasses.replace(
-            cfg, hotspot=dataclasses.replace(cfg.hotspot, tx_power=value)
-        )
-    if axis == "T":
-        return dataclasses.replace(
-            cfg, thresholds=dataclasses.replace(cfg.thresholds, t_threshold=value)
-        )
-    if axis == "T_p":
-        return dataclasses.replace(
-            cfg, thresholds=dataclasses.replace(cfg.thresholds, t_pingpong=value)
-        )
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in _SWEPT_FIELDS:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    part, name, convert = _SWEPT_FIELDS[axis]
+    return dataclasses.replace(
+        cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
+    )
 
 
 def sweep_points(spec: ExperimentSpec) -> list:
@@ -483,33 +489,20 @@ def _render_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _point_columns(cfg: SimConfig) -> str:
-    return ",".join(
-        f"{v:.12g}"
-        for v in (
-            cfg.lambda_s,
-            cfg.cluster.sigma,
-            cfg.mobility.velocity,
-            cfg.thresholds.t_threshold,
-            cfg.thresholds.t_pingpong,
-        )
-    )
+def _numbers(values, spec: str) -> list:
+    """Each of ``values`` formatted with the format spec ``spec``."""
+    return [format(v, spec) for v in values]
+
+
+def _point(cfg: SimConfig) -> list:
+    """The sweep point's column values, in `_POINT_COLUMNS` order."""
+    return [operator.attrgetter(path)(cfg) for _, path in _POINT_COLUMNS]
 
 
 def format_metrics_row(metrics: HandoverMetrics, cfg: SimConfig) -> str:
     """One ``METRICS_CSV_HEADER`` row: the sweep point, then the metrics."""
-    values = (
-        cfg.lambda_s,
-        cfg.cluster.sigma,
-        cfg.mobility.velocity,
-        cfg.thresholds.t_threshold,
-        cfg.thresholds.t_pingpong,
-        metrics.triggered_rate,
-        metrics.handover_rate,
-        metrics.failure_rate,
-        metrics.pingpong_rate,
-    )
-    return ",".join([metrics.pair.value, *(f"{v:.10g}" for v in values)])
+    values = _point(cfg) + [getattr(metrics, name) for _, name in METRICS]
+    return ",".join([metrics.pair.value, *_numbers(values, ".10g")])
 
 
 def cmd_analyze(spec: ExperimentSpec) -> str:
@@ -528,15 +521,17 @@ def cmd_simulate(spec: ExperimentSpec, workers: int = 1) -> str:
         est = run_campaign(cfg, workers=workers)
         pe = est.pairs[spec.pair]
         pc = est.counts.pairs[spec.pair]
-        stats = (
-            f"{est.n_trials},{est.exposure_time:.12g},"
-            f"{pc.triggered},{pc.handovers},{pc.failures},{pc.pingpongs},"
-            f"{pe.triggered_rate:.12g},{pe.triggered_halfwidth:.12g},"
-            f"{pe.handover_rate:.12g},{pe.handover_halfwidth:.12g},"
-            f"{pe.failure_ratio:.12g},{pe.failure_halfwidth:.12g},"
-            f"{pe.pingpong_rate:.12g},{pe.pingpong_halfwidth:.12g}"
-        )
-        rows.append(f"{spec.pair.value},{_point_columns(cfg)},{stats}")
+        rates = [
+            v for (_, name), hw in zip(METRICS, pe.halfwidths) for v in (getattr(pe.rates, name), hw)
+        ]
+        rows.append(",".join([
+            spec.pair.value,
+            *_numbers(_point(cfg), ".12g"),
+            str(est.n_trials),
+            *_numbers([est.counts.exposure_time], ".12g"),
+            *(str(getattr(pc, name)) for name in _COUNT_COLUMNS),
+            *_numbers(rates, ".12g"),
+        ]))
     return _render_csv(SIMULATE_CSV_HEADER, rows)
 
 
@@ -550,13 +545,10 @@ def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
     points = sweep_points(spec)
     for i, cfg in enumerate(points):
         table = compare_to_analytics(cfg, workers=workers)
-        cols = _point_columns(cfg)
+        point = _point(cfg)
         for row in table.rows:
-            rows.append(
-                f"{row.pair.value},{row.metric},{cols},"
-                f"{row.analytic:.12g},{row.simulated:.12g},"
-                f"{row.ci_halfwidth:.12g},{row.ratio:.12g},{row.flag}"
-            )
+            values = point + [row.analytic, row.simulated, row.ci_halfwidth, row.ratio]
+            rows.append(",".join([row.pair.value, row.metric, *_numbers(values, ".12g"), row.flag]))
         label = (
             f"point {i + 1}/{len(points)}"
             + (f" ({spec.sweep_axis} = {spec.sweep_values[i]:g})" if spec.sweep_axis else "")

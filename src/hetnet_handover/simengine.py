@@ -81,6 +81,15 @@ _PAIR_TIERS = {
 
 _KIND_ORDER = tuple(_PAIR_TIERS)
 
+#: The four handover metrics, in column order: column name and
+#: `HandoverMetrics` field.
+METRICS = (
+    ("H_t", "triggered_rate"),
+    ("H", "handover_rate"),
+    ("H_f", "failure_rate"),
+    ("H_p", "pingpong_rate"),
+)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -167,6 +176,11 @@ class PairCounts:
             raise ValueError("handovers cannot exceed triggered events")
         if self.failures > self.triggered:
             raise ValueError("failures cannot exceed triggered events")
+        # A ping-pong ends, and an overlap is, one triggered residence.
+        if self.pingpongs > self.triggered:
+            raise ValueError("pingpongs cannot exceed triggered events")
+        if self.overlap > min(self.handovers, self.failures):
+            raise ValueError("overlap cannot exceed handovers or failures")
 
 
 @dataclass
@@ -680,29 +694,17 @@ def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
 
 @dataclass
 class PairEstimate:
-    """Point estimates with 95% half-widths; NaN half-width when n_trials < 2."""
+    """Pooled rates, and their 95% half-widths in `METRICS` order from the
+    spread of per-trial rates (NaN with fewer than two finite values)."""
 
-    triggered_rate: float
-    triggered_halfwidth: float
-    handover_rate: float
-    handover_halfwidth: float
-    failure_ratio: float
-    failure_halfwidth: float
-    pingpong_rate: float
-    pingpong_halfwidth: float
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isnan(v) and v < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+    rates: HandoverMetrics
+    halfwidths: tuple
 
 
 @dataclass
 class MetricsEstimate:
     pairs: dict  # PairKind -> PairEstimate
     n_trials: int
-    exposure_time: float
     counts: EventCounts
 
 
@@ -714,12 +716,23 @@ def _halfwidth(values: np.ndarray) -> float:
     return float(1.96 * np.std(finite, ddof=1) / math.sqrt(len(finite)))
 
 
+def _rates(kind: PairKind, counts: PairCounts, exposure_time: float) -> HandoverMetrics:
+    """Events per second of exposure; failures per triggered event (NaN without one)."""
+    return HandoverMetrics(
+        pair=kind,
+        triggered_rate=counts.triggered / exposure_time,
+        handover_rate=counts.handovers / exposure_time,
+        failure_rate=counts.failures / counts.triggered if counts.triggered > 0 else math.nan,
+        pingpong_rate=counts.pingpongs / exposure_time,
+    )
+
+
 def summarize_trials(trials) -> MetricsEstimate:
     """Pool trial counts into rates; half-widths from per-trial spread.
 
     Point estimates are pooled ratios (total counts over total exposure,
     failures over total triggers); confidence half-widths use the spread of
-    the per-trial values.
+    the same ratios per trial.
     """
     trials = list(trials)
     if not trials:
@@ -729,34 +742,17 @@ def summarize_trials(trials) -> MetricsEstimate:
         merged.merge_in(t)
     if merged.exposure_time <= 0.0:
         raise ValueError("campaign accumulated zero exposure time; config is invalid")
-    exposure = np.array([t.exposure_time for t in trials], dtype=float)
     pairs = {}
     for kind in _KIND_ORDER:
-        trig = np.array([t.pairs[kind].triggered for t in trials], dtype=float)
-        hand = np.array([t.pairs[kind].handovers for t in trials], dtype=float)
-        fail = np.array([t.pairs[kind].failures for t in trials], dtype=float)
-        ping = np.array([t.pairs[kind].pingpongs for t in trials], dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            per_trial_failure = np.where(trig > 0, fail / trig, np.nan)
-        total = merged.pairs[kind]
+        per_trial = [_rates(kind, t.pairs[kind], t.exposure_time) for t in trials]
         pairs[kind] = PairEstimate(
-            triggered_rate=total.triggered / merged.exposure_time,
-            triggered_halfwidth=_halfwidth(trig / exposure),
-            handover_rate=total.handovers / merged.exposure_time,
-            handover_halfwidth=_halfwidth(hand / exposure),
-            failure_ratio=(
-                total.failures / total.triggered if total.triggered > 0 else math.nan
+            rates=_rates(kind, merged.pairs[kind], merged.exposure_time),
+            halfwidths=tuple(
+                _halfwidth(np.array([getattr(r, name) for r in per_trial]))
+                for _, name in METRICS
             ),
-            failure_halfwidth=_halfwidth(per_trial_failure),
-            pingpong_rate=total.pingpongs / merged.exposure_time,
-            pingpong_halfwidth=_halfwidth(ping / exposure),
         )
-    return MetricsEstimate(
-        pairs=pairs,
-        n_trials=len(trials),
-        exposure_time=merged.exposure_time,
-        counts=merged,
-    )
+    return MetricsEstimate(pairs=pairs, n_trials=len(trials), counts=merged)
 
 
 def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
@@ -869,13 +865,6 @@ class ComparisonRow:
     flag: str
 
 
-_METRIC_MAP = (
-    ("H_t", "triggered_rate", "triggered_rate", "triggered_halfwidth"),
-    ("H", "handover_rate", "handover_rate", "handover_halfwidth"),
-    ("H_f", "failure_rate", "failure_ratio", "failure_halfwidth"),
-    ("H_p", "pingpong_rate", "pingpong_rate", "pingpong_halfwidth"),
-)
-
 @dataclass
 class ComparisonTable:
     rows: list
@@ -903,20 +892,11 @@ def compare_to_analytics(cfg: SimConfig, workers: int = 1) -> ComparisonTable:
     analytic = analytic_metrics(cfg)
     rows = []
     for kind in _KIND_ORDER:
-        ana = analytic[kind]
         sim = estimate.pairs[kind]
-        for metric, ana_attr, sim_attr, hw_attr in _METRIC_MAP:
-            a = getattr(ana, ana_attr)
-            s = getattr(sim, sim_attr)
-            rows.append(
-                ComparisonRow(
-                    pair=kind,
-                    metric=metric,
-                    analytic=a,
-                    simulated=s,
-                    ci_halfwidth=getattr(sim, hw_attr),
-                    ratio=s / a if a > 0 else math.nan,
-                    flag="",
-                )
-            )
+        for (metric, name), halfwidth in zip(METRICS, sim.halfwidths):
+            a, s = getattr(analytic[kind], name), getattr(sim.rates, name)
+            rows.append(ComparisonRow(
+                pair=kind, metric=metric, analytic=a, simulated=s, ci_halfwidth=halfwidth,
+                ratio=s / a if a > 0 else math.nan, flag="",
+            ))
     return ComparisonTable(rows=rows)

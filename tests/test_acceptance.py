@@ -306,7 +306,7 @@ def test_simulated_trigger_rate_tracks_closed_form():
     cfg = reference_sim_config()
     estimate = run_campaign(cfg, workers=4)
     analytic = analytic_metrics(cfg)[PairKind.SPS]
-    sim = estimate.pairs[PairKind.SPS]
+    sim = estimate.pairs[PairKind.SPS].rates
     ratio = sim.triggered_rate / analytic.triggered_rate
     direction_ok = sim.handover_rate <= analytic.handover_rate
     pin = PINS["sim_triggered_rate_sps_reference_seed0"]
@@ -315,7 +315,7 @@ def test_simulated_trigger_rate_tracks_closed_form():
         "simulated vs closed-form trigger rate",
         0.85 <= ratio <= 1.15 and direction_ok and pin_err <= pin["rel_tolerance"],
         f"simulated/analytic triggered = {ratio:.4f} in [0.85, 1.15] "
-        f"({cfg.n_trials} trials, CI +/-{sim.triggered_halfwidth:.2e}); "
+        f"({cfg.n_trials} trials, CI +/-{estimate.pairs[PairKind.SPS].halfwidths[0]:.2e}); "
         f"simulated handover rate {sim.handover_rate:.3e} <= "
         f"analytic {analytic.handover_rate:.3e}; "
         f"seed-0 pin rel err {pin_err:.1e} <= {pin['rel_tolerance']:g}",

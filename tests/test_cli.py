@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ from hetnet_handover.fixtures import (
 )
 from hetnet_handover.geometry import ClusterConfig, Region
 from hetnet_handover.simengine import SimConfig
+
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 
 
 def write(tmp_path, text: str):
@@ -623,6 +627,46 @@ def test_validate_reports_all_pairs():
     assert {ln.split(",")[0] for ln in lines[2:]} == {"SM", "SpS", "SpM"}
     assert "point 1/1" in summary
     assert "sim/ana" in summary
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_command_output_bytes_are_pinned(tmp_path):
+    # The headers as README's Output format documents them, and the bytes
+    # of each command: a change to a header, a column or a number format
+    # shows here.
+    assert METRICS_CSV_HEADER == "pair,lambda_s,sigma,V_mps,T_s,Tp_s,H_t,H,H_f,H_p"
+    assert SIMULATE_CSV_HEADER == (
+        "pair,lambda_s,sigma,V_mps,T_s,Tp_s,n_trials,exposure_s,triggered,handovers,"
+        "failures,pingpongs,H_t,H_t_ci,H,H_ci,H_f,H_f_ci,H_p,H_p_ci"
+    )
+    assert VALIDATE_CSV_HEADER == (
+        "pair,metric,lambda_s,sigma,V_mps,T_s,Tp_s,analytic,simulated,ci_halfwidth,ratio,flag"
+    )
+
+    demo = load_config(DEMO_DIR / "sigma_sweep.ini")
+    analyze = {
+        kind: sha256(cmd_analyze(dataclasses.replace(demo, pair=kind))) for kind in PairKind
+    }
+    assert analyze == {
+        PairKind.SM: "ec3f7085761f8f2877f95ab7b79313d385712d84108dfd848bf31f463e0bac80",
+        PairKind.SPS: "3d30bb46a5521ff0ce64594adac06e40de34cbdb14665fbff51e1c66480c5b3e",
+        PairKind.SPM: "b4ba0e384b85c06236dedfbf0138b2465b83763924cfbc4dbd853c2ab16ffc66",
+    }
+
+    spec = load_config(write(tmp_path, SMALL_INI + "[sweep]\naxis = sigma\nvalues = 100, 150\n"))
+    assert sha256(cmd_simulate(spec)) == (
+        "4003bc010ef15bf262f86afc0d1ccaeeb364963675371f8b90afdbe03309e2b5"
+    )
+    csv_text, summary = cmd_validate(spec)
+    assert sha256(csv_text) == (
+        "c7df3a3960b0f50cd829dc47f56c4028c6e4af755400f4903edc15be37bdc95f"
+    )
+    assert sha256(summary) == (
+        "d3d6f41c3a67d41e60a3c0c6226714885aee9fe588ef1601be3457ec9879d6d2"
+    )
 
 
 # ---------------------------------------------------------------------------

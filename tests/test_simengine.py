@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetnet_handover import simengine as se
-from hetnet_handover.analytics import HandoverThresholds, PairKind
+from hetnet_handover.analytics import HandoverMetrics, HandoverThresholds, PairKind
 from hetnet_handover.cli import ExperimentSpec, cmd_simulate
 from hetnet_handover.fixtures import (
     default_hotspot_params,
@@ -37,6 +37,7 @@ from hetnet_handover.geometry import (
 from hetnet_handover.mobility import Trajectory, generate_trajectory
 from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
 from hetnet_handover.simengine import (
+    METRICS,
     EventCounts,
     PairCounts,
     PairEstimate,
@@ -258,6 +259,18 @@ def test_pair_counts_validate_rejects_inconsistencies():
         PairCounts(triggered=1, failures=2).validate()
     with pytest.raises(ValueError, match=">= 0"):
         PairCounts(triggered=-1).validate()
+
+
+def test_pair_counts_validate_rejects_counts_beyond_their_residences():
+    # Each ping-pong ends one triggered residence, and each overlap is one
+    # residence counted as both a handover and a failure.
+    with pytest.raises(ValueError, match="pingpongs"):
+        PairCounts(triggered=1, pingpongs=2).validate()
+    with pytest.raises(ValueError, match="overlap"):
+        PairCounts(triggered=3, handovers=1, failures=2, overlap=2).validate()
+    with pytest.raises(ValueError, match="overlap"):
+        PairCounts(triggered=3, handovers=2, failures=1, overlap=2).validate()
+    PairCounts(triggered=3, handovers=2, failures=2, pingpongs=3, overlap=2).validate()
 
 
 def test_event_counts_merge():
@@ -1041,19 +1054,21 @@ def two_hand_trials():
 def test_summarize_pooled_rates_hand_check():
     est = summarize_trials(two_hand_trials())
     sm = est.pairs[PairKind.SM]
-    assert sm.triggered_rate == pytest.approx(10.0 / 400.0)
-    assert sm.handover_rate == pytest.approx(5.0 / 400.0)
-    assert sm.failure_ratio == pytest.approx(1.0 / 10.0)
-    assert sm.pingpong_rate == pytest.approx(2.0 / 400.0)
-    # Half-widths from the spread of per-trial values.
+    assert sm.rates.pair is PairKind.SM
+    assert sm.rates.triggered_rate == pytest.approx(10.0 / 400.0)
+    assert sm.rates.handover_rate == pytest.approx(5.0 / 400.0)
+    assert sm.rates.failure_rate == pytest.approx(1.0 / 10.0)
+    assert sm.rates.pingpong_rate == pytest.approx(2.0 / 400.0)
+    # Half-widths from the spread of per-trial values, in METRICS order.
+    assert [name for name, _ in METRICS] == ["H_t", "H", "H_f", "H_p"]
     per_trial = np.array([4.0 / 100.0, 6.0 / 300.0])
     expected = 1.96 * np.std(per_trial, ddof=1) / math.sqrt(2)
-    assert sm.triggered_halfwidth == pytest.approx(expected)
+    assert sm.halfwidths[0] == pytest.approx(expected)
     per_fail = np.array([1.0 / 4.0, 0.0 / 6.0])
     expected_f = 1.96 * np.std(per_fail, ddof=1) / math.sqrt(2)
-    assert sm.failure_halfwidth == pytest.approx(expected_f)
+    assert sm.halfwidths[2] == pytest.approx(expected_f)
     assert est.n_trials == 2
-    assert est.exposure_time == 400.0
+    assert est.counts.exposure_time == 400.0
 
 
 def test_summarize_rejects_empty_and_zero_exposure():
@@ -1068,16 +1083,16 @@ def test_summarize_single_trial_has_nan_halfwidths():
     t.pairs[PairKind.SM] = PairCounts(triggered=4, handovers=2)
     est = summarize_trials([t])
     sm = est.pairs[PairKind.SM]
-    assert sm.triggered_rate == pytest.approx(0.04)
-    assert math.isnan(sm.triggered_halfwidth)
-    assert math.isnan(sm.failure_halfwidth)
+    assert sm.rates.triggered_rate == pytest.approx(0.04)
+    assert math.isnan(sm.halfwidths[0])
+    assert math.isnan(sm.halfwidths[2])
 
 
 def test_summarize_failure_ratio_nan_without_triggers():
     t1 = EventCounts(exposure_time=100.0)
     t2 = EventCounts(exposure_time=100.0)
     est = summarize_trials([t1, t2])
-    assert math.isnan(est.pairs[PairKind.SM].failure_ratio)
+    assert math.isnan(est.pairs[PairKind.SM].rates.failure_rate)
 
 
 def test_halfwidth_shrinks_with_more_trials():
@@ -1085,25 +1100,28 @@ def test_halfwidth_shrinks_with_more_trials():
     est2 = summarize_trials(base)
     est8 = summarize_trials(base * 4)
     assert (
-        est8.pairs[PairKind.SM].triggered_halfwidth
-        < est2.pairs[PairKind.SM].triggered_halfwidth
+        est8.pairs[PairKind.SM].halfwidths[0]
+        < est2.pairs[PairKind.SM].halfwidths[0]
     )
 
 
 def test_pair_estimate_rejects_negative_rates():
+    # A campaign's rates are a HandoverMetrics, checked by its invariants.
     with pytest.raises(ValueError, match="triggered_rate"):
         PairEstimate(
-            triggered_rate=-1.0, triggered_halfwidth=0.0,
-            handover_rate=0.0, handover_halfwidth=0.0,
-            failure_ratio=0.0, failure_halfwidth=0.0,
-            pingpong_rate=0.0, pingpong_halfwidth=0.0,
+            rates=HandoverMetrics(
+                pair=PairKind.SM, triggered_rate=-1.0, handover_rate=0.0,
+                failure_rate=0.0, pingpong_rate=0.0,
+            ),
+            halfwidths=(0.0, 0.0, 0.0, 0.0),
         )
     # NaN entries are legitimate (single-trial half-widths, 0/0 ratios).
     PairEstimate(
-        triggered_rate=0.0, triggered_halfwidth=math.nan,
-        handover_rate=0.0, handover_halfwidth=math.nan,
-        failure_ratio=math.nan, failure_halfwidth=math.nan,
-        pingpong_rate=0.0, pingpong_halfwidth=math.nan,
+        rates=HandoverMetrics(
+            pair=PairKind.SM, triggered_rate=0.0, handover_rate=0.0,
+            failure_rate=math.nan, pingpong_rate=0.0,
+        ),
+        halfwidths=(math.nan,) * 4,
     )
 
 
@@ -1116,14 +1134,14 @@ def test_campaign_worker_count_does_not_change_results():
     serial = run_campaign(cfg, workers=1)
     parallel = run_campaign(cfg, workers=2)
     assert serial.counts == parallel.counts
-    assert (serial.n_trials, serial.exposure_time) == (
-        parallel.n_trials, parallel.exposure_time
+    assert (serial.n_trials, serial.counts.exposure_time) == (
+        parallel.n_trials, parallel.counts.exposure_time
     )
     for kind in serial.pairs:
         # Bitwise equal, NaN half-widths included.
         np.testing.assert_array_equal(
-            dataclasses.astuple(serial.pairs[kind]),
-            dataclasses.astuple(parallel.pairs[kind]),
+            [*dataclasses.astuple(serial.pairs[kind].rates)[1:], *serial.pairs[kind].halfwidths],
+            [*dataclasses.astuple(parallel.pairs[kind].rates)[1:], *parallel.pairs[kind].halfwidths],
         )
 
 
