@@ -38,7 +38,7 @@ def main() -> None:
     print("-" * len(header))
     for name, serving, target in pairs:
         for d in (100.0, 300.0, 1000.0):
-            *_, h, f = erb_pair_arrays(serving, target, np.array([d]), np.zeros(1), q_out)
+            h, f = erb_pair_arrays(serving, target, np.array([d]), np.zeros(1), q_out)
             # Near-side gap between the two boundaries along the approach axis.
             near_h = np.hypot(h.cx[0] - d, h.cy[0]) - h.radius[0]
             near_f = np.hypot(f.cx[0] - d, f.cy[0]) - f.radius[0]

@@ -26,16 +26,7 @@ from .analytics import (
     mean_pair_distance,
     mean_r_sm,
 )
-from .geometry import (
-    TIER_HOTSPOT,
-    TIER_MACRO,
-    TIER_SMALL,
-    ClusterConfig,
-    PointSet,
-    Region,
-    sample_ppp,
-    sample_tcp,
-)
+from .geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 from .mobility import (
     MobilityConfig,
     Trajectory,
@@ -71,11 +62,7 @@ __all__ = [
     "mean_cluster_distance_numeric",
     "mean_pair_distance",
     "mean_r_sm",
-    "TIER_HOTSPOT",
-    "TIER_MACRO",
-    "TIER_SMALL",
     "ClusterConfig",
-    "PointSet",
     "Region",
     "sample_ppp",
     "sample_tcp",

@@ -74,6 +74,16 @@ class HandoverThresholds:
             )
 
 
+#: The four handover metrics, in column order: column name and
+#: `HandoverMetrics` field.
+METRICS = (
+    ("H_t", "triggered_rate"),
+    ("H", "handover_rate"),
+    ("H_f", "failure_rate"),
+    ("H_p", "pingpong_rate"),
+)
+
+
 @dataclass(frozen=True)
 class HandoverMetrics:
     pair: PairKind
@@ -83,7 +93,7 @@ class HandoverMetrics:
     pingpong_rate: float  # ping-pongs per second
 
     def __post_init__(self) -> None:
-        for name in ("triggered_rate", "handover_rate", "failure_rate", "pingpong_rate"):
+        for _, name in METRICS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.handover_rate > self.triggered_rate * (1 + 1e-12):

@@ -54,9 +54,10 @@ from .geometry import Region
 from .simengine import (
     _TIERS,
     METRICS,
+    ComparisonTable,
     SimConfig,
+    analytic_metrics,
     analytic_pair_metrics,
-    compare_to_analytics,
     run_campaign,
 )
 
@@ -140,19 +141,23 @@ class ExperimentSpec:
 
 
 def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
-    """``cfg`` with one swept quantity replaced (see module docstring for units)."""
-    if axis == "lambda_s":
-        scale = value / cfg.lambda_s
-        cluster = dataclasses.replace(cfg.cluster, lambda_p=cfg.cluster.lambda_p * scale)
-        return dataclasses.replace(
-            cfg, lambda_s=value, lambda_m=cfg.lambda_m * scale, cluster=cluster
-        )
-    if axis not in _SWEPT_FIELDS:
+    """``cfg`` with one swept quantity replaced (see module docstring for
+    units); a refusal names the sweep axis and the value."""
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    part, name, convert = _SWEPT_FIELDS[axis]
-    return dataclasses.replace(
-        cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
-    )
+    try:
+        if axis == "lambda_s":
+            scale = value / cfg.lambda_s
+            cluster = dataclasses.replace(cfg.cluster, lambda_p=cfg.cluster.lambda_p * scale)
+            return dataclasses.replace(
+                cfg, lambda_s=value, lambda_m=cfg.lambda_m * scale, cluster=cluster
+            )
+        part, name, convert = _SWEPT_FIELDS[axis]
+        return dataclasses.replace(
+            cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
+        )
+    except ValueError as exc:
+        raise ValueError(f"[sweep] {axis} = {value!r}: {exc}") from exc
 
 
 def sweep_points(spec: ExperimentSpec) -> list:
@@ -538,13 +543,15 @@ def cmd_simulate(spec: ExperimentSpec, workers: int = 1) -> str:
 def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
     """Analytic-vs-simulated comparison for every pair at every sweep point.
 
-    Returns ``(csv_text, summary_text)``.
+    Every point's closed forms run before any campaign, so a refused point
+    costs no simulation.  Returns ``(csv_text, summary_text)``.
     """
     rows = []
     summaries = []
     points = sweep_points(spec)
+    analytic = [analytic_metrics(cfg) for cfg in points]
     for i, cfg in enumerate(points):
-        table = compare_to_analytics(cfg, workers=workers)
+        table = ComparisonTable.of(analytic[i], run_campaign(cfg, workers=workers))
         point = _point(cfg)
         for row in table.rows:
             values = point + [row.analytic, row.simulated, row.ci_halfwidth, row.ratio]

@@ -1,12 +1,12 @@
 """Spatial deployment sampling for a three-tier cellular layout.
 
-Two kinds of point processes are supported:
+A deployment is plain ``(N, 2)`` coordinate arrays in meters, one per tier:
 
-* homogeneous Poisson point processes (PPP) for the macro tier ``M`` and the
-  uniformly deployed small-cell tier ``S``;
-* a Thomas cluster process for the hotspot small-cell tier ``Sp``: Poisson
-  parents, a Poisson number of offspring per parent, and isotropic Gaussian
-  scattering of each offspring around its parent.
+* homogeneous Poisson point processes (PPP) for the macro tier and the
+  uniformly deployed small-cell tier (`sample_ppp`);
+* a Thomas cluster process for the hotspot small-cell tier (`sample_tcp`):
+  Poisson parents, a Poisson number of offspring per parent, and isotropic
+  Gaussian scattering of each offspring around its parent.
 
 All sampling functions are pure given an explicit ``numpy.random.Generator``;
 there is no module-level random state.
@@ -14,14 +14,9 @@ there is no module-level random state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-TIER_MACRO = "M"
-TIER_SMALL = "S"
-TIER_HOTSPOT = "Sp"
-VALID_TIERS = (TIER_MACRO, TIER_SMALL, TIER_HOTSPOT)
 
 
 @dataclass(frozen=True)
@@ -97,44 +92,9 @@ class ClusterConfig:
         return self.lambda_p * self.mean_offspring
 
 
-@dataclass
-class PointSet:
-    """A tier label plus an (N, 2) coordinate array in meters.
-
-    ``parent_index`` is populated for cluster offspring only: entry ``i`` is
-    the row of the parent point set that spawned offspring ``i``.
-    """
-
-    tier: str
-    points: np.ndarray
-    parent_index: np.ndarray | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.tier not in VALID_TIERS:
-            raise ValueError(f"unknown tier {self.tier!r}; expected one of {VALID_TIERS}")
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, 2)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must be (N, 2), got shape {pts.shape}")
-        self.points = pts
-        if self.parent_index is not None:
-            idx = np.asarray(self.parent_index, dtype=int)
-            if idx.shape != (len(pts),):
-                raise ValueError("parent_index length must match point count")
-            self.parent_index = idx
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def sample_ppp(
-    region: Region,
-    density: float,
-    rng: np.random.Generator,
-    tier: str = TIER_SMALL,
-) -> PointSet:
-    """Draw one realization of a homogeneous PPP over ``region``.
+def sample_ppp(region: Region, density: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw one realization of a homogeneous PPP over ``region``: an
+    ``(N, 2)`` array.
 
     The count is Poisson(density * area) and positions are i.i.d. uniform,
     which together are an exact PPP sampler on a rectangle.
@@ -142,35 +102,26 @@ def sample_ppp(
     if density <= 0:
         raise ValueError(f"density must be positive, got {density}")
     n = int(rng.poisson(density * region.area))
-    return PointSet(tier=tier, points=region.sample_uniform(n, rng))
+    return region.sample_uniform(n, rng)
 
 
 def sample_tcp(
     region: Region,
     cfg: ClusterConfig,
     rng: np.random.Generator,
-) -> tuple[PointSet, PointSet]:
-    """Draw one Thomas-cluster realization: ``(parents, offspring)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one Thomas-cluster realization: ``(parents, offspring,
+    parent_index)``.
 
     Parents form a PPP(``cfg.lambda_p``) inside ``region``.  Each parent
     spawns a Poisson(``cfg.mean_offspring``) number of children, displaced by
-    i.i.d. N(0, sigma^2 I).  Children falling outside the region are kept:
-    clipping would distort the radial displacement law, and downstream
+    i.i.d. N(0, sigma^2 I); ``parent_index[i]`` is the row of ``parents``
+    that spawned offspring ``i``.  Children falling outside the region are
+    kept: clipping would distort the radial displacement law, and downstream
     geometry needs true positions.
     """
-    parents = sample_ppp(region, cfg.lambda_p, rng, tier=TIER_HOTSPOT)
+    parents = sample_ppp(region, cfg.lambda_p, rng)
     counts = rng.poisson(cfg.mean_offspring, size=len(parents))
-    total = int(counts.sum())
-    if total == 0:
-        return parents, PointSet(
-            tier=TIER_HOTSPOT,
-            points=np.zeros((0, 2)),
-            parent_index=np.zeros(0, dtype=int),
-        )
     parent_index = np.repeat(np.arange(len(parents)), counts)
-    offsets = cfg.sigma * rng.standard_normal((total, 2))
-    children = parents.points[parent_index] + offsets
-    return parents, PointSet(
-        tier=TIER_HOTSPOT, points=children, parent_index=parent_index
-    )
-
+    offsets = cfg.sigma * rng.standard_normal((len(parent_index), 2))
+    return parents, parents[parent_index] + offsets, parent_index

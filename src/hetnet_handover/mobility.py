@@ -67,21 +67,6 @@ class Trajectory:
             raise ValueError("a trajectory needs at least two (x, y) waypoints")
         self.waypoints = w
 
-    @property
-    def n_moves(self) -> int:
-        return len(self.waypoints) - 1
-
-    def segment_lengths(self) -> np.ndarray:
-        deltas = np.diff(self.waypoints, axis=0)
-        return np.hypot(deltas[:, 0], deltas[:, 1])
-
-    def total_length(self) -> float:
-        return float(self.segment_lengths().sum())
-
-    def total_time(self) -> float:
-        """Travel time plus one pause per movement."""
-        return float(self.total_length() / self.velocity + self.n_moves * self.pause)
-
 
 def mean_transition_length(cfg: MobilityConfig) -> float:
     """Exact E[L'] = sqrt(pi/2) * (sigma_rwp + p_z * sigma_z)."""

@@ -205,8 +205,8 @@ def erb_pair_arrays(
     ty: np.ndarray,
     q_out_linear: float,
 ) -> tuple:
-    """``(xi, xi_f, lam_star, handover circles, failure circles)`` for
-    targets at ``(tx, ty)``, each in its serving-BS frame."""
+    """``(handover circles, failure circles)`` for targets at ``(tx, ty)``,
+    each in its serving-BS frame."""
     xi = xi_factor(serving, target)
     xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
     lam = lambda_star_array(
@@ -214,9 +214,6 @@ def erb_pair_arrays(
     )
     norm = np.hypot(tx, ty)
     return (
-        xi,
-        xi_f,
-        lam,
         erb_circle_arrays(tx, ty, norm, xi, lam),
         erb_circle_arrays(tx, ty, norm, xi_f, lam),
     )

@@ -1,9 +1,11 @@
 """Event-driven Monte Carlo cross-check of the closed-form handover metrics.
 
 One trial deploys a single realization of the three-tier network (uniform
-macro tier, uniform small-cell tier, clustered hotspot tier), builds the
-handover and failure boundary circles for every (target BS, serving BS)
-pair, and walks waypoint trajectories through the static circle field.
+macro tier, uniform small-cell tier, clustered hotspot tier) as one position
+array per tier in `_TIERS` order, builds the handover and failure boundary
+circles for every (target BS, serving BS) pair, and walks waypoint
+trajectories through the static circle field.  Each leg is measured once;
+the walk clock and the exposure time read the same lengths.
 Segment-circle intersections are solved in closed form (quadratic roots), so
 event times carry no time-step discretization error.  Per user, a bounding-box
 test picks the (segment, circle) pairs worth solving.  Consecutive users
@@ -48,28 +50,24 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .analytics import (
+    METRICS,
     HandoverMetrics,
     HandoverThresholds,
     PairKind,
     compute_metrics,
     mean_pair_distance,
 )
-from .geometry import (
-    TIER_MACRO,
-    TIER_SMALL,
-    ClusterConfig,
-    PointSet,
-    Region,
-    sample_ppp,
-    sample_tcp,
-)
+from .geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 from .mobility import MobilityConfig, Trajectory, generate_trajectory
 from .radio import DegenerateBoundaryError, TierRadioParams, erb_pair_arrays, make_erb_pair
 
 #: The three tiers, in the tie-break order of the strongest-RSS map (ties go
 #: to the earlier tier).  Each name is both the `SimConfig` attribute holding
-#: the tier's radio parameters and the tier's config section.
+#: the tier's radio parameters and the tier's config section.  A trial's
+#: deployment is one ``(N, 2)`` position array per tier, in this order.
 _TIERS = ("macro", "small", "hotspot")
+
+_HOTSPOT = _TIERS.index("hotspot")  # the clustered tier
 
 #: (serving, target) positions in `_TIERS` of each pair kind; the key order
 #: is the array layout and CSV row order of the pairs.
@@ -80,15 +78,6 @@ _PAIR_TIERS = {
 }
 
 _KIND_ORDER = tuple(_PAIR_TIERS)
-
-#: The four handover metrics, in column order: column name and
-#: `HandoverMetrics` field.
-METRICS = (
-    ("H_t", "triggered_rate"),
-    ("H", "handover_rate"),
-    ("H_f", "failure_rate"),
-    ("H_p", "pingpong_rate"),
-)
 
 
 @dataclass(frozen=True)
@@ -299,7 +288,7 @@ def _pair_block(
     assumes the target area is the interior.
     """
     offset = target_xy - serving_xy
-    *_, h, f = erb_pair_arrays(
+    h, f = erb_pair_arrays(
         serving_params, target_params, offset[:, 0], offset[:, 1], q_out
     )
     degenerate = h.degenerate | f.degenerate
@@ -323,23 +312,24 @@ def _pair_block(
 
 
 def _kdtrees(tiers) -> list:
-    """One KD-tree per tier point set, ``None`` for an empty tier."""
-    return [cKDTree(t.points) if len(t) > 0 else None for t in tiers]
+    """One KD-tree per tier position array, ``None`` for an empty tier."""
+    return [cKDTree(xy) if len(xy) > 0 else None for xy in tiers]
 
 
 def _build_circle_field(
     cfg: SimConfig,
     tiers,
-    parents: PointSet,
+    parents: np.ndarray,
+    parent_index: np.ndarray,
     trees,
     counts: EventCounts,
 ) -> _CircleField:
     """One circle pair per (target BS, its serving BS).
 
-    ``tiers`` holds the point set of each tier in `_TIERS` order and
+    ``tiers`` holds the position array of each tier in `_TIERS` order and
     ``trees`` their `_kdtrees`.  A pair's serving BS is the serving-tier BS
     nearest to the target, or, for a hotspot target, nearest to its *cluster
-    center*, which is where its users congregate.
+    center* (row ``parent_index`` of ``parents``), where its users congregate.
     """
     params = [getattr(cfg, name) for name in _TIERS]
     blocks = []
@@ -348,14 +338,14 @@ def _build_circle_field(
         target, tree = tiers[t], trees[s]
         if tree is None or len(target) == 0:
             continue
-        if target.parent_index is None:
-            _, b = tree.query(target.points)
+        if t == _HOTSPOT:
+            _, b_of_parent = tree.query(parents)
+            b = b_of_parent[parent_index]
         else:
-            _, b_of_parent = tree.query(parents.points)
-            b = b_of_parent[target.parent_index]
+            _, b = tree.query(target)
         blocks.append(_pair_block(
             cfg.thresholds.q_out, counts.pairs[kind], kind_pos, params[s], params[t],
-            tiers[s].points[b], target.points, s, b,
+            tiers[s][b], target, s, b,
         ))
 
     if not blocks:
@@ -416,7 +406,7 @@ def _segments(paths) -> _Segments:
     y0 = np.concatenate([wp[:-1, 1] for wp in paths])
     dx = np.concatenate([wp[1:, 0] for wp in paths]) - x0
     dy = np.concatenate([wp[1:, 1] for wp in paths]) - y0
-    length = np.hypot(dx, dy)  # as `Trajectory.segment_lengths`
+    length = np.hypot(dx, dy)
     if not np.all(length > 0.0):
         raise ValueError("segment endpoints must differ")
     return _Segments(x0, y0, dx / length, dy / length, length)
@@ -553,9 +543,11 @@ def _walk_trajectories(
     thresholds: HandoverThresholds,
     counts: EventCounts,
 ) -> None:
-    """Run the event state machine for every user over the static circle field.
+    """Add the users' exposure time to ``counts`` and run the event state
+    machine for every user over the static circle field.
 
-    The users' legs form one `_Segments`, and consecutive users are walked
+    The users' legs form one `_Segments`, whose lengths both the exposure
+    and the walk clock read.  Consecutive users are walked
     together, one `_candidate_groups` group at a time, each as one event
     table evaluated with array operations; ``tests/oracles.py`` keeps the
     event-by-event loop, one user at a time, that the tests check it
@@ -567,23 +559,25 @@ def _walk_trajectories(
     failure-circle entry inside a residence decides failure.  The quick
     exits of all groups go to one association query.
     """
-    if fld.n == 0:
-        return
     paths = [traj.waypoints for traj in trajs]
     segs = _segments(paths)
     n_legs = [len(wp) - 1 for wp in paths]
     first_leg = np.cumsum([0] + n_legs[:-1]).tolist()
+    # Start time of each leg and end time of each user, summed per user in
+    # walking order; the exposure sums the same lengths pairwise.
+    t_leg = np.zeros(len(segs.length))
+    t_end = np.empty(len(trajs))
+    for u, (traj, lo, n) in enumerate(zip(trajs, first_leg, n_legs)):
+        length = segs.length[lo:lo + n]
+        counts.exposure_time += float(float(length.sum()) / traj.velocity + n * traj.pause)
+        t_base = np.cumsum(length / traj.velocity + traj.pause)
+        t_leg[lo + 1:lo + n] = t_base[:-1]
+        t_end[u] = t_base[-1]
+    if fld.n == 0:
+        return
     owner = np.repeat(np.arange(len(trajs)), n_legs)
     velocity = np.repeat([traj.velocity for traj in trajs], n_legs)
     start_xy = np.array([wp[0] for wp in paths]).T
-    # Start time of each leg and end time of each user, summed per user in
-    # walking order.
-    t_leg = np.zeros(len(owner))
-    t_end = np.empty(len(trajs))
-    for u, (traj, lo, n) in enumerate(zip(trajs, first_leg, n_legs)):
-        t_base = np.cumsum(segs.length[lo:lo + n] / traj.velocity + traj.pause)
-        t_leg[lo + 1:lo + n] = t_base[:-1]
-        t_end[u] = t_base[-1]
 
     # Rows: triggered, handovers, failures, overlap; columns: `_KIND_ORDER`.
     tally = np.zeros((4, len(_KIND_ORDER)), dtype=np.intp)
@@ -669,20 +663,19 @@ def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, trial_index])
     )
-    macro = sample_ppp(cfg.region, cfg.lambda_m, rng, tier=TIER_MACRO)
-    small = sample_ppp(cfg.region, cfg.lambda_s, rng, tier=TIER_SMALL)
-    parents, children = sample_tcp(cfg.region, cfg.cluster, rng)
+    macro = sample_ppp(cfg.region, cfg.lambda_m, rng)
+    small = sample_ppp(cfg.region, cfg.lambda_s, rng)
+    parents, hotspot, parent_index = sample_tcp(cfg.region, cfg.cluster, rng)
 
-    tiers = (macro, small, children)
+    tiers = (macro, small, hotspot)
     trees = _kdtrees(tiers)
     counts = EventCounts()
-    fld = _build_circle_field(cfg, tiers, parents, trees, counts)
+    fld = _build_circle_field(cfg, tiers, parents, parent_index, trees, counts)
     smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
     trajs = []
     for _ in range(cfg.n_users):
         start = cfg.region.sample_uniform(1, rng)[0]
         trajs.append(generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, rng))
-        counts.exposure_time += trajs[-1].total_time()
     _walk_trajectories(trajs, fld, smap, cfg.thresholds, counts)
     counts.validate()
     return counts
@@ -869,6 +862,21 @@ class ComparisonRow:
 class ComparisonTable:
     rows: list
 
+    @classmethod
+    def of(cls, analytic: dict, estimate: MetricsEstimate) -> "ComparisonTable":
+        """Rows of `analytic_metrics` against a campaign ``estimate``; every
+        ``flag`` is empty, as no agreement criterion is defined yet."""
+        rows = []
+        for kind in _KIND_ORDER:
+            sim = estimate.pairs[kind]
+            for (metric, name), halfwidth in zip(METRICS, sim.halfwidths):
+                a, s = getattr(analytic[kind], name), getattr(sim.rates, name)
+                rows.append(ComparisonRow(
+                    pair=kind, metric=metric, analytic=a, simulated=s, ci_halfwidth=halfwidth,
+                    ratio=s / a if a > 0 else math.nan, flag="",
+                ))
+        return cls(rows=rows)
+
     def summary(self) -> str:
         header = (
             f"{'pair':<5} {'metric':<6} {'analytic':>14} {'simulated':>14} "
@@ -884,19 +892,7 @@ class ComparisonTable:
 
 
 def compare_to_analytics(cfg: SimConfig, workers: int = 1) -> ComparisonTable:
-    """Analytic vs. simulated metrics, row per (pair, metric).
-
-    The ``flag`` of every row is empty: no agreement criterion is defined yet.
-    """
-    estimate = run_campaign(cfg, workers=workers)
+    """Analytic vs. simulated metrics, row per (pair, metric); a
+    configuration the closed forms refuse costs no campaign."""
     analytic = analytic_metrics(cfg)
-    rows = []
-    for kind in _KIND_ORDER:
-        sim = estimate.pairs[kind]
-        for (metric, name), halfwidth in zip(METRICS, sim.halfwidths):
-            a, s = getattr(analytic[kind], name), getattr(sim.rates, name)
-            rows.append(ComparisonRow(
-                pair=kind, metric=metric, analytic=a, simulated=s, ci_halfwidth=halfwidth,
-                ratio=s / a if a > 0 else math.nan, flag="",
-            ))
-    return ComparisonTable(rows=rows)
+    return ComparisonTable.of(analytic, run_campaign(cfg, workers=workers))

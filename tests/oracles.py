@@ -21,7 +21,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from hetnet_handover import simengine as se
-from hetnet_handover.geometry import PointSet, Region
+from hetnet_handover.geometry import Region
 from hetnet_handover.radio import TierRadioParams
 from hetnet_handover.specfun import marcum_q1
 
@@ -240,33 +240,35 @@ def cluster_mean_rician_mixture(lam: float, sigma: float) -> float:
 
 def serving_bs(
     location: np.ndarray,
-    deployment: list[tuple[PointSet, TierRadioParams]],
-) -> tuple[str, int]:
-    """Strongest-RSS association by a scan over every BS:
-    ``(tier label, index within that tier)``.
+    deployment: list[tuple[np.ndarray, TierRadioParams]],
+) -> tuple[int, int]:
+    """Strongest-RSS association by a scan over every BS of ``deployment``
+    (one ``(N, 2)`` position array and its radio parameters per tier):
+    ``(tier position in deployment, index within that tier)``, as
+    ``simengine._ServingMap.query`` returns it.
 
     Ties break toward the earlier tier in ``deployment`` and then the lower
     index.  A query placed exactly on a BS position associates to that BS
     (the RSS power law diverges there).
     """
-    if not deployment or all(len(ps) == 0 for ps, _ in deployment):
+    if not deployment or all(len(xy) == 0 for xy, _ in deployment):
         raise ValueError("no BS deployed anywhere")
     loc = np.asarray(location, dtype=float)
-    best: tuple[str, int] | None = None
+    best: tuple[int, int] | None = None
     best_rss = -math.inf
-    for point_set, params in deployment:
-        if len(point_set) == 0:
+    for tier_pos, (xy, params) in enumerate(deployment):
+        if len(xy) == 0:
             continue
-        d2 = np.sum((point_set.points - loc) ** 2, axis=1)
+        d2 = np.sum((xy - loc) ** 2, axis=1)
         zero = d2 == 0.0
         if np.any(zero):
-            return point_set.tier, int(np.argmax(zero))
+            return tier_pos, int(np.argmax(zero))
         rss = params.linear_prefactor * d2 ** (-params.pathloss_exponent / 2.0)
         idx = int(np.argmax(rss))
         # strict > keeps the first (earlier-tier, lower-index) maximum
         if rss[idx] > best_rss:
             best_rss = float(rss[idx])
-            best = (point_set.tier, idx)
+            best = (tier_pos, idx)
     assert best is not None
     return best
 

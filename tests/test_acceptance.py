@@ -34,11 +34,7 @@ from hetnet_handover.fixtures import (
     default_small_params,
     reference_sim_config,
 )
-from hetnet_handover.geometry import (
-    TIER_MACRO,
-    Region,
-    sample_ppp,
-)
+from hetnet_handover.geometry import Region, sample_ppp
 from hetnet_handover.mobility import (
     MobilityConfig,
     generate_trajectory,
@@ -109,7 +105,7 @@ def test_equal_exponent_boundary_is_exact():
         target, pathloss_exponent=serving.pathloss_exponent
     )
     target_xy = np.array([800.0, 600.0])
-    circle = erb_pair_arrays(serving, target, target_xy[:1], target_xy[1:], 0.5)[3]
+    circle = erb_pair_arrays(serving, target, target_xy[:1], target_xy[1:], 0.5)[0]
     theta = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     pts = np.array([circle.cx[0], circle.cy[0]]) + circle.radius[0] * np.column_stack(
         (np.cos(theta), np.sin(theta))
@@ -161,11 +157,11 @@ def test_mean_nearest_macro_distance():
     region = Region(0.0, 6000.0, 0.0, 6000.0)  # 2750 m margin around queries
     samples = []
     while len(samples) < 2000:
-        field = sample_ppp(region, lam, rng, tier=TIER_MACRO)
+        field = sample_ppp(region, lam, rng)
         if len(field) == 0:
             continue
         queries = rng.uniform(2750.0, 3250.0, (50, 2))
-        d, _ = cKDTree(field.points).query(queries)
+        d, _ = cKDTree(field).query(queries)
         samples.append(d)
     mc_mean = float(np.concatenate(samples).mean())
     closed = mean_r_sm(lam)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetnet_handover
-from hetnet_handover import cli
+from hetnet_handover import cli, simengine
 from hetnet_handover.analytics import HandoverMetrics, PairKind
 from hetnet_handover.cli import (
     METRICS_CSV_HEADER,
@@ -756,6 +756,37 @@ def test_main_analyze_names_pair_whose_circle_encloses_serving(tmp_path, capsys)
     assert "keep the biased RSS of [hotspot] below that of [small]" in err
 
 
+def test_main_sweep_point_refusal_names_the_sweep(tmp_path, capsys):
+    # A negative small-cell density scales the cluster-center density
+    # negative too; the refusal names the swept value, not lambda_p alone.
+    text = SMALL_INI + "[sweep]\naxis = lambda_s\nvalues = -1e-5, 2e-5\n"
+    for command in ("analyze", "simulate", "validate"):
+        assert main([command, "--config", str(write(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [sweep] lambda_s = -1e-05: "), err
+
+
+def test_main_validate_refuses_before_any_campaign(tmp_path, capsys, monkeypatch):
+    # The second point's hotspot tier outshines the small cells, so its SpS
+    # circle encloses the serving BS: no point may be simulated first.
+    campaigns = []
+
+    def counting(run_campaign):
+        def run(*args, **kwargs):
+            campaigns.append(args)
+            return run_campaign(*args, **kwargs)
+
+        return run
+
+    for module in (cli, simengine):
+        monkeypatch.setattr(module, "run_campaign", counting(module.run_campaign))
+    text = SMALL_INI + "[sweep]\naxis = tx_power_sprime\nvalues = 24, 40\n"
+    assert main(["validate", "--config", str(write(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SpS pair") and "encloses the serving BS" in err
+    assert campaigns == []
+
+
 def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -771,8 +802,7 @@ def test_main_requires_a_subcommand():
 PACKAGE_ALL = [
     "HandoverMetrics", "HandoverThresholds", "PairKind", "compute_metrics",
     "mean_cluster_distance_numeric", "mean_pair_distance", "mean_r_sm",
-    "TIER_HOTSPOT", "TIER_MACRO", "TIER_SMALL", "ClusterConfig", "PointSet", "Region",
-    "sample_ppp", "sample_tcp",
+    "ClusterConfig", "Region", "sample_ppp", "sample_tcp",
     "MobilityConfig", "Trajectory", "generate_trajectory", "mean_transition_length",
     "DegenerateBoundaryError", "ErbPair", "TierRadioParams", "make_erb_pair",
     "ComparisonTable", "EventCounts", "MetricsEstimate", "SimConfig", "analytic_metrics",

@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnet_handover import simengine
-from hetnet_handover.geometry import (
-    TIER_HOTSPOT,
-    TIER_MACRO,
-    TIER_SMALL,
-    ClusterConfig,
-    PointSet,
-    Region,
-    sample_ppp,
-    sample_tcp,
-)
+from hetnet_handover.geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 
 
 class TestRegion:
@@ -52,11 +43,13 @@ class TestSamplePPP:
         # Poisson(100) mean over 300 reps: SE = sqrt(100/300) ~ 0.58.
         assert np.mean(counts) == pytest.approx(100.0, abs=3.0)
 
-    def test_points_inside_and_tier(self):
+    def test_points_inside_and_shape(self):
         region = Region(0.0, 1000.0, 0.0, 1000.0)
-        ps = sample_ppp(region, 1e-4, np.random.default_rng(2), tier=TIER_MACRO)
-        assert ps.tier == TIER_MACRO
-        assert np.all(region.contains(ps.points))
+        xy = sample_ppp(region, 1e-4, np.random.default_rng(2))
+        assert xy.ndim == 2 and xy.shape[1] == 2 and len(xy) > 0
+        assert np.all(region.contains(xy))
+        empty = sample_ppp(region, 1e-12, np.random.default_rng(2))
+        assert empty.shape == (0, 2)
 
     def test_invalid_density(self):
         region = Region(0.0, 1000.0, 0.0, 1000.0)
@@ -82,20 +75,20 @@ class TestSampleTCP:
     def test_parent_child_structure(self):
         region = Region(0.0, 5000.0, 0.0, 5000.0)
         cfg = ClusterConfig(lambda_p=2e-6, sigma=150.0, mean_offspring=5.0)
-        parents, children = sample_tcp(region, cfg, np.random.default_rng(3))
-        assert parents.tier == TIER_HOTSPOT and children.tier == TIER_HOTSPOT
-        assert np.all(region.contains(parents.points))
-        assert children.parent_index is not None
-        assert children.parent_index.min() >= 0
-        assert children.parent_index.max() < len(parents)
+        parents, children, parent_index = sample_tcp(region, cfg, np.random.default_rng(3))
+        assert parents.shape[1] == 2 and children.shape[1] == 2
+        assert np.all(region.contains(parents))
+        assert parent_index.shape == (len(children),)
+        assert parent_index.min() >= 0
+        assert parent_index.max() < len(parents)
 
     def test_children_outside_region_are_kept(self):
         # A tiny region with huge scatter guarantees out-of-region children.
         region = Region(0.0, 200.0, 0.0, 200.0)
         cfg = ClusterConfig(lambda_p=5e-4, sigma=500.0, mean_offspring=10.0)
-        _, children = sample_tcp(region, cfg, np.random.default_rng(4))
+        _, children, _ = sample_tcp(region, cfg, np.random.default_rng(4))
         assert len(children) > 0
-        assert not np.all(region.contains(children.points))
+        assert not np.all(region.contains(children))
 
     def test_offspring_count_and_scatter(self):
         region = Region(0.0, 20_000.0, 0.0, 20_000.0)
@@ -103,11 +96,11 @@ class TestSampleTCP:
         rng = np.random.default_rng(5)
         totals, scatters = [], []
         for _ in range(50):
-            parents, children = sample_tcp(region, cfg, rng)
+            parents, children, parent_index = sample_tcp(region, cfg, rng)
             if len(parents) == 0:
                 continue
             totals.append(len(children) / len(parents))
-            disp = children.points - parents.points[children.parent_index]
+            disp = children - parents[parent_index]
             scatters.append(np.std(disp))
         assert np.mean(totals) == pytest.approx(5.0, rel=0.05)
         assert np.mean(scatters) == pytest.approx(150.0, rel=0.05)
@@ -115,10 +108,10 @@ class TestSampleTCP:
     def test_empty_offspring_edge(self):
         region = Region(0.0, 100.0, 0.0, 100.0)
         cfg = ClusterConfig(lambda_p=1e-9, sigma=10.0, mean_offspring=1.0)
-        parents, children = sample_tcp(region, cfg, np.random.default_rng(0))
-        assert len(parents) == 0
-        assert len(children) == 0
-        assert children.parent_index is not None and len(children.parent_index) == 0
+        parents, children, parent_index = sample_tcp(region, cfg, np.random.default_rng(0))
+        assert parents.shape == (0, 2)
+        assert children.shape == (0, 2)
+        assert parent_index.shape == (0,)
 
 
 class TestNearest:
@@ -126,27 +119,27 @@ class TestNearest:
     # per-tier KD-trees of `simengine._kdtrees`.
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        pts = PointSet(tier=TIER_SMALL, points=rng.uniform(0, 1000, (40, 2)))
+        pts = rng.uniform(0, 1000, (40, 2))
         q = np.array([300.0, 700.0])
         d, i = simengine._kdtrees([pts])[0].query(q)
-        brute = np.linalg.norm(pts.points - q, axis=1)
+        brute = np.linalg.norm(pts - q, axis=1)
         assert i == int(np.argmin(brute))
         assert d == pytest.approx(brute.min())
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(7)
-        pts = PointSet(tier=TIER_SMALL, points=rng.uniform(0, 1000, (25, 2)))
+        pts = rng.uniform(0, 1000, (25, 2))
         queries = rng.uniform(0, 1000, (30, 2))
         d_batch, i_batch = simengine._kdtrees([pts])[0].query(queries)
         for k, q in enumerate(queries):
-            brute = np.linalg.norm(pts.points - q, axis=1)
+            brute = np.linalg.norm(pts - q, axis=1)
             assert i_batch[k] == int(np.argmin(brute))
             assert d_batch[k] == pytest.approx(brute.min())
 
     def test_empty_targets_rejected(self):
         # An empty tier gets no tree, so no query can land on it.
-        empty = PointSet(tier=TIER_SMALL, points=np.zeros((0, 2)))
-        full = PointSet(tier=TIER_MACRO, points=np.ones((1, 2)))
+        empty = np.zeros((0, 2))
+        full = np.ones((1, 2))
         trees = simengine._kdtrees([empty, full])
         assert trees[0] is None and trees[1].n == 1
 

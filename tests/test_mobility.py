@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnet_handover import simengine as se
 from hetnet_handover.analytics import movement_time_per_meter
+from hetnet_handover.fixtures import default_thresholds
 from hetnet_handover.geometry import Region
 from hetnet_handover.mobility import (
     MobilityConfig,
@@ -26,6 +28,12 @@ def _cfg(**kw) -> MobilityConfig:
 
 
 REGION = Region(0.0, 5000.0, 0.0, 5000.0)
+
+
+def _legs(traj: Trajectory) -> np.ndarray:
+    """Length of each movement of ``traj``."""
+    deltas = np.diff(traj.waypoints, axis=0)
+    return np.hypot(deltas[:, 0], deltas[:, 1])
 
 
 class TestConfig:
@@ -61,7 +69,7 @@ class TestTransitionLength:
             np.array([side / 2, side / 2]), 50_000, Region(0.0, side, 0.0, side),
             cfg, np.random.default_rng(11),
         )
-        lengths = traj.segment_lengths()
+        lengths = _legs(traj)
         assert lengths.mean() == pytest.approx(mean_transition_length(cfg), rel=0.01)
 
     def test_movement_time_includes_pause(self):
@@ -93,7 +101,7 @@ def scripted_move(start, lengths, turns) -> tuple:
     coin is drawn."""
     draws = ScriptedDraws(lengths, turns)
     traj = generate_trajectory(np.array(start), 1, REGION, _cfg(p_z=0.0), draws)
-    return float(traj.segment_lengths()[0]), traj.waypoints[1], draws
+    return float(_legs(traj)[0]), traj.waypoints[1], draws
 
 
 class TestClamp:
@@ -140,7 +148,7 @@ class TestNextWaypoint:
         start = np.array([0.0, 5000.0])  # a corner
         traj = generate_trajectory(start, 30, REGION, cfg, np.random.default_rng(seed))
         assert np.all(REGION.contains(traj.waypoints))
-        assert np.all(traj.segment_lengths() > 0)
+        assert np.all(_legs(traj) > 0)
 
     def test_outside_current_rejected(self):
         rng = np.random.default_rng(3)
@@ -195,13 +203,17 @@ class TestTrajectory:
         start = np.array([2500.0, 2500.0])
         traj = generate_trajectory(start, 40, REGION, cfg, rng)
         assert traj.waypoints.shape == (41, 2)
-        assert traj.n_moves == 40
         assert np.all(REGION.contains(traj.waypoints))
-        lengths = traj.segment_lengths()
+        lengths = _legs(traj)
         assert lengths.shape == (40,)
         assert np.all(lengths > 0)
-        assert traj.total_length() == pytest.approx(lengths.sum())
-        assert traj.total_time() == pytest.approx(
+        # The simulator's exposure: travel time plus one pause per movement.
+        no_circles = se._CircleField(
+            np.empty(0, dtype=np.intp), *[np.empty(0)] * 6, *[np.empty(0, dtype=np.intp)] * 2
+        )
+        counts = se.EventCounts()
+        se._walk_trajectories([traj], no_circles, None, default_thresholds(), counts)
+        assert counts.exposure_time == pytest.approx(
             lengths.sum() / cfg.velocity + 40 * cfg.pause
         )
 

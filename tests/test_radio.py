@@ -13,7 +13,6 @@ from hetnet_handover.fixtures import (
     default_small_params,
     default_thresholds,
 )
-from hetnet_handover.geometry import TIER_MACRO, TIER_SMALL, PointSet
 from hetnet_handover.radio import (
     CircleArrays,
     DegenerateBoundaryError,
@@ -104,8 +103,7 @@ def _rss(tier: TierRadioParams, distance: np.ndarray) -> np.ndarray:
 def _circles(serving, target, pos, q_out) -> tuple:
     """Handover and failure circles of one target at ``pos``, from the
     simulator's kernel."""
-    *_, h, f = erb_pair_arrays(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
-    return h, f
+    return erb_pair_arrays(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
 
 
 def _circle(pos, xi: float, lam_star: float) -> CircleArrays:
@@ -287,33 +285,30 @@ class TestServingBs:
     def test_strongest_wins(self):
         macro = default_macro_params()
         small = default_small_params()
-        macros = PointSet(tier=TIER_MACRO, points=np.array([[0.0, 0.0]]))
-        smalls = PointSet(tier=TIER_SMALL, points=np.array([[1000.0, 0.0], [60.0, 0.0]]))
+        macros = np.array([[0.0, 0.0]])
+        smalls = np.array([[1000.0, 0.0], [60.0, 0.0]])
         dep = [(macros, macro), (smalls, small)]
         # Right next to a small BS the small tier wins despite lower power.
-        assert serving_bs(np.array([61.0, 0.0]), dep) == (TIER_SMALL, 1)
+        assert serving_bs(np.array([61.0, 0.0]), dep) == (1, 1)
         # Far from every small BS the macro wins.
-        assert serving_bs(np.array([500.0, 500.0]), dep) == (TIER_MACRO, 0)
+        assert serving_bs(np.array([500.0, 500.0]), dep) == (0, 0)
 
     def test_exact_bs_position_associates_there(self):
         small = default_small_params()
-        smalls = PointSet(tier=TIER_SMALL, points=np.array([[10.0, 10.0], [20.0, 20.0]]))
-        assert serving_bs(np.array([20.0, 20.0]), [(smalls, small)]) == (TIER_SMALL, 1)
+        smalls = np.array([[10.0, 10.0], [20.0, 20.0]])
+        assert serving_bs(np.array([20.0, 20.0]), [(smalls, small)]) == (0, 1)
 
     def test_tie_breaks_to_earlier_tier_then_lower_index(self):
         params = _tier(30.0, 3.6)
-        a = PointSet(tier=TIER_MACRO, points=np.array([[-50.0, 0.0]]))
-        b = PointSet(tier=TIER_SMALL, points=np.array([[50.0, 0.0], [0.0, 50.0]]))
+        a = np.array([[-50.0, 0.0]])
+        b = np.array([[50.0, 0.0], [0.0, 50.0]])
         # Equidistant from all three BSs with identical radio parameters.
-        assert serving_bs(np.array([0.0, 0.0]), [(a, params), (b, params)]) == (
-            TIER_MACRO,
-            0,
-        )
-        assert serving_bs(np.array([0.0, 0.0]), [(b, params)]) == (TIER_SMALL, 0)
+        assert serving_bs(np.array([0.0, 0.0]), [(a, params), (b, params)]) == (0, 0)
+        assert serving_bs(np.array([0.0, 0.0]), [(b, params)]) == (0, 0)
 
     def test_empty_deployment_rejected(self):
         with pytest.raises(ValueError):
             serving_bs(np.array([0.0, 0.0]), [])
-        empty = PointSet(tier=TIER_SMALL, points=np.zeros((0, 2)))
+        empty = np.zeros((0, 2))
         with pytest.raises(ValueError):
             serving_bs(np.array([0.0, 0.0]), [(empty, _tier(30.0, 3.6))])

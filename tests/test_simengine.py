@@ -24,16 +24,7 @@ from hetnet_handover.fixtures import (
     default_thresholds,
     reference_sim_config,
 )
-from hetnet_handover.geometry import (
-    TIER_HOTSPOT,
-    TIER_MACRO,
-    TIER_SMALL,
-    ClusterConfig,
-    PointSet,
-    Region,
-    sample_ppp,
-    sample_tcp,
-)
+from hetnet_handover.geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 from hetnet_handover.mobility import Trajectory, generate_trajectory
 from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
 from hetnet_handover.simengine import (
@@ -184,18 +175,6 @@ def test_crossing_equal_endpoints_rejected():
         se._segments([np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])])
 
 
-def test_segment_lengths_are_the_trajectory_lengths():
-    # The walk's clock and the exposure time measure legs with one routine.
-    cfg = reference_sim_config(0)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        wp = generate_trajectory(
-            cfg.region.sample_uniform(1, rng)[0], cfg.n_moves, cfg.region, cfg.mobility, rng
-        ).waypoints
-        lengths = Trajectory(wp, velocity=1.0, pause=0.0).segment_lengths()
-        assert se._segments([wp]).length.tobytes() == lengths.tobytes()
-
-
 def test_chord_matches_point_sampling():
     # Independent route: the chord is the fraction of finely sampled points
     # strictly inside the circle, times the segment length.
@@ -299,26 +278,22 @@ def test_event_counts_merge():
 def test_serving_map_matches_reference_association():
     rng = np.random.default_rng(3)
     region = Region(0.0, 3000.0, 0.0, 3000.0)
-    macro = sample_ppp(region, 2e-6, rng, tier=TIER_MACRO)
-    small = sample_ppp(region, 2e-5, rng, tier=TIER_SMALL)
-    _, children = sample_tcp(
+    macro = sample_ppp(region, 2e-6, rng)
+    small = sample_ppp(region, 2e-5, rng)
+    _, hotspot, _ = sample_tcp(
         region, ClusterConfig(lambda_p=2e-6, sigma=150.0, mean_offspring=5.0), rng
     )
     mp, sp, hp = default_macro_params(), default_small_params(), default_hotspot_params()
-    smap = se._ServingMap(se._kdtrees((macro, small, children)), (mp, sp, hp))
-    deployment = [(macro, mp), (small, sp), (children, hp)]
-    labels = (TIER_MACRO, TIER_SMALL, TIER_HOTSPOT)
+    smap = se._ServingMap(se._kdtrees((macro, small, hotspot)), (mp, sp, hp))
+    deployment = [(macro, mp), (small, sp), (hotspot, hp)]
     points = region.sample_uniform(200, rng)
     tier_pos, idx = smap.query(points)
     for xy, t, i in zip(points, tier_pos.tolist(), idx.tolist()):
-        assert (labels[t], i) == serving_bs(xy, deployment)
+        assert (t, i) == serving_bs(xy, deployment)
 
 
 def test_serving_map_on_bs_position_and_empty_tier():
-    tiers = (
-        PointSet(tier=TIER_MACRO, points=np.empty((0, 2))),
-        PointSet(tier=TIER_SMALL, points=np.array([[10.0, 10.0], [50.0, 50.0]])),
-    )
+    tiers = (np.empty((0, 2)), np.array([[10.0, 10.0], [50.0, 50.0]]))
     trees = se._kdtrees(tiers)
     assert trees[0] is None
     smap = se._ServingMap(trees, (default_macro_params(), default_small_params()))
@@ -346,7 +321,7 @@ def one_circle_field(center=(0.0, 0.0), r_h=100.0, r_f=50.0) -> se._CircleField:
 
 
 def single_bs_map() -> se._ServingMap:
-    macro = PointSet(tier=TIER_MACRO, points=np.array([[-1000.0, 0.0]]))
+    macro = np.array([[-1000.0, 0.0]])
     return se._ServingMap(se._kdtrees([macro]), [default_macro_params()])
 
 
@@ -358,7 +333,6 @@ def walk(waypoints, thresholds, velocity=1.0, pause=0.0, fld=None) -> EventCount
         [traj], one_circle_field() if fld is None else fld,
         single_bs_map(), thresholds, counts,
     )
-    counts.exposure_time = traj.total_time()
     counts.validate()
     return counts
 
@@ -715,8 +689,8 @@ def walk_scene(rows, waypoints, *, velocity, pause, **roles) -> tuple:
 def two_tier_map() -> se._ServingMap:
     """Two macro and two small BSs around the scene, so the serving BS at a
     quick exit is sometimes the circle's own server and sometimes not."""
-    macro = PointSet(tier=TIER_MACRO, points=np.array([[-300.0, 0.0], [300.0, 40.0]]))
-    small = PointSet(tier=TIER_SMALL, points=np.array([[0.0, -250.0], [20.0, 260.0]]))
+    macro = np.array([[-300.0, 0.0], [300.0, 40.0]])
+    small = np.array([[0.0, -250.0], [20.0, 260.0]])
     return se._ServingMap(
         se._kdtrees([macro, small]), [default_macro_params(), default_small_params()]
     )
@@ -945,16 +919,40 @@ def test_run_trial_reproduces_recorded_dense_counts(index):
     assert got == pinned_counts(float.fromhex(exposure), per_kind)
 
 
+@pytest.mark.parametrize(
+    "name,index", [("reference", 0), ("reference", 1), ("reference", 2), ("dense", 0), ("dense", 1)]
+)
+def test_exposure_is_measured_from_the_trajectories(name, index, monkeypatch):
+    # Exposure is travel time plus one pause per movement, summed over the
+    # users in order; recomputed here from the trajectories the trial draws.
+    cfg = reference_sim_config(0) if name == "reference" else dense_config()
+    trajs = []
+
+    def recording(*args):
+        trajs.append(generate_trajectory(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(se, "generate_trajectory", recording)
+    got = run_trial(cfg, index)
+    assert len(trajs) == cfg.n_users
+    exposure = 0.0
+    for traj in trajs:
+        deltas = np.diff(traj.waypoints, axis=0)
+        length = float(np.hypot(deltas[:, 0], deltas[:, 1]).sum())
+        exposure += float(length / traj.velocity + len(deltas) * traj.pause)
+    assert got.exposure_time.hex() == exposure.hex()
+
+
 def sampled_deployment(cfg: SimConfig, trial_index: int) -> tuple:
-    """The deployment ``run_trial`` draws, in its draw order."""
+    """The deployment ``run_trial`` draws, in its draw order:
+    ``(macro, small, parents, hotspot, parent_index)``."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial_index]))
-    macro = sample_ppp(cfg.region, cfg.lambda_m, rng, tier=TIER_MACRO)
-    small = sample_ppp(cfg.region, cfg.lambda_s, rng, tier=TIER_SMALL)
-    parents, children = sample_tcp(cfg.region, cfg.cluster, rng)
-    return macro, small, parents, children
+    macro = sample_ppp(cfg.region, cfg.lambda_m, rng)
+    small = sample_ppp(cfg.region, cfg.lambda_s, rng)
+    return (macro, small, *sample_tcp(cfg.region, cfg.cluster, rng))
 
 
-def per_pair_field(cfg, macro, small, parents, children) -> tuple:
+def per_pair_field(cfg, macro, small, parents, hotspot, parent_index) -> tuple:
     """Field columns and skip counts from one ``erb_pair_arrays`` call per pair,
     serving BSs found by brute-force nearest neighbour."""
 
@@ -963,25 +961,25 @@ def per_pair_field(cfg, macro, small, parents, children) -> tuple:
         return np.argmin(d2, axis=1)
 
     rows, skipped = [], {k: [0, 0] for k in se._KIND_ORDER}
-    m_of_small = nearest(macro.points, small.points)
-    s_of_parent = nearest(small.points, parents.points)
-    m_of_parent = nearest(macro.points, parents.points)
+    m_of_small = nearest(macro, small)
+    s_of_parent = nearest(small, parents)
+    m_of_parent = nearest(macro, parents)
     jobs = [
-        (0, cfg.macro, cfg.small, macro.points[m], small.points[i], 0, m)
+        (0, cfg.macro, cfg.small, macro[m], small[i], 0, m)
         for i, m in enumerate(m_of_small)
     ]
     for kind_pos, serving, tier_pos, of_parent in (
         (1, (small, cfg.small), 1, s_of_parent),
         (2, (macro, cfg.macro), 0, m_of_parent),
     ):
-        for j in range(len(children)):
-            b = of_parent[children.parent_index[j]]
-            jobs.append((kind_pos, serving[1], cfg.hotspot, serving[0].points[b],
-                         children.points[j], tier_pos, b))
+        for j in range(len(hotspot)):
+            b = of_parent[parent_index[j]]
+            jobs.append((kind_pos, serving[1], cfg.hotspot, serving[0][b],
+                         hotspot[j], tier_pos, b))
     for kind_pos, sp, tp, sxy, txy, tier_pos, b in jobs:
         kind = se._KIND_ORDER[kind_pos]
         d = txy - sxy
-        *_, h, f = erb_pair_arrays(sp, tp, d[:1], d[1:], cfg.thresholds.q_out)
+        h, f = erb_pair_arrays(sp, tp, d[:1], d[1:], cfg.thresholds.q_out)
         if h.degenerate[0] or f.degenerate[0]:
             skipped[kind][0] += 1
             continue
@@ -1020,10 +1018,10 @@ def _field_configs():
 @pytest.mark.parametrize("label,cfg,index", _field_configs())
 def test_circle_field_matches_per_pair_construction(label, cfg, index):
     deployment = sampled_deployment(cfg, index)
-    macro, small, parents, children = deployment
-    tiers = (macro, small, children)
+    macro, small, parents, hotspot, parent_index = deployment
+    tiers = (macro, small, hotspot)
     counts = EventCounts()
-    fld = se._build_circle_field(cfg, tiers, parents, se._kdtrees(tiers), counts)
+    fld = se._build_circle_field(cfg, tiers, parents, parent_index, se._kdtrees(tiers), counts)
     columns, skipped = per_pair_field(cfg, *deployment)
     names = [f.name for f in dataclasses.fields(se._CircleField)]
     for name, expected in zip(names, columns):
@@ -1034,7 +1032,7 @@ def test_circle_field_matches_per_pair_construction(label, cfg, index):
         pc = counts.pairs[kind]
         assert [pc.degenerate_skipped, pc.enclosing_skipped] == skipped[kind], kind
     if label == "hotspot-as-small":
-        assert skipped[PairKind.SPS][0] == len(deployment[3]) > 0
+        assert skipped[PairKind.SPS][0] == len(hotspot) > 0
     if label == "hotspot-as-macro":
         assert skipped[PairKind.SPM][0] > 0 and skipped[PairKind.SPS][1] > 0
 

@@ -80,3 +80,26 @@ def test_traced_run_records_every_layer_and_restores(tracing, tmp_path, capsys):
     # One KD-tree per tier (macro, small, hotspot), shared by the circle
     # field and the serving map.
     assert int(table.mask("simengine.kdtree_build").sum()) == 3
+
+    # The traced counts equal those of one untraced replay of the trial: the
+    # base stations its KD-trees are built on and the waypoints it walks.
+    cfg = cli.load_config(ini).base
+    replay = {}
+    kdtrees, walk = simengine._kdtrees, simengine._walk_trajectories
+
+    def count_bs(tiers):
+        replay["bs"] = sum(len(xy) for xy in tiers)
+        return kdtrees(tiers)
+
+    def count_waypoints(trajs, *args):
+        replay["waypoints"] = sum(len(traj.waypoints) for traj in trajs)
+        return walk(trajs, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "_kdtrees", count_bs)
+        mp.setattr(simengine, "_walk_trajectories", count_waypoints)
+        simengine.run_trial(cfg, 0)
+    assert replay["waypoints"] == cfg.n_users * (cfg.n_moves + 1)
+    counted = tracer.counts[tracer.run_id]
+    assert counted["geometry.bs_sampled"] == replay["bs"] > 0
+    assert counted["mobility.waypoints"] == replay["waypoints"]
