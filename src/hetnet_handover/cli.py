@@ -140,6 +140,10 @@ class ExperimentSpec:
         object.__setattr__(self, "sweep_values", values)
 
 
+def _sweep_refusal(axis: str, value: float, exc: ValueError) -> str:
+    return f"[sweep] {axis} = {value!r}: {exc}"
+
+
 def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     """``cfg`` with one swept quantity replaced (see module docstring for
     units); a refusal names the sweep axis and the value."""
@@ -157,7 +161,7 @@ def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
             cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
         )
     except ValueError as exc:
-        raise ValueError(f"[sweep] {axis} = {value!r}: {exc}") from exc
+        raise ValueError(_sweep_refusal(axis, value, exc)) from exc
 
 
 def sweep_points(spec: ExperimentSpec) -> list:
@@ -165,6 +169,21 @@ def sweep_points(spec: ExperimentSpec) -> list:
     if spec.sweep_axis is None:
         return [spec.base]
     return [apply_sweep(spec.base, spec.sweep_axis, v) for v in spec.sweep_values]
+
+
+def _closed_forms(spec: ExperimentSpec, metrics) -> list:
+    """``metrics(cfg)`` at every sweep point, in order; a closed-form refusal
+    at a sweep point names the sweep axis and value, as `apply_sweep` does."""
+    points = sweep_points(spec)
+    if spec.sweep_axis is None:
+        return [metrics(cfg) for cfg in points]
+    results = []
+    for value, cfg in zip(spec.sweep_values, points):
+        try:
+            results.append(metrics(cfg))
+        except ValueError as exc:
+            raise type(exc)(_sweep_refusal(spec.sweep_axis, value, exc)) from exc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +531,18 @@ def format_metrics_row(metrics: HandoverMetrics, cfg: SimConfig) -> str:
 
 def cmd_analyze(spec: ExperimentSpec) -> str:
     """Closed-form metrics of the selected pair, one CSV row per sweep point."""
-    rows = [
-        format_metrics_row(analytic_pair_metrics(cfg, spec.pair), cfg)
-        for cfg in sweep_points(spec)
-    ]
+    rows = _closed_forms(
+        spec, lambda cfg: format_metrics_row(analytic_pair_metrics(cfg, spec.pair), cfg)
+    )
     return _render_csv(METRICS_CSV_HEADER, rows)
 
 
 def cmd_simulate(spec: ExperimentSpec, workers: int = 1) -> str:
-    """Campaign summaries of the selected pair, one CSV row per sweep point."""
+    """Campaign summaries of the selected pair, one CSV row per sweep point;
+    the campaigns count that pair alone."""
     rows = []
     for cfg in sweep_points(spec):
-        est = run_campaign(cfg, workers=workers)
+        est = run_campaign(cfg, workers=workers, kinds=(spec.pair,))
         pe = est.pairs[spec.pair]
         pc = est.counts.pairs[spec.pair]
         rates = [
@@ -549,7 +568,7 @@ def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
     rows = []
     summaries = []
     points = sweep_points(spec)
-    analytic = [analytic_metrics(cfg) for cfg in points]
+    analytic = _closed_forms(spec, analytic_metrics)
     for i, cfg in enumerate(points):
         table = ComparisonTable.of(analytic[i], run_campaign(cfg, workers=workers))
         point = _point(cfg)

@@ -3,8 +3,10 @@
 One trial deploys a single realization of the three-tier network (uniform
 macro tier, uniform small-cell tier, clustered hotspot tier) as one position
 array per tier in `_TIERS` order, builds the handover and failure boundary
-circles for every (target BS, serving BS) pair, and walks waypoint
-trajectories through the static circle field.  Each leg is measured once;
+circles for every (target BS, serving BS) pair of the pair kinds it counts,
+and walks waypoint trajectories through the static circle field.  A trial
+that counts one pair kind builds and walks only that kind's circles; the
+strongest-RSS association still sees every tier.  Each leg is measured once;
 the walk clock and the exposure time read the same lengths.
 Segment-circle intersections are solved in closed form (quadratic roots), so
 event times carry no time-step discretization error.  Per user, a bounding-box
@@ -78,6 +80,17 @@ _PAIR_TIERS = {
 }
 
 _KIND_ORDER = tuple(_PAIR_TIERS)
+
+
+def _scope(kinds) -> tuple:
+    """``kinds`` in `_KIND_ORDER` order; refuses an empty or unknown kind."""
+    kinds = tuple(kinds)
+    unknown = [k for k in kinds if k not in _PAIR_TIERS]
+    if unknown:
+        raise ValueError(f"unknown pair kinds {unknown!r}; expected PairKind members")
+    if not kinds:
+        raise ValueError("kinds must name at least one pair kind")
+    return tuple(k for k in _KIND_ORDER if k in kinds)
 
 
 @dataclass(frozen=True)
@@ -174,14 +187,28 @@ class PairCounts:
 
 @dataclass
 class EventCounts:
-    """Per-pair event counters plus the shared exposure time of one or more trials."""
+    """Per-pair event counters plus the shared exposure time of one or more trials.
+
+    ``pairs`` holds the counted pair kinds only, in `_KIND_ORDER` order
+    (every kind by default; see `counting`).
+    """
 
     pairs: dict = field(default_factory=lambda: {k: PairCounts() for k in _KIND_ORDER})
     exposure_time: float = 0.0  # seconds of user motion + pauses, summed over users
 
+    @classmethod
+    def counting(cls, kinds) -> "EventCounts":
+        """Zero counts of the pair kinds ``kinds`` (see `_scope`)."""
+        return cls(pairs={k: PairCounts() for k in _scope(kinds)})
+
     def merge_in(self, other: "EventCounts") -> None:
-        for kind in _KIND_ORDER:
-            self.pairs[kind].merge_in(other.pairs[kind])
+        if list(other.pairs) != list(self.pairs):
+            raise ValueError(
+                f"cannot merge counts of pair kinds {[k.value for k in other.pairs]} "
+                f"into counts of {[k.value for k in self.pairs]}"
+            )
+        for kind, pc in self.pairs.items():
+            pc.merge_in(other.pairs[kind])
         self.exposure_time += other.exposure_time
 
     def validate(self) -> None:
@@ -197,7 +224,7 @@ class EventCounts:
 
 @dataclass
 class _CircleField:
-    """Flat arrays of every boundary-circle pair in one deployment."""
+    """Flat arrays of every counted boundary-circle pair in one deployment."""
 
     kind_index: np.ndarray  # (N,) position into _KIND_ORDER
     cx_h: np.ndarray
@@ -324,7 +351,8 @@ def _build_circle_field(
     trees,
     counts: EventCounts,
 ) -> _CircleField:
-    """One circle pair per (target BS, its serving BS).
+    """One circle pair per (target BS, its serving BS) of each pair kind
+    that ``counts`` holds.
 
     ``tiers`` holds the position array of each tier in `_TIERS` order and
     ``trees`` their `_kdtrees`.  A pair's serving BS is the serving-tier BS
@@ -333,7 +361,7 @@ def _build_circle_field(
     """
     params = [getattr(cfg, name) for name in _TIERS]
     blocks = []
-    for kind_pos, kind in enumerate(_KIND_ORDER):
+    for kind, pc in counts.pairs.items():
         s, t = _PAIR_TIERS[kind]
         target, tree = tiers[t], trees[s]
         if tree is None or len(target) == 0:
@@ -344,7 +372,7 @@ def _build_circle_field(
         else:
             _, b = tree.query(target)
         blocks.append(_pair_block(
-            cfg.thresholds.q_out, counts.pairs[kind], kind_pos, params[s], params[t],
+            cfg.thresholds.q_out, pc, _KIND_ORDER.index(kind), params[s], params[t],
             tiers[s][b], target, s, b,
         ))
 
@@ -647,19 +675,24 @@ def _walk_trajectories(
         circle = circle[(tier == fld.serving_tier[circle]) & (idx == fld.serving_idx[circle])]
     pingpongs = np.bincount(fld.kind_index[circle], minlength=len(_KIND_ORDER))
 
-    pcs = [counts.pairs[k] for k in _KIND_ORDER]
     for name, per_kind in zip(
         ("triggered", "handovers", "failures", "overlap", "pingpongs"),
         tally.tolist() + [pingpongs.tolist()],
     ):
-        for pc, n in zip(pcs, per_kind):
-            setattr(pc, name, getattr(pc, name) + n)
+        for kind, pc in counts.pairs.items():
+            setattr(pc, name, getattr(pc, name) + per_kind[_KIND_ORDER.index(kind)])
 
 
-def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
-    """One independent deployment + mobility realization, fully counted."""
+def run_trial(cfg: SimConfig, trial_index: int, kinds=_KIND_ORDER) -> EventCounts:
+    """One independent deployment + mobility realization, counted for the
+    pair kinds ``kinds`` (an iterable of `PairKind`; all three by default).
+
+    The deployment and trajectories do not depend on ``kinds``, and each
+    kind's counts equal those of the all-kinds trial.
+    """
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
+    counts = EventCounts.counting(kinds)
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, trial_index])
     )
@@ -669,7 +702,6 @@ def run_trial(cfg: SimConfig, trial_index: int) -> EventCounts:
 
     tiers = (macro, small, hotspot)
     trees = _kdtrees(tiers)
-    counts = EventCounts()
     fld = _build_circle_field(cfg, tiers, parents, parent_index, trees, counts)
     smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
     trajs = []
@@ -730,13 +762,13 @@ def summarize_trials(trials) -> MetricsEstimate:
     trials = list(trials)
     if not trials:
         raise ValueError("no trials to summarize")
-    merged = EventCounts()
+    merged = EventCounts.counting(trials[0].pairs)
     for t in trials:
         merged.merge_in(t)
     if merged.exposure_time <= 0.0:
         raise ValueError("campaign accumulated zero exposure time; config is invalid")
     pairs = {}
-    for kind in _KIND_ORDER:
+    for kind in merged.pairs:
         per_trial = [_rates(kind, t.pairs[kind], t.exposure_time) for t in trials]
         pairs[kind] = PairEstimate(
             rates=_rates(kind, merged.pairs[kind], merged.exposure_time),
@@ -748,18 +780,20 @@ def summarize_trials(trials) -> MetricsEstimate:
     return MetricsEstimate(pairs=pairs, n_trials=len(trials), counts=merged)
 
 
-def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
-    """``n_trials`` independent trials, summarized.
+def run_campaign(cfg: SimConfig, workers: int = 1, kinds=_KIND_ORDER) -> MetricsEstimate:
+    """``n_trials`` independent trials, counted for the pair kinds ``kinds``
+    (all three by default) and summarized.
 
     Results are identical for any ``workers`` value: trials are seeded by
     index and merged in index order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    kinds = _scope(kinds)
     # A fork-based pool starts all of its workers at once.
     workers = min(workers, cfg.n_trials)
     if workers == 1:
-        results = [run_trial(cfg, i) for i in range(cfg.n_trials)]
+        results = [run_trial(cfg, i, kinds) for i in range(cfg.n_trials)]
     else:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -768,6 +802,7 @@ def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
                         run_trial,
                         itertools.repeat(cfg, cfg.n_trials),
                         range(cfg.n_trials),
+                        itertools.repeat(kinds, cfg.n_trials),
                         chunksize=max(1, cfg.n_trials // (4 * workers)),
                     )
                 )
@@ -777,7 +812,7 @@ def run_campaign(cfg: SimConfig, workers: int = 1) -> MetricsEstimate:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            results = [run_trial(cfg, i) for i in range(cfg.n_trials)]
+            results = [run_trial(cfg, i, kinds) for i in range(cfg.n_trials)]
     return summarize_trials(results)
 
 
@@ -864,11 +899,11 @@ class ComparisonTable:
 
     @classmethod
     def of(cls, analytic: dict, estimate: MetricsEstimate) -> "ComparisonTable":
-        """Rows of `analytic_metrics` against a campaign ``estimate``; every
-        ``flag`` is empty, as no agreement criterion is defined yet."""
+        """Rows of `analytic_metrics` against a campaign ``estimate``, for
+        each pair kind the campaign counted; every ``flag`` is empty, as no
+        agreement criterion is defined yet."""
         rows = []
-        for kind in _KIND_ORDER:
-            sim = estimate.pairs[kind]
+        for kind, sim in estimate.pairs.items():
             for (metric, name), halfwidth in zip(METRICS, sim.halfwidths):
                 a, s = getattr(analytic[kind], name), getattr(sim.rates, name)
                 rows.append(ComparisonRow(

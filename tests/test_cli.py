@@ -44,6 +44,7 @@ from hetnet_handover.fixtures import (
     reference_sim_config,
 )
 from hetnet_handover.geometry import ClusterConfig, Region
+from hetnet_handover.radio import DegenerateBoundaryError
 from hetnet_handover.simengine import SimConfig
 
 
@@ -783,8 +784,45 @@ def test_main_validate_refuses_before_any_campaign(tmp_path, capsys, monkeypatch
     text = SMALL_INI + "[sweep]\naxis = tx_power_sprime\nvalues = 24, 40\n"
     assert main(["validate", "--config", str(write(tmp_path, text))]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: SpS pair") and "encloses the serving BS" in err
+    assert err.startswith("error: [sweep] tx_power_sprime = 40.0: SpS pair"), err
+    assert "encloses the serving BS" in err
     assert campaigns == []
+
+
+_ENCLOSING_SPS = (
+    "SpS pair, tiers [hotspot] and [small]: the handover circle at the mean pair distance "
+    "encloses the serving BS (lam_star * xi = 3.507188658585462 > 1); keep the biased RSS "
+    "of [hotspot] below that of [small] by changing tx_power_dbm, antenna_gain_dbi, bias_db "
+    "or the path loss in [hotspot] or [small]"
+)
+
+
+def test_main_closed_form_refusal_names_the_sweep_point(tmp_path, capsys):
+    # The refusing point is the second one; the message says which, the way
+    # a sweep value the config itself refuses is named.
+    text = SMALL_INI + "[sweep]\naxis = tx_power_sprime\nvalues = 24, 40\n"
+    for command in ("analyze", "validate"):
+        assert main([command, "--config", str(write(tmp_path, text))]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: [sweep] tx_power_sprime = 40.0: {_ENCLOSING_SPS}\n")
+    # Without a sweep the refusal is the pair's alone.
+    assert main(["analyze", "--config", str(write(tmp_path, SMALL_INI.replace(
+        "[experiment]", "[hotspot]\ntx_power_dbm = 40\n\n[experiment]"
+    )))]) == 1
+    assert capsys.readouterr().err == f"error: {_ENCLOSING_SPS}\n"
+
+
+def test_sweep_point_refusal_keeps_the_degenerate_type(tmp_path):
+    # At 30 dBm the hotspot radio equals the small cells': a straight-line
+    # SpS boundary, refused as DegenerateBoundaryError with the point named.
+    text = SMALL_INI + "[sweep]\naxis = tx_power_sprime\nvalues = 24, 30\n"
+    spec = load_config(write(tmp_path, text))
+    with pytest.raises(DegenerateBoundaryError) as err:
+        cmd_analyze(spec)
+    assert str(err.value).startswith(
+        "[sweep] tx_power_sprime = 30.0: SpS pair, tiers [hotspot] and [small]: "
+        "equal-RSS boundary is a perpendicular bisector"
+    )
 
 
 def test_main_requires_a_subcommand():

@@ -271,6 +271,16 @@ def test_event_counts_merge():
     assert a == expected
 
 
+def test_event_counts_merge_refuses_other_pair_kinds():
+    full, sps = EventCounts(), EventCounts.counting((PairKind.SPS,))
+    sm_spm = EventCounts.counting((PairKind.SPM, PairKind.SM))
+    assert list(sm_spm.pairs) == [PairKind.SM, PairKind.SPM]  # `_KIND_ORDER` order
+    for a, b in ((full, sps), (sps, full), (sps, sm_spm)):
+        with pytest.raises(ValueError, match="cannot merge counts of pair kinds"):
+            a.merge_in(b)
+    assert full == EventCounts() and sps == EventCounts.counting((PairKind.SPS,))
+
+
 # ---------------------------------------------------------------------------
 # Strongest-RSS map
 # ---------------------------------------------------------------------------
@@ -922,6 +932,30 @@ def test_run_trial_reproduces_recorded_dense_counts(index):
 @pytest.mark.parametrize(
     "name,index", [("reference", 0), ("reference", 1), ("reference", 2), ("dense", 0), ("dense", 1)]
 )
+def test_pair_scoped_trial_counts_as_the_full_trial_does(name, index):
+    # A kind's circles are walked apart from the other kinds' circles, and
+    # the association still sees every tier: scoping moves no count.
+    cfg = reference_sim_config(0) if name == "reference" else dense_config()
+    full = run_trial(cfg, index)
+    for kinds in [(kind,) for kind in se._KIND_ORDER] + [(PairKind.SPM, PairKind.SM)]:
+        scoped = run_trial(cfg, index, kinds=kinds)
+        assert list(scoped.pairs) == [k for k in se._KIND_ORDER if k in kinds]
+        for kind, pc in scoped.pairs.items():
+            assert dataclasses.asdict(pc) == dataclasses.asdict(full.pairs[kind]), kind
+        assert scoped.exposure_time.hex() == full.exposure_time.hex()
+
+
+@pytest.mark.parametrize("kinds", [(), ("SpS",), (PairKind.SPS, None)], ids=repr)
+def test_run_trial_and_campaign_refuse_empty_or_unknown_kinds(kinds):
+    with pytest.raises(ValueError, match="kind"):
+        run_trial(small_config(), 0, kinds=kinds)
+    with pytest.raises(ValueError, match="kind"):
+        run_campaign(small_config(), kinds=kinds)
+
+
+@pytest.mark.parametrize(
+    "name,index", [("reference", 0), ("reference", 1), ("reference", 2), ("dense", 0), ("dense", 1)]
+)
 def test_exposure_is_measured_from_the_trajectories(name, index, monkeypatch):
     # Exposure is travel time plus one pause per movement, summed over the
     # users in order; recomputed here from the trajectories the trial draws.
@@ -1031,6 +1065,18 @@ def test_circle_field_matches_per_pair_construction(label, cfg, index):
     for kind in se._KIND_ORDER:
         pc = counts.pairs[kind]
         assert [pc.degenerate_skipped, pc.enclosing_skipped] == skipped[kind], kind
+        # A field scoped to one kind holds that kind's rows of the full field.
+        scoped = EventCounts.counting((kind,))
+        part = se._build_circle_field(
+            cfg, tiers, parents, parent_index, se._kdtrees(tiers), scoped
+        )
+        rows = fld.kind_index == se._KIND_ORDER.index(kind)
+        for name in names:
+            assert getattr(part, name).tobytes() == getattr(fld, name)[rows].tobytes(), name
+        degenerate, enclosing = skipped[kind]
+        assert scoped.pairs == {
+            kind: PairCounts(degenerate_skipped=degenerate, enclosing_skipped=enclosing)
+        }
     if label == "hotspot-as-small":
         assert skipped[PairKind.SPS][0] == len(hotspot) > 0
     if label == "hotspot-as-macro":
@@ -1093,6 +1139,20 @@ def test_summarize_failure_ratio_nan_without_triggers():
     assert math.isnan(est.pairs[PairKind.SM].rates.failure_rate)
 
 
+def test_summarize_scoped_counts_reports_only_the_counted_kinds():
+    t = EventCounts.counting((PairKind.SPM,))
+    t.exposure_time = 100.0
+    t.pairs[PairKind.SPM] = PairCounts(triggered=4, handovers=2)
+    est = summarize_trials([t, t])
+    assert list(est.pairs) == list(est.counts.pairs) == [PairKind.SPM]
+    assert est.pairs[PairKind.SPM].rates.triggered_rate == pytest.approx(0.04)
+    assert est.counts.exposure_time == 200.0
+    rows = se.ComparisonTable.of(analytic_metrics(small_config()), est).rows
+    assert [(r.pair, r.metric) for r in rows] == [(PairKind.SPM, m) for m, _ in METRICS]
+    with pytest.raises(ValueError, match="pair kinds"):
+        summarize_trials([t, EventCounts(exposure_time=100.0)])
+
+
 def test_halfwidth_shrinks_with_more_trials():
     base = two_hand_trials()
     est2 = summarize_trials(base)
@@ -1129,18 +1189,21 @@ def test_pair_estimate_rejects_negative_rates():
 
 def test_campaign_worker_count_does_not_change_results():
     cfg = small_config(n_trials=4)
-    serial = run_campaign(cfg, workers=1)
-    parallel = run_campaign(cfg, workers=2)
-    assert serial.counts == parallel.counts
-    assert (serial.n_trials, serial.counts.exposure_time) == (
-        parallel.n_trials, parallel.counts.exposure_time
-    )
-    for kind in serial.pairs:
-        # Bitwise equal, NaN half-widths included.
-        np.testing.assert_array_equal(
-            [*dataclasses.astuple(serial.pairs[kind].rates)[1:], *serial.pairs[kind].halfwidths],
-            [*dataclasses.astuple(parallel.pairs[kind].rates)[1:], *parallel.pairs[kind].halfwidths],
+    for kinds in (se._KIND_ORDER, (PairKind.SPS,)):
+        serial = run_campaign(cfg, workers=1, kinds=kinds)
+        parallel = run_campaign(cfg, workers=2, kinds=kinds)
+        assert list(serial.pairs) == list(parallel.counts.pairs) == list(kinds)
+        assert serial.counts == parallel.counts
+        assert (serial.n_trials, serial.counts.exposure_time) == (
+            parallel.n_trials, parallel.counts.exposure_time
         )
+        for kind in serial.pairs:
+            # Bitwise equal, NaN half-widths included.
+            np.testing.assert_array_equal(
+                [*dataclasses.astuple(serial.pairs[kind].rates)[1:], *serial.pairs[kind].halfwidths],
+                [*dataclasses.astuple(parallel.pairs[kind].rates)[1:],
+                 *parallel.pairs[kind].halfwidths],
+            )
 
 
 def test_campaign_rejects_bad_worker_count():
