@@ -40,16 +40,15 @@ any number of workers and any execution order.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .analytics import (
     METRICS,
@@ -70,6 +69,25 @@ from .radio import DegenerateBoundaryError, TierRadioParams, erb_pair_arrays, ma
 _TIERS = ("macro", "small", "hotspot")
 
 _HOTSPOT = _TIERS.index("hotspot")  # the clustered tier
+
+#: Classes imported on first use, not with the package: the closed forms
+#: build no KD-tree and no process pool.  Each stays a module attribute
+#: (PEP 562 ``__getattr__``) that can be read and replaced before any trial.
+_DEFERRED = {"cKDTree": "scipy.spatial", "ProcessPoolExecutor": "concurrent.futures"}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_DEFERRED[name]), name)
+    return value
+
+
+def _deferred(name: str):
+    """The module attribute ``name``: a replaced one as it stands, otherwise
+    imported through `__getattr__` on first use."""
+    return globals().get(name) or __getattr__(name)
+
 
 #: (serving, target) positions in `_TIERS` of each pair kind; the key order
 #: is the array layout and CSV row order of the pairs.
@@ -340,7 +358,8 @@ def _pair_block(
 
 def _kdtrees(tiers) -> list:
     """One KD-tree per tier position array, ``None`` for an empty tier."""
-    return [cKDTree(xy) if len(xy) > 0 else None for xy in tiers]
+    kdtree = _deferred("cKDTree")
+    return [kdtree(xy) if len(xy) > 0 else None for xy in tiers]
 
 
 def _build_circle_field(
@@ -796,7 +815,7 @@ def run_campaign(cfg: SimConfig, workers: int = 1, kinds=_KIND_ORDER) -> Metrics
         results = [run_trial(cfg, i, kinds) for i in range(cfg.n_trials)]
     else:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _deferred("ProcessPoolExecutor")(max_workers=workers) as pool:
                 results = list(
                     pool.map(
                         run_trial,

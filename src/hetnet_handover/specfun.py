@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 
 #: The j = 0 start of the series needs e^{-x} and e^{-y} as normal floats.
@@ -129,7 +128,11 @@ def _marcum_q1_lanes(a: float, bs: tuple, windowed: bool) -> list:
         j_end = math.ceil(x + half_width + 25.0)
         pois = math.exp(_log_poisson_pmf(j0, x))
         term_bs = [math.exp(_log_poisson_pmf(j0, y)) if y > 0.0 else 0.0 for y in ys]
-        cdf_bs = [float(_sp.gammaincc(j0 + 1, y)) for y in ys]
+        # Imported here, on the first windowed lane, so that a run which
+        # takes none never loads scipy.special.
+        from scipy.special import gammaincc
+
+        cdf_bs = [float(gammaincc(j0 + 1, y)) for y in ys]
         sums = _mixture_sums(x, ys, j0, (j_end,) * 3, pois, term_bs, cdf_bs, None)
     else:
         # NumPy's exp, not math.exp: the two may differ in the last ulp, and

@@ -6,6 +6,8 @@ direct method, a number that the package computes another way.  The rest are
 the reference expressions that acceptance checks measure the program
 against: the paper's exponential-sum I0 fit and mean-distance expression,
 the Jensen bound on that mean and the border-strip occupancy of a walk.
+`fresh_python` runs the package in a new interpreter, for the checks of what
+it imports and when, which this process (having loaded scipy) cannot make.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -33,6 +38,17 @@ PINS = json.loads(Path(__file__).with_name("fixtures.json").read_text(encoding="
 
 def pin(name: str) -> float:
     return float(PINS[name]["value"])
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """Standard output of ``python -c code *argv`` in a new interpreter that
+    imports the package under test."""
+    src = str(Path(se.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return run.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,6 @@ import dataclasses
 import hashlib
 import math
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -46,6 +44,7 @@ from hetnet_handover.fixtures import (
 from hetnet_handover.geometry import ClusterConfig, Region
 from hetnet_handover.radio import DegenerateBoundaryError
 from hetnet_handover.simengine import SimConfig
+from oracles import fresh_python
 
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
@@ -850,15 +849,29 @@ PACKAGE_ALL = [
 
 
 def test_package_is_the_production_path_only():
-    # The tests' quadrature and 50-digit oracles stay out of a CLI run.
-    src = os.path.dirname(os.path.dirname(hetnet_handover.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hetnet_handover.cli; print(sorted({'scipy.integrate', 'mpmath'} & set(sys.modules)))"
-    run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    # The tests' quadrature and 50-digit oracles stay out of a CLI run, and
+    # so do the special functions, KD-trees and process pool that the
+    # package imports on first use.
+    code = (
+        "import sys, hetnet_handover.cli; print(sorted({'scipy.integrate', 'mpmath', "
+        "'scipy.special', 'scipy.spatial', 'concurrent.futures'} & set(sys.modules)))"
     )
-    assert run.stdout == "[]\n"
+    assert fresh_python(code) == "[]\n"
     assert hetnet_handover.__all__ == PACKAGE_ALL
     with pytest.raises(SystemExit) as exc:
         main(["fixtures"])
     assert exc.value.code == 2
+
+
+def test_analyze_demo_sweep_loads_no_scipy():
+    # The demo sweep takes no windowed Marcum lane and builds no KD-tree, so
+    # a fresh `analyze` never imports scipy.special or scipy.spatial.  Its
+    # bytes are the SpS digest of test_command_output_bytes_are_pinned.
+    code = (
+        "import sys; from hetnet_handover import cli; cli.main(sys.argv[1:]); "
+        "print(sorted({'scipy.special', 'scipy.spatial'} & set(sys.modules)))"
+    )
+    out = fresh_python(code, "analyze", "--config", str(DEMO_DIR / "sigma_sweep.ini"))
+    *rows, loaded = out.splitlines(keepends=True)
+    assert loaded == "[]\n"
+    assert sha256("".join(rows)) == "3d30bb46a5521ff0ce64594adac06e40de34cbdb14665fbff51e1c66480c5b3e"

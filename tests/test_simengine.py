@@ -40,7 +40,13 @@ from hetnet_handover.simengine import (
     summarize_trials,
 )
 
-from oracles import crossing_events_lexsort, pin, serving_bs, walk_trajectory_loop
+from oracles import (
+    crossing_events_lexsort,
+    fresh_python,
+    pin,
+    serving_bs,
+    walk_trajectory_loop,
+)
 
 
 def small_config(**overrides) -> SimConfig:
@@ -1235,6 +1241,30 @@ def test_campaign_workers_bounded_by_trial_count(monkeypatch):
     assert estimate.n_trials == 2
     run_campaign(small_config(n_trials=1), workers=5000)
     assert started == [2]  # one trial runs in-process: no pool at all
+
+
+def test_kdtree_class_is_a_deferred_patchable_attribute(monkeypatch):
+    # scipy.spatial loads on first use, yet `simengine.cKDTree` reads as the
+    # class before any trial, in a fresh interpreter ...
+    code = (
+        "import sys; from hetnet_handover import simengine as se; "
+        "cold = 'scipy.spatial' not in sys.modules; "
+        "from scipy.spatial import cKDTree; print(cold, se.cKDTree is cKDTree)"
+    )
+    assert fresh_python(code) == "True True\n"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        se.no_such_name
+    # ... and a replacement is what a trial builds its trees with.
+    built = []
+    tree_class = se.cKDTree
+
+    def recording(xy):
+        built.append(len(xy))
+        return tree_class(xy)
+
+    monkeypatch.setattr(se, "cKDTree", recording)
+    run_trial(reference_sim_config(0), 0)
+    assert len(built) == len(se._TIERS) and min(built) > 0
 
 
 def test_campaign_csv_shape():

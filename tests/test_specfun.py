@@ -15,6 +15,7 @@ from hetnet_handover.specfun import marcum_q1
 from oracles import (
     I0_EXP_COEFFICIENTS,
     I0_EXP_EDGES,
+    fresh_python,
     i0_approx_max_rel_err,
     i0_exp_approx,
     marcum_q1_mpmath,
@@ -62,6 +63,9 @@ SCALAR_PIN = (
 )
 #: Large-a points: the windowed route for every b in a +- 30.
 LARGE_A = (40.0, 79.0, 200.0, 316.0)
+#: float.hex of marcum_q1(79.0, 80.0), a windowed point.  No PIN_A row is
+#: windowed: its largest x = a^2/2 is 684.5, and its b > 37 are series-routed.
+WINDOWED_PIN = "0x1.480d7682748b9p-3"
 
 #: At x = a^2/2 = 68.79598662207358 rounding stalls 1 - sum(pmf) above the
 #: series tolerance: the accumulated Poisson(x) mass never passes 1 - 1e-15.
@@ -128,6 +132,18 @@ class TestMarcumQ1:
 
     def test_pinned_large_a_value(self):
         assert marcum_q1(79.0, 80.0) == pytest.approx(pin("marcum_q1_at_79_80"), rel=1e-12)
+
+    def test_windowed_route_imports_scipy_special_cold(self):
+        # scipy.special loads on the first windowed lane.  This process has
+        # loaded it already (the oracles use it), so the cold import runs in
+        # a fresh interpreter, and must not move a bit.
+        code = (
+            "import sys; from hetnet_handover.specfun import marcum_q1; "
+            "cold = 'scipy.special' not in sys.modules; "
+            "print(cold, marcum_q1(79.0, 80.0).hex(), 'scipy.special' in sys.modules)"
+        )
+        assert fresh_python(code) == f"True {WINDOWED_PIN} True\n"
+        assert marcum_q1(79.0, 80.0) == float.fromhex(WINDOWED_PIN)
 
     def test_edge_cases(self):
         assert marcum_q1(1.3, 0.0) == pytest.approx(1.0)
