@@ -17,6 +17,8 @@ Candidates that would leave the region are clamped to the ray-boundary
 intersection: the user walks in the drawn direction until hitting the edge.
 Zero-length moves (possible only from a boundary point heading outward, or a
 measure-zero zero draw) are redrawn so segments are always non-degenerate.
+`generate_trajectory` draws a walk's moves as arrays; its docstring gives the
+draw order and the redraw rule.
 """
 
 from __future__ import annotations
@@ -82,33 +84,32 @@ def generate_trajectory(
 ) -> Trajectory:
     """A trajectory of ``n_moves`` movements from ``start``.
 
-    Each movement draws a length L' (one Rayleigh draw, then a uniform coin
-    and a second Rayleigh draw when ``p_z > 0``) and a direction
-    ``2 pi U``, clamps the move to the region boundary along the ray, and
-    redraws whenever the resulting segment would be degenerate.  Every
-    waypoint lies inside the closed region and differs from the one before.
+    Draw order: the base lengths ``rayleigh(sigma_rwp, n_moves)``; when
+    ``p_z > 0``, the coins ``random(n_moves)`` and ``rayleigh(sigma_z, k)``
+    for the ``k`` moves whose coin is below ``p_z``, in move order; the turns
+    ``random(n_moves)``, directions ``2 pi U``.  Each move is clamped to the
+    region boundary along its ray; a degenerate one is redrawn by scalar
+    draws in the same order.  Every waypoint lies inside the closed region
+    and differs from the one before.
     """
     if n_moves < 1:
         raise ValueError(f"n_moves must be >= 1, got {n_moves}")
     start_arr = np.asarray(start, dtype=float)
     if not bool(region.contains(start_arr)[0]):
         raise ValueError(f"start {start_arr} is outside the region")
-    x, y = float(start_arr[0]), float(start_arr[1])
     x_min, x_max, y_min, y_max = region.x_min, region.x_max, region.y_min, region.y_max
-    rayleigh, random, cos, sin = rng.rayleigh, rng.random, math.cos, math.sin
     sigma_rwp, p_z, sigma_z = cfg.sigma_rwp, cfg.p_z, cfg.sigma_z
     mixed = p_z > 0
+    steps = rng.rayleigh(sigma_rwp, n_moves)
+    if mixed:
+        extended = rng.random(n_moves) < p_z
+        steps[extended] += rng.rayleigh(sigma_z, np.count_nonzero(extended))
+    theta = _TWO_PI * rng.random(n_moves)
+    x, y = float(start_arr[0]), float(start_arr[1])
     coords = [x, y]
     # Only the start is checked: every waypoint drawn below lies inside.
-    for _ in range(n_moves):
+    for step, dx, dy in zip(steps.tolist(), np.cos(theta).tolist(), np.sin(theta).tolist()):
         while True:
-            step = rayleigh(sigma_rwp)
-            if mixed and random() < p_z:
-                step += rayleigh(sigma_z)
-            # Bit-identical to rng.uniform(0, 2 pi), which computes
-            # low + (high - low) * random() with low = 0, at a quarter of the cost.
-            theta = _TWO_PI * random()
-            dx, dy = cos(theta), sin(theta)
             # Slab clamp: walk along the ray no further than the first wall.
             # From a boundary point heading outward the step is <= 0.
             if dx > 1e-300:
@@ -129,6 +130,11 @@ def generate_trajectory(
                     step = wall
             if step > _MIN_SEGMENT:
                 break
+            step = rng.rayleigh(sigma_rwp)
+            if mixed and rng.random() < p_z:
+                step += rng.rayleigh(sigma_z)
+            turn = _TWO_PI * rng.random()
+            dx, dy = math.cos(turn), math.sin(turn)
         # The clamp is exact up to rounding; snap the last few ulps so the
         # waypoint is inside the closed region by construction.
         x += step * dx
@@ -144,4 +150,3 @@ def generate_trajectory(
         coords += (x, y)
     waypoints = np.array(coords).reshape(-1, 2)
     return Trajectory(waypoints=waypoints, velocity=cfg.velocity, pause=cfg.pause)
-

@@ -7,7 +7,7 @@ circles for every (target BS, serving BS) pair of the pair kinds it counts,
 and walks waypoint trajectories through the static circle field.  A trial
 that counts one pair kind builds and walks only that kind's circles; the
 strongest-RSS association still sees every tier.  Each leg is measured once;
-the walk clock and the exposure time read the same lengths.
+a user's exposure time is their walk clock's end time.
 Segment-circle intersections are solved in closed form (quadratic roots), so
 event times carry no time-step discretization error.  Per user, a bounding-box
 test picks the (segment, circle) pairs worth solving.  Consecutive users
@@ -593,10 +593,11 @@ def _walk_trajectories(
     """Add the users' exposure time to ``counts`` and run the event state
     machine for every user over the static circle field.
 
-    The users' legs form one `_Segments`, whose lengths both the exposure
-    and the walk clock read.  Consecutive users are walked
-    together, one `_candidate_groups` group at a time, each as one event
-    table evaluated with array operations; ``tests/oracles.py`` keeps the
+    The users' legs form one `_Segments`, whose lengths the walk clock
+    sums in walking order; each user's end time is their exposure, added
+    in user order.  Consecutive users are walked together, one
+    `_candidate_groups` group at a time, each as one event table evaluated
+    with array operations; ``tests/oracles.py`` keeps the
     event-by-event loop, one user at a time, that the tests check it
     against.  The events of one user on one circle (a *run*) are contiguous
     in the table and in walking order.  A residence runs from an effective
@@ -611,15 +612,14 @@ def _walk_trajectories(
     n_legs = [len(wp) - 1 for wp in paths]
     first_leg = np.cumsum([0] + n_legs[:-1]).tolist()
     # Start time of each leg and end time of each user, summed per user in
-    # walking order; the exposure sums the same lengths pairwise.
+    # walking order; a user's exposure is their end time.
     t_leg = np.zeros(len(segs.length))
     t_end = np.empty(len(trajs))
     for u, (traj, lo, n) in enumerate(zip(trajs, first_leg, n_legs)):
-        length = segs.length[lo:lo + n]
-        counts.exposure_time += float(float(length.sum()) / traj.velocity + n * traj.pause)
-        t_base = np.cumsum(length / traj.velocity + traj.pause)
+        t_base = np.cumsum(segs.length[lo:lo + n] / traj.velocity + traj.pause)
         t_leg[lo + 1:lo + n] = t_base[:-1]
         t_end[u] = t_base[-1]
+        counts.exposure_time += float(t_base[-1])
     if fld.n == 0:
         return
     owner = np.repeat(np.arange(len(trajs)), n_legs)
@@ -706,15 +706,16 @@ def run_trial(cfg: SimConfig, trial_index: int, kinds=_KIND_ORDER) -> EventCount
     """One independent deployment + mobility realization, counted for the
     pair kinds ``kinds`` (an iterable of `PairKind`; all three by default).
 
-    The deployment and trajectories do not depend on ``kinds``, and each
-    kind's counts equal those of the all-kinds trial.
+    The deployment draws from ``SeedSequence([master_seed, trial_index])``,
+    the users' starts and trajectories from its first spawned child, so the
+    trajectories depend on no deployment or radio parameter.  Neither stream
+    depends on ``kinds``; each kind's counts equal the all-kinds trial's.
     """
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     counts = EventCounts.counting(kinds)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed, trial_index])
-    )
+    seed = np.random.SeedSequence([cfg.master_seed, trial_index])
+    rng = np.random.default_rng(seed)
     macro = sample_ppp(cfg.region, cfg.lambda_m, rng)
     small = sample_ppp(cfg.region, cfg.lambda_s, rng)
     parents, hotspot, parent_index = sample_tcp(cfg.region, cfg.cluster, rng)
@@ -723,10 +724,11 @@ def run_trial(cfg: SimConfig, trial_index: int, kinds=_KIND_ORDER) -> EventCount
     trees = _kdtrees(tiers)
     fld = _build_circle_field(cfg, tiers, parents, parent_index, trees, counts)
     smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
-    trajs = []
-    for _ in range(cfg.n_users):
-        start = cfg.region.sample_uniform(1, rng)[0]
-        trajs.append(generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, rng))
+    walk_rng = np.random.default_rng(seed.spawn(1)[0])
+    trajs = [
+        generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, walk_rng)
+        for start in cfg.region.sample_uniform(cfg.n_users, walk_rng)
+    ]
     _walk_trajectories(trajs, fld, smap, cfg.thresholds, counts)
     counts.validate()
     return counts

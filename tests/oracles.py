@@ -289,6 +289,50 @@ def serving_bs(
     return best
 
 
+def mrwp_waypoints_loop(start, n_moves: int, region: Region, cfg, rng) -> np.ndarray:
+    """`mobility.generate_trajectory`'s waypoints, replayed one move at a
+    time from its documented draw order: ``n_moves`` base lengths, then
+    (``p_z > 0``) as many coins and one extension per coin below ``p_z``,
+    then ``n_moves`` turns; a move whose clamped step is not above 1e-9 m
+    is replaced by scalar draws in the same order.  The clamp is the
+    smallest of the drawn length and the distances along the ray to the
+    walls it heads for."""
+    lengths = rng.rayleigh(cfg.sigma_rwp, n_moves).tolist()
+    if cfg.p_z > 0:
+        coins = rng.random(n_moves).tolist()
+        extension = iter(rng.rayleigh(cfg.sigma_z, sum(c < cfg.p_z for c in coins)).tolist())
+        lengths = [ln + next(extension) if c < cfg.p_z else ln for ln, c in zip(lengths, coins)]
+    turns = 2.0 * math.pi * rng.random(n_moves)
+    moves = zip(lengths, np.cos(turns).tolist(), np.sin(turns).tolist())
+
+    def redrawn() -> tuple:
+        length = rng.rayleigh(cfg.sigma_rwp)
+        if cfg.p_z > 0 and rng.random() < cfg.p_z:
+            length += rng.rayleigh(cfg.sigma_z)
+        turn = 2.0 * math.pi * rng.random()
+        return length, math.cos(turn), math.sin(turn)
+
+    lows, highs = (region.x_min, region.y_min), (region.x_max, region.y_max)
+
+    def clamped(p: list, move: tuple) -> float:
+        length, *u = move
+        walls = [
+            ((hi if d > 0 else lo) - c) / d
+            for c, d, lo, hi in zip(p, u, lows, highs)
+            if abs(d) > 1e-300
+        ]
+        return min([length] + walls)
+
+    p = [float(start[0]), float(start[1])]
+    out = [tuple(p)]
+    for move in moves:
+        while (step := clamped(p, move)) <= 1e-9:
+            move = redrawn()
+        p = [min(max(c + step * d, lo), hi) for c, d, lo, hi in zip(p, move[1:], lows, highs)]
+        out.append(tuple(p))
+    return np.array(out)
+
+
 def strip_occupancy(trajectories, region: Region, border_fraction: float) -> float:
     """Fraction of all waypoints in the border strips of ``region``: outside
     the closed central rectangle inset by ``border_fraction`` of each side."""

@@ -658,14 +658,14 @@ def test_command_output_bytes_are_pinned(tmp_path):
 
     spec = load_config(write(tmp_path, SMALL_INI + "[sweep]\naxis = sigma\nvalues = 100, 150\n"))
     assert sha256(cmd_simulate(spec)) == (
-        "4003bc010ef15bf262f86afc0d1ccaeeb364963675371f8b90afdbe03309e2b5"
+        "c81f1c81ccf2536f8efbc754cfd77050690e04f06ef692a193fa001e7df97e31"
     )
     csv_text, summary = cmd_validate(spec)
     assert sha256(csv_text) == (
-        "c7df3a3960b0f50cd829dc47f56c4028c6e4af755400f4903edc15be37bdc95f"
+        "0c6463bf7e5c61cfed65925b39761122f3549463b9d7f5aa07c7b6adfbffa77a"
     )
     assert sha256(summary) == (
-        "d3d6f41c3a67d41e60a3c0c6226714885aee9fe588ef1601be3457ec9879d6d2"
+        "4785c6157f3bb621c8a10f7bf594ce2146667b27515b49ee294be100eccc5d45"
     )
 
 

@@ -18,7 +18,7 @@ from hetnet_handover.mobility import (
     mean_transition_length,
 )
 
-from oracles import strip_occupancy
+from oracles import mrwp_waypoints_loop, strip_occupancy
 
 
 def _cfg(**kw) -> MobilityConfig:
@@ -81,24 +81,34 @@ class TestTransitionLength:
 
 class ScriptedDraws:
     """A generator stand-in whose ``rayleigh`` and ``random`` return fixed
-    values in order, whatever the scale."""
+    values in order, whatever the scale: the next value, or an array of the
+    next ``size`` values for a sized draw."""
 
     def __init__(self, lengths, turns) -> None:
         self.lengths = list(lengths)
         self.turns = list(turns)
 
-    def rayleigh(self, scale):
-        return self.lengths.pop(0)
+    @staticmethod
+    def _take(values: list, size):
+        if size is None:
+            return values.pop(0)
+        taken = np.array(values[:size])
+        del values[:size]
+        return taken
 
-    def random(self):
-        return self.turns.pop(0)
+    def rayleigh(self, scale, size=None):
+        return self._take(self.lengths, size)
+
+    def random(self, size=None):
+        return self._take(self.turns, size)
 
 
 def scripted_move(start, lengths, turns) -> tuple:
     """``(segment length, end point, stub)`` of one move from ``start`` when
     the walk draws the transition ``lengths`` and the direction ``turns``
-    (fractions of a full turn), one pair per attempt; ``p_z = 0``, so no
-    coin is drawn."""
+    (fractions of a full turn), one pair per attempt: the first pair as the
+    move's sized draws, any further pair as a redraw's scalar draws;
+    ``p_z = 0``, so no coin is drawn."""
     draws = ScriptedDraws(lengths, turns)
     traj = generate_trajectory(np.array(start), 1, REGION, _cfg(p_z=0.0), draws)
     return float(_legs(traj)[0]), traj.waypoints[1], draws
@@ -124,8 +134,8 @@ class TestClamp:
 
     def test_not_shorter_than_needed(self):
         # From the corner (0, 0) heading in -x the clamped step is 0, so the
-        # move is redrawn: the waypoint comes from the second draw (50 m in
-        # +y), and both scripted draws are consumed.
+        # move is redrawn: the waypoint comes from the second, scalar draw
+        # (50 m in +y), and both scripted draws are consumed.
         length, end, draws = scripted_move([0.0, 0.0], [50.0, 50.0], [0.5, 0.25])
         assert length == pytest.approx(50.0)
         assert end == pytest.approx([0.0, 50.0])
@@ -159,32 +169,62 @@ class TestNextWaypoint:
 
 #: ``generate_trajectory`` from the corner (0, 5000) of REGION, 8 moves with
 #: long hops (sigma_rwp = sigma_z = 2000 m), seed 21, as ``float.hex`` pairs,
-#: and the generator's next ``random()`` after it.  Recorded from the
-#: trajectory code that drew its angle with ``rng.uniform(0, 2 pi)`` and
-#: stepped on NumPy arrays; the Python-float step must reproduce it bit for
-#: bit, and so consume exactly the same draws.
+#: and the generator's next ``random()`` after it.  Recorded from
+#: ``oracles.mrwp_waypoints_loop``, which replays the documented draw order
+#: one move at a time.  Starting on walls, its 8 moves take 8 redraws.
 _PINNED_CORNER_TRAJECTORY = (
     ("0x0.0p+0", "0x1.3880000000000p+12"),
-    ("0x1.2b016b5d0663dp+10", "0x1.2f717c5127e1bp+12"),
-    ("0x0.0p+0", "0x1.34f086b2da6dap+11"),
-    ("0x1.9e8dc0978dd63p+10", "0x1.2b7ae0a509dafp+11"),
-    ("0x1.f4c3ce21b8b8cp+9", "0x1.a4dd47d4197ccp+8"),
-    ("0x0.0p+0", "0x1.f15e5d4c0f383p+10"),
-    ("0x1.1a302865108cdp+7", "0x0.0p+0"),
-    ("0x1.8949eb44d36e7p+10", "0x1.cccc9f442be1dp+11"),
-    ("0x0.0p+0", "0x1.d0007c23e6554p+11"),
+    ("0x1.65b7debcb2d2bp+10", "0x1.1e00fd87686e5p+12"),
+    ("0x1.220c8b54c543dp+10", "0x1.3880000000000p+12"),
+    ("0x0.0p+0", "0x1.1fd27a5500974p+12"),
+    ("0x1.5c2ac0a24aed5p+11", "0x1.83a4fd8ebdfc8p+11"),
+    ("0x0.0p+0", "0x1.065d75e063b73p+12"),
+    ("0x1.3880000000000p+12", "0x1.06e26a2efca19p+12"),
+    ("0x1.354c61879d713p+12", "0x1.3880000000000p+12"),
+    ("0x1.14b2249b9d1c7p+12", "0x1.7d5d4584e9589p+11"),
 )
-_PINNED_NEXT_DRAW = "0x1.1abaf90f5c7efp-1"
+_PINNED_NEXT_DRAW = "0x1.3a51dbf777c38p-4"
 
 
 class TestStream:
     def test_pinned_corner_trajectory(self):
         cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)
-        rng = np.random.default_rng(21)
-        traj = generate_trajectory(np.array([0.0, 5000.0]), 8, REGION, cfg, rng)
+        rng, replay = np.random.default_rng(21), np.random.default_rng(21)
+        start = np.array([0.0, 5000.0])
+        traj = generate_trajectory(start, 8, REGION, cfg, rng)
         got = tuple((x.hex(), y.hex()) for x, y in traj.waypoints.tolist())
         assert got == _PINNED_CORNER_TRAJECTORY
-        assert rng.random().hex() == _PINNED_NEXT_DRAW
+        expected = mrwp_waypoints_loop(start, 8, REGION, cfg, replay)
+        assert traj.waypoints.tobytes() == expected.tobytes()
+        assert rng.random().hex() == replay.random().hex() == _PINNED_NEXT_DRAW
+
+    @pytest.mark.parametrize("p_z", [0.0, 0.3, 1.0])
+    def test_one_call_consumes_exactly_its_documented_draws(self, p_z):
+        # In a region far wider than the walk no move is clamped or redrawn:
+        # the call leaves the generator where its sized draws do.
+        cfg = _cfg(p_z=p_z)
+        side = 1e8
+        rng, replay = np.random.default_rng(31), np.random.default_rng(31)
+        wide = Region(0.0, side, 0.0, side)
+        generate_trajectory(np.array([side / 2, side / 2]), 40, wide, cfg, rng)
+        replay.rayleigh(cfg.sigma_rwp, 40)
+        if p_z > 0:
+            replay.rayleigh(cfg.sigma_z, np.count_nonzero(replay.random(40) < p_z))
+        replay.random(40)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_move_by_move_oracle(self, seed):
+        # From a corner with long hops many moves clamp and some redraw; the
+        # waypoints and the generator state after the call match the oracle.
+        cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)
+        start = np.array([0.0, 5000.0])
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        traj = generate_trajectory(start, 30, REGION, cfg, rng)
+        expected = mrwp_waypoints_loop(start, 30, REGION, cfg, replay)
+        assert traj.waypoints.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_two_pi_random_is_uniform_zero_two_pi(self):
         # NumPy's uniform(low, high) is low + (high - low) * random(), so with
@@ -223,18 +263,6 @@ class TestTrajectory:
         t1 = generate_trajectory(start, 20, REGION, cfg, np.random.default_rng(9))
         t2 = generate_trajectory(start, 20, REGION, cfg, np.random.default_rng(9))
         assert np.array_equal(t1.waypoints, t2.waypoints)
-
-    def test_matches_chained_trajectories(self):
-        # Continuing from the last waypoint with the same generator draws
-        # the same moves: the start check consumes no draws and the step
-        # carries no state beyond the position.
-        cfg = _cfg(sigma_rwp=2000.0, sigma_z=2000.0)
-        start = np.array([0.0, 5000.0])
-        whole = generate_trajectory(start, 50, REGION, cfg, np.random.default_rng(21))
-        rng = np.random.default_rng(21)
-        head = generate_trajectory(start, 20, REGION, cfg, rng)
-        tail = generate_trajectory(head.waypoints[-1], 30, REGION, cfg, rng)
-        assert np.array_equal(whole.waypoints, np.vstack((head.waypoints, tail.waypoints[1:])))
 
     def test_outside_start_rejected(self):
         with pytest.raises(ValueError, match="outside the region"):

@@ -876,12 +876,14 @@ def test_run_trial_produces_consistent_counts():
     assert total > 0  # dense small-cell tier: some boundary is always crossed
 
 
-#: ``run_trial(reference_sim_config(0), i)`` for i = 0, 1, 2, recorded before
-#: the segment walk was batched; the walk must reproduce them exactly.
+#: ``run_trial(reference_sim_config(0), i)`` for i = 0, 1, 2, recorded when the
+#: trajectories moved to their own stream and array draws; on the same
+#: trajectories, ``oracles.walk_trajectory_loop`` gives the same counts and
+#: the in-order sum of the users' clocks the same exposure.
 _REFERENCE_SEED0_TRIALS = (
-    (48447.378174580415, (5883, 5869, 206, 24, 205), (20, 20, 0, 0, 0), (13, 13, 0, 0, 0)),
-    (49366.34561971334, (4239, 4222, 210, 21, 210), (60, 60, 6, 0, 6), (63, 63, 2, 0, 2)),
-    (49858.7116260757, (12150, 12148, 74, 8, 74), (44, 44, 2, 0, 2), (30, 30, 2, 0, 2)),
+    (50763.287002096455, (7033, 7024, 139, 19, 138), (28, 28, 4, 0, 4), (21, 21, 0, 0, 0)),
+    (51027.151672809254, (5202, 5191, 179, 23, 178), (12, 12, 0, 0, 0), (6, 6, 0, 0, 0)),
+    (49042.6506330926, (10292, 10284, 93, 17, 92), (25, 25, 1, 0, 1), (10, 10, 0, 0, 0)),
 )
 
 
@@ -908,13 +910,12 @@ def dense_config() -> SimConfig:
 
 
 #: ``run_trial(dense_config(), i)`` for i = 0, 1 (exposure as ``float.hex``),
-#: recorded while the serving map and the leg lengths still ran per element
-#: through C ``pow`` and ``math.hypot``.
+#: recorded and checked against the loop oracle as the reference trials are.
 _DENSE_SEED0_TRIALS = (
-    ("0x1.0416400350c9dp+15", (1805, 1542, 1463, 551, 1346), (11175, 11167, 722, 2, 722),
-     (891, 781, 737, 92, 689)),
-    ("0x1.0570bff01d3d2p+15", (1727, 1470, 1412, 573, 1307), (11596, 11586, 747, 4, 747),
-     (961, 815, 793, 106, 733)),
+    ("0x1.03086931c673dp+15", (1767, 1478, 1410, 572, 1280), (10779, 10774, 712, 3, 712),
+     (917, 819, 739, 79, 700)),
+    ("0x1.fcd51ed338f07p+14", (1768, 1499, 1424, 533, 1317), (10605, 10599, 800, 2, 800),
+     (948, 819, 777, 121, 727)),
 )
 
 
@@ -959,28 +960,58 @@ def test_run_trial_and_campaign_refuse_empty_or_unknown_kinds(kinds):
         run_campaign(small_config(), kinds=kinds)
 
 
-@pytest.mark.parametrize(
-    "name,index", [("reference", 0), ("reference", 1), ("reference", 2), ("dense", 0), ("dense", 1)]
-)
-def test_exposure_is_measured_from_the_trajectories(name, index, monkeypatch):
-    # Exposure is travel time plus one pause per movement, summed over the
-    # users in order; recomputed here from the trajectories the trial draws.
-    cfg = reference_sim_config(0) if name == "reference" else dense_config()
+def trial_trajectories(cfg: SimConfig, index: int, kinds=se._KIND_ORDER) -> tuple:
+    """``(counts, trajectories)`` of ``run_trial(cfg, index, kinds)``, the
+    trajectories recorded through the ``se.generate_trajectory`` hook."""
     trajs = []
 
     def recording(*args):
         trajs.append(generate_trajectory(*args))
         return trajs[-1]
 
-    monkeypatch.setattr(se, "generate_trajectory", recording)
-    got = run_trial(cfg, index)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "generate_trajectory", recording)
+        counts = run_trial(cfg, index, kinds)
+    return counts, trajs
+
+
+@pytest.mark.parametrize(
+    "name,index", [("reference", 0), ("reference", 1), ("reference", 2), ("dense", 0), ("dense", 1)]
+)
+def test_exposure_is_measured_from_the_trajectories(name, index):
+    # A user's exposure is their walk clock's end time: travel time plus one
+    # pause per movement, accumulated leg by leg in walking order; the users'
+    # times are added in user order.  Recomputed here from the trajectories
+    # the trial draws.
+    cfg = reference_sim_config(0) if name == "reference" else dense_config()
+    got, trajs = trial_trajectories(cfg, index)
     assert len(trajs) == cfg.n_users
     exposure = 0.0
     for traj in trajs:
         deltas = np.diff(traj.waypoints, axis=0)
-        length = float(np.hypot(deltas[:, 0], deltas[:, 1]).sum())
-        exposure += float(length / traj.velocity + len(deltas) * traj.pause)
+        clock = 0.0
+        for leg in (np.hypot(deltas[:, 0], deltas[:, 1]) / traj.velocity + traj.pause).tolist():
+            clock += leg
+        exposure += clock
     assert got.exposure_time.hex() == exposure.hex()
+
+
+def test_trajectories_do_not_depend_on_the_deployment():
+    # The trajectories draw from their own stream of the trial, so configs
+    # that differ only in the small-cell density (which changes how many
+    # deployment draws there are), the cluster spread or a tier's transmit
+    # power count different events on the same trajectories, byte for byte.
+    base = reference_sim_config(0)
+    variants = [
+        dataclasses.replace(base, lambda_s=3.0 * base.lambda_s),
+        dataclasses.replace(base, cluster=dataclasses.replace(base.cluster, sigma=250.0)),
+        dataclasses.replace(base, small=dataclasses.replace(base.small, tx_power=24.0)),
+    ]
+    expected_counts, expected = trial_trajectories(base, 1, (PairKind.SPS,))
+    for cfg in variants:
+        counts, trajs = trial_trajectories(cfg, 1, (PairKind.SPS,))
+        assert counts != expected_counts
+        assert [t.waypoints.tobytes() for t in trajs] == [t.waypoints.tobytes() for t in expected]
 
 
 def sampled_deployment(cfg: SimConfig, trial_index: int) -> tuple:
