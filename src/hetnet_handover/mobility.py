@@ -57,11 +57,10 @@ class MobilityConfig:
 
 @dataclass
 class Trajectory:
-    """An ordered waypoint sequence with the (constant) motion parameters."""
+    """An ordered waypoint sequence; the speed and pause along it are the
+    `MobilityConfig`'s."""
 
     waypoints: np.ndarray  # (n_moves + 1, 2)
-    velocity: float
-    pause: float
 
     def __post_init__(self) -> None:
         w = np.asarray(self.waypoints, dtype=float)
@@ -149,4 +148,4 @@ def generate_trajectory(
             y = y_max
         coords += (x, y)
     waypoints = np.array(coords).reshape(-1, 2)
-    return Trajectory(waypoints=waypoints, velocity=cfg.velocity, pause=cfg.pause)
+    return Trajectory(waypoints=waypoints)

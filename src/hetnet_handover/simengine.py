@@ -4,10 +4,10 @@ One trial deploys a single realization of the three-tier network (uniform
 macro tier, uniform small-cell tier, clustered hotspot tier) as one position
 array per tier in `_TIERS` order, builds the handover and failure boundary
 circles for every (target BS, serving BS) pair of the pair kinds it counts,
-and walks waypoint trajectories through the static circle field.  A trial
-that counts one pair kind builds and walks only that kind's circles; the
-strongest-RSS association still sees every tier.  Each leg is measured once;
-a user's exposure time is their walk clock's end time.
+and walks one waypoint block of all users, at one speed and pause, through
+the static circle field.  A trial that counts one pair kind builds and walks
+only that kind's circles; the strongest-RSS association still sees every
+tier.  Each leg is measured once; a user's exposure is their clock's end time.
 Segment-circle intersections are solved in closed form (quadratic roots), so
 event times carry no time-step discretization error.  Per user, a bounding-box
 test picks the (segment, circle) pairs worth solving.  Consecutive users
@@ -59,7 +59,7 @@ from .analytics import (
     mean_pair_distance,
 )
 from .geometry import ClusterConfig, Region, sample_ppp, sample_tcp
-from .mobility import MobilityConfig, Trajectory, generate_trajectory
+from .mobility import MobilityConfig, generate_trajectory
 from .radio import DegenerateBoundaryError, TierRadioParams, erb_pair_arrays, make_erb_pair
 
 #: The three tiers, in the tie-break order of the strongest-RSS map (ties go
@@ -438,7 +438,7 @@ _BOX_SLACK = 1e-6
 
 
 class _Segments(NamedTuple):
-    """Start points, unit directions and lengths of waypoint paths' legs."""
+    """Start points, unit directions and lengths of a waypoint block's legs."""
 
     x0: np.ndarray
     y0: np.ndarray
@@ -447,12 +447,12 @@ class _Segments(NamedTuple):
     length: np.ndarray
 
 
-def _segments(paths) -> _Segments:
-    """The legs of every waypoint path in ``paths``, concatenated in order."""
-    x0 = np.concatenate([wp[:-1, 0] for wp in paths])
-    y0 = np.concatenate([wp[:-1, 1] for wp in paths])
-    dx = np.concatenate([wp[1:, 0] for wp in paths]) - x0
-    dy = np.concatenate([wp[1:, 1] for wp in paths]) - y0
+def _segments(waypoints: np.ndarray) -> _Segments:
+    """The legs of a waypoint block, user by user in walking order."""
+    x0 = waypoints[:, :-1, 0].ravel()
+    y0 = waypoints[:, :-1, 1].ravel()
+    dx = waypoints[:, 1:, 0].ravel() - x0
+    dy = waypoints[:, 1:, 1].ravel() - y0
     length = np.hypot(dx, dy)
     if not np.all(length > 0.0):
         raise ValueError("segment endpoints must differ")
@@ -489,21 +489,21 @@ def _candidate_pairs(wp: np.ndarray, fld: _CircleField) -> tuple:
     return np.concatenate(segs), np.concatenate(circles)
 
 
-def _candidate_groups(paths, first_leg, fld: _CircleField):
-    """Broad-phase ``(leg, circle)`` candidates of consecutive paths, one
-    group at a time.
+def _candidate_groups(waypoints: np.ndarray, fld: _CircleField):
+    """Broad-phase ``(leg, circle)`` candidates of consecutive users of the
+    waypoint block, one group at a time.
 
-    ``first_leg`` holds the index of each path's first leg among all legs.
-    A group holds at most `_WALK_BUDGET` candidates unless one path alone
-    has more; a path is never split.
+    A group holds at most `_WALK_BUDGET` candidates unless one user alone
+    has more; a user is never split.
     """
+    n_moves = waypoints.shape[1] - 1
     legs, circles, size = [], [], 0
-    for wp, first in zip(paths, first_leg):
+    for u, wp in enumerate(waypoints):
         k, i = _candidate_pairs(wp, fld)
         if legs and size + len(k) > _WALK_BUDGET:
             yield np.concatenate(legs), np.concatenate(circles)
             legs, circles, size = [], [], 0
-        legs.append(k + first)
+        legs.append(k + u * n_moves)
         circles.append(i)
         size += len(k)
     yield np.concatenate(legs), np.concatenate(circles)
@@ -584,7 +584,9 @@ def _effective(pos, circle, run, entering, start, cx, cy, r2) -> np.ndarray:
 
 
 def _walk_trajectories(
-    trajs: list[Trajectory],
+    waypoints: np.ndarray,
+    velocity: float,
+    pause: float,
     fld: _CircleField,
     smap: _ServingMap,
     thresholds: HandoverThresholds,
@@ -593,48 +595,44 @@ def _walk_trajectories(
     """Add the users' exposure time to ``counts`` and run the event state
     machine for every user over the static circle field.
 
-    The users' legs form one `_Segments`, whose lengths the walk clock
-    sums in walking order; each user's end time is their exposure, added
-    in user order.  Consecutive users are walked together, one
-    `_candidate_groups` group at a time, each as one event table evaluated
-    with array operations; ``tests/oracles.py`` keeps the
-    event-by-event loop, one user at a time, that the tests check it
-    against.  The events of one user on one circle (a *run*) are contiguous
-    in the table and in walking order.  A residence runs from an effective
-    handover-circle entry to the run's next effective exit, or to the end of
-    the user's trajectory; effective events of one run alternate, so that
-    exit is the next effective event of the run.  The first effective
-    failure-circle entry inside a residence decides failure.  The quick
-    exits of all groups go to one association query.
+    ``waypoints`` is the trial's ``(n_users, n_moves + 1, 2)`` block, walked
+    at ``velocity`` with ``pause`` after each leg.  Each row's walk clock
+    sums its leg times in walking order; its end time is the user's
+    exposure.  Consecutive users are walked together, one `_candidate_groups`
+    group at a time, each as one event table evaluated with array
+    operations; ``tests/oracles.py`` keeps the event-by-event loop, one user
+    at a time, that the tests check it against.  The events of one user on
+    one circle (a *run*) are contiguous in the table and in walking order.
+    A residence runs from an effective handover-circle entry to the run's
+    next effective exit, or to the end of the user's trajectory; effective
+    events of one run alternate, so that exit is the next effective event of
+    the run.  The first effective failure-circle entry inside a residence
+    decides failure.  The quick exits of all groups go to one association
+    query.
     """
-    paths = [traj.waypoints for traj in trajs]
-    segs = _segments(paths)
-    n_legs = [len(wp) - 1 for wp in paths]
-    first_leg = np.cumsum([0] + n_legs[:-1]).tolist()
-    # Start time of each leg and end time of each user, summed per user in
-    # walking order; a user's exposure is their end time.
-    t_leg = np.zeros(len(segs.length))
-    t_end = np.empty(len(trajs))
-    for u, (traj, lo, n) in enumerate(zip(trajs, first_leg, n_legs)):
-        t_base = np.cumsum(segs.length[lo:lo + n] / traj.velocity + traj.pause)
-        t_leg[lo + 1:lo + n] = t_base[:-1]
-        t_end[u] = t_base[-1]
-        counts.exposure_time += float(t_base[-1])
+    n_users, n_moves = waypoints.shape[0], waypoints.shape[1] - 1
+    segs = _segments(waypoints)
+    # clock[u, j]: when user u leaves waypoint j; the last column ends the walk.
+    clock = np.zeros((n_users, n_moves + 1))
+    np.cumsum(segs.length.reshape(n_users, n_moves) / velocity + pause, axis=1, out=clock[:, 1:])
+    # Added one at a time in user order: np.sum adds pairwise and, from
+    # Python 3.12, sum() of floats compensates; either moves the last bits.
+    for t in clock[:, -1].tolist():
+        counts.exposure_time += t
     if fld.n == 0:
         return
-    owner = np.repeat(np.arange(len(trajs)), n_legs)
-    velocity = np.repeat([traj.velocity for traj in trajs], n_legs)
-    start_xy = np.array([wp[0] for wp in paths]).T
+    t_leg = clock[:, :-1].ravel()
+    start_xy = waypoints[:, 0].T
 
     # Rows: triggered, handovers, failures, overlap; columns: `_KIND_ORDER`.
     tally = np.zeros((4, len(_KIND_ORDER)), dtype=np.intp)
     exits = []
-    for k, i in _candidate_groups(paths, first_leg, fld):
+    for k, i in _candidate_groups(waypoints, fld):
         circle, leg, arclength, code = _crossing_events(segs, k, i, fld)
-        user = owner[leg]
-        run = circle * len(trajs) + user
+        user = leg // n_moves
+        run = circle * n_users + user
         start = start_xy[:, user]
-        t = t_leg[leg] + arclength / velocity[leg]
+        t = t_leg[leg] + arclength / velocity
 
         h_pos = np.flatnonzero((code == _EV_H_IN) | (code == _EV_H_OUT))
         h_eff = h_pos[_effective(
@@ -673,7 +671,7 @@ def _walk_trajectories(
         # handover if the accumulated time (through the final pause) already
         # reached the threshold; with no exit there is nothing to classify
         # as ping-pong.
-        sojourn = np.where(closed, t[leave], t_end[user[enter]]) - t[enter]
+        sojourn = np.where(closed, t[leave], clock[user[enter], -1]) - t[enter]
         handover = sojourn >= thresholds.t_threshold
         quick = leave[closed & (sojourn < thresholds.t_pingpong)]
         exits.append((leg[quick], arclength[quick], circle[quick]))
@@ -725,11 +723,12 @@ def run_trial(cfg: SimConfig, trial_index: int, kinds=_KIND_ORDER) -> EventCount
     fld = _build_circle_field(cfg, tiers, parents, parent_index, trees, counts)
     smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
     walk_rng = np.random.default_rng(seed.spawn(1)[0])
-    trajs = [
-        generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, walk_rng)
+    waypoints = np.stack([
+        generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, walk_rng).waypoints
         for start in cfg.region.sample_uniform(cfg.n_users, walk_rng)
-    ]
-    _walk_trajectories(trajs, fld, smap, cfg.thresholds, counts)
+    ])
+    mob = cfg.mobility
+    _walk_trajectories(waypoints, mob.velocity, mob.pause, fld, smap, cfg.thresholds, counts)
     counts.validate()
     return counts
 

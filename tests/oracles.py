@@ -367,27 +367,25 @@ def crossing_events_lexsort(segs, leg, circle, fld) -> tuple:
     return circle[order], leg[order], arclength[order], code[order]
 
 
-def walk_trajectory_loop(traj, fld, smap, thresholds, counts) -> None:
-    """`simengine._walk_trajectories` for one user, as an event-by-event
-    loop over the user's lexsorted event table (`crossing_events_lexsort`),
-    keeping per-circle inside flags and a dict of tracked residences.  Its
-    times, sojourns and exit points use the same float operations, so the
-    counts must agree exactly.
+def walk_trajectory_loop(wp, velocity, pause, fld, smap, thresholds, counts) -> None:
+    """`simengine._walk_trajectories` for one user's ``(n_moves + 1, 2)``
+    waypoints, as an event-by-event loop over the user's lexsorted event
+    table (`crossing_events_lexsort`), keeping per-circle inside flags and a
+    dict of tracked residences.  Its times, sojourns and exit points use the
+    same float operations, so the counts must agree exactly.
     """
     if fld.n == 0:
         return
-    wp = traj.waypoints
-    velocity = traj.velocity
     t_min = thresholds.t_threshold
     t_pp = thresholds.t_pingpong
     pcs = [counts.pairs[k] for k in se._KIND_ORDER]
     kind = fld.kind_index.tolist()
 
-    segs = se._segments([wp])
+    segs = se._segments(wp[None])
     events = crossing_events_lexsort(segs, *se._candidate_pairs(wp, fld), fld)
     x0, y0, ux, uy, length = (a.tolist() for a in segs)
     t_base = list(
-        itertools.accumulate((ln / velocity + traj.pause for ln in length), initial=0.0)
+        itertools.accumulate((ln / velocity + pause for ln in length), initial=0.0)
     )
 
     p = wp[0]

@@ -25,7 +25,7 @@ from hetnet_handover.fixtures import (
     reference_sim_config,
 )
 from hetnet_handover.geometry import ClusterConfig, Region, sample_ppp, sample_tcp
-from hetnet_handover.mobility import Trajectory, generate_trajectory
+from hetnet_handover.mobility import generate_trajectory
 from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
 from hetnet_handover.simengine import (
     METRICS,
@@ -121,7 +121,7 @@ def kernel_crossings(p0, p1, center, radius):
     """
     fld = one_circle_field(center, r_h=radius, r_f=radius / 2.0)
     wp = np.array([p0, p1], dtype=float)
-    segs = se._segments([wp])
+    segs = se._segments(wp[None])
     circle, segment, s, code = se._crossing_events(segs, *se._candidate_pairs(wp, fld), fld)
     assert np.all(circle == 0) and np.all(segment == 0)
     length = float(segs.length[0])
@@ -178,7 +178,7 @@ def test_crossing_segment_entirely_inside():
 
 def test_crossing_equal_endpoints_rejected():
     with pytest.raises(ValueError, match="endpoints"):
-        se._segments([np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])])
+        se._segments(np.array([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]))
 
 
 def test_chord_matches_point_sampling():
@@ -343,11 +343,9 @@ def single_bs_map() -> se._ServingMap:
 
 def walk(waypoints, thresholds, velocity=1.0, pause=0.0, fld=None) -> EventCounts:
     counts = EventCounts()
-    traj = Trajectory(waypoints=np.asarray(waypoints, float),
-                      velocity=velocity, pause=pause)
     se._walk_trajectories(
-        [traj], one_circle_field() if fld is None else fld,
-        single_bs_map(), thresholds, counts,
+        np.asarray(waypoints, float)[None], velocity, pause,
+        one_circle_field() if fld is None else fld, single_bs_map(), thresholds, counts,
     )
     counts.validate()
     return counts
@@ -484,7 +482,7 @@ def test_walk_box_overlap_without_crossing_gives_no_events():
     fld = one_circle_field()
     seg, circle = se._candidate_pairs(wp, fld)
     assert (seg.tolist(), circle.tolist()) == ([0], [0])
-    assert all(len(a) == 0 for a in se._crossing_events(se._segments([wp]), seg, circle, fld))
+    assert all(len(a) == 0 for a in se._crossing_events(se._segments(wp[None]), seg, circle, fld))
     th = HandoverThresholds(t_threshold=1.0, t_pingpong=4.0, q_out=0.5)
     counts = walk(wp, th)
     assert counts.pairs[PairKind.SM] == PairCounts()
@@ -649,32 +647,47 @@ def walk_scenes(draw):
     """
     rows = _field_rows(draw)
     wp = _scene_path(draw, rows)
-    return walk_scene(
-        rows, wp, velocity=draw(_VELOCITY), pause=draw(_PAUSE), **_scene_roles(draw, len(rows))
+    return users_scene(
+        rows, [wp], velocity=draw(_VELOCITY), pause=draw(_PAUSE), **_scene_roles(draw, len(rows))
     )
 
 
 @st.composite
 def multi_walk_scenes(draw):
     """One to four users on one small random field (as in `walk_scenes`),
-    each with its own path, speed and pause.  A user may repeat an earlier
-    user's path and motion: the two then start inside the same circles and
-    cross each circle at equal times."""
+    with one leg count, one speed and one pause.  A user may repeat an
+    earlier user's path: the two then start inside the same circles and
+    cross each circle at equal times.  The leg count is the longest path's;
+    a shorter path is walked back and forth (`_retrace`)."""
     rows = _field_rows(draw)
-    users = []
+    paths = []
     for _ in range(draw(st.integers(1, 4))):
-        if users and draw(st.booleans()):
-            users.append(draw(st.sampled_from(users)))
+        if paths and draw(st.booleans()):
+            paths.append(draw(st.sampled_from(paths)))
         else:
-            users.append((_scene_path(draw, rows), draw(_VELOCITY), draw(_PAUSE)))
-    return users_scene(rows, users, **_scene_roles(draw, len(rows)))
+            paths.append(_scene_path(draw, rows))
+    n_legs = max(len(wp) for wp in paths) - 1
+    return users_scene(
+        rows, [_retrace(wp, n_legs) for wp in paths], velocity=draw(_VELOCITY),
+        pause=draw(_PAUSE), **_scene_roles(draw, len(rows)),
+    )
 
 
-def users_scene(rows, users, *, kinds, serving, t_threshold, t_pingpong, scale=1.0) -> tuple:
-    """``(field, trajectories, thresholds)`` from circle rows ``(cx, cy,
-    r_h, fx, fy, r_f)``, their pair kinds and ``(tier, index)`` servers, and
-    one ``(waypoints, velocity, pause)`` per user, with every length
-    multiplied by ``scale``."""
+def _retrace(wp, n_legs) -> list:
+    """``n_legs + 1`` waypoints that walk ``wp`` to its end, back to its
+    start, and so on."""
+    period = 2 * (len(wp) - 1)
+    return [wp[min(j % period, period - j % period)] for j in range(n_legs + 1)]
+
+
+def users_scene(
+    rows, paths, *, velocity, pause, kinds, serving, t_threshold, t_pingpong, scale=1.0
+) -> tuple:
+    """``(field, waypoints, velocity, pause, thresholds)`` from circle rows
+    ``(cx, cy, r_h, fx, fy, r_f)``, their pair kinds and ``(tier, index)``
+    servers, and one path per user, all of one leg count, walked at
+    ``velocity`` with ``pause`` after each leg; every length is multiplied
+    by ``scale``."""
 
     def col(j):
         return np.array([r[j] for r in rows], dtype=float) * scale
@@ -686,20 +699,11 @@ def users_scene(rows, users, *, kinds, serving, t_threshold, t_pingpong, scale=1
         cx_f=col(3), cy_f=col(4), r2_f=col(5) ** 2,
         serving_tier=tier, serving_idx=idx,
     )
-    trajs = [
-        Trajectory(waypoints=np.array(wp, dtype=float) * scale, velocity=v, pause=p)
-        for wp, v, p in users
-    ]
+    waypoints = np.array(paths, dtype=float) * scale
     thresholds = HandoverThresholds(
         t_threshold=t_threshold, t_pingpong=t_pingpong, q_out=0.5
     )
-    return fld, trajs, thresholds
-
-
-def walk_scene(rows, waypoints, *, velocity, pause, **roles) -> tuple:
-    """`users_scene` of a single user: ``(field, trajectory, thresholds)``."""
-    fld, (traj,), thresholds = users_scene(rows, [(waypoints, velocity, pause)], **roles)
-    return fld, traj, thresholds
+    return fld, waypoints, velocity, pause, thresholds
 
 
 def two_tier_map() -> se._ServingMap:
@@ -750,26 +754,26 @@ def _counts_dicts(counts: EventCounts) -> list:
     return [dataclasses.asdict(counts.pairs[kind]) for kind in se._KIND_ORDER]
 
 
-def walk_trajectories_loop(trajs, fld, smap, thresholds, counts) -> None:
-    """`walk_trajectory_loop` for each of ``trajs`` in turn."""
-    for traj in trajs:
-        walk_trajectory_loop(traj, fld, smap, thresholds, counts)
+def walk_trajectories_loop(waypoints, velocity, pause, fld, smap, thresholds, counts) -> None:
+    """`walk_trajectory_loop` for each user of the block ``waypoints`` in turn."""
+    for wp in waypoints:
+        walk_trajectory_loop(wp, velocity, pause, fld, smap, thresholds, counts)
 
 
 @given(scene=walk_scenes())
 @settings(max_examples=300, deadline=None)
 @edge_scene_examples(
-    lambda rows, wp, roles: walk_scene(rows, wp, velocity=1.0, pause=0.0, **roles)
+    lambda rows, wp, roles: users_scene(rows, [wp], velocity=1.0, pause=0.0, **roles)
 )
 def test_walk_matches_event_loop_oracle(scene):
-    fld, traj, thresholds = scene
+    fld, waypoints, velocity, pause, thresholds = scene
     smap = two_tier_map()
     results = []
     for walker in (se._walk_trajectories, walk_trajectories_loop):
         counts = EventCounts()
         for pc in counts.pairs.values():  # counts accumulate onto earlier ones
             pc.triggered, pc.handovers, pc.failures = 7, 5, 3
-        walker([traj], fld, smap, thresholds, counts)
+        walker(waypoints, velocity, pause, fld, smap, thresholds, counts)
         results.append(_counts_dicts(counts))
     assert results[0] == results[1]
 
@@ -800,37 +804,35 @@ def assert_tables_match_lexsort(tables: list) -> None:
 # Two users start inside the same circles; the second leaves, comes back
 # through both and leaves again.
 @example(scene=users_scene(
-    _CONCENTRIC,
-    [([(1, 1), (20, 0)], 1.0, 0.0), ([(-2, 1), (-20, 0), (20, 0)], 1.0, 0.5)],
-    kinds=[1], serving=[(0, 1)], t_threshold=8.0, t_pingpong=30.0,
+    _CONCENTRIC, [[(1, 1), (10, 0), (20, 0)], [(-2, 1), (-20, 0), (20, 0)]],
+    velocity=1.0, pause=0.5, kinds=[1], serving=[(0, 1)], t_threshold=8.0, t_pingpong=30.0,
 ))
 # Two users on crossing paths enter the handover circle at t = 7 s and the
 # failure circle at t = 15 s, and leave them at equal times too.
 @example(scene=users_scene(
-    _CONCENTRIC,
-    [([(-20, 0), (20, 0)], 1.0, 0.0), ([(0, -20), (0, 20)], 1.0, 0.0)],
-    kinds=[2], serving=[(0, 1)], t_threshold=8.0, t_pingpong=26.0,
+    _CONCENTRIC, [[(-20, 0), (20, 0)], [(0, -20), (0, 20)]],
+    velocity=1.0, pause=0.0, kinds=[2], serving=[(0, 1)], t_threshold=8.0, t_pingpong=26.0,
 ))
 # The single-user edge scenes, each walked by two identical users: their
 # identical handover and failure circles tie arclengths, broken by code.
 @edge_scene_examples(
-    lambda rows, wp, roles: users_scene(rows, [(wp, 1.0, 0.0)] * 2, **roles)
+    lambda rows, wp, roles: users_scene(rows, [wp] * 2, velocity=1.0, pause=0.0, **roles)
 )
 def test_multi_user_walk_matches_per_user_loop(scene):
     # One event table per user (budget 1) and one for all users (budget
     # 10**9) must both give the per-user loop's counts, and each table must
     # be the lexsorted one.
-    fld, trajs, thresholds = scene
+    fld, waypoints, velocity, pause, thresholds = scene
     smap = two_tier_map()
     expected = EventCounts()
-    walk_trajectories_loop(trajs, fld, smap, thresholds, expected)
-    owner = np.repeat(np.arange(len(trajs)), [len(t.waypoints) - 1 for t in trajs])
+    walk_trajectories_loop(waypoints, velocity, pause, fld, smap, thresholds, expected)
+    owner = np.repeat(np.arange(len(waypoints)), waypoints.shape[1] - 1)
     for budget in (1, 10**9):
         counts, tables = EventCounts(), []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(se, "_WALK_BUDGET", budget)
             mp.setattr(se, "_crossing_events", recording_crossing_events(tables))
-            se._walk_trajectories(trajs, fld, smap, thresholds, counts)
+            se._walk_trajectories(waypoints, velocity, pause, fld, smap, thresholds, counts)
         assert _counts_dicts(counts) == _counts_dicts(expected), budget
         users_per_table = [len(set(owner[leg].tolist())) for (_, leg, _, _), _ in tables]
         if budget == 1:
@@ -961,36 +963,49 @@ def test_run_trial_and_campaign_refuse_empty_or_unknown_kinds(kinds):
 
 
 def trial_trajectories(cfg: SimConfig, index: int, kinds=se._KIND_ORDER) -> tuple:
-    """``(counts, trajectories)`` of ``run_trial(cfg, index, kinds)``, the
-    trajectories recorded through the ``se.generate_trajectory`` hook."""
-    trajs = []
+    """``(counts, trajectories, walked)`` of ``run_trial(cfg, index, kinds)``:
+    the trajectories recorded through the ``se.generate_trajectory`` hook,
+    and the ``(waypoints, velocity, pause)`` that ``se._walk_trajectories``
+    received."""
+    trajs, walked = [], []
+    walk = se._walk_trajectories
 
     def recording(*args):
         trajs.append(generate_trajectory(*args))
         return trajs[-1]
 
+    def recording_walk(*args):
+        walked.extend(args[:3])
+        return walk(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(se, "generate_trajectory", recording)
+        mp.setattr(se, "_walk_trajectories", recording_walk)
         counts = run_trial(cfg, index, kinds)
-    return counts, trajs
+    return counts, trajs, tuple(walked)
 
 
 @pytest.mark.parametrize(
     "name,index", [("reference", 0), ("reference", 1), ("reference", 2), ("dense", 0), ("dense", 1)]
 )
 def test_exposure_is_measured_from_the_trajectories(name, index):
-    # A user's exposure is their walk clock's end time: travel time plus one
-    # pause per movement, accumulated leg by leg in walking order; the users'
-    # times are added in user order.  Recomputed here from the trajectories
-    # the trial draws.
+    # The walk receives the drawn trajectories as one block, with the
+    # config's speed and pause.  A user's exposure is their walk clock's end
+    # time: travel time plus one pause per movement, accumulated leg by leg
+    # in walking order; the users' times are added in user order.
+    # Recomputed here from the trajectories the trial draws.
     cfg = reference_sim_config(0) if name == "reference" else dense_config()
-    got, trajs = trial_trajectories(cfg, index)
+    got, trajs, (waypoints, velocity, pause) = trial_trajectories(cfg, index)
     assert len(trajs) == cfg.n_users
+    assert waypoints.tobytes() == np.stack([t.waypoints for t in trajs]).tobytes()
+    assert waypoints.shape == (cfg.n_users, cfg.n_moves + 1, 2)
+    assert (velocity, pause) == (cfg.mobility.velocity, cfg.mobility.pause)
     exposure = 0.0
     for traj in trajs:
         deltas = np.diff(traj.waypoints, axis=0)
         clock = 0.0
-        for leg in (np.hypot(deltas[:, 0], deltas[:, 1]) / traj.velocity + traj.pause).tolist():
+        legs = np.hypot(deltas[:, 0], deltas[:, 1]) / cfg.mobility.velocity + cfg.mobility.pause
+        for leg in legs.tolist():
             clock += leg
         exposure += clock
     assert got.exposure_time.hex() == exposure.hex()
@@ -1007,9 +1022,9 @@ def test_trajectories_do_not_depend_on_the_deployment():
         dataclasses.replace(base, cluster=dataclasses.replace(base.cluster, sigma=250.0)),
         dataclasses.replace(base, small=dataclasses.replace(base.small, tx_power=24.0)),
     ]
-    expected_counts, expected = trial_trajectories(base, 1, (PairKind.SPS,))
+    expected_counts, expected, _ = trial_trajectories(base, 1, (PairKind.SPS,))
     for cfg in variants:
-        counts, trajs = trial_trajectories(cfg, 1, (PairKind.SPS,))
+        counts, trajs, _ = trial_trajectories(cfg, 1, (PairKind.SPS,))
         assert counts != expected_counts
         assert [t.waypoints.tobytes() for t in trajs] == [t.waypoints.tobytes() for t in expected]
 

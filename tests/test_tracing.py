@@ -91,9 +91,9 @@ def test_traced_run_records_every_layer_and_restores(tracing, tmp_path, capsys):
         replay["bs"] = sum(len(xy) for xy in tiers)
         return kdtrees(tiers)
 
-    def count_waypoints(trajs, *args):
-        replay["waypoints"] = sum(len(traj.waypoints) for traj in trajs)
-        return walk(trajs, *args)
+    def count_waypoints(waypoints, *args):
+        replay["waypoints"] = waypoints.shape[0] * waypoints.shape[1]
+        return walk(waypoints, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "_kdtrees", count_bs)
