@@ -160,10 +160,6 @@ class ClampDiagnostics:
         self.count += 1
         self.last_value = value
 
-    def reset(self) -> None:
-        self.count = 0
-        self.last_value = None
-
 
 PINGPONG_CLAMP_DIAGNOSTICS = ClampDiagnostics()
 
@@ -200,14 +196,10 @@ def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
 
     with ``V = velocity``; ``t = 0`` gives exactly 1.  The Marcum tails of a
     hotspot pair share ``a`` and are taken in one :func:`marcum_q1` call.
+    Only ``lam`` and ``sigma`` are checked here: `compute_metrics` has
+    checked each ``u``, and its thresholds and mobility refuse a negative
+    ``t`` and a non-positive ``velocity``.
     """
-    if velocity <= 0:
-        raise ValueError(f"velocity must be positive, got {velocity}")
-    for t, u in tails:
-        if t < 0:
-            raise ValueError(f"t_threshold must be >= 0, got {t}")
-        if not (0.0 < u < 1.0):
-            raise ValueError(f"lam_star * xi must lie in (0, 1), got {u}")
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive")
     if pair is PairKind.SM:

@@ -51,6 +51,7 @@ from pathlib import Path
 from .analytics import HandoverMetrics, PairKind
 from . import fixtures
 from .geometry import Region
+from .radio import db_to_linear
 from .simengine import (
     _TIERS,
     METRICS,
@@ -240,10 +241,10 @@ _FIELDS = {
 _CONVENTIONAL = {
     "pathloss_db_at_1km": (
         "pathloss_intercept",
-        lambda pl_1km, field: 10.0 ** ((30.0 * field("pathloss_exponent") - pl_1km) / 10.0),
+        lambda pl_1km, field: db_to_linear(30.0 * field("pathloss_exponent") - pl_1km),
     ),
     "velocity_kmh": ("velocity_mps", lambda kmh, field: kmh / 3.6),
-    "q_out_db": ("q_out_linear", lambda q_db, field: 10.0 ** (q_db / 10.0)),
+    "q_out_db": ("q_out_linear", lambda q_db, field: db_to_linear(q_db)),
 }
 
 _SECTION_KEYS = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .analytics import HandoverThresholds
 from .geometry import ClusterConfig, Region
 from .mobility import MobilityConfig
-from .radio import TierRadioParams
+from .radio import TierRadioParams, db_to_linear
 from .simengine import SimConfig
 
 
@@ -23,7 +23,7 @@ def default_macro_params() -> TierRadioParams:
         tx_power=46.0,
         antenna_gain=14.0,
         bias=0.0,
-        pathloss_intercept=10.0 ** (-15.3 / 10.0),
+        pathloss_intercept=db_to_linear(-15.3),
         pathloss_exponent=3.76,
     )
 
@@ -33,7 +33,7 @@ def default_small_params() -> TierRadioParams:
         tx_power=30.0,
         antenna_gain=5.0,
         bias=4.0,
-        pathloss_intercept=10.0 ** (-30.6 / 10.0),
+        pathloss_intercept=db_to_linear(-30.6),
         pathloss_exponent=3.67,
     )
 
@@ -46,7 +46,7 @@ def default_hotspot_params() -> TierRadioParams:
         tx_power=24.0,
         antenna_gain=5.0,
         bias=4.0,
-        pathloss_intercept=10.0 ** (-30.6 / 10.0),
+        pathloss_intercept=db_to_linear(-30.6),
         pathloss_exponent=3.67,
     )
 
@@ -65,7 +65,7 @@ def default_thresholds() -> HandoverThresholds:
     return HandoverThresholds(
         t_threshold=1.0,
         t_pingpong=4.0,
-        q_out=10.0 ** (-3.0 / 10.0),
+        q_out=db_to_linear(-3.0),
     )
 
 

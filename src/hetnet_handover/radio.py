@@ -57,7 +57,7 @@ def db_to_linear(db: float) -> float:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return db_to_linear(dbm - 30.0)
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,16 @@ def xi_failure_factor(
 
 
 def lambda_star_array(tx: np.ndarray, ty: np.ndarray, alpha_ratio: float) -> np.ndarray:
-    """``lambda_star`` for many targets at ``(tx, ty)`` (serving-BS frames)."""
+    """Distance-dependent flattening factor ``(x^2 + y^2)^(alpha_ratio - 1)``
+    for many targets at ``(tx, ty)`` (meters, serving-BS frames).
+
+    ``alpha_ratio`` is alpha_serving / alpha_target; equal exponents give 1
+    for every target position.
+    """
     r2 = tx * tx + ty * ty
     if np.any(r2 == 0.0):
         raise ValueError("target must not sit on the serving BS (origin)")
     return r2 ** (alpha_ratio - 1.0)
-
-
-def lambda_star(target: np.ndarray, alpha_ratio: float) -> float:
-    """Distance-dependent flattening factor ``(x^2 + y^2)^(alpha_ratio - 1)``.
-
-    ``alpha_ratio`` is alpha_serving / alpha_target; equal exponents give 1
-    for every target position.  Coordinates are meters in the serving-BS
-    frame.
-    """
-    t = np.asarray(target, dtype=float)
-    return float(lambda_star_array(t[:1], t[1:2], alpha_ratio)[0])
 
 
 class CircleArrays(NamedTuple):
@@ -236,7 +230,8 @@ def make_erb_pair(
     t = np.asarray(target_position, dtype=float)
     xi = xi_factor(serving, target)
     xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
-    lam = lambda_star(t, serving.pathloss_exponent / target.pathloss_exponent)
+    ratio = serving.pathloss_exponent / target.pathloss_exponent
+    lam = float(lambda_star_array(t[:1], t[1:2], ratio)[0])
     degenerate, encloses_serving = _boundary_flags(lam * xi)
     if degenerate or _boundary_flags(lam * xi_f)[0]:
         raise DegenerateBoundaryError(_DEGENERATE_MESSAGE)

@@ -315,47 +315,6 @@ class _ServingMap:
         return best_tier, best_idx
 
 
-def _pair_block(
-    q_out: float,
-    pc: PairCounts,
-    kind_pos: int,
-    serving_params: TierRadioParams,
-    target_params: TierRadioParams,
-    serving_xy: np.ndarray,
-    target_xy: np.ndarray,
-    serving_tier_pos: int,
-    serving_bs_idx: np.ndarray,
-) -> list:
-    """Field columns of one pair kind, in ``_CircleField`` order.
-
-    Degenerate pairs (straight-line boundary) and pairs whose circle
-    surrounds the serving BS are counted and dropped: the entry-event logic
-    assumes the target area is the interior.
-    """
-    offset = target_xy - serving_xy
-    h, f = erb_pair_arrays(
-        serving_params, target_params, offset[:, 0], offset[:, 1], q_out
-    )
-    degenerate = h.degenerate | f.degenerate
-    enclosing = ~degenerate & (h.encloses_serving | f.encloses_serving)
-    pc.degenerate_skipped += int(np.count_nonzero(degenerate))
-    pc.enclosing_skipped += int(np.count_nonzero(enclosing))
-    keep = ~(degenerate | enclosing)
-    sx, sy = serving_xy[keep, 0], serving_xy[keep, 1]
-    n = int(np.count_nonzero(keep))
-    return [
-        np.full(n, kind_pos, dtype=np.intp),
-        sx + h.cx[keep],
-        sy + h.cy[keep],
-        h.radius[keep] * h.radius[keep],
-        sx + f.cx[keep],
-        sy + f.cy[keep],
-        f.radius[keep] * f.radius[keep],
-        np.full(n, serving_tier_pos, dtype=np.intp),
-        serving_bs_idx[keep],
-    ]
-
-
 def _kdtrees(tiers) -> list:
     """One KD-tree per tier position array, ``None`` for an empty tier."""
     kdtree = _deferred("cKDTree")
@@ -379,7 +338,8 @@ def _build_circle_field(
     center* (row ``parent_index`` of ``parents``), where its users congregate.
     """
     params = [getattr(cfg, name) for name in _TIERS]
-    blocks = []
+    empty_int, empty = np.empty(0, dtype=np.intp), np.empty(0)
+    blocks = [[empty_int] + [empty] * 6 + [empty_int] * 2]
     for kind, pc in counts.pairs.items():
         s, t = _PAIR_TIERS[kind]
         target, tree = tiers[t], trees[s]
@@ -390,14 +350,32 @@ def _build_circle_field(
             b = b_of_parent[parent_index]
         else:
             _, b = tree.query(target)
-        blocks.append(_pair_block(
-            cfg.thresholds.q_out, pc, _KIND_ORDER.index(kind), params[s], params[t],
-            tiers[s][b], target, s, b,
-        ))
-
-    if not blocks:
-        empty_int, empty = np.empty(0, dtype=np.intp), np.empty(0)
-        blocks = [[empty_int] + [empty] * 6 + [empty_int] * 2]
+        serving_xy = tiers[s][b]
+        offset = target - serving_xy
+        h, f = erb_pair_arrays(
+            params[s], params[t], offset[:, 0], offset[:, 1], cfg.thresholds.q_out
+        )
+        # Degenerate pairs (straight-line boundary) and pairs whose circle
+        # surrounds the serving BS are counted and dropped: the entry-event
+        # logic assumes the target area is the interior.
+        degenerate = h.degenerate | f.degenerate
+        enclosing = ~degenerate & (h.encloses_serving | f.encloses_serving)
+        pc.degenerate_skipped += int(np.count_nonzero(degenerate))
+        pc.enclosing_skipped += int(np.count_nonzero(enclosing))
+        keep = ~(degenerate | enclosing)
+        sx, sy = serving_xy[keep, 0], serving_xy[keep, 1]
+        n = int(np.count_nonzero(keep))
+        blocks.append([
+            np.full(n, _KIND_ORDER.index(kind), dtype=np.intp),
+            sx + h.cx[keep],
+            sy + h.cy[keep],
+            h.radius[keep] * h.radius[keep],
+            sx + f.cx[keep],
+            sy + f.cy[keep],
+            f.radius[keep] * f.radius[keep],
+            np.full(n, s, dtype=np.intp),
+            b[keep],
+        ])
     return _CircleField(*(np.concatenate(column) for column in zip(*blocks)))
 
 

@@ -39,7 +39,7 @@ from hetnet_handover.mobility import (
     MobilityConfig,
     generate_trajectory,
 )
-from hetnet_handover.radio import erb_pair_arrays, lambda_star
+from hetnet_handover.radio import erb_pair_arrays, lambda_star_array
 from hetnet_handover.simengine import analytic_metrics, run_campaign
 from hetnet_handover.specfun import marcum_q1
 
@@ -81,7 +81,7 @@ def test_flattening_factor_matches_grid_search():
                 - lam_grid[:, None] * (r * r)[None, :]
             ).sum(axis=1)
             lam_hat = float(lam_grid[np.argmin(deviation)])
-            closed = lambda_star(np.array([q, 0.0]), alpha_ratio)
+            closed = float(lambda_star_array(np.array([q]), np.array([0.0]), alpha_ratio)[0])
             worst = max(worst, abs(lam_hat - closed))
     verdict(
         "flattening-factor grid search",

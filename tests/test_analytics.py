@@ -368,8 +368,6 @@ class TestRates:
         assert m.pingpong_rate == 0.0
         assert diag.count == 1
         assert diag.last_value < 0.0
-        diag.reset()
-        assert diag.count == 0 and diag.last_value is None
 
     def test_pingpong_roundoff_clamp_records_without_warning(self, monkeypatch):
         # Tails P(S >= T | u) = 0.5 and P(S >= T_p | u_f) one ulp above it:

@@ -112,6 +112,23 @@ def test_apply_sweep_each_axis():
         apply_sweep(cfg, "nope", 1.0)
 
 
+@pytest.mark.parametrize(
+    "axis, section, key, value",
+    [
+        ("sigma", "deployment", "sigma_m", 87.5),
+        ("velocity", "mobility", "velocity_kmh", 47.3),
+        ("tx_power_sprime", "hotspot", "tx_power_dbm", 27.1),
+        ("T", "thresholds", "t_threshold_s", 2.3),
+        ("T_p", "thresholds", "t_pingpong_s", 6.7),
+    ],
+)
+def test_sweep_point_equals_config_that_sets_the_key(tmp_path, axis, section, key, value):
+    # A sweep axis and its config key convert the same value to the same bits.
+    base = load_config(write(tmp_path, SMALL_INI)).base
+    direct = load_config(write(tmp_path, SMALL_INI + f"\n[{section}]\n{key} = {value!r}\n"))
+    assert apply_sweep(base, axis, value) == direct.base
+
+
 def test_sweep_points_visit_every_value():
     spec = default_spec()
     assert sweep_points(spec) == [spec.base]

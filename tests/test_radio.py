@@ -19,7 +19,7 @@ from hetnet_handover.radio import (
     TierRadioParams,
     erb_circle_arrays,
     erb_pair_arrays,
-    lambda_star,
+    lambda_star_array,
     make_erb_pair,
     xi_factor,
     xi_failure_factor,
@@ -89,11 +89,11 @@ class TestXiFactors:
             xi_failure_factor(0.7, 0.0, 3.67)
 
     def test_lambda_star_equal_exponents_is_one(self):
-        assert lambda_star(np.array([123.0, -45.0]), 1.0) == 1.0
+        assert lambda_star_array(np.array([123.0]), np.array([-45.0]), 1.0)[0] == 1.0
 
     def test_lambda_star_origin_rejected(self):
         with pytest.raises(ValueError):
-            lambda_star(np.array([0.0, 0.0]), 0.9)
+            lambda_star_array(np.array([0.0]), np.array([0.0]), 0.9)
 
 
 def _rss(tier: TierRadioParams, distance: np.ndarray) -> np.ndarray:
