@@ -10,8 +10,6 @@ threshold, and small-cell density.  The directions to look for:
 * densifying small cells saturates the failure rate.
 """
 
-import numpy as np
-
 from hetnet_handover import PairKind, analytic_metrics
 from hetnet_handover.cli import apply_sweep, default_spec
 

@@ -25,7 +25,7 @@ import argparse
 import dataclasses
 import time
 
-from hetnet_handover import compare_to_analytics
+from hetnet_handover import ComparisonTable, analytic_metrics, run_campaign
 from hetnet_handover.fixtures import reference_sim_config
 
 
@@ -42,7 +42,7 @@ def main(argv=None) -> None:
     print(f"{args.trials} trials, {cfg.n_users} users x {cfg.n_moves} moves each, "
           f"{cfg.region.width/1000:.0f} x {cfg.region.height/1000:.0f} km region")
     t0 = time.perf_counter()
-    table = compare_to_analytics(cfg, workers=args.workers)
+    table = ComparisonTable.of(analytic_metrics(cfg), run_campaign(cfg, workers=args.workers))
     print(f"campaign finished in {time.perf_counter() - t0:.1f} s\n")
     print(table.summary())
 

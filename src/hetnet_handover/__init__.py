@@ -45,7 +45,6 @@ from .simengine import (
     MetricsEstimate,
     SimConfig,
     analytic_metrics,
-    compare_to_analytics,
     run_campaign,
     run_trial,
     summarize_trials,
@@ -79,7 +78,6 @@ __all__ = [
     "MetricsEstimate",
     "SimConfig",
     "analytic_metrics",
-    "compare_to_analytics",
     "run_campaign",
     "run_trial",
     "summarize_trials",

@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytics import HandoverMetrics, PairKind
+from .analytics import PairKind
 from . import fixtures
 from .geometry import Region
 from .radio import db_to_linear
@@ -141,49 +141,38 @@ class ExperimentSpec:
         object.__setattr__(self, "sweep_values", values)
 
 
-def _sweep_refusal(axis: str, value: float, exc: ValueError) -> str:
-    return f"[sweep] {axis} = {value!r}: {exc}"
-
-
 def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     """``cfg`` with one swept quantity replaced (see module docstring for
-    units); a refusal names the sweep axis and the value."""
+    units)."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    try:
-        if axis == "lambda_s":
-            scale = value / cfg.lambda_s
-            cluster = dataclasses.replace(cfg.cluster, lambda_p=cfg.cluster.lambda_p * scale)
-            return dataclasses.replace(
-                cfg, lambda_s=value, lambda_m=cfg.lambda_m * scale, cluster=cluster
-            )
-        part, name, convert = _SWEPT_FIELDS[axis]
+    if axis == "lambda_s":
+        scale = value / cfg.lambda_s
+        cluster = dataclasses.replace(cfg.cluster, lambda_p=cfg.cluster.lambda_p * scale)
         return dataclasses.replace(
-            cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
+            cfg, lambda_s=value, lambda_m=cfg.lambda_m * scale, cluster=cluster
         )
+    part, name, convert = _SWEPT_FIELDS[axis]
+    return dataclasses.replace(
+        cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
+    )
+
+
+def _at_points(spec: ExperimentSpec, run) -> list:
+    """``run(cfg)`` at every point of the experiment, in order (just the base
+    if no sweep).  Every point's config is built before any point runs; a
+    refusal at a sweep point, from either stage, keeps its type and names
+    the sweep axis and value."""
+    if spec.sweep_axis is None:
+        return [run(spec.base)]
+    points, results = [], []
+    try:
+        for value in spec.sweep_values:
+            points.append(apply_sweep(spec.base, spec.sweep_axis, value))
+        for value, cfg in zip(spec.sweep_values, points):
+            results.append(run(cfg))
     except ValueError as exc:
-        raise ValueError(_sweep_refusal(axis, value, exc)) from exc
-
-
-def sweep_points(spec: ExperimentSpec) -> list:
-    """The configurations an experiment visits (just the base if no sweep)."""
-    if spec.sweep_axis is None:
-        return [spec.base]
-    return [apply_sweep(spec.base, spec.sweep_axis, v) for v in spec.sweep_values]
-
-
-def _closed_forms(spec: ExperimentSpec, metrics) -> list:
-    """``metrics(cfg)`` at every sweep point, in order; a closed-form refusal
-    at a sweep point names the sweep axis and value, as `apply_sweep` does."""
-    points = sweep_points(spec)
-    if spec.sweep_axis is None:
-        return [metrics(cfg) for cfg in points]
-    results = []
-    for value, cfg in zip(spec.sweep_values, points):
-        try:
-            results.append(metrics(cfg))
-        except ValueError as exc:
-            raise type(exc)(_sweep_refusal(spec.sweep_axis, value, exc)) from exc
+        raise type(exc)(f"[sweep] {spec.sweep_axis} = {value!r}: {exc}") from exc
     return results
 
 
@@ -338,9 +327,7 @@ class _SectionReader:
         self.errors = errors
 
     def get(self, key: str, default, parse, expected: str):
-        """``key``'s text through ``parse``; ``default`` if absent or malformed."""
-        if key not in self.raw:
-            return default
+        """The given ``key``'s text through ``parse``; ``default`` if malformed."""
         try:
             return parse(self.raw[key])
         except ValueError as exc:
@@ -524,40 +511,38 @@ def _point(cfg: SimConfig) -> list:
     return [operator.attrgetter(path)(cfg) for _, path in _POINT_COLUMNS]
 
 
-def format_metrics_row(metrics: HandoverMetrics, cfg: SimConfig) -> str:
-    """One ``METRICS_CSV_HEADER`` row: the sweep point, then the metrics."""
-    values = _point(cfg) + [getattr(metrics, name) for _, name in METRICS]
-    return ",".join([metrics.pair.value, *_numbers(values, ".10g")])
-
-
 def cmd_analyze(spec: ExperimentSpec) -> str:
     """Closed-form metrics of the selected pair, one CSV row per sweep point."""
-    rows = _closed_forms(
-        spec, lambda cfg: format_metrics_row(analytic_pair_metrics(cfg, spec.pair), cfg)
-    )
-    return _render_csv(METRICS_CSV_HEADER, rows)
+
+    def row(cfg: SimConfig) -> str:
+        metrics = analytic_pair_metrics(cfg, spec.pair)
+        values = _point(cfg) + [getattr(metrics, name) for _, name in METRICS]
+        return ",".join([spec.pair.value, *_numbers(values, ".10g")])
+
+    return _render_csv(METRICS_CSV_HEADER, _at_points(spec, row))
 
 
 def cmd_simulate(spec: ExperimentSpec, workers: int = 1) -> str:
     """Campaign summaries of the selected pair, one CSV row per sweep point;
     the campaigns count that pair alone."""
-    rows = []
-    for cfg in sweep_points(spec):
+
+    def row(cfg: SimConfig) -> str:
         est = run_campaign(cfg, workers=workers, kinds=(spec.pair,))
         pe = est.pairs[spec.pair]
         pc = est.counts.pairs[spec.pair]
         rates = [
             v for (_, name), hw in zip(METRICS, pe.halfwidths) for v in (getattr(pe.rates, name), hw)
         ]
-        rows.append(",".join([
+        return ",".join([
             spec.pair.value,
             *_numbers(_point(cfg), ".12g"),
             str(est.n_trials),
             *_numbers([est.counts.exposure_time], ".12g"),
             *(str(getattr(pc, name)) for name in _COUNT_COLUMNS),
             *_numbers(rates, ".12g"),
-        ]))
-    return _render_csv(SIMULATE_CSV_HEADER, rows)
+        ])
+
+    return _render_csv(SIMULATE_CSV_HEADER, _at_points(spec, row))
 
 
 def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
@@ -566,18 +551,19 @@ def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
     Every point's closed forms run before any campaign, so a refused point
     costs no simulation.  Returns ``(csv_text, summary_text)``.
     """
+    analytic = iter(_at_points(spec, analytic_metrics))
+    tables = _at_points(spec, lambda cfg: (
+        cfg, ComparisonTable.of(next(analytic), run_campaign(cfg, workers=workers))
+    ))
     rows = []
     summaries = []
-    points = sweep_points(spec)
-    analytic = _closed_forms(spec, analytic_metrics)
-    for i, cfg in enumerate(points):
-        table = ComparisonTable.of(analytic[i], run_campaign(cfg, workers=workers))
+    for i, (cfg, table) in enumerate(tables):
         point = _point(cfg)
         for row in table.rows:
             values = point + [row.analytic, row.simulated, row.ci_halfwidth, row.ratio]
             rows.append(",".join([row.pair.value, row.metric, *_numbers(values, ".12g"), row.flag]))
         label = (
-            f"point {i + 1}/{len(points)}"
+            f"point {i + 1}/{len(tables)}"
             + (f" ({spec.sweep_axis} = {spec.sweep_values[i]:g})" if spec.sweep_axis else "")
         )
         summaries.append(f"== {label} ==\n{table.summary()}")

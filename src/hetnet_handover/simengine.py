@@ -31,7 +31,8 @@ Events, per boundary circle:
   the exit point is the original serving BS again.
 
 Handover and failure are evaluated independently per residence (one episode
-can legitimately count as both; the overlap is reported separately).
+can legitimately count as both; `PairCounts.overlap` counts those episodes,
+and no CLI output reports it yet).
 
 Determinism: each trial owns a private generator seeded from
 ``(master_seed, trial_index)``, so campaign results are bit-identical for
@@ -804,7 +805,7 @@ def run_campaign(cfg: SimConfig, workers: int = 1, kinds=_KIND_ORDER) -> Metrics
                         chunksize=max(1, cfg.n_trials // (4 * workers)),
                     )
                 )
-        except (OSError, PermissionError) as exc:
+        except OSError as exc:
             warnings.warn(
                 f"process pool unavailable ({exc}); falling back to one worker",
                 RuntimeWarning,
@@ -923,9 +924,3 @@ class ComparisonTable:
             )
         return "\n".join(lines) + "\n"
 
-
-def compare_to_analytics(cfg: SimConfig, workers: int = 1) -> ComparisonTable:
-    """Analytic vs. simulated metrics, row per (pair, metric); a
-    configuration the closed forms refuse costs no campaign."""
-    analytic = analytic_metrics(cfg)
-    return ComparisonTable.of(analytic, run_campaign(cfg, workers=workers))

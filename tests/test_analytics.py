@@ -242,8 +242,9 @@ class TestClusterMeanDistance:
 
     def test_bound_rejects_nonpositive_inputs(self):
         for lam, sigma in ((0.0, 150.0), (-1e-5, 150.0), (2e-5, 0.0), (2e-5, -1.0)):
-            with pytest.raises(ValueError):
-                mean_cluster_distance_ub(lam, sigma)
+            for mean_distance in (mean_cluster_distance_ub, mean_cluster_distance_numeric):
+                with pytest.raises(ValueError):
+                    mean_distance(lam, sigma)
 
     def test_bound_is_rayleigh_second_moment(self):
         # The hotspot-to-serving distance is exactly Rayleigh, so the Jensen
@@ -281,6 +282,14 @@ class TestThresholdsAndMetrics:
                 triggered_rate=1.0,
                 handover_rate=1.5,  # exceeds triggered
                 failure_rate=0.1,
+                pingpong_rate=0.0,
+            )
+        with pytest.raises(ValueError, match="failure_rate"):
+            HandoverMetrics(
+                pair=PairKind.SM,
+                triggered_rate=1.0,
+                handover_rate=0.5,
+                failure_rate=1.5,  # a per-trigger ratio above 1
                 pingpong_rate=0.0,
             )
 
@@ -407,6 +416,9 @@ class TestRates:
         for pos, bad in ((2, -1.0), (4, 0.0), (5, 0.0), (7, 0.0), (8, 0.0)):
             with pytest.raises(ValueError):
                 compute_metrics(*args[:pos], bad, *args[pos + 1:])
+        # A target tier at least as strong as its serving tier: u = lam_star * xi >= 1.
+        with pytest.raises(ValueError, match="lam_star"):
+            compute_metrics(*args[:3], dataclasses.replace(erb, xi=2.0 / erb.lam_star), *args[4:])
 
     def test_each_marcum_tail_evaluated_once(self, monkeypatch):
         # P(S >= T | u), P(S >= T | u_f) and P(S >= T_p | u_f): one Marcum-Q

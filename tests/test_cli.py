@@ -7,14 +7,13 @@ import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetnet_handover
 from hetnet_handover import cli, simengine
-from hetnet_handover.analytics import HandoverMetrics, PairKind
+from hetnet_handover.analytics import PairKind
 from hetnet_handover.cli import (
     METRICS_CSV_HEADER,
     SIMULATE_CSV_HEADER,
@@ -28,10 +27,8 @@ from hetnet_handover.cli import (
     cmd_validate,
     default_spec,
     emit_config,
-    format_metrics_row,
     load_config,
     main,
-    sweep_points,
 )
 from hetnet_handover.fixtures import (
     default_hotspot_params,
@@ -43,7 +40,7 @@ from hetnet_handover.fixtures import (
 )
 from hetnet_handover.geometry import ClusterConfig, Region
 from hetnet_handover.radio import DegenerateBoundaryError
-from hetnet_handover.simengine import SimConfig
+from hetnet_handover.simengine import SimConfig, analytic_pair_metrics
 from oracles import fresh_python
 
 
@@ -131,11 +128,11 @@ def test_sweep_point_equals_config_that_sets_the_key(tmp_path, axis, section, ke
 
 def test_sweep_points_visit_every_value():
     spec = default_spec()
-    assert sweep_points(spec) == [spec.base]
+    assert cli._at_points(spec, lambda c: c) == [spec.base]
     swept = dataclasses.replace(
         spec, sweep_axis="sigma", sweep_values=(50.0, 100.0, 150.0)
     )
-    points = sweep_points(swept)
+    points = cli._at_points(swept, lambda c: c)
     assert [c.cluster.sigma for c in points] == [50.0, 100.0, 150.0]
     assert all(c.lambda_s == spec.base.lambda_s for c in points)
 
@@ -149,9 +146,12 @@ def test_empty_file_equals_defaults(tmp_path):
     assert load_config(p) == default_spec()
 
 
-def test_missing_file_raises():
+def test_missing_file_raises(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config("/no/such/file.ini")
+    # A file that is there but is not INI (a key before any section header).
+    with pytest.raises(ConfigError, match="^parse error: "):
+        load_config(write(tmp_path, "sigma_m = 150\n[deployment]\n"))
 
 
 def test_round_trip_default(tmp_path):
@@ -591,18 +591,16 @@ def small_spec(**experiment) -> ExperimentSpec:
 
 
 def test_metrics_csv_row_format():
-    m = HandoverMetrics(
-        pair=PairKind.SPS,
-        triggered_rate=0.25,
-        handover_rate=0.2,
-        failure_rate=0.01,
-        pingpong_rate=0.001,
-    )
-    row = format_metrics_row(m, default_spec().base).split(",")
+    spec = default_spec()
+    m = analytic_pair_metrics(spec.base, PairKind.SPS)
+    row = cmd_analyze(spec).splitlines()[2].split(",")
     assert row[0] == "SpS"
     assert len(row) == len(METRICS_CSV_HEADER.split(","))
     assert row[2] == "150"  # sigma column, .10g
-    assert row[6:] == ["0.25", "0.2", "0.01", "0.001"]
+    assert row[6:] == [
+        format(v, ".10g")
+        for v in (m.triggered_rate, m.handover_rate, m.failure_rate, m.pingpong_rate)
+    ]
 
 
 def test_analyze_emits_one_row_per_sweep_point():
@@ -860,7 +858,7 @@ PACKAGE_ALL = [
     "MobilityConfig", "Trajectory", "generate_trajectory", "mean_transition_length",
     "DegenerateBoundaryError", "ErbPair", "TierRadioParams", "make_erb_pair",
     "ComparisonTable", "EventCounts", "MetricsEstimate", "SimConfig", "analytic_metrics",
-    "compare_to_analytics", "run_campaign", "run_trial", "summarize_trials",
+    "run_campaign", "run_trial", "summarize_trials",
     "marcum_q1", "__version__",
 ]
 

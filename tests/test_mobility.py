@@ -48,6 +48,8 @@ class TestConfig:
             _cfg(velocity=0.0)
         with pytest.raises(ValueError):
             _cfg(pause=-1.0)
+        with pytest.raises(ValueError):
+            _cfg(sigma_z=0.0)
 
     def test_pure_random_waypoint_allows_zero_mixture(self):
         cfg = _cfg(p_z=0.0)
@@ -265,6 +267,8 @@ class TestTrajectory:
     def test_validation(self):
         with pytest.raises(ValueError):
             Trajectory(waypoints=np.zeros((1, 2)))  # need at least one move
+        with pytest.raises(ValueError, match="n_moves"):
+            generate_trajectory(np.array([100.0, 100.0]), 0, REGION, _cfg(), np.random.default_rng(4))
 
 
 class TestOccupancy:

@@ -29,12 +29,12 @@ from hetnet_handover.mobility import generate_trajectory
 from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
 from hetnet_handover.simengine import (
     METRICS,
+    ComparisonTable,
     EventCounts,
     PairCounts,
     PairEstimate,
     SimConfig,
     analytic_metrics,
-    compare_to_analytics,
     run_campaign,
     run_trial,
     summarize_trials,
@@ -244,6 +244,8 @@ def test_pair_counts_validate_rejects_inconsistencies():
         PairCounts(triggered=1, failures=2).validate()
     with pytest.raises(ValueError, match=">= 0"):
         PairCounts(triggered=-1).validate()
+    with pytest.raises(ValueError, match="exposure_time"):
+        EventCounts(exposure_time=-1.0).validate()
 
 
 def test_pair_counts_validate_rejects_counts_beyond_their_residences():
@@ -865,6 +867,40 @@ def test_run_trial_deterministic_per_index():
     assert a != c
 
 
+
+@pytest.mark.parametrize("empty", ["hotspot", "macro"])
+def test_trial_with_an_empty_tier_counts_none_of_its_pairs(monkeypatch, empty):
+    # The emptied tier is drawn as usual and dropped afterwards, so the
+    # deployment stream, the other tiers and the walk are unchanged: the
+    # kinds that touch the empty tier count nothing, and the others count
+    # what the full trial counts.
+    cfg = reference_sim_config(0)
+    full = run_trial(cfg, 0)
+    if empty == "hotspot":
+        def drop(region, cluster, rng):
+            parents, offspring, parent_index = sample_tcp(region, cluster, rng)
+            return parents, offspring[:0], parent_index[:0]
+
+        monkeypatch.setattr(se, "sample_tcp", drop)
+    else:
+        def drop(region, density, rng):
+            xy = sample_ppp(region, density, rng)
+            return xy[:0] if density == cfg.lambda_m else xy
+
+        monkeypatch.setattr(se, "sample_ppp", drop)
+    trial = run_trial(cfg, 0)
+    assert trial.exposure_time == full.exposure_time
+    emptied = se._TIERS.index(empty)
+    for kind, tiers in se._PAIR_TIERS.items():
+        if emptied in tiers:
+            assert trial.pairs[kind] == PairCounts(), kind
+        else:
+            kept, before = trial.pairs[kind], full.pairs[kind]
+            assert kept.triggered > 0, kind
+            assert (kept.triggered, kept.handovers, kept.failures) == (
+                before.triggered, before.handovers, before.failures
+            ), kind
+
 def test_run_trial_rejects_negative_index():
     with pytest.raises(ValueError, match="trial_index"):
         run_trial(small_config(), -1)
@@ -1289,6 +1325,23 @@ def test_campaign_workers_bounded_by_trial_count(monkeypatch):
     assert started == [2]  # one trial runs in-process: no pool at all
 
 
+
+@pytest.mark.parametrize("error", [OSError, PermissionError])
+def test_campaign_falls_back_to_one_worker_without_a_process_pool(monkeypatch, error):
+    # A sandbox that forbids the pool's semaphores or processes refuses the
+    # pool with an OSError (PermissionError is one); the campaign then runs
+    # its trials in-process, with the same counts.
+    class NoPool:
+        def __init__(self, max_workers):
+            raise error("no process pool here")
+
+    cfg = small_config(n_trials=2)
+    serial = run_campaign(cfg, workers=1)
+    monkeypatch.setattr(se, "ProcessPoolExecutor", NoPool)
+    with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+        fallback = run_campaign(cfg, workers=2)
+    assert fallback.counts == serial.counts
+
 def test_kdtree_class_is_a_deferred_patchable_attribute(monkeypatch):
     # scipy.spatial loads on first use, yet `simengine.cKDTree` reads as the
     # class before any trial, in a fresh interpreter ...
@@ -1392,7 +1445,7 @@ def test_analytic_metrics_structure():
 
 def test_compare_rows_cover_every_pair_and_metric():
     cfg = small_config(n_trials=2, n_users=1, n_moves=10)
-    table = compare_to_analytics(cfg)
+    table = ComparisonTable.of(analytic_metrics(cfg), run_campaign(cfg))
     assert len(table.rows) == 12
     seen = [(r.pair, r.metric) for r in table.rows]
     assert seen == [
