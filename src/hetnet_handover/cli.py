@@ -12,8 +12,9 @@ converted to linear form exactly once, at load time.  Velocity, the outage
 offset and the path loss at 1 m may each be given in a conventional unit
 (``velocity_kmh``, ``q_out_db``, ``pathloss_db_at_1km``) or in the internal
 one (``velocity_mps``, ``q_out_linear``, ``pathloss_intercept``), not both.
-One table, ``_FIELDS``, lists every key; the loader, the emitter and the
-known-key check all read it.
+One table, ``_FIELDS``, lists every key with the field it sets and, for a
+conventional unit, its conversion; the loader, the emitter, the known-key
+check and the sweep axes all read it.
 
 Defaults live in ``default_spec()``, which an empty or absent config file
 yields: a 5 km x 5 km region, small-cell density 2e-5 per m^2 and hotspot
@@ -25,11 +26,12 @@ counts from ``SimConfig``.  A key a file leaves out keeps its
 ``default_spec()`` value, except that absent macro and hotspot-center
 densities follow a configured small-cell density at the default ratios.
 
-Sweeps replace one quantity per run. Axis units match the config keys:
-``lambda_s`` per m^2, ``sigma`` m, ``velocity`` km/h, ``tx_power_sprime``
-dBm, ``T`` and ``T_p`` s.  A ``lambda_s`` sweep scales the macro and
-hotspot-center densities proportionally, preserving the configured density
-ratios.
+Sweeps replace one quantity per run.  Each axis but ``lambda_s`` is read as
+a config key: ``sigma`` as ``sigma_m``, ``velocity`` as ``velocity_kmh``,
+``tx_power_sprime`` as ``[hotspot] tx_power_dbm``, ``T`` and ``T_p`` as
+``t_threshold_s`` and ``t_pingpong_s``.  A ``lambda_s`` sweep (per m^2)
+scales the macro and hotspot-center densities proportionally, preserving the
+configured density ratios.
 
 Exit status is 0 iff no error occurred.  All CSV output starts with a
 ``# schema_version`` comment and a header row and ends with a newline;
@@ -64,17 +66,17 @@ from .simengine import (
 
 SCHEMA_VERSION = 1
 
-#: Each sweep axis but ``lambda_s``: the `SimConfig` part it replaces, the
-#: field of that part, and the conversion from the axis unit.
-_SWEPT_FIELDS = {
-    "sigma": ("cluster", "sigma", float),
-    "velocity": ("mobility", "velocity", lambda kmh: kmh / 3.6),
-    "tx_power_sprime": ("hotspot", "tx_power", float),
-    "T": ("thresholds", "t_threshold", float),
-    "T_p": ("thresholds", "t_pingpong", float),
+#: Each sweep axis but ``lambda_s``: the `SimConfig` part it replaces and
+#: the config section and key its values are read as.
+_SWEPT_KEYS = {
+    "sigma": ("cluster", "deployment", "sigma_m"),
+    "velocity": ("mobility", "mobility", "velocity_kmh"),
+    "tx_power_sprime": ("hotspot", "hotspot", "tx_power_dbm"),
+    "T": ("thresholds", "thresholds", "t_threshold_s"),
+    "T_p": ("thresholds", "thresholds", "t_pingpong_s"),
 }
 
-SWEEP_AXES = ("lambda_s", *_SWEPT_FIELDS)
+SWEEP_AXES = ("lambda_s", *_SWEPT_KEYS)
 
 #: The sweep point's CSV columns: name and `SimConfig` attribute path.
 _POINT_COLUMNS = (
@@ -143,7 +145,7 @@ class ExperimentSpec:
 
 def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
     """``cfg`` with one swept quantity replaced (see module docstring for
-    units)."""
+    units); a value the axis's config key refuses raises ``ValueError``."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     if axis == "lambda_s":
@@ -152,10 +154,14 @@ def apply_sweep(cfg: SimConfig, axis: str, value: float) -> SimConfig:
         return dataclasses.replace(
             cfg, lambda_s=value, lambda_m=cfg.lambda_m * scale, cluster=cluster
         )
-    part, name, convert = _SWEPT_FIELDS[axis]
-    return dataclasses.replace(
-        cfg, **{part: dataclasses.replace(getattr(cfg, part), **{name: convert(value)})}
+    part, section, key = _SWEPT_KEYS[axis]
+    errors: list = []
+    changes = _SectionReader(section, {key: repr(float(value))}, errors).fields(
+        *_parts(ExperimentSpec(base=cfg))[section]
     )
+    if errors:
+        raise ValueError("; ".join(errors))
+    return dataclasses.replace(cfg, **{part: dataclasses.replace(getattr(cfg, part), **changes)})
 
 
 def _at_points(spec: ExperimentSpec, run) -> list:
@@ -180,9 +186,11 @@ def _at_points(spec: ExperimentSpec, run) -> list:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-#: Every key of each section, in internal units and in the order
-#: ``emit_config`` writes them, with the field of the section's objects (see
-#: ``_parts``) that it sets.
+#: Every key of each section, in the order it is parsed and written:
+#: ``(key, field)``, the field of the section's objects (see ``_parts``) that
+#: it sets, in the internal unit; or ``(key, field, convert)`` for a
+#: conventional unit, whose ``convert`` gets the value and a lookup of the
+#: section's other fields.
 _FIELDS = {
     "region": (("width_m", "x_max"), ("height_m", "y_max")),
     **dict.fromkeys(
@@ -192,6 +200,8 @@ _FIELDS = {
             ("antenna_gain_dbi", "antenna_gain"),
             ("bias_db", "bias"),
             ("pathloss_exponent", "pathloss_exponent"),
+            ("pathloss_db_at_1km", "pathloss_intercept",
+             lambda pl_1km, field: db_to_linear(30.0 * field("pathloss_exponent") - pl_1km)),
             ("pathloss_intercept", "pathloss_intercept"),
         ),
     ),
@@ -206,12 +216,14 @@ _FIELDS = {
         ("sigma_rwp_m", "sigma_rwp"),
         ("p_z", "p_z"),
         ("sigma_z_m", "sigma_z"),
+        ("velocity_kmh", "velocity", lambda kmh, field: kmh / 3.6),
         ("velocity_mps", "velocity"),
         ("pause_s", "pause"),
     ),
     "thresholds": (
         ("t_threshold_s", "t_threshold"),
         ("t_pingpong_s", "t_pingpong"),
+        ("q_out_db", "q_out", lambda q_db, field: db_to_linear(q_db)),
         ("q_out_linear", "q_out"),
     ),
     "experiment": (
@@ -225,21 +237,8 @@ _FIELDS = {
     "output": (("path", "output_path"),),
 }
 
-#: Keys in a conventional unit: key -> (internal key, conversion).  The
-#: conversion gets the value and a lookup of the section's other fields.
-_CONVENTIONAL = {
-    "pathloss_db_at_1km": (
-        "pathloss_intercept",
-        lambda pl_1km, field: db_to_linear(30.0 * field("pathloss_exponent") - pl_1km),
-    ),
-    "velocity_kmh": ("velocity_mps", lambda kmh, field: kmh / 3.6),
-    "q_out_db": ("q_out_linear", lambda q_db, field: db_to_linear(q_db)),
-}
-
 _SECTION_KEYS = {
-    section: frozenset(key for key, _ in pairs)
-    | {conv for conv, (key, _) in _CONVENTIONAL.items() if key in dict(pairs)}
-    for section, pairs in _FIELDS.items()
+    section: frozenset(key for key, *_ in rows) for section, rows in _FIELDS.items()
 }
 
 
@@ -265,11 +264,10 @@ def _parse_sweep_values(text: str) -> tuple:
     return tuple(_finite(p) for p in parts)
 
 
-#: Parser and error message of a numeric key, by the type of its default.
-_NUMBERS = {
-    float: (_finite, "expected a number, got {!r}"),
-    int: (int, "expected an integer, got {!r}"),
-}
+#: Parser and error message of a numeric key: an integer where the field is
+#: declared ``int``, a float otherwise.
+_INTEGER = (int, "expected an integer, got {!r}")
+_NUMBER = (_finite, "expected a number, got {!r}")
 
 #: Parser and error message of each non-numeric field.
 _PARSERS = {
@@ -299,6 +297,13 @@ def _attr(objs, field: str):
     return next(getattr(obj, field) for obj in objs if hasattr(obj, field))
 
 
+def _declared_int(objs, field: str) -> bool:
+    """Whether ``field`` is declared ``int`` in the first of ``objs`` that has
+    it; its value may be any number the dataclass accepts."""
+    obj = next(obj for obj in objs if hasattr(obj, field))
+    return next(f.type for f in dataclasses.fields(obj) if f.name == field) in (int, "int")
+
+
 def _default_config(lambda_s: float = 2e-5) -> SimConfig:
     """The default configuration at small-cell density ``lambda_s``."""
     return SimConfig.with_default_ratios(
@@ -326,22 +331,12 @@ class _SectionReader:
         self.raw = raw
         self.errors = errors
 
-    def get(self, key: str, default, parse, expected: str):
-        """The given ``key``'s text through ``parse``; ``default`` if malformed."""
-        try:
-            return parse(self.raw[key])
-        except ValueError as exc:
-            if isinstance(exc, _NotFinite):
-                expected = "must be finite, got {!r}"
-            self.errors.append(f"[{self.section}] {key}: " + expected.format(self.raw[key]))
-            return default
-
     def fields(self, *objs, required: bool = False) -> dict:
         """``field -> value`` of the keys this section gives, in internal units.
 
-        A number parses as the type of the field's default in ``objs``.  A
-        quantity with a conventional twin is given in one unit or the other;
-        given both, the section is refused and both are still parsed, so that
+        A number parses as its field's declared type in ``objs``; a key with
+        a conversion is then converted, and a malformed key sets nothing.  Keys that set the same field are mutually exclusive; given
+        together, the section is refused and each is still parsed, so that
         every malformed value is listed.  A ``required`` section that is given
         at all must give every key.
         """
@@ -350,31 +345,28 @@ class _SectionReader:
         def field_value(field: str):
             return values[field] if field in values else _attr(objs, field)
 
-        twins = {
-            key: (conv, convert)
-            for conv, (key, convert) in _CONVENTIONAL.items()
-            if conv in self.raw and conv in _SECTION_KEYS[self.section]
-        }
-        for key, (conv, _) in twins.items():
+        given: dict = {}
+        for key, field, *_ in _FIELDS[self.section]:
             if key in self.raw:
-                self.errors.append(
-                    f"[{self.section}] keys {[conv, key]} are mutually exclusive; give one"
+                given.setdefault(field, []).append(key)
+        for keys in given.values():
+            if len(keys) > 1:
+                self.errors.append(f"[{self.section}] keys {keys} are mutually exclusive; give one")
+        for key, field, *convert in _FIELDS[self.section]:
+            if key in self.raw:
+                text = self.raw[key]
+                parse, expected = _PARSERS.get(field) or (
+                    _INTEGER if _declared_int(objs, field) else _NUMBER
                 )
-        for key, field in _FIELDS[self.section]:
-            if key in twins:
-                conv, convert = twins[key]
-                value = self.get(conv, None, *_NUMBERS[float])
-                if value is not None:
-                    try:
-                        values[field] = convert(value, field_value)
-                    except OverflowError:
-                        self.errors.append(
-                            f"[{self.section}] {conv}: {self.raw[conv]!r} overflows in linear units"
-                        )
-            if key in self.raw:
-                default = field_value(field)
-                parse, expected = _PARSERS.get(field) or _NUMBERS[type(default)]
-                values[field] = self.get(key, default, parse, expected)
+                try:
+                    value = parse(text)
+                    values[field] = convert[0](value, field_value) if convert else value
+                except (ValueError, OverflowError) as exc:
+                    if isinstance(exc, OverflowError):
+                        expected = "{!r} overflows in linear units"
+                    elif isinstance(exc, _NotFinite):
+                        expected = "must be finite, got {!r}"
+                    self.errors.append(f"[{self.section}] {key}: " + expected.format(text))
             elif required and self.raw:
                 self.errors.append(
                     f"[{self.section}] {key} is required when a {self.section} "
@@ -469,24 +461,25 @@ def load_config(path) -> ExperimentSpec:
 
 def _text(value) -> str:
     if isinstance(value, tuple):
-        return ", ".join(repr(v) for v in value)
+        return ", ".join(_text(v) for v in value)
     if isinstance(value, PairKind):
         return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def emit_config(spec: ExperimentSpec) -> str:
     """Render a spec as config text such that ``load_config`` reproduces it.
 
-    Floats are written with ``repr`` precision and in the internal unit
-    (``velocity_mps``, linear ``q_out``/``pathloss_intercept``) so the round
-    trip is bit-exact.  The sweep and output sections appear when set.
+    Floats are written with ``repr`` precision and in the internal unit (the
+    rows of ``_FIELDS`` without a conversion) so the round trip is bit-exact.
+    The sweep and output sections appear when set.
     """
     lines = []
     parts = _parts(spec)
-    for section, pairs in _FIELDS.items():
-        values = [(key, _attr(parts[section], field)) for key, field in pairs]
-        values = [(key, value) for key, value in values if value not in (None, ())]
+    for section, rows in _FIELDS.items():
+        values = [(key, _attr(parts[section], field)) for key, field, *conv in rows if not conv]
+        # Unset is None or (), tested without ``==``, which a NumPy scalar broadcasts.
+        values = [(k, v) for k, v in values if v is not None and (type(v) is not tuple or v)]
         if values:
             lines += [f"[{section}]", *(f"{k} = {_text(v)}" for k, v in values), ""]
     return "\n".join(lines)

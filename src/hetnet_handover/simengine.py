@@ -385,8 +385,10 @@ def _segment_roots(px, py, ux, uy, cx, cy, r2):
     fx = px - cx
     fy = py - cy
     half_b = fx * ux + fy * uy
-    c0 = fx * fx + fy * fy - r2
-    disc = half_b * half_b - c0
+    # half_b² − (|f|² − r²) for a unit direction, written as r² − (f × u)²,
+    # which does not cancel when the circle is small and the start far away.
+    cross = fx * uy - fy * ux
+    disc = r2 - cross * cross
     has = disc > 0.0
     root = np.sqrt(np.where(has, disc, 0.0))
     return -half_b - root, -half_b + root, has

@@ -7,6 +7,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,13 +118,24 @@ def test_apply_sweep_each_axis():
         ("tx_power_sprime", "hotspot", "tx_power_dbm", 27.1),
         ("T", "thresholds", "t_threshold_s", 2.3),
         ("T_p", "thresholds", "t_pingpong_s", 6.7),
+        # The demos sweep ints; a NumPy scalar is what an array of values yields.
+        ("sigma", "deployment", "sigma_m", 72),
+        ("velocity", "mobility", "velocity_kmh", np.float64(72.0)),
     ],
 )
 def test_sweep_point_equals_config_that_sets_the_key(tmp_path, axis, section, key, value):
     # A sweep axis and its config key convert the same value to the same bits.
     base = load_config(write(tmp_path, SMALL_INI)).base
-    direct = load_config(write(tmp_path, SMALL_INI + f"\n[{section}]\n{key} = {value!r}\n"))
+    direct = load_config(write(tmp_path, SMALL_INI + f"\n[{section}]\n{key} = {float(value)!r}\n"))
     assert apply_sweep(base, axis, value) == direct.base
+
+
+@pytest.mark.parametrize("axis", [a for a in SWEEP_AXES if a != "lambda_s"])
+def test_apply_sweep_refuses_what_the_config_key_refuses(axis):
+    # A keyed axis is read as its config key, so a value the key refuses is
+    # refused with the key's message instead of leaving the base value.
+    with pytest.raises(ValueError, match=r"^\[\w+\] \w+: must be finite, got 'nan'$"):
+        apply_sweep(default_spec().base, axis, math.nan)
 
 
 def test_sweep_points_visit_every_value():
@@ -154,10 +166,30 @@ def test_missing_file_raises(tmp_path):
         load_config(write(tmp_path, "sigma_m = 150\n[deployment]\n"))
 
 
+def _numpy_scalar_spec() -> ExperimentSpec:
+    base = default_spec().base
+    return ExperimentSpec(base=dataclasses.replace(
+        base,
+        lambda_s=np.float64(3e-5),
+        cluster=dataclasses.replace(base.cluster, sigma=np.float64(212.5)),
+        mobility=dataclasses.replace(base.mobility, velocity=np.float64(12.5)),
+        n_users=np.int64(3),
+    ))
+
+
 def test_round_trip_default(tmp_path):
-    spec = default_spec()
-    p = write(tmp_path, emit_config(spec))
-    assert load_config(p) == spec
+    for spec in (default_spec(), _numpy_scalar_spec()):
+        p = write(tmp_path, emit_config(spec))
+        assert load_config(p) == spec
+
+
+def test_apply_sweep_reads_fields_of_any_number_type():
+    # A swept key parses as its field's declared type, not its value's.
+    base = _numpy_scalar_spec().base
+    assert apply_sweep(base, "sigma", 80.0).cluster.sigma == 80.0
+    assert apply_sweep(base, "velocity", 90.0).mobility.velocity == 90.0 / 3.6
+    base = dataclasses.replace(base, cluster=dataclasses.replace(base.cluster, sigma=150))
+    assert apply_sweep(base, "sigma", 80).cluster.sigma == 80.0
 
 
 def test_round_trip_custom_everything(tmp_path):
@@ -520,6 +552,10 @@ CHANGED_ERROR_TEXT = {
     'pathloss_pair_both_bad': (
         '[macro]\npathloss_db_at_1km = loud\npathloss_intercept = tiny\n',
         "invalid config:\n  [macro] keys ['pathloss_db_at_1km', 'pathloss_intercept'] are mutually exclusive; give one\n  [macro] pathloss_db_at_1km: expected a number, got 'loud'\n  [macro] pathloss_intercept: expected a number, got 'tiny'",
+    ),
+    'pathloss_pair_overflows': (
+        '[macro]\npathloss_db_at_1km = -5000\npathloss_intercept = 1e-3\n',
+        "invalid config:\n  [macro] keys ['pathloss_db_at_1km', 'pathloss_intercept'] are mutually exclusive; give one\n  [macro] pathloss_db_at_1km: '-5000' overflows in linear units",
     ),
     'exponent_bad_tx_bad': (
         '[small]\ntx_power_dbm = strong\npathloss_exponent = steep\n',

@@ -212,6 +212,8 @@ def test_chord_matches_point_sampling():
     x1=st.floats(-200, 200),
     y1=st.floats(-200, 200),
 )
+# A small circle far along a long segment: the discriminant must not cancel.
+@example(cx=0.0, cy=0.0, r=0.109375, x0=-193.0, y0=-193.0, x1=1.0, y1=1.0)
 def test_crossing_invariants(cx, cy, r, x0, y0, x1, y1):
     length = math.hypot(x1 - x0, y1 - y0)
     if length < 1e-9:
