@@ -35,7 +35,6 @@ from .mobility import (
 )
 from .radio import (
     DegenerateBoundaryError,
-    ErbPair,
     TierRadioParams,
     make_erb_pair,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "generate_trajectory",
     "mean_transition_length",
     "DegenerateBoundaryError",
-    "ErbPair",
     "TierRadioParams",
     "make_erb_pair",
     "ComparisonTable",

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 from .mobility import MobilityConfig, mean_transition_length
-from .radio import ErbPair
 from .specfun import marcum_q1
 
 
@@ -181,6 +181,15 @@ def movement_time_per_meter(mobility: MobilityConfig) -> float:
     return 1.0 / mobility.velocity + mobility.pause / mean_transition_length(mobility)
 
 
+def _rayleigh_tail(lam: float, velocity: float, t: float, u: float) -> float:
+    """The ``SM`` sojourn tail of `_sojourn_tails`; 0 where its exponent
+    overflows."""
+    try:
+        return math.exp(-4.0 * lam * velocity**2 * t**2 * (1.0 - u) ** 2 / (math.pi * u))
+    except OverflowError:
+        return 0.0
+
+
 def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
     """``P(S >= t | u)``, the probability that the in-circle sojourn is at
     least ``t``, for each ``(t, u)`` of ``tails``.
@@ -203,15 +212,13 @@ def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive")
     if pair is PairKind.SM:
-        q = tuple(
-            math.exp(-4.0 * lam * velocity**2 * t**2 * (1.0 - u) ** 2 / (math.pi * u))
-            for t, u in tails
-        )
+        q = tuple(_rayleigh_tail(lam, velocity, t, u) for t, u in tails)
     else:
         a = 1.0 / (2.0 * sigma * math.sqrt(lam))
-        q = marcum_q1(a, tuple(
-            2.0 * t * velocity * (1.0 - u) / (math.pi * sigma * math.sqrt(u)) for t, u in tails
-        ))
+        # A b that overflows is past where Q1 reaches its b -> inf limit, 0,
+        # which marcum_q1 returns at the largest float.
+        bs = (2.0 * t * velocity * (1.0 - u) / (math.pi * sigma * math.sqrt(u)) for t, u in tails)
+        q = marcum_q1(a, tuple(min(b, sys.float_info.max) for b in bs))
     return tuple(1.0 if t == 0.0 else q_k for (t, _u), q_k in zip(tails, q))
 
 
@@ -219,7 +226,8 @@ def compute_metrics(
     pair: PairKind,
     thresholds: HandoverThresholds,
     mean_distance: float,
-    erb: ErbPair,
+    u: float,
+    u_f: float,
     region_area: float,
     n_bs_mean: float,
     mobility: MobilityConfig,
@@ -229,10 +237,11 @@ def compute_metrics(
 ) -> HandoverMetrics:
     """All four closed-form metrics for one pair kind.
 
+    ``u`` and ``u_f`` are the handover and failure boundary factors
+    ``lam_star * xi`` and ``lam_star * xi_f`` of `radio.make_erb_pair`,
     ``lam`` is the serving-tier density and ``sigma`` the hotspot scatter.
-    With ``u = erb.lam_xi``, ``u_f = erb.lam_xi_f`` and the sojourn tail
-    ``P(S >= t | u)`` of :func:`_sojourn_tails`, each factor is evaluated
-    once, and a hotspot pair's three Marcum-Q tails in one
+    With the sojourn tail ``P(S >= t | u)`` of :func:`_sojourn_tails`, each
+    factor is evaluated once, and a hotspot pair's three Marcum-Q tails in one
     :func:`marcum_q1` call that shares their Poisson(x) series:
 
         H_t = (2 / A) g(u) N E[R] / (1/V + pause/E[L'])
@@ -254,7 +263,6 @@ def compute_metrics(
         raise ValueError(f"mean_distance must be >= 0, got {mean_distance}")
     if region_area <= 0 or n_bs_mean <= 0:
         raise ValueError("region_area and n_bs_mean must be positive")
-    u, u_f = erb.lam_xi, erb.lam_xi_f
     gain = _radius_gain(u)
     gain_f = _radius_gain(u_f)
     h_t = (

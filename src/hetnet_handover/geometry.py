@@ -14,6 +14,7 @@ there is no module-level random state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class Region:
                 f"degenerate region: x [{self.x_min}, {self.x_max}], "
                 f"y [{self.y_min}, {self.y_max}]"
             )
+        if not math.isfinite(self.area):
+            raise ValueError(f"area must be finite, got {self.area}")
 
     @property
     def width(self) -> float:

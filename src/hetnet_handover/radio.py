@@ -23,22 +23,25 @@ circle exists) and is treated as a hard error.  ``u > 1`` (target effectively
 stronger than serving) yields a circle that encloses the *serving* BS; the
 ``encloses_serving`` flag records that orientation.
 
-`erb_pair_arrays` builds the circles of many pairs at once, as the simulator
-needs them; `make_erb_pair` gives the closed forms the boundary factors of
-one pair.
-
 The handover-failure boundary is the same construction with
-``xi_f = xi * q_out^(2/alpha_j)`` for the outage offset ``q_out < 1``.
+``u_f = lam * xi_f``, ``xi_f = xi * q_out^(2/alpha_j)`` for the outage offset
+``q_out < 1``.
+
+`boundary_factors` is the one computation of ``u`` and ``u_f``, for many
+targets at once.  `erb_pair_arrays` builds their circles, as the simulator
+needs them; `make_erb_pair` gives the closed forms ``(u, u_f)`` of one pair
+as Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-#: |1 - lam*xi| below this is treated as the degenerate (bisector) case.
+#: |1 - u| below this is treated as the degenerate (bisector) case.
 DEGENERACY_TOL = 1e-12
 
 
@@ -46,18 +49,8 @@ class DegenerateBoundaryError(ValueError):
     """The equal-RSS locus is a straight line, not a circle (lam * xi == 1)."""
 
 
-_DEGENERATE_MESSAGE = (
-    "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
-    "no circular approximation exists"
-)
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return db_to_linear(dbm - 30.0)
 
 
 @dataclass(frozen=True)
@@ -87,52 +80,56 @@ class TierRadioParams:
             raise ValueError(
                 f"pathloss_intercept must be positive, got {self.pathloss_intercept}"
             )
-        prefactor = (
-            db_to_linear(self.bias)
-            * dbm_to_watts(self.tx_power)
-            * db_to_linear(self.antenna_gain)
-            * self.pathloss_intercept
-        )
+        try:
+            prefactor = (
+                db_to_linear(self.bias)
+                * db_to_linear(self.tx_power - 30.0)
+                * db_to_linear(self.antenna_gain)
+                * self.pathloss_intercept
+            )
+        except OverflowError:
+            prefactor = math.inf
+        if not 0.0 < prefactor < math.inf:
+            raise ValueError(
+                "the linear prefactor of tx_power, antenna_gain, bias and "
+                f"pathloss_intercept must be positive and finite, got {prefactor}"
+            )
         object.__setattr__(self, "linear_prefactor", prefactor)
 
 
-def xi_factor(serving: TierRadioParams, target: TierRadioParams) -> float:
-    """Power-ratio factor of the (serving, target) pair.
+def boundary_factors(
+    serving: TierRadioParams,
+    target: TierRadioParams,
+    tx: np.ndarray,
+    ty: np.ndarray,
+    q_out_linear: float,
+) -> tuple:
+    """``(u, u_f)``: the handover and failure boundary factors
+    ``lam * xi`` and ``lam * xi_f`` of targets at ``(tx, ty)`` (meters,
+    serving-BS frames), as arrays.
 
-    ``(B_t P_t G_t C_t / (B_s P_s G_s C_s)) ** (2 / alpha_target)`` — the
-    exponent always uses the *target* tier's path-loss exponent.
+    ``xi`` is the prefactor ratio to the power ``2 / alpha_target``,
+    ``xi_f = xi * q_out ** (2 / alpha_target)``, and the flattening factor
+    ``lam = (x^2 + y^2) ** (alpha_serving / alpha_target - 1)`` is 1 for
+    equal exponents.  This is the one computation of the three factors.
     """
-    ratio = target.linear_prefactor / serving.linear_prefactor
-    return ratio ** (2.0 / target.pathloss_exponent)
-
-
-def xi_failure_factor(
-    xi: float, q_out_linear: float, target_alpha: float
-) -> float:
-    """Failure-boundary analogue: ``xi * q_out ** (2 / alpha_target)``."""
     if q_out_linear <= 0:
         raise ValueError(f"q_out must be a positive linear ratio, got {q_out_linear}")
-    return xi * q_out_linear ** (2.0 / target_alpha)
-
-
-def lambda_star_array(tx: np.ndarray, ty: np.ndarray, alpha_ratio: float) -> np.ndarray:
-    """Distance-dependent flattening factor ``(x^2 + y^2)^(alpha_ratio - 1)``
-    for many targets at ``(tx, ty)`` (meters, serving-BS frames).
-
-    ``alpha_ratio`` is alpha_serving / alpha_target; equal exponents give 1
-    for every target position.
-    """
     r2 = tx * tx + ty * ty
     if np.any(r2 == 0.0):
         raise ValueError("target must not sit on the serving BS (origin)")
-    return r2 ** (alpha_ratio - 1.0)
+    power = 2.0 / target.pathloss_exponent
+    xi = (target.linear_prefactor / serving.linear_prefactor) ** power
+    xi_f = xi * q_out_linear ** power
+    lam = r2 ** (serving.pathloss_exponent / target.pathloss_exponent - 1.0)
+    return lam * xi, lam * xi_f
 
 
 class CircleArrays(NamedTuple):
     """Boundary circles of many pairs, centres in their serving-BS frames.
 
-    Entries flagged ``degenerate`` (``|1 - lam*xi| < DEGENERACY_TOL``) have
-    no circle and hold meaningless values.
+    Entries flagged ``degenerate`` (``|1 - u| < DEGENERACY_TOL``) have no
+    circle and hold meaningless values.
     """
 
     cx: np.ndarray
@@ -143,53 +140,28 @@ class CircleArrays(NamedTuple):
 
 
 def erb_circle_arrays(
-    tx: np.ndarray, ty: np.ndarray, norm: np.ndarray, xi: float, lam_star: np.ndarray
+    tx: np.ndarray, ty: np.ndarray, norm: np.ndarray, u: np.ndarray
 ) -> CircleArrays:
     """The circular boundary approximation for targets at ``(tx, ty)``,
-    whose norm ``np.hypot(tx, ty)`` is ``norm``.
+    whose norm ``np.hypot(tx, ty)`` is ``norm``, with boundary factors ``u``.
 
-    ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|`` with
-    ``u = lam_star * xi``.  This is the one implementation of the formula.
+    ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|``.  This
+    is the one implementation of the formula.
     """
-    u = lam_star * xi
     denom = 1.0 - u
-    degenerate, encloses_serving = _boundary_flags(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         return CircleArrays(
             cx=tx / denom,
             cy=ty / denom,
             radius=np.sqrt(u) * norm / np.abs(denom),
-            degenerate=degenerate,
-            encloses_serving=encloses_serving,
+            degenerate=_degenerate(u),
+            encloses_serving=u > 1.0,
         )
 
 
-def _boundary_flags(u):
-    """``(degenerate, encloses_serving)`` of the boundary with
-    ``u = lam_star * xi``, for Python floats and NumPy arrays alike."""
-    return abs(1.0 - u) < DEGENERACY_TOL, u > 1.0
-
-
-@dataclass(frozen=True)
-class ErbPair:
-    """The boundary factors of one (serving, target) pair, as Python floats,
-    and ``encloses_serving``, the orientation of the handover circle: what
-    the closed forms read.  The circles themselves are built by
-    :func:`erb_pair_arrays`.
-    """
-
-    xi: float
-    xi_f: float
-    lam_star: float
-    encloses_serving: bool
-
-    @property
-    def lam_xi(self) -> float:
-        return self.lam_star * self.xi
-
-    @property
-    def lam_xi_f(self) -> float:
-        return self.lam_star * self.xi_f
+def _degenerate(u):
+    """Whether the boundary of factor(s) ``u`` is a bisector."""
+    return abs(1.0 - u) < DEGENERACY_TOL
 
 
 def erb_pair_arrays(
@@ -201,16 +173,9 @@ def erb_pair_arrays(
 ) -> tuple:
     """``(handover circles, failure circles)`` for targets at ``(tx, ty)``,
     each in its serving-BS frame."""
-    xi = xi_factor(serving, target)
-    xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
-    lam = lambda_star_array(
-        tx, ty, serving.pathloss_exponent / target.pathloss_exponent
-    )
+    u, u_f = boundary_factors(serving, target, tx, ty, q_out_linear)
     norm = np.hypot(tx, ty)
-    return (
-        erb_circle_arrays(tx, ty, norm, xi, lam),
-        erb_circle_arrays(tx, ty, norm, xi_f, lam),
-    )
+    return erb_circle_arrays(tx, ty, norm, u), erb_circle_arrays(tx, ty, norm, u_f)
 
 
 def make_erb_pair(
@@ -218,21 +183,21 @@ def make_erb_pair(
     target: TierRadioParams,
     target_position: np.ndarray,
     q_out_linear: float,
-) -> ErbPair:
-    """The boundary factors for a target BS at ``target_position``
-    (serving-BS frame).
+) -> tuple:
+    """``(u, u_f)`` of :func:`boundary_factors` for one target BS at
+    ``target_position`` (serving-BS frame), as Python floats: what the
+    closed forms read.  ``u > 1`` means the handover circle encloses the
+    serving BS.
 
     Raises :class:`DegenerateBoundaryError` when either boundary is a
-    bisector.  Everything but ``lam_star`` is computed in Python floats:
-    ``lam_star`` keeps the NumPy array power of :func:`lambda_star_array`,
-    which the simulator's circles use too.
+    bisector.
     """
     t = np.asarray(target_position, dtype=float)
-    xi = xi_factor(serving, target)
-    xi_f = xi_failure_factor(xi, q_out_linear, target.pathloss_exponent)
-    ratio = serving.pathloss_exponent / target.pathloss_exponent
-    lam = float(lambda_star_array(t[:1], t[1:2], ratio)[0])
-    degenerate, encloses_serving = _boundary_flags(lam * xi)
-    if degenerate or _boundary_flags(lam * xi_f)[0]:
-        raise DegenerateBoundaryError(_DEGENERATE_MESSAGE)
-    return ErbPair(xi=xi, xi_f=xi_f, lam_star=lam, encloses_serving=encloses_serving)
+    u, u_f = boundary_factors(serving, target, t[:1], t[1:2], q_out_linear)
+    u, u_f = float(u[0]), float(u_f[0])
+    if _degenerate(u) or _degenerate(u_f):
+        raise DegenerateBoundaryError(
+            "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
+            "no circular approximation exists"
+        )
+    return u, u_f

@@ -849,7 +849,7 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
     lam, sigma = density[s], cfg.cluster.sigma
     mean_distance = mean_pair_distance(kind, lam, sigma)
     try:
-        erb = make_erb_pair(
+        u, u_f = make_erb_pair(
             getattr(cfg, _TIERS[s]),
             getattr(cfg, _TIERS[t]),
             np.array([mean_distance, 0.0]),
@@ -857,19 +857,20 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
         )
     except DegenerateBoundaryError as exc:
         raise DegenerateBoundaryError(_pair_domain_message(kind, str(exc))) from exc
-    if erb.encloses_serving:
+    if u > 1.0:
         # q_out < 1 puts the failure circle inside the handover circle, so
         # this one check covers both.
         raise ValueError(_pair_domain_message(
             kind,
             f"the handover circle at the mean pair distance encloses the serving "
-            f"BS (lam_star * xi = {erb.lam_xi!r} > 1)",
+            f"BS (lam_star * xi = {u!r} > 1)",
         ))
     return compute_metrics(
         kind,
         cfg.thresholds,
         mean_distance,
-        erb,
+        u,
+        u_f,
         cfg.region.area,
         density[t] * cfg.region.area,
         cfg.mobility,

@@ -98,9 +98,12 @@ def _log_poisson_pmf(j: int, mean: float) -> float:
     return -bd0 - 0.5 * math.log(2.0 * math.pi * j) - stirlerr
 
 
-def _needs_window(a: float, b: float, x: float, y: float) -> bool:
-    """Whether the j = 0 series would start from a subnormal or zero pmf
-    while ``Q1`` is not negligible."""
+def _route(a: float, b: float, x: float, y: float):
+    """``None`` where ``x`` or ``y`` overflows, else whether the j = 0 series
+    would start from a subnormal or zero pmf while ``Q1`` is not negligible
+    (the windowed route)."""
+    if max(x, y) == math.inf:
+        return None
     return x > _SERIES_MAX_EXPONENT or (y > _SERIES_MAX_EXPONENT and b - a < _NEGLIGIBLE_GAP)
 
 
@@ -109,7 +112,7 @@ def _series_j_max(m: float) -> int:
     return math.ceil(m + 8.0 * math.sqrt(m) + 25)
 
 
-def _marcum_q1_lanes(a: float, bs: tuple, windowed: bool) -> list:
+def _marcum_q1_lanes(a: float, bs: tuple, windowed: bool | None) -> list:
     """``Q1(a, b)`` for up to three ``b`` of one route, in one shared recurrence.
 
     Fewer than three ``b`` are padded by repeating the last; each lane's bits
@@ -119,7 +122,13 @@ def _marcum_q1_lanes(a: float, bs: tuple, windowed: bool) -> list:
     :func:`_log_poisson_pmf` and ``P[Poisson(y) <= j0]`` from the regularized
     upper incomplete gamma function, and runs up to ``x + 10 sqrt(x) + 25``:
     O(sqrt(x)) terms.  It is taken only with ``x > 400``, so ``j0 >= 200``.
+    ``windowed`` is ``None`` where ``x`` or ``y`` overflows.
     """
+    if windowed is None:
+        # a or b exceeds 1.3e154, whose ulp exceeds 1e138: either a == b, and
+        # Q1(a, a) tends to 1/2, or |a - b| is far above _NEGLIGIBLE_GAP, and
+        # the Chernoff bounds fix Q1 to 0 or 1 within 1e-15.
+        return [0.5 if a == b else 1.0 if a > b else 0.0 for b in bs]
     x = a * a / 2.0  # Poisson mean of the mixture index
     ys = [b * b / 2.0 for b in bs + bs[-1:] * (3 - len(bs))]
     if windowed:
@@ -151,7 +160,7 @@ def _marcum_q1_floats(a: float, bs: tuple) -> tuple:
     out = []
     for k in range(0, len(bs), 3):
         chunk = bs[k : k + 3]
-        routes = [_needs_window(a, b, x, b * b / 2.0) for b in chunk]
+        routes = [_route(a, b, x, b * b / 2.0) for b in chunk]
         if all(r == routes[0] for r in routes):
             out += _marcum_q1_lanes(a, chunk, routes[0])
         else:
@@ -187,7 +196,9 @@ def marcum_q1(a: float, b):
     The series also stops once the Poisson(x) pmf has underflowed to 0,
     after which every term adds exactly 0: where rounding stalls the
     unaccumulated mass above 1e-15, it would otherwise run to ``j_max``,
-    which grows like ``b^2``.
+    which grows like ``b^2``.  Where ``a^2/2`` or ``b^2/2`` overflows,
+    ``Q1`` is its limit 0, 1 or 1/2 (``b > a``, ``a > b``, ``a == b``), which
+    the Chernoff bounds fix to within 1e-15.
 
     ``a`` is a float.  A float ``b`` returns a float; a tuple of ``b``
     returns a tuple: up to three ``b`` of one route share one Poisson(x)

@@ -39,7 +39,7 @@ from hetnet_handover.mobility import (
     MobilityConfig,
     generate_trajectory,
 )
-from hetnet_handover.radio import erb_pair_arrays, lambda_star_array
+from hetnet_handover.radio import TierRadioParams, boundary_factors, erb_pair_arrays
 from hetnet_handover.simengine import analytic_metrics, run_campaign
 from hetnet_handover.specfun import marcum_q1
 
@@ -68,12 +68,15 @@ def test_flattening_factor_matches_grid_search():
     # The circle construction for unequal path-loss exponents replaces
     # r^(2 alpha_ratio) by lambda * r^2.  A grid search for the lambda that
     # minimizes the L1 deviation over [0, q] must land within one grid step
-    # of the closed-form factor q^(2 (alpha_ratio - 1)).
+    # of the closed-form factor q^(2 (alpha_ratio - 1)), read as the boundary
+    # factor u of two tiers with equal prefactors (xi = 1, so u = lambda).
     t0 = time.perf_counter()
     lam_grid = np.linspace(50.0 / 1000.0, 50.0, 1000)
     step = float(lam_grid[1] - lam_grid[0])
     worst = 0.0
+    target = TierRadioParams(30.0, 0.0, 0.0, 1.0, 4.0)
     for alpha_ratio in (0.98, 1.0, 1.02):
+        serving = dataclasses.replace(target, pathloss_exponent=4.0 * alpha_ratio)
         for q in (100.0, 500.0, 1000.0):
             r = (np.arange(10_000) + 0.5) * (q / 10_000.0)
             deviation = np.abs(
@@ -81,7 +84,7 @@ def test_flattening_factor_matches_grid_search():
                 - lam_grid[:, None] * (r * r)[None, :]
             ).sum(axis=1)
             lam_hat = float(lam_grid[np.argmin(deviation)])
-            closed = float(lambda_star_array(np.array([q]), np.array([0.0]), alpha_ratio)[0])
+            closed = float(boundary_factors(serving, target, np.array([q]), np.zeros(1), 0.5)[0][0])
             worst = max(worst, abs(lam_hat - closed))
     verdict(
         "flattening-factor grid search",

@@ -50,7 +50,8 @@ MOBILITY = default_mobility()
 THRESHOLDS = default_thresholds()
 
 
-def _sps_erb(distance: float = 218.73):
+def _sps_factors(distance: float = 218.73):
+    """``(u, u_f)`` of the default SpS pair at ``distance``."""
     return make_erb_pair(
         default_small_params(),
         default_hotspot_params(),
@@ -66,7 +67,7 @@ def _g(u: float) -> float:
 def _sps_metrics(thresholds=THRESHOLDS, **kwargs):
     """Closed-form SpS metrics at the reference distance, 10 BSs in 1e8 m^2."""
     return compute_metrics(
-        PairKind.SPS, thresholds, 218.73, _sps_erb(), 1e8, 10.0, MOBILITY,
+        PairKind.SPS, thresholds, 218.73, *_sps_factors(), 1e8, 10.0, MOBILITY,
         2e-5, 150.0, **kwargs,
     )
 
@@ -302,9 +303,9 @@ class TestRates:
         assert movement_time_per_meter(MOBILITY) == pytest.approx(expected, rel=1e-12)
 
     def test_triggered_rate_manual_assembly(self):
-        erb = _sps_erb()
+        u, _ = _sps_factors()
         mean_d, area, n_bs = 218.73, 1e8, 10.0
-        manual = (2.0 / area) * _g(erb.lam_xi) * n_bs * mean_d / movement_time_per_meter(
+        manual = (2.0 / area) * _g(u) * n_bs * mean_d / movement_time_per_meter(
             MOBILITY
         )
         assert _sps_metrics().triggered_rate == pytest.approx(manual, rel=1e-12)
@@ -348,22 +349,19 @@ class TestRates:
 
     def test_handover_rate_is_triggered_times_tail(self):
         m = _sps_metrics()
-        p = _sps_tail(THRESHOLDS.t_threshold, _sps_erb().lam_xi)
+        p = _sps_tail(THRESHOLDS.t_threshold, _sps_factors()[0])
         assert m.handover_rate == pytest.approx(m.triggered_rate * p, rel=1e-12)
 
     def test_failure_rate_manual_reduction(self):
-        erb = _sps_erb()
-        u, u_f = erb.lam_xi, erb.lam_xi_f
+        u, u_f = _sps_factors()
         p_le = 1.0 - _sps_tail(THRESHOLDS.t_threshold, u_f)
         manual = _g(u_f) / _g(u) * p_le
         assert _sps_metrics().failure_rate == pytest.approx(manual, rel=1e-12)
 
     def test_pingpong_rate_manual_bracket(self):
-        erb = _sps_erb()
+        u, u_f = _sps_factors()
         m = _sps_metrics()
-        bracket = _sps_tail(THRESHOLDS.t_threshold, erb.lam_xi) - _sps_tail(
-            THRESHOLDS.t_pingpong, erb.lam_xi_f
-        )
+        bracket = _sps_tail(THRESHOLDS.t_threshold, u) - _sps_tail(THRESHOLDS.t_pingpong, u_f)
         assert bracket > 0.0
         assert m.pingpong_rate == pytest.approx(m.triggered_rate * bracket, rel=1e-12)
 
@@ -411,14 +409,13 @@ class TestRates:
         assert m.pingpong_rate >= 0.0
 
     def test_compute_metrics_validates_inputs(self):
-        erb = _sps_erb()
-        args = (PairKind.SPS, THRESHOLDS, 218.73, erb, 1e8, 10.0, MOBILITY, 2e-5, 150.0)
-        for pos, bad in ((2, -1.0), (4, 0.0), (5, 0.0), (7, 0.0), (8, 0.0)):
+        args = (PairKind.SPS, THRESHOLDS, 218.73, *_sps_factors(), 1e8, 10.0, MOBILITY, 2e-5, 150.0)
+        for pos, bad in ((2, -1.0), (5, 0.0), (6, 0.0), (8, 0.0), (9, 0.0)):
             with pytest.raises(ValueError):
                 compute_metrics(*args[:pos], bad, *args[pos + 1:])
         # A target tier at least as strong as its serving tier: u = lam_star * xi >= 1.
         with pytest.raises(ValueError, match="lam_star"):
-            compute_metrics(*args[:3], dataclasses.replace(erb, xi=2.0 / erb.lam_star), *args[4:])
+            compute_metrics(*args[:3], 2.0, *args[4:])
 
     def test_each_marcum_tail_evaluated_once(self, monkeypatch):
         # P(S >= T | u), P(S >= T | u_f) and P(S >= T_p | u_f): one Marcum-Q
@@ -437,12 +434,12 @@ class TestRates:
         assert len(bs) == 3
         assert len(set(bs)) == 3
         calls.clear()
-        sm_erb = make_erb_pair(
+        sm_factors = make_erb_pair(
             default_macro_params(), default_small_params(),
             np.array([353.55, 0.0]), THRESHOLDS.q_out,
         )
         compute_metrics(
-            PairKind.SM, THRESHOLDS, 353.55, sm_erb, 1e8, 10.0, MOBILITY, 2e-6, 150.0
+            PairKind.SM, THRESHOLDS, 353.55, *sm_factors, 1e8, 10.0, MOBILITY, 2e-6, 150.0
         )
         assert calls == []
 
@@ -455,13 +452,13 @@ class TestRates:
     def test_triggered_rate_nonnegative_and_scales(self, mean_d, tx_power, n_bs):
         # The target power sweeps u = lam_star * xi across (0, 1).
         hotspot = dataclasses.replace(default_hotspot_params(), tx_power=tx_power)
-        erb = make_erb_pair(
+        u, u_f = make_erb_pair(
             default_small_params(), hotspot, np.array([mean_d, 0.0]), THRESHOLDS.q_out
         )
 
         def metrics(n):
             return compute_metrics(
-                PairKind.SPS, THRESHOLDS, mean_d, erb, 25e6, n, MOBILITY, 2e-5, 150.0
+                PairKind.SPS, THRESHOLDS, mean_d, u, u_f, 25e6, n, MOBILITY, 2e-5, 150.0
             )
 
         with warnings.catch_warnings():
@@ -559,6 +556,13 @@ class TestEnvelope:
     @example(lambda_s=1e-6, sigma=20.0, v_kmh=60.0, t=1.0, t_p=4.0)
     @example(lambda_s=2e-6, sigma=10.0, v_kmh=60.0, t=1.0, t_p=4.0)
     @example(lambda_s=1e-5, sigma=5.0, v_kmh=60.0, t=1.0, t_p=4.0)
+    # Large finite arguments: b^2/2 overflows in the Marcum tails (1e160), the
+    # SM exponent overflows (1e200), b itself overflows (1e308), and a^2/2
+    # overflows (sigma = 1e-300).
+    @example(lambda_s=2e-5, sigma=150.0, v_kmh=60.0, t=1e160, t_p=4.0)
+    @example(lambda_s=2e-5, sigma=150.0, v_kmh=60.0, t=1e200, t_p=4.0)
+    @example(lambda_s=2e-5, sigma=150.0, v_kmh=60.0, t=1e308, t_p=4.0)
+    @example(lambda_s=2e-5, sigma=1e-300, v_kmh=60.0, t=1.0, t_p=4.0)
     @settings(max_examples=200, deadline=None)
     def test_metrics_valid_or_named_domain_error(self, lambda_s, sigma, v_kmh, t, t_p):
         cfg = _envelope_config(lambda_s, sigma, v_kmh, t, t_p)

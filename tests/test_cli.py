@@ -520,7 +520,26 @@ ERROR_TEXT = {
 #: as such instead of through the densities derived from it.  A decibel key
 #: whose linear value overflows and a nan or infinite number are named with
 #: their section and key; they used to raise a bare ``OverflowError`` or load.
+#: A tier whose linear prefactor overflows or underflows and a region whose
+#: area overflows are refused by their section; they used to raise a bare
+#: ``OverflowError`` or ``ZeroDivisionError``, or print nan.
 CHANGED_ERROR_TEXT = {
+    'tier_prefactor_overflows': (
+        '[macro]\ntx_power_dbm = 5000\n',
+        "invalid config:\n  [macro] the linear prefactor of tx_power, antenna_gain, bias and pathloss_intercept must be positive and finite, got inf",
+    ),
+    'tier_bias_overflows': (
+        '[hotspot]\nbias_db = 5000\n',
+        "invalid config:\n  [hotspot] the linear prefactor of tx_power, antenna_gain, bias and pathloss_intercept must be positive and finite, got inf",
+    ),
+    'tier_prefactor_underflows': (
+        '[small]\ntx_power_dbm = -5000\n',
+        "invalid config:\n  [small] the linear prefactor of tx_power, antenna_gain, bias and pathloss_intercept must be positive and finite, got 0.0",
+    ),
+    'region_area_overflows': (
+        '[region]\nwidth_m = 1e308\n',
+        "invalid config:\n  [region] area must be finite, got inf",
+    ),
     'pathloss_db_overflows': (
         '[macro]\npathloss_db_at_1km = -5000\n',
         "invalid config:\n  [macro] pathloss_db_at_1km: '-5000' overflows in linear units",
@@ -810,11 +829,21 @@ def test_main_analyze_names_pair_whose_circle_encloses_serving(tmp_path, capsys)
 def test_main_sweep_point_refusal_names_the_sweep(tmp_path, capsys):
     # A negative small-cell density scales the cluster-center density
     # negative too; the refusal names the swept value, not lambda_p alone.
-    text = SMALL_INI + "[sweep]\naxis = lambda_s\nvalues = -1e-5, 2e-5\n"
-    for command in ("analyze", "simulate", "validate"):
-        assert main([command, "--config", str(write(tmp_path, text))]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [sweep] lambda_s = -1e-05: "), err
+    # A hotspot power whose linear prefactor overflows is refused by the tier.
+    cases = (
+        ("axis = lambda_s\nvalues = -1e-5, 2e-5", "error: [sweep] lambda_s = -1e-05: "),
+        (
+            "axis = tx_power_sprime\nvalues = 24, 5000",
+            "error: [sweep] tx_power_sprime = 5000.0: the linear prefactor of tx_power, "
+            "antenna_gain, bias and pathloss_intercept must be positive and finite, got inf\n",
+        ),
+    )
+    for sweep, expected in cases:
+        text = SMALL_INI + f"[sweep]\n{sweep}\n"
+        for command in ("analyze", "simulate", "validate"):
+            assert main([command, "--config", str(write(tmp_path, text))]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(expected), err
 
 
 def test_main_validate_refuses_before_any_campaign(tmp_path, capsys, monkeypatch):
@@ -892,7 +921,7 @@ PACKAGE_ALL = [
     "mean_cluster_distance_numeric", "mean_pair_distance", "mean_r_sm",
     "ClusterConfig", "Region", "sample_ppp", "sample_tcp",
     "MobilityConfig", "Trajectory", "generate_trajectory", "mean_transition_length",
-    "DegenerateBoundaryError", "ErbPair", "TierRadioParams", "make_erb_pair",
+    "DegenerateBoundaryError", "TierRadioParams", "make_erb_pair",
     "ComparisonTable", "EventCounts", "MetricsEstimate", "SimConfig", "analytic_metrics",
     "run_campaign", "run_trial", "summarize_trials",
     "marcum_q1", "__version__",

@@ -21,6 +21,10 @@ class TestRegion:
             Region(0.0, 0.0, 0.0, 10.0)
         with pytest.raises(ValueError):
             Region(0.0, 10.0, 5.0, 1.0)
+        with pytest.raises(ValueError, match="area must be finite"):
+            Region(0.0, 1e308, 0.0, 1e308)
+        with pytest.raises(ValueError, match="area must be finite"):
+            Region(-1e308, 1e308, 0.0, 1.0)
 
     def test_contains_is_closed(self):
         r = Region(0.0, 10.0, 0.0, 10.0)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetnet_handover.fixtures import (
@@ -17,12 +17,10 @@ from hetnet_handover.radio import (
     CircleArrays,
     DegenerateBoundaryError,
     TierRadioParams,
+    boundary_factors,
     erb_circle_arrays,
     erb_pair_arrays,
-    lambda_star_array,
     make_erb_pair,
-    xi_factor,
-    xi_failure_factor,
 )
 
 from oracles import pin, serving_bs
@@ -69,31 +67,51 @@ class TestTierRadioParams:
             _tier(30.0, alpha=2.0)
         with pytest.raises(ValueError):
             TierRadioParams(30.0, 0.0, 0.0, pathloss_intercept=0.0, pathloss_exponent=4.0)
+        # A linear prefactor that overflows (in a dB conversion or in the
+        # product) or underflows to 0.
+        for args in ((5000.0, 0.0, 0.0, 1.0), (30.0, 0.0, 5000.0, 1.0),
+                     (200.0, 200.0, 0.0, 1e300), (-5000.0, 0.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TierRadioParams(*args, pathloss_exponent=4.0)
+
+
+def _factors(serving, target, pos, q_out) -> tuple:
+    """``(u, u_f)`` of one target at ``pos``, as Python floats."""
+    u, u_f = boundary_factors(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
+    return float(u[0]), float(u_f[0])
 
 
 class TestXiFactors:
+    # With equal exponents the flattening factor is exactly 1, so u = xi;
+    # with equal tiers xi is exactly 1 too, so u_f = q_out^(2/alpha).
     def test_pinned_6db_alpha4(self):
-        serving = _tier(30.0, 4.0)
-        target = _tier(24.0, 4.0)
-        assert xi_factor(serving, target) == pytest.approx(pin("xi_6db_alpha4"), rel=1e-12)
+        u, _ = _factors(_tier(30.0, 4.0), _tier(24.0, 4.0), (123.0, -45.0), 0.5)
+        assert u == pytest.approx(pin("xi_6db_alpha4"), rel=1e-12)
 
     def test_pinned_failure_scale(self):
-        scale = xi_failure_factor(1.0, 10.0 ** (-0.3), 3.67)
-        assert scale == pytest.approx(pin("xi_failure_scale_3db_alpha367"), rel=1e-12)
+        t = _tier(30.0, 3.67)
+        u, u_f = _factors(t, t, (123.0, -45.0), 10.0 ** (-0.3))
+        assert u == 1.0
+        assert u_f == pytest.approx(pin("xi_failure_scale_3db_alpha367"), rel=1e-12)
 
     def test_failure_factor_shrinks_xi(self):
-        assert xi_failure_factor(0.7, 0.5, 3.67) < 0.7
+        u, u_f = boundary_factors(
+            default_macro_params(), default_small_params(),
+            np.array([1.0, 37.5, 1200.0]), np.array([0.0, 0.0, -350.0]), 0.5,
+        )
+        assert np.all(u_f < u)
 
     def test_invalid_q_out(self):
         with pytest.raises(ValueError):
-            xi_failure_factor(0.7, 0.0, 3.67)
+            _factors(_tier(30.0, 3.67), _tier(24.0, 3.67), (100.0, 0.0), 0.0)
 
     def test_lambda_star_equal_exponents_is_one(self):
-        assert lambda_star_array(np.array([123.0]), np.array([-45.0]), 1.0)[0] == 1.0
+        t = _tier(30.0, 3.67)
+        assert _factors(t, t, (123.0, -45.0), 0.5)[0] == 1.0
 
     def test_lambda_star_origin_rejected(self):
         with pytest.raises(ValueError):
-            lambda_star_array(np.array([0.0]), np.array([0.0]), 0.9)
+            _factors(_tier(24.0, 3.76), _tier(30.0, 3.67), (0.0, 0.0), 0.5)
 
 
 def _rss(tier: TierRadioParams, distance: np.ndarray) -> np.ndarray:
@@ -106,9 +124,9 @@ def _circles(serving, target, pos, q_out) -> tuple:
     return erb_pair_arrays(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
 
 
-def _circle(pos, xi: float, lam_star: float) -> CircleArrays:
+def _circle(pos, u: float) -> CircleArrays:
     tx, ty = np.array(pos[:1]), np.array(pos[1:])
-    return erb_circle_arrays(tx, ty, np.hypot(tx, ty), xi, np.full(1, lam_star))
+    return erb_circle_arrays(tx, ty, np.hypot(tx, ty), np.full(1, u))
 
 
 def _contains(c: CircleArrays, point) -> bool:
@@ -157,7 +175,7 @@ class TestErbCircle:
 
     def test_degenerate_equal_parameters(self):
         t = _tier(30.0, 3.67)
-        assert _circle((100.0, 0.0), xi=1.0, lam_star=1.0).degenerate[0]
+        assert _circle((100.0, 0.0), u=1.0).degenerate[0]
         with pytest.raises(DegenerateBoundaryError):
             make_erb_pair(t, t, np.array([100.0, 0.0]), 0.5)
 
@@ -166,14 +184,13 @@ class TestErbCircle:
         # (xi_f = 1 up to rounding) is a bisector, the handover circle is not.
         with pytest.raises(DegenerateBoundaryError):
             make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 10.0 ** -0.3)
-        erb = make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 0.4)
-        assert erb.encloses_serving
+        u, _ = make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 0.4)
+        assert u > 1.0
 
     def test_center_and_radius_closed_form(self):
-        xi, lam = 0.47, 1.0
+        u = 0.47
         pos = (200.0, 0.0)
-        c = _circle(pos, xi, lam)
-        u = lam * xi
+        c = _circle(pos, u)
         assert c.cx[0] == pytest.approx(200.0 / (1.0 - u))
         assert c.cy[0] == 0.0
         assert c.radius[0] == pytest.approx(math.sqrt(u) * 200.0 / (1.0 - u))
@@ -197,7 +214,7 @@ class TestErbCircle:
         if math.hypot(x, y) < 1.0:
             return
         pos = np.array([x, y])
-        circle = _circle(pos, xi, 1.0)
+        circle = _circle(pos, xi)  # equal exponents: u = xi
         alpha = 3.5
         # xi = (P_t/P_s)^(2/alpha)  =>  P_t/P_s = xi^(alpha/2)
         ratio = xi ** (alpha / 2.0)
@@ -241,10 +258,13 @@ class TestErbPair:
             pathloss_intercept=serving.pathloss_intercept,
             pathloss_exponent=serving.pathloss_exponent,
         )
-        pair = make_erb_pair(serving, target, np.array([250.0, 0.0]), 10.0 ** (-0.3))
-        assert pair.lam_xi == pytest.approx(pair.lam_star * pair.xi)
-        assert pair.lam_xi_f == pytest.approx(pair.lam_star * pair.xi_f)
-        assert pair.lam_xi_f < pair.lam_xi
+        q_out = 10.0 ** (-0.3)
+        u, u_f = make_erb_pair(serving, target, np.array([250.0, 0.0]), q_out)
+        power = 2.0 / target.pathloss_exponent
+        xi = (target.linear_prefactor / serving.linear_prefactor) ** power
+        assert u == pytest.approx(xi)
+        assert u_f == pytest.approx(xi * q_out**power)
+        assert u_f < u
 
     def test_fields_pinned(self):
         tiers = {
@@ -254,21 +274,23 @@ class TestErbPair:
         }
         q_out = default_thresholds().q_out
         for pair, pos, values, h_encloses, f_encloses in ERB_PIN:
-            erb = make_erb_pair(*tiers[pair], np.array(pos), q_out)
-            h, f = _circles(*tiers[pair], pos, q_out)
-            got = (
-                erb.xi, erb.xi_f, erb.lam_star,
-                h.cx[0], h.cy[0], h.radius[0], f.cx[0], f.cy[0], f.radius[0],
+            u, u_f = make_erb_pair(*tiers[pair], np.array(pos), q_out)
+            xi, xi_f, lam_star = (float.fromhex(v) for v in values[:3])
+            assert (u.hex(), u_f.hex()) == ((lam_star * xi).hex(), (lam_star * xi_f).hex()), (
+                pair, pos,
             )
-            assert tuple(float(v).hex() for v in got) == values, (pair, pos)
+            assert _factors(*tiers[pair], pos, q_out) == (u, u_f)
+            h, f = _circles(*tiers[pair], pos, q_out)
+            got = (h.cx[0], h.cy[0], h.radius[0], f.cx[0], f.cy[0], f.radius[0])
+            assert tuple(float(v).hex() for v in got) == values[3:], (pair, pos)
             assert (h.encloses_serving[0], f.encloses_serving[0]) == (h_encloses, f_encloses)
-            assert erb.encloses_serving == h.encloses_serving[0]
+            assert (u > 1.0) == h.encloses_serving[0]
 
     def test_stronger_target_flags_enclosure_without_building_circles(self):
-        erb = make_erb_pair(
+        u, _ = make_erb_pair(
             _tier(24.0, 3.67), _tier(30.0, 3.67), np.array([300.0, 0.0]), 0.5
         )
-        assert erb.encloses_serving and erb.lam_xi > 1.0
+        assert u > 1.0
         h, _ = _circles(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5)
         assert h.encloses_serving[0]
 
@@ -276,9 +298,41 @@ class TestErbPair:
         macro = default_macro_params()
         small = default_small_params()
         r = 400.0
-        pair = make_erb_pair(macro, small, np.array([r, 0.0]), 0.5)
+        u, _ = make_erb_pair(macro, small, np.array([r, 0.0]), 0.5)
         expected_lam = (r * r) ** (macro.pathloss_exponent / small.pathloss_exponent - 1.0)
-        assert pair.lam_star == pytest.approx(expected_lam, rel=1e-12)
+        xi = (small.linear_prefactor / macro.linear_prefactor) ** (2.0 / small.pathloss_exponent)
+        assert u == pytest.approx(expected_lam * xi, rel=1e-12)
+
+    @given(
+        p_serving=st.floats(min_value=0.0, max_value=60.0),
+        p_target=st.floats(min_value=0.0, max_value=60.0),
+        a_serving=st.floats(min_value=2.5, max_value=4.5),
+        a_target=st.floats(min_value=2.5, max_value=4.5),
+        x=st.floats(min_value=-2000.0, max_value=2000.0),
+        y=st.floats(min_value=-2000.0, max_value=2000.0),
+        q_out=st.floats(min_value=0.05, max_value=0.95, exclude_min=True, exclude_max=True),
+    )
+    # Equal tiers: the handover boundary is the bisector.
+    @example(30.0, 30.0, 3.67, 3.67, 100.0, 0.0, 0.5)
+    # A target 3 dB stronger at q_out = -3 dB: the failure boundary is.
+    @example(30.0, 33.0, 3.67, 3.67, 100.0, 0.0, 10.0 ** -0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_array_routes_agree(
+        self, p_serving, p_target, a_serving, a_target, x, y, q_out
+    ):
+        # make_erb_pair refuses exactly the pairs the simulator drops as
+        # degenerate, and otherwise returns the simulator's factors bit for bit.
+        if math.hypot(x, y) < 1.0:
+            return
+        serving, target = _tier(p_serving, a_serving), _tier(p_target, a_target)
+        h, f = _circles(serving, target, (x, y), q_out)
+        if h.degenerate[0] or f.degenerate[0]:
+            with pytest.raises(DegenerateBoundaryError):
+                make_erb_pair(serving, target, np.array([x, y]), q_out)
+            return
+        u, u_f = make_erb_pair(serving, target, np.array([x, y]), q_out)
+        assert (u.hex(), u_f.hex()) == tuple(v.hex() for v in _factors(serving, target, (x, y), q_out))
+        assert (u > 1.0) == h.encloses_serving[0]
 
 
 class TestServingBs:

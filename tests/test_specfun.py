@@ -1,6 +1,7 @@
 """Special-function checks: dual routes wherever a closed form exists."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ class TestMarcumQ1:
         assert marcum_q1(500.0, 0.0) == pytest.approx(1.0, abs=1e-15)
         # Q1(a, a) = (1 + e^{-a^2} I0(a^2)) / 2.
         assert marcum_q1(100.0, 100.0) == pytest.approx((1.0 + sp.i0e(1e4)) / 2.0, rel=1e-12)
+        # Where a^2/2 or b^2/2 overflows: the limits the Chernoff bounds fix.
+        assert marcum_q1(1.0, 1e155) == 0.0
+        assert marcum_q1(1e155, 1.0) == 1.0
+        assert marcum_q1(1e155, 1e155) == 0.5
+        assert marcum_q1(1e300, (1e300, 5.0, 1e301)) == (0.5, 1.0, 0.0)
+        assert marcum_q1(1.0, sys.float_info.max) == 0.0
 
     def test_invalid_inputs_rejected(self):
         for a, b in ((-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
@@ -237,6 +244,8 @@ class TestMarcumQ1:
     @example(case=(33.0, (37.5, 40.0, 41.0)))
     # Both routes in one tuple: falls back to one b at a time.
     @example(case=(33.0, (2.0, 40.0, 60.0, 39.0)))
+    # An overflowing b among series lanes.
+    @example(case=(3.0, (1e200, 2.0, 4.0)))
     @settings(max_examples=200, deadline=None)
     def test_tuple_bits_equal_one_b_calls(self, case):
         a, bs = case
