@@ -1,20 +1,24 @@
 """Cross-check the closed-form metrics against the event-driven simulator.
 
 Runs a scaled-down Monte Carlo campaign (same construction as the full
-reference validation, fewer trials) and prints the side-by-side table for
-all three cell pairs.  What to expect:
+reference validation, fewer trials) and prints `validate`'s side-by-side
+summary for all three cell pairs.  What to expect:
 
-* triggered (H_t) and handover (H) rates agree within ~15%, typically with
-  the simulator a touch low (finite region; trajectories that end inside a
-  boundary circle never book the exit);
+* triggered (H_t) and handover (H) rates agree within ~15%, on either side
+  of the closed form: at the defaults (40 trials, seed 0) the simulated/
+  analytic H_t ratio reads 1.095 for SM, 1.007 for SpS and 1.116 for SpM,
+  and a 200-trial campaign reads 1.058, 0.951 and 1.127.  The gap lies
+  mostly in the circle field a deployment builds, not in the walk (ROADMAP
+  item 11 splits it into these two factors);
 * the simulated failure column (H_f) runs far hotter than the closed form:
   the event definition fires whenever the inner boundary is reached within
   the dwell threshold of the trigger — a narrow near-side gap crossed in a
   fraction of a second — while the closed form asks the much weaker
   question of finishing the entire inner chord within the threshold;
-* the closed-form ping-pong column (H_p) runs hotter than the simulator,
-  which additionally requires the strongest cell at the exit point to be
-  the original server before booking a return.
+* the closed-form ping-pong column (H_p) runs hotter than the simulator
+  for SM and SpS, as the simulator additionally requires the strongest cell
+  at the exit point to be the original server before booking a return; for
+  SpM the closed form's H_f and H_p are near zero at these defaults.
 
 The triggered/handover agreement is the release gate; the failure and
 ping-pong columns compare two deliberately different definitions and are
@@ -25,7 +29,7 @@ import argparse
 import dataclasses
 import time
 
-from hetnet_handover import ComparisonTable, analytic_metrics, run_campaign
+from hetnet_handover.cli import ExperimentSpec, cmd_validate
 from hetnet_handover.fixtures import reference_sim_config
 
 
@@ -42,9 +46,9 @@ def main(argv=None) -> None:
     print(f"{args.trials} trials, {cfg.n_users} users x {cfg.n_moves} moves each, "
           f"{cfg.region.width/1000:.0f} x {cfg.region.height/1000:.0f} km region")
     t0 = time.perf_counter()
-    table = ComparisonTable.of(analytic_metrics(cfg), run_campaign(cfg, workers=args.workers))
+    _, summary = cmd_validate(ExperimentSpec(base=cfg), workers=args.workers)
     print(f"campaign finished in {time.perf_counter() - t0:.1f} s\n")
-    print(table.summary())
+    print(summary, end="")
 
 
 if __name__ == "__main__":

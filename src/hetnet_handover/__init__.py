@@ -12,7 +12,7 @@ mobility   Random-waypoint motion with a boundary-biased waypoint mixture.
 radio      Per-tier radio parameters and exact cell-boundary circles.
 specfun    The Marcum-Q function of the hotspot sojourn tails.
 analytics  Distance laws and the closed-form handover rate expressions.
-simengine  Event-driven trajectory simulator and analytic/simulated tables.
+simengine  Event-driven simulator, campaigns and a configuration's closed forms.
 fixtures   Default parameter sets and the reference validation campaign.
 cli        ``hetnet-handover`` command line front end.
 """
@@ -39,7 +39,6 @@ from .radio import (
     make_erb_pair,
 )
 from .simengine import (
-    ComparisonTable,
     EventCounts,
     MetricsEstimate,
     SimConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "DegenerateBoundaryError",
     "TierRadioParams",
     "make_erb_pair",
-    "ComparisonTable",
     "EventCounts",
     "MetricsEstimate",
     "SimConfig",

@@ -208,13 +208,23 @@ def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
     Only ``lam`` and ``sigma`` are checked here: `compute_metrics` has
     checked each ``u``, and its thresholds and mobility refuse a negative
     ``t`` and a non-positive ``velocity``.
+
+    Where ``a`` overflows (a tiny ``sigma``), each hotspot tail is the limit
+    that `marcum_q1` returns where ``a^2/2`` overflows: 1, 0 or 1/2 as
+    ``b/a = 4 t V (1-u) sqrt(lam) / (pi sqrt(u))``, which does not depend on
+    ``sigma``, is below, above or equal to 1.
     """
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive")
+    scale = 2.0 * sigma * math.sqrt(lam)
+    a = 1.0 / scale if scale > 0.0 else math.inf
     if pair is PairKind.SM:
         q = tuple(_rayleigh_tail(lam, velocity, t, u) for t, u in tails)
+    elif a == math.inf:
+        ratios = (4.0 * t * velocity * (1.0 - u) * math.sqrt(lam) / (math.pi * math.sqrt(u))
+                  for t, u in tails)
+        q = tuple(0.5 if r == 1.0 else 1.0 if r < 1.0 else 0.0 for r in ratios)
     else:
-        a = 1.0 / (2.0 * sigma * math.sqrt(lam))
         # A b that overflows is past where Q1 reaches its b -> inf limit, 0,
         # which marcum_q1 returns at the largest float.
         bs = (2.0 * t * velocity * (1.0 - u) / (math.pi * sigma * math.sqrt(u)) for t, u in tails)

@@ -57,7 +57,6 @@ from .radio import db_to_linear
 from .simengine import (
     _TIERS,
     METRICS,
-    ComparisonTable,
     SimConfig,
     analytic_metrics,
     analytic_pair_metrics,
@@ -99,8 +98,17 @@ SIMULATE_CSV_HEADER = ",".join([
     *(column for name, _ in METRICS for column in (name, f"{name}_ci")),
 ])
 
+#: The numbers of a ``validate`` record, in column order: CSV name, summary
+#: heading, and the summary's alignment and width and its precision.
+_COMPARISON_COLUMNS = (
+    ("analytic", "analytic", ">14", ".6g"),
+    ("simulated", "simulated", ">14", ".6g"),
+    ("ci_halfwidth", "+/-95%", ">12", ".3g"),
+    ("ratio", "sim/ana", ">9", ".4g"),
+)
+
 VALIDATE_CSV_HEADER = ",".join([
-    "pair", "metric", *_POINT_NAMES, "analytic", "simulated", "ci_halfwidth", "ratio", "flag",
+    "pair", "metric", *_POINT_NAMES, *(name for name, *_ in _COMPARISON_COLUMNS), "flag",
 ])
 
 
@@ -538,29 +546,54 @@ def cmd_simulate(spec: ExperimentSpec, workers: int = 1) -> str:
     return _render_csv(SIMULATE_CSV_HEADER, _at_points(spec, row))
 
 
+def _summary_line(pair: str, metric: str, cells, flag: str) -> str:
+    return " ".join([f"{pair:<5} {metric:<6}", *cells, flag])
+
+
+_SUMMARY_HEADING = _summary_line(
+    "pair", "metric", (format(head, width) for _, head, width, _ in _COMPARISON_COLUMNS), "flag"
+)
+
+
 def cmd_validate(spec: ExperimentSpec, workers: int = 1) -> tuple:
     """Analytic-vs-simulated comparison for every pair at every sweep point.
 
     Every point's closed forms run before any campaign, so a refused point
-    costs no simulation.  Returns ``(csv_text, summary_text)``.
+    costs no simulation.  Each (point, pair, metric) is one record, written
+    as a CSV row and as a summary line; its ``ratio`` is simulated/analytic
+    (NaN where the closed form is not positive) and its ``flag`` is empty, as
+    no agreement criterion is defined yet.  Returns ``(csv_text,
+    summary_text)``.
     """
     analytic = iter(_at_points(spec, analytic_metrics))
-    tables = _at_points(spec, lambda cfg: (
-        cfg, ComparisonTable.of(next(analytic), run_campaign(cfg, workers=workers))
-    ))
-    rows = []
-    summaries = []
-    for i, (cfg, table) in enumerate(tables):
-        point = _point(cfg)
-        for row in table.rows:
-            values = point + [row.analytic, row.simulated, row.ci_halfwidth, row.ratio]
-            rows.append(",".join([row.pair.value, row.metric, *_numbers(values, ".12g"), row.flag]))
+
+    def records(cfg: SimConfig) -> tuple:
+        closed, estimate = next(analytic), run_campaign(cfg, workers=workers)
+        out = []
+        for kind, sim in estimate.pairs.items():
+            for (metric, name), halfwidth in zip(METRICS, sim.halfwidths):
+                a, s = getattr(closed[kind], name), getattr(sim.rates, name)
+                ratio = s / a if a > 0 else math.nan
+                out.append((kind.value, metric, (a, s, halfwidth, ratio), ""))
+        return _point(cfg), out
+
+    points = _at_points(spec, records)
+    rows, blocks = [], []
+    for i, (point, point_records) in enumerate(points):
         label = (
-            f"point {i + 1}/{len(tables)}"
+            f"point {i + 1}/{len(points)}"
             + (f" ({spec.sweep_axis} = {spec.sweep_values[i]:g})" if spec.sweep_axis else "")
         )
-        summaries.append(f"== {label} ==\n{table.summary()}")
-    return _render_csv(VALIDATE_CSV_HEADER, rows), "\n".join(summaries) + "\n"
+        lines = [f"== {label} ==", _SUMMARY_HEADING, "-" * len(_SUMMARY_HEADING)]
+        for pair, metric, numbers, flag in point_records:
+            rows.append(",".join([pair, metric, *_numbers([*point, *numbers], ".12g"), flag]))
+            cells = (
+                format(v, width + digits)
+                for v, (*_, width, digits) in zip(numbers, _COMPARISON_COLUMNS)
+            )
+            lines.append(_summary_line(pair, metric, cells, flag))
+        blocks.append("\n".join(lines) + "\n")
+    return _render_csv(VALIDATE_CSV_HEADER, rows), "\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -882,48 +882,3 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
 def analytic_metrics(cfg: SimConfig) -> dict:
     """`analytic_pair_metrics` of every pair kind, keyed by kind."""
     return {kind: analytic_pair_metrics(cfg, kind) for kind in _KIND_ORDER}
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    pair: PairKind
-    metric: str
-    analytic: float
-    simulated: float
-    ci_halfwidth: float
-    ratio: float  # simulated / analytic
-    flag: str
-
-
-@dataclass
-class ComparisonTable:
-    rows: list
-
-    @classmethod
-    def of(cls, analytic: dict, estimate: MetricsEstimate) -> "ComparisonTable":
-        """Rows of `analytic_metrics` against a campaign ``estimate``, for
-        each pair kind the campaign counted; every ``flag`` is empty, as no
-        agreement criterion is defined yet."""
-        rows = []
-        for kind, sim in estimate.pairs.items():
-            for (metric, name), halfwidth in zip(METRICS, sim.halfwidths):
-                a, s = getattr(analytic[kind], name), getattr(sim.rates, name)
-                rows.append(ComparisonRow(
-                    pair=kind, metric=metric, analytic=a, simulated=s, ci_halfwidth=halfwidth,
-                    ratio=s / a if a > 0 else math.nan, flag="",
-                ))
-        return cls(rows=rows)
-
-    def summary(self) -> str:
-        header = (
-            f"{'pair':<5} {'metric':<6} {'analytic':>14} {'simulated':>14} "
-            f"{'+/-95%':>12} {'sim/ana':>9} flag"
-        )
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(
-                f"{r.pair.value:<5} {r.metric:<6} {r.analytic:>14.6g} "
-                f"{r.simulated:>14.6g} {r.ci_halfwidth:>12.3g} {r.ratio:>9.4g} {r.flag}"
-            )
-        return "\n".join(lines) + "\n"
-

@@ -578,6 +578,22 @@ class TestEnvelope:
             assert all(math.isfinite(v) for v in values), m
             dataclasses.replace(m)  # re-runs the HandoverMetrics invariants
 
+    def test_subnormal_sigma_takes_the_small_sigma_limit(self):
+        # Below sigma ~ 1e-306 a = 1/(2 sigma sqrt(lam)) overflows, and at
+        # 5e-324 2 sigma sqrt(lam) underflows to 0; the hotspot tails take the
+        # sigma -> 0 limit that sigma = 1e-305 reaches inside marcum_q1.
+        def at(sigma):
+            return analytic_metrics(_envelope_config(2e-5, sigma, 60.0, 1.0, 4.0))
+
+        limit = at(1e-305)
+        sps, spm = limit[PairKind.SPS], limit[PairKind.SPM]
+        assert sps.handover_rate == sps.triggered_rate
+        assert sps.failure_rate == sps.pingpong_rate == 0.0
+        assert spm.handover_rate == spm.pingpong_rate == spm.triggered_rate
+        assert spm.failure_rate == 0.0
+        for sigma in (1e-307, 1e-320, 5e-324):
+            assert at(sigma) == limit, sigma
+
     def test_metrics_bits_pinned(self):
         for point, rows in ENVELOPE_PIN:
             with warnings.catch_warnings():

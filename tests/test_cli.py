@@ -759,6 +759,19 @@ def test_main_analyze_to_file(tmp_path, capsys):
     assert out_file.read_text(encoding="utf-8").startswith("# schema_version=1\n")
 
 
+def test_main_validate_delivers_csv_and_summary(tmp_path, capsys):
+    # With --out the file holds the CSV and stdout the summary, then the
+    # path; without it the CSV goes to stdout and the summary to stderr.
+    p = write(tmp_path, SMALL_INI + "[sweep]\naxis = sigma\nvalues = 100, 150\n")
+    csv_text, summary = cmd_validate(load_config(p))
+    out_file = tmp_path / "validate.csv"
+    assert main(["validate", "--config", str(p), "--out", str(out_file)]) == 0
+    assert out_file.read_text(encoding="utf-8") == csv_text
+    assert capsys.readouterr() == (f"{summary}wrote {out_file}\n", "")
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr() == (csv_text, summary)
+
+
 def test_main_overrides_seed_and_trials(tmp_path):
     p = write(tmp_path, SMALL_INI)
     out_a = tmp_path / "a.csv"
@@ -922,7 +935,7 @@ PACKAGE_ALL = [
     "ClusterConfig", "Region", "sample_ppp", "sample_tcp",
     "MobilityConfig", "Trajectory", "generate_trajectory", "mean_transition_length",
     "DegenerateBoundaryError", "TierRadioParams", "make_erb_pair",
-    "ComparisonTable", "EventCounts", "MetricsEstimate", "SimConfig", "analytic_metrics",
+    "EventCounts", "MetricsEstimate", "SimConfig", "analytic_metrics",
     "run_campaign", "run_trial", "summarize_trials",
     "marcum_q1", "__version__",
 ]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from hetnet_handover import simengine as se
 from hetnet_handover.analytics import HandoverMetrics, HandoverThresholds, PairKind
-from hetnet_handover.cli import ExperimentSpec, cmd_simulate
+from hetnet_handover.cli import ExperimentSpec, cmd_simulate, cmd_validate
 from hetnet_handover.fixtures import (
     default_hotspot_params,
     default_macro_params,
@@ -29,7 +29,6 @@ from hetnet_handover.mobility import generate_trajectory
 from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
 from hetnet_handover.simengine import (
     METRICS,
-    ComparisonTable,
     EventCounts,
     PairCounts,
     PairEstimate,
@@ -1237,8 +1236,6 @@ def test_summarize_scoped_counts_reports_only_the_counted_kinds():
     assert list(est.pairs) == list(est.counts.pairs) == [PairKind.SPM]
     assert est.pairs[PairKind.SPM].rates.triggered_rate == pytest.approx(0.04)
     assert est.counts.exposure_time == 200.0
-    rows = se.ComparisonTable.of(analytic_metrics(small_config()), est).rows
-    assert [(r.pair, r.metric) for r in rows] == [(PairKind.SPM, m) for m, _ in METRICS]
     with pytest.raises(ValueError, match="pair kinds"):
         summarize_trials([t, EventCounts(exposure_time=100.0)])
 
@@ -1446,20 +1443,25 @@ def test_analytic_metrics_structure():
 
 
 def test_compare_rows_cover_every_pair_and_metric():
+    # validate writes one record per pair and metric as a CSV row.
     cfg = small_config(n_trials=2, n_users=1, n_moves=10)
-    table = ComparisonTable.of(analytic_metrics(cfg), run_campaign(cfg))
-    assert len(table.rows) == 12
-    seen = [(r.pair, r.metric) for r in table.rows]
+    csv_text, summary = cmd_validate(ExperimentSpec(base=cfg))
+    header, *lines = csv_text.splitlines()[1:]
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 12
+    seen = [(r["pair"], r["metric"]) for r in rows]
     assert seen == [
-        (k, m)
+        (k.value, m)
         for k in (PairKind.SM, PairKind.SPS, PairKind.SPM)
         for m in ("H_t", "H", "H_f", "H_p")
     ]
-    for r in table.rows:
-        assert r.flag == ""  # no agreement criterion is defined yet
-        if r.analytic > 0 and not math.isnan(r.simulated):
-            assert r.ratio == pytest.approx(r.simulated / r.analytic)
+    for r in rows:
+        assert r["flag"] == ""  # no agreement criterion is defined yet
+        analytic, simulated = float(r["analytic"]), float(r["simulated"])
+        if analytic > 0 and not math.isnan(simulated):
+            assert float(r["ratio"]) == pytest.approx(simulated / analytic)
+        elif analytic <= 0:
+            assert math.isnan(float(r["ratio"]))
 
-    summary = table.summary()
     assert "pair" in summary and "sim/ana" in summary
 
