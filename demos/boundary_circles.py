@@ -17,7 +17,7 @@ from hetnet_handover.fixtures import (
     default_small_params,
     default_thresholds,
 )
-from hetnet_handover.radio import erb_pair_arrays
+from hetnet_handover.radio import boundary_factors, erb_circle_arrays
 
 
 def main() -> None:
@@ -38,7 +38,10 @@ def main() -> None:
     print("-" * len(header))
     for name, serving, target in pairs:
         for d in (100.0, 300.0, 1000.0):
-            h, f = erb_pair_arrays(serving, target, np.array([d]), np.zeros(1), q_out)
+            tx, ty = np.array([d]), np.zeros(1)
+            u, u_f = boundary_factors(serving, target, tx, ty, q_out)
+            norm = np.hypot(tx, ty)
+            h, f = erb_circle_arrays(tx, ty, norm, u), erb_circle_arrays(tx, ty, norm, u_f)
             # Near-side gap between the two boundaries along the approach axis.
             near_h = np.hypot(h.cx[0] - d, h.cy[0]) - h.radius[0]
             near_f = np.hypot(f.cx[0] - d, f.cy[0]) - f.radius[0]

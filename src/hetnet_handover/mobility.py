@@ -89,10 +89,17 @@ def generate_trajectory(
     ``random(n_moves)``, directions ``2 pi U``.  Each move is clamped to the
     region boundary along its ray; a degenerate one is redrawn by scalar
     draws in the same order.  Every waypoint lies inside the closed region
-    and differs from the one before.
+    and differs from the one before.  A region whose diagonal is at most
+    ``2 * _MIN_SEGMENT`` is refused: from any start the farthest corner is
+    half a diagonal away, so only a larger one lets every redraw end.
     """
     if n_moves < 1:
         raise ValueError(f"n_moves must be >= 1, got {n_moves}")
+    diagonal = math.hypot(region.width, region.height)
+    if diagonal <= 2.0 * _MIN_SEGMENT:
+        raise ValueError(
+            f"region diagonal {diagonal} m is too short for a move longer than {_MIN_SEGMENT} m"
+        )
     start_arr = np.asarray(start, dtype=float)
     if not bool(region.contains(start_arr)[0]):
         raise ValueError(f"start {start_arr} is outside the region")

@@ -19,18 +19,18 @@ the approximating circle is
     center = X / (1 - u),      radius = sqrt(u) * |X| / |1 - u|.
 
 ``u == 1`` means the boundary degenerates to the perpendicular bisector (no
-circle exists) and is treated as a hard error.  ``u > 1`` (target effectively
-stronger than serving) yields a circle that encloses the *serving* BS; the
-``encloses_serving`` flag records that orientation.
+circle exists).  ``u > 1`` (target effectively stronger than serving) yields a
+circle that encloses the *serving* BS, so the target area is not its interior.
 
 The handover-failure boundary is the same construction with
 ``u_f = lam * xi_f``, ``xi_f = xi * q_out^(2/alpha_j)`` for the outage offset
 ``q_out < 1``.
 
 `boundary_factors` is the one computation of ``u`` and ``u_f``, for many
-targets at once.  `erb_pair_arrays` builds their circles, as the simulator
-needs them; `make_erb_pair` gives the closed forms ``(u, u_f)`` of one pair
-as Python floats.
+targets at once, and `boundary_domain` the one rule that sets a pair aside
+(degenerate or enclosing) before either route uses it: the simulator builds
+`erb_circle_arrays` only for the pairs it keeps, and `make_erb_pair` gives
+the closed forms ``(u, u_f)`` of one pair as Python floats.
 """
 
 from __future__ import annotations
@@ -125,57 +125,40 @@ def boundary_factors(
     return lam * xi, lam * xi_f
 
 
-class CircleArrays(NamedTuple):
-    """Boundary circles of many pairs, centres in their serving-BS frames.
+def boundary_domain(u, u_f) -> tuple:
+    """``(degenerate, encloses)`` of the boundaries of factors ``u`` and
+    ``u_f`` (floats or arrays): the one rule that sets a pair aside.
 
-    Entries flagged ``degenerate`` (``|1 - u| < DEGENERACY_TOL``) have no
-    circle and hold meaningless values.
+    A pair is ``degenerate`` where either boundary is a bisector
+    (``|1 - u| < DEGENERACY_TOL``); otherwise it ``encloses`` the serving BS
+    where either factor exceeds 1.  Neither kind has a circle around the
+    target.
     """
+    degenerate = (abs(1.0 - u) < DEGENERACY_TOL) | (abs(1.0 - u_f) < DEGENERACY_TOL)
+    # ``^ True`` negates a bool and a bool array alike.
+    return degenerate, (degenerate ^ True) & ((u > 1.0) | (u_f > 1.0))
+
+
+class CircleArrays(NamedTuple):
+    """Boundary circles of many pairs, centres in their serving-BS frames."""
 
     cx: np.ndarray
     cy: np.ndarray
     radius: np.ndarray
-    degenerate: np.ndarray
-    encloses_serving: np.ndarray
 
 
 def erb_circle_arrays(
     tx: np.ndarray, ty: np.ndarray, norm: np.ndarray, u: np.ndarray
 ) -> CircleArrays:
     """The circular boundary approximation for targets at ``(tx, ty)``,
-    whose norm ``np.hypot(tx, ty)`` is ``norm``, with boundary factors ``u``.
+    whose norm ``np.hypot(tx, ty)`` is ``norm``, with boundary factors ``u``
+    that are not degenerate.
 
     ``center = X / (1 - u)`` and ``radius = sqrt(u) |X| / |1 - u|``.  This
     is the one implementation of the formula.
     """
     denom = 1.0 - u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return CircleArrays(
-            cx=tx / denom,
-            cy=ty / denom,
-            radius=np.sqrt(u) * norm / np.abs(denom),
-            degenerate=_degenerate(u),
-            encloses_serving=u > 1.0,
-        )
-
-
-def _degenerate(u):
-    """Whether the boundary of factor(s) ``u`` is a bisector."""
-    return abs(1.0 - u) < DEGENERACY_TOL
-
-
-def erb_pair_arrays(
-    serving: TierRadioParams,
-    target: TierRadioParams,
-    tx: np.ndarray,
-    ty: np.ndarray,
-    q_out_linear: float,
-) -> tuple:
-    """``(handover circles, failure circles)`` for targets at ``(tx, ty)``,
-    each in its serving-BS frame."""
-    u, u_f = boundary_factors(serving, target, tx, ty, q_out_linear)
-    norm = np.hypot(tx, ty)
-    return erb_circle_arrays(tx, ty, norm, u), erb_circle_arrays(tx, ty, norm, u_f)
+    return CircleArrays(tx / denom, ty / denom, np.sqrt(u) * norm / np.abs(denom))
 
 
 def make_erb_pair(
@@ -186,16 +169,15 @@ def make_erb_pair(
 ) -> tuple:
     """``(u, u_f)`` of :func:`boundary_factors` for one target BS at
     ``target_position`` (serving-BS frame), as Python floats: what the
-    closed forms read.  ``u > 1`` means the handover circle encloses the
-    serving BS.
+    closed forms read.
 
-    Raises :class:`DegenerateBoundaryError` when either boundary is a
-    bisector.
+    Raises :class:`DegenerateBoundaryError` where `boundary_domain` finds
+    the pair degenerate.
     """
     t = np.asarray(target_position, dtype=float)
     u, u_f = boundary_factors(serving, target, t[:1], t[1:2], q_out_linear)
     u, u_f = float(u[0]), float(u_f[0])
-    if _degenerate(u) or _degenerate(u_f):
+    if boundary_domain(u, u_f)[0]:
         raise DegenerateBoundaryError(
             "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
             "no circular approximation exists"

@@ -61,7 +61,8 @@ from .analytics import (
 )
 from .geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 from .mobility import MobilityConfig, generate_trajectory
-from .radio import DegenerateBoundaryError, TierRadioParams, erb_pair_arrays, make_erb_pair
+from .radio import (DegenerateBoundaryError, TierRadioParams, boundary_domain,
+                    boundary_factors, erb_circle_arrays, make_erb_pair)
 
 #: The three tiers, in the tie-break order of the strongest-RSS map (ties go
 #: to the earlier tier).  Each name is both the `SimConfig` attribute holding
@@ -352,30 +353,31 @@ def _build_circle_field(
         else:
             _, b = tree.query(target)
         serving_xy = tiers[s][b]
-        offset = target - serving_xy
-        h, f = erb_pair_arrays(
-            params[s], params[t], offset[:, 0], offset[:, 1], cfg.thresholds.q_out
-        )
+        sx, sy = serving_xy[:, 0], serving_xy[:, 1]
+        tx, ty = target[:, 0] - sx, target[:, 1] - sy
+        u, u_f = boundary_factors(params[s], params[t], tx, ty, cfg.thresholds.q_out)
         # Degenerate pairs (straight-line boundary) and pairs whose circle
-        # surrounds the serving BS are counted and dropped: the entry-event
-        # logic assumes the target area is the interior.
-        degenerate = h.degenerate | f.degenerate
-        enclosing = ~degenerate & (h.encloses_serving | f.encloses_serving)
+        # surrounds the serving BS are counted and dropped before any circle
+        # is built: the entry-event logic assumes the target area is the
+        # interior.
+        degenerate, enclosing = boundary_domain(u, u_f)
         pc.degenerate_skipped += int(np.count_nonzero(degenerate))
         pc.enclosing_skipped += int(np.count_nonzero(enclosing))
         keep = ~(degenerate | enclosing)
-        sx, sy = serving_xy[keep, 0], serving_xy[keep, 1]
-        n = int(np.count_nonzero(keep))
+        tx, ty, sx, sy, b = tx[keep], ty[keep], sx[keep], sy[keep], b[keep]
+        norm = np.hypot(tx, ty)
+        h = erb_circle_arrays(tx, ty, norm, u[keep])
+        f = erb_circle_arrays(tx, ty, norm, u_f[keep])
         blocks.append([
-            np.full(n, _KIND_ORDER.index(kind), dtype=np.intp),
-            sx + h.cx[keep],
-            sy + h.cy[keep],
-            h.radius[keep] * h.radius[keep],
-            sx + f.cx[keep],
-            sy + f.cy[keep],
-            f.radius[keep] * f.radius[keep],
-            np.full(n, s, dtype=np.intp),
-            b[keep],
+            np.full(len(tx), _KIND_ORDER.index(kind), dtype=np.intp),
+            sx + h.cx,
+            sy + h.cy,
+            h.radius * h.radius,
+            sx + f.cx,
+            sy + f.cy,
+            f.radius * f.radius,
+            np.full(len(tx), s, dtype=np.intp),
+            b,
         ])
     return _CircleField(*(np.concatenate(column) for column in zip(*blocks)))
 
@@ -857,9 +859,8 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
         )
     except DegenerateBoundaryError as exc:
         raise DegenerateBoundaryError(_pair_domain_message(kind, str(exc))) from exc
-    if u > 1.0:
-        # q_out < 1 puts the failure circle inside the handover circle, so
-        # this one check covers both.
+    if boundary_domain(u, u_f)[1]:
+        # q_out < 1 keeps u_f below u, so u is the factor that exceeds 1.
         raise ValueError(_pair_domain_message(
             kind,
             f"the handover circle at the mean pair distance encloses the serving "

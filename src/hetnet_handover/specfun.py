@@ -24,6 +24,9 @@ _SERIES_TOL = 1e-15
 #: For b >= a, Q1(a, b) <= exp(-(b - a)^2 / 2) (a Chernoff bound), which is
 #: below _SERIES_TOL once b - a exceeds this gap.
 _NEGLIGIBLE_GAP = math.sqrt(-2.0 * math.log(_SERIES_TOL))
+#: The windowed route is checked against 50-digit sums up to this ``a``;
+#: above it a ``b`` farther than _NEGLIGIBLE_GAP from ``a`` takes the limit.
+_WINDOW_CHECKED_A = 400.0
 #: Half-width of the large-a window in Poisson(x) standard deviations: the
 #: Poisson(x) mass outside [x - 10 sqrt(x), x + 10 sqrt(x) + 25] is below 1e-23
 #: for every x >= 400.
@@ -99,10 +102,11 @@ def _log_poisson_pmf(j: int, mean: float) -> float:
 
 
 def _route(a: float, b: float, x: float, y: float):
-    """``None`` where ``x`` or ``y`` overflows, else whether the j = 0 series
-    would start from a subnormal or zero pmf while ``Q1`` is not negligible
-    (the windowed route)."""
-    if max(x, y) == math.inf:
+    """``None`` (the limit) where ``x`` or ``y`` overflows, or where ``a``
+    exceeds _WINDOW_CHECKED_A and ``b`` is farther than _NEGLIGIBLE_GAP
+    from it; else whether the j = 0 series would start from a subnormal or
+    zero pmf while ``Q1`` is not negligible (the windowed route)."""
+    if max(x, y) == math.inf or (a > _WINDOW_CHECKED_A and abs(b - a) > _NEGLIGIBLE_GAP):
         return None
     return x > _SERIES_MAX_EXPONENT or (y > _SERIES_MAX_EXPONENT and b - a < _NEGLIGIBLE_GAP)
 
@@ -122,12 +126,12 @@ def _marcum_q1_lanes(a: float, bs: tuple, windowed: bool | None) -> list:
     :func:`_log_poisson_pmf` and ``P[Poisson(y) <= j0]`` from the regularized
     upper incomplete gamma function, and runs up to ``x + 10 sqrt(x) + 25``:
     O(sqrt(x)) terms.  It is taken only with ``x > 400``, so ``j0 >= 200``.
-    ``windowed`` is ``None`` where ``x`` or ``y`` overflows.
+    ``windowed`` is ``None`` on the limit route of :func:`_route`.
     """
     if windowed is None:
-        # a or b exceeds 1.3e154, whose ulp exceeds 1e138: either a == b, and
-        # Q1(a, a) tends to 1/2, or |a - b| is far above _NEGLIGIBLE_GAP, and
-        # the Chernoff bounds fix Q1 to 0 or 1 within 1e-15.
+        # Either |a - b| exceeds _NEGLIGIBLE_GAP, and the Chernoff bounds fix
+        # Q1 to 0 or 1 within 1e-15, or a or b exceeds 1.3e154, whose ulp
+        # exceeds 1e138, and a == b, where Q1(a, a) tends to 1/2.
         return [0.5 if a == b else 1.0 if a > b else 0.0 for b in bs]
     x = a * a / 2.0  # Poisson mean of the mixture index
     ys = [b * b / 2.0 for b in bs + bs[-1:] * (3 - len(bs))]
@@ -196,9 +200,11 @@ def marcum_q1(a: float, b):
     The series also stops once the Poisson(x) pmf has underflowed to 0,
     after which every term adds exactly 0: where rounding stalls the
     unaccumulated mass above 1e-15, it would otherwise run to ``j_max``,
-    which grows like ``b^2``.  Where ``a^2/2`` or ``b^2/2`` overflows,
-    ``Q1`` is its limit 0, 1 or 1/2 (``b > a``, ``a > b``, ``a == b``), which
-    the Chernoff bounds fix to within 1e-15.
+    which grows like ``b^2``.  Where ``a^2/2`` or ``b^2/2`` overflows, and
+    where ``a > 400`` and ``|b - a|`` exceeds ~8.3, ``Q1`` is its limit 0, 1
+    or 1/2 (``b > a``, ``a > b``, ``a == b``), which the Chernoff bounds fix
+    to within 1e-15.  Only ``b`` within ~8.3 of a large ``a`` still takes
+    O(a) work.
 
     ``a`` is a float.  A float ``b`` returns a float; a tuple of ``b``
     returns a tuple: up to three ``b`` of one route share one Poisson(x)

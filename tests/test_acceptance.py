@@ -39,7 +39,7 @@ from hetnet_handover.mobility import (
     MobilityConfig,
     generate_trajectory,
 )
-from hetnet_handover.radio import TierRadioParams, boundary_factors, erb_pair_arrays
+from hetnet_handover.radio import TierRadioParams, boundary_factors, erb_circle_arrays
 from hetnet_handover.simengine import analytic_metrics, run_campaign
 from hetnet_handover.specfun import marcum_q1
 
@@ -107,7 +107,9 @@ def test_equal_exponent_boundary_is_exact():
         target, pathloss_exponent=serving.pathloss_exponent
     )
     target_xy = np.array([800.0, 600.0])
-    circle = erb_pair_arrays(serving, target, target_xy[:1], target_xy[1:], 0.5)[0]
+    tx, ty = target_xy[:1], target_xy[1:]
+    u, _ = boundary_factors(serving, target, tx, ty, 0.5)
+    circle = erb_circle_arrays(tx, ty, np.hypot(tx, ty), u)
     theta = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     pts = np.array([circle.cx[0], circle.cy[0]]) + circle.radius[0] * np.column_stack(
         (np.cos(theta), np.sin(theta))

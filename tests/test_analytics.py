@@ -581,7 +581,9 @@ class TestEnvelope:
     def test_subnormal_sigma_takes_the_small_sigma_limit(self):
         # Below sigma ~ 1e-306 a = 1/(2 sigma sqrt(lam)) overflows, and at
         # 5e-324 2 sigma sqrt(lam) underflows to 0; the hotspot tails take the
-        # sigma -> 0 limit that sigma = 1e-305 reaches inside marcum_q1.
+        # sigma -> 0 limit that sigma = 1e-305 reaches inside marcum_q1.  At
+        # 1e-10 and 1e-6 (a above 400, every b far from it) marcum_q1 takes
+        # that limit too, with no O(a) window.
         def at(sigma):
             return analytic_metrics(_envelope_config(2e-5, sigma, 60.0, 1.0, 4.0))
 
@@ -591,7 +593,7 @@ class TestEnvelope:
         assert sps.failure_rate == sps.pingpong_rate == 0.0
         assert spm.handover_rate == spm.pingpong_rate == spm.triggered_rate
         assert spm.failure_rate == 0.0
-        for sigma in (1e-307, 1e-320, 5e-324):
+        for sigma in (1e-6, 1e-10, 1e-307, 1e-320, 5e-324):
             assert at(sigma) == limit, sigma
 
     def test_metrics_bits_pinned(self):

@@ -162,6 +162,21 @@ class TestNextWaypoint:
         assert np.all(REGION.contains(traj.waypoints))
         assert np.all(_legs(traj) > 0)
 
+    def test_region_without_a_long_enough_move_refused(self):
+        # Every point of a 5e-10 m square is within 1e-9 m of every other,
+        # so no redraw could ever produce a move.
+        tiny = Region(0.0, 5e-10, 0.0, 5e-10)
+        with pytest.raises(ValueError, match="too short for a move"):
+            generate_trajectory(np.array([0.0, 0.0]), 1, tiny, _cfg(), np.random.default_rng(1))
+
+    def test_smallest_walkable_region_walks(self):
+        # A diagonal above 2e-9 m puts a corner more than 1e-9 m from any start.
+        square = Region(0.0, 1.5e-9, 0.0, 1.5e-9)
+        start = np.array([0.75e-9, 0.75e-9])
+        traj = generate_trajectory(start, 20, square, _cfg(), np.random.default_rng(2))
+        assert np.all(square.contains(traj.waypoints))
+        assert np.all(_legs(traj) > 1e-9)
+
     def test_outside_current_rejected(self):
         rng = np.random.default_rng(3)
         for outside in ([-1.0, 2500.0], [2500.0, 5000.5]):

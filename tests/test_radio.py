@@ -17,9 +17,9 @@ from hetnet_handover.radio import (
     CircleArrays,
     DegenerateBoundaryError,
     TierRadioParams,
+    boundary_domain,
     boundary_factors,
     erb_circle_arrays,
-    erb_pair_arrays,
     make_erb_pair,
 )
 
@@ -120,8 +120,18 @@ def _rss(tier: TierRadioParams, distance: np.ndarray) -> np.ndarray:
 
 def _circles(serving, target, pos, q_out) -> tuple:
     """Handover and failure circles of one target at ``pos``, from the
-    simulator's kernel."""
-    return erb_pair_arrays(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
+    simulator's factors and circle formula."""
+    tx, ty = np.array(pos[:1]), np.array(pos[1:])
+    u, u_f = boundary_factors(serving, target, tx, ty, q_out)
+    norm = np.hypot(tx, ty)
+    return erb_circle_arrays(tx, ty, norm, u), erb_circle_arrays(tx, ty, norm, u_f)
+
+
+def _domain(serving, target, pos, q_out) -> tuple:
+    """``(degenerate, encloses)`` of one target at ``pos``, as the simulator
+    decides it: `boundary_domain` over the arrays of `boundary_factors`."""
+    u, u_f = boundary_factors(serving, target, np.array(pos[:1]), np.array(pos[1:]), q_out)
+    return tuple(bool(flag[0]) for flag in boundary_domain(u, u_f))
 
 
 def _circle(pos, u: float) -> CircleArrays:
@@ -138,6 +148,31 @@ def _boundary_points(c: CircleArrays, n: int = 360) -> np.ndarray:
     return np.array([c.cx[0], c.cy[0]]) + c.radius[0] * np.stack(
         [np.cos(ang), np.sin(ang)], axis=1
     )
+
+
+#: ``(u, u_f, degenerate, encloses)``: each side of DEGENERACY_TOL = 1e-12, a
+#: degenerate failure boundary, a failure factor above 1, and a degenerate
+#: failure boundary behind an enclosing handover circle (degenerate only).
+DOMAIN_TABLE = (
+    (0.5, 0.25, False, False),
+    (1.0 - 0.5e-12, 0.5, True, False),
+    (1.0 + 0.5e-12, 0.5, True, False),
+    (1.0 - 2e-12, 0.5, False, False),
+    (1.0 + 2e-12, 0.5, False, True),
+    (0.5, 1.0, True, False),
+    (0.5, 1.5, False, True),
+    (2.0, 1.0 + 0.5e-12, True, False),
+    (2.0, 0.5, False, True),
+)
+
+
+def test_boundary_domain_table():
+    for u, u_f, degenerate, encloses in DOMAIN_TABLE:
+        assert boundary_domain(u, u_f) == (degenerate, encloses), (u, u_f)
+    # The same rule over arrays, as the simulator applies it.
+    u, u_f, degenerate, encloses = (np.array(column) for column in zip(*DOMAIN_TABLE))
+    got = boundary_domain(u, u_f)
+    assert np.array_equal(got[0], degenerate) and np.array_equal(got[1], encloses)
 
 
 class TestErbCircle:
@@ -163,19 +198,19 @@ class TestErbCircle:
 
     def test_weaker_target_circle_covers_target_not_serving(self):
         c, _ = _circles(_tier(30.0, 3.67), _tier(24.0, 3.67), (300.0, 0.0), 0.5)
-        assert not c.encloses_serving[0]
+        assert _domain(_tier(30.0, 3.67), _tier(24.0, 3.67), (300.0, 0.0), 0.5) == (False, False)
         assert _contains(c, (300.0, 0.0))
         assert not _contains(c, (0.0, 0.0))
 
     def test_stronger_target_circle_encloses_serving(self):
         c, _ = _circles(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5)
-        assert c.encloses_serving[0]
+        assert _domain(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5) == (False, True)
         assert _contains(c, (0.0, 0.0))
         assert not _contains(c, (300.0, 0.0))
 
     def test_degenerate_equal_parameters(self):
         t = _tier(30.0, 3.67)
-        assert _circle((100.0, 0.0), u=1.0).degenerate[0]
+        assert _domain(t, t, (100.0, 0.0), 0.5) == (True, False)
         with pytest.raises(DegenerateBoundaryError):
             make_erb_pair(t, t, np.array([100.0, 0.0]), 0.5)
 
@@ -184,6 +219,11 @@ class TestErbCircle:
         # (xi_f = 1 up to rounding) is a bisector, the handover circle is not.
         with pytest.raises(DegenerateBoundaryError):
             make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 10.0 ** -0.3)
+        # The handover circle encloses the serving BS too, but the pair
+        # counts as degenerate only.
+        assert _domain(_tier(30.0, 3.67), _tier(33.0, 3.67), (100.0, 0.0), 10.0 ** -0.3) == (
+            True, False,
+        )
         u, _ = make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 0.4)
         assert u > 1.0
 
@@ -224,11 +264,12 @@ class TestErbCircle:
         assert np.max(np.abs(rss_s - rss_t) / rss_s) < 1e-7
 
 
-#: ``make_erb_pair`` and the circles of ``erb_pair_arrays`` for the default
-#: SM, SpS and SpM tiers at q_out = -3 dB, recorded before the factors moved
-#: to Python floats: (pair, target position, float.hex of (xi, xi_f,
+#: ``make_erb_pair`` and the simulator's handover and failure circles for the
+#: default SM, SpS and SpM tiers at q_out = -3 dB, recorded before the factors
+#: moved to Python floats: (pair, target position, float.hex of (xi, xi_f,
 #: lam_star, handover centre x and y, handover radius, failure centre x and
-#: y, failure radius), handover and failure ``encloses_serving``).
+#: y, failure radius), whether the handover and the failure circle enclose
+#: the serving BS).
 ERB_PIN = (
     ("SM", (1.0, 0.0), ("0x1.588bff35df782p-7", "0x1.d8ec52651e72dp-8", "0x1.0000000000000p+0", "0x1.02b86a9690acbp+0", "0x0.0p+0", "0x1.a87905299f151p-4", "0x1.01dc5c545f1d5p+0", "0x0.0p+0", "0x1.5e7a555af487dp-4"), False, False),
     ("SM", (37.5, 0.0), ("0x1.588bff35df782p-7", "0x1.d8ec52651e72dp-8", "0x1.31cd53e909d31p+0", "0x1.2fd0e602227c2p+5", "0x0.0p+0", "0x1.10654456fbdacp+2", "0x1.2e9bc7315ea72p+5", "0x0.0p+0", "0x1.c1872484be51bp+1"), False, False),
@@ -283,16 +324,15 @@ class TestErbPair:
             h, f = _circles(*tiers[pair], pos, q_out)
             got = (h.cx[0], h.cy[0], h.radius[0], f.cx[0], f.cy[0], f.radius[0])
             assert tuple(float(v).hex() for v in got) == values[3:], (pair, pos)
-            assert (h.encloses_serving[0], f.encloses_serving[0]) == (h_encloses, f_encloses)
-            assert (u > 1.0) == h.encloses_serving[0]
+            assert (u > 1.0, u_f > 1.0) == (h_encloses, f_encloses)
+            assert _domain(*tiers[pair], pos, q_out) == (False, h_encloses or f_encloses)
 
     def test_stronger_target_flags_enclosure_without_building_circles(self):
         u, _ = make_erb_pair(
             _tier(24.0, 3.67), _tier(30.0, 3.67), np.array([300.0, 0.0]), 0.5
         )
         assert u > 1.0
-        h, _ = _circles(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5)
-        assert h.encloses_serving[0]
+        assert _domain(_tier(24.0, 3.67), _tier(30.0, 3.67), (300.0, 0.0), 0.5) == (False, True)
 
     def test_unequal_exponents_use_distance_factor(self):
         macro = default_macro_params()
@@ -325,14 +365,15 @@ class TestErbPair:
         if math.hypot(x, y) < 1.0:
             return
         serving, target = _tier(p_serving, a_serving), _tier(p_target, a_target)
-        h, f = _circles(serving, target, (x, y), q_out)
-        if h.degenerate[0] or f.degenerate[0]:
+        degenerate, encloses = _domain(serving, target, (x, y), q_out)
+        if degenerate:
             with pytest.raises(DegenerateBoundaryError):
                 make_erb_pair(serving, target, np.array([x, y]), q_out)
             return
         u, u_f = make_erb_pair(serving, target, np.array([x, y]), q_out)
         assert (u.hex(), u_f.hex()) == tuple(v.hex() for v in _factors(serving, target, (x, y), q_out))
-        assert (u > 1.0) == h.encloses_serving[0]
+        assert boundary_domain(u, u_f) == (False, encloses)
+        assert encloses == (u > 1.0)
 
 
 class TestServingBs:

@@ -26,7 +26,12 @@ from hetnet_handover.fixtures import (
 )
 from hetnet_handover.geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 from hetnet_handover.mobility import generate_trajectory
-from hetnet_handover.radio import DegenerateBoundaryError, erb_pair_arrays
+from hetnet_handover.radio import (
+    DegenerateBoundaryError,
+    boundary_domain,
+    boundary_factors,
+    erb_circle_arrays,
+)
 from hetnet_handover.simengine import (
     METRICS,
     EventCounts,
@@ -1076,8 +1081,9 @@ def sampled_deployment(cfg: SimConfig, trial_index: int) -> tuple:
 
 
 def per_pair_field(cfg, macro, small, parents, hotspot, parent_index) -> tuple:
-    """Field columns and skip counts from one ``erb_pair_arrays`` call per pair,
-    serving BSs found by brute-force nearest neighbour."""
+    """Field columns and skip counts from one pair at a time, serving BSs
+    found by brute-force nearest neighbour: `boundary_factors`, then
+    `boundary_domain`, then the circle formula of a kept pair."""
 
     def nearest(points, queries):
         d2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
@@ -1102,13 +1108,17 @@ def per_pair_field(cfg, macro, small, parents, hotspot, parent_index) -> tuple:
     for kind_pos, sp, tp, sxy, txy, tier_pos, b in jobs:
         kind = se._KIND_ORDER[kind_pos]
         d = txy - sxy
-        h, f = erb_pair_arrays(sp, tp, d[:1], d[1:], cfg.thresholds.q_out)
-        if h.degenerate[0] or f.degenerate[0]:
+        u, u_f = boundary_factors(sp, tp, d[:1], d[1:], cfg.thresholds.q_out)
+        degenerate, encloses = boundary_domain(u, u_f)
+        if degenerate[0]:
             skipped[kind][0] += 1
             continue
-        if h.encloses_serving[0] or f.encloses_serving[0]:
+        if encloses[0]:
             skipped[kind][1] += 1
             continue
+        norm = np.hypot(d[:1], d[1:])
+        h = erb_circle_arrays(d[:1], d[1:], norm, u)
+        f = erb_circle_arrays(d[:1], d[1:], norm, u_f)
         rows.append((kind_pos, sxy[0] + h.cx[0], sxy[1] + h.cy[0],
                      h.radius[0] * h.radius[0], sxy[0] + f.cx[0], sxy[1] + f.cy[0],
                      f.radius[0] * f.radius[0], tier_pos, b))
@@ -1138,6 +1148,9 @@ def _field_configs():
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
+# The hotspot-as-small and hotspot-as-macro cases drop every kind of pair: no
+# circle formula may meet a degenerate factor on either side.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("label,cfg,index", _field_configs())
 def test_circle_field_matches_per_pair_construction(label, cfg, index):
     deployment = sampled_deployment(cfg, index)

@@ -160,6 +160,13 @@ class TestMarcumQ1:
         assert marcum_q1(1e155, 1e155) == 0.5
         assert marcum_q1(1e300, (1e300, 5.0, 1e301)) == (0.5, 1.0, 0.0)
         assert marcum_q1(1.0, sys.float_info.max) == 0.0
+        # Above a = 400, b farther than ~8.3 from a: the same limits, within
+        # 1e-15 of the 50-digit value, and with no O(a) window at a = 1e12.
+        for a in (400.5, 1e4, 1e12):
+            assert marcum_q1(a, (a - 9.0, a + 9.0, 0.0)) == (1.0, 0.0, 1.0), a
+        for b, limit in ((391.5, 1.0), (409.5, 0.0)):
+            assert marcum_q1(400.5, b) == limit
+            assert marcum_q1_mpmath(400.5, b) == pytest.approx(limit, rel=0.0, abs=1e-15)
 
     def test_invalid_inputs_rejected(self):
         for a, b in ((-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)):
