@@ -9,13 +9,15 @@ the static circle field.  A trial that counts one pair kind builds and walks
 only that kind's circles; the strongest-RSS association still sees every
 tier.  Each leg is measured once; a user's exposure is their clock's end time.
 Segment-circle intersections are solved in closed form (quadratic roots), so
-event times carry no time-step discretization error.  Per user, a bounding-box
-test picks the (segment, circle) pairs worth solving.  Consecutive users
-whose pairs fit a fixed budget share one event table, which holds their
-crossings grouped by circle and user and time-ordered within each.  The
-state machine below is evaluated on that table with array operations: which
-events change a circle's inside state, where each residence starts and ends,
-and which failure-circle entry falls inside it.
+event times carry no time-step discretization error.  A bounding-box test
+picks the (segment, circle) pairs worth solving, in blocks of legs sized by
+the field: whole users per block when their overlap mask fits a fixed
+budget, 32 legs of one user otherwise.  Consecutive users whose pairs fit a
+second budget share one event table, which holds their crossings grouped by
+circle and user and time-ordered within each.  The state machine below is
+evaluated on that table with array operations: which events change a
+circle's inside state, where each residence starts and ends, and which
+failure-circle entry falls inside it.
 
 Events, per boundary circle:
 
@@ -101,6 +103,10 @@ _PAIR_TIERS = {
 
 _KIND_ORDER = tuple(_PAIR_TIERS)
 
+#: Standard deviations that bound a hotspot offset in `SimConfig`'s
+#: float-range check; no standard-normal draw comes near it.
+_OFFSET_SIGMAS = 64.0
+
 
 def _scope(kinds) -> tuple:
     """``kinds`` in `_KIND_ORDER` order; refuses an empty or unknown kind."""
@@ -146,6 +152,25 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        mob, sigma = self.mobility, self.cluster.sigma
+        diagonal = math.hypot(self.region.width, self.region.height)
+        # No leg is longer than the diagonal, and a campaign's exposure sums
+        # every user's walk clock of every trial.
+        legs = self.n_trials * self.n_users * self.n_moves
+        if not math.isfinite(legs * (diagonal / mob.velocity + mob.pause)):
+            raise ValueError(
+                f"[mobility] velocity_mps = {mob.velocity!r} and pause_s = {mob.pause!r}: the "
+                "worst-case exposure n_trials * n_users * n_moves * (diagonal / velocity_mps "
+                "+ pause_s) is not finite"
+            )
+        # A target-serving offset spans at most the region and two hotspot
+        # offsets per axis, and the circle field squares it.
+        reach = diagonal + 2.0 * _OFFSET_SIGMAS * sigma
+        if not math.isfinite(2.0 * reach * reach):
+            raise ValueError(
+                f"[deployment] sigma_m = {sigma!r}: hotspot offsets of up to "
+                f"{_OFFSET_SIGMAS:g} sigma overflow when squared"
+            )
 
     @classmethod
     def with_default_ratios(
@@ -404,8 +429,11 @@ _EV_H_IN, _EV_F_IN, _EV_F_OUT, _EV_H_OUT = 0, 1, 2, 3
 #: boundary before asking which BS is strongest there.
 _EXIT_NUDGE = 1e-6
 
-#: Segments per broad-phase block: a block's (segment x circle) overlap mask
-#: holds at most this many bytes per circle, whatever the trajectory length.
+#: Overlap-mask elements (leg x circle) per broad-phase block of whole users.
+_BROAD_BUDGET = 32768
+
+#: Legs per broad-phase block of a field too large for one whole user: the
+#: block's overlap mask holds at most this many bytes per circle.
 _BROAD_CHUNK = 32
 
 #: Broad-phase candidates per event table: consecutive users are walked as
@@ -442,53 +470,65 @@ def _segments(waypoints: np.ndarray) -> _Segments:
     return _Segments(x0, y0, dx / length, dy / length, length)
 
 
-def _candidate_pairs(wp: np.ndarray, fld: _CircleField) -> tuple:
-    """``(segment, circle)`` index arrays of the pairs whose boxes overlap.
-
-    Segments go in blocks of ``_BROAD_CHUNK``: circles are first tested
-    against the box of the whole block, then the block's segments against
-    the circles that pass.
-    """
-    x0, y0, x1, y1 = wp[:-1, 0], wp[:-1, 1], wp[1:, 0], wp[1:, 1]
-    slack = _BOX_SLACK * float(np.max(np.abs(wp[:, 0]) + np.abs(wp[:, 1])))
-    sx_lo, sx_hi = np.minimum(x0, x1) - slack, np.maximum(x0, x1) + slack
-    sy_lo, sy_hi = np.minimum(y0, y1) - slack, np.maximum(y0, y1) + slack
-    x_lo, x_hi, y_lo, y_hi = fld.boxes
-    segs, circles = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, len(sx_lo), _BROAD_CHUNK):
-        blk = slice(lo, lo + _BROAD_CHUNK)
-        near = x_lo <= sx_hi[blk].max()
-        near &= x_hi >= sx_lo[blk].min()
-        near &= y_lo <= sy_hi[blk].max()
-        near &= y_hi >= sy_lo[blk].min()
-        near = np.flatnonzero(near)
-        hit = sx_hi[blk, None] >= x_lo[near]
-        hit &= sx_lo[blk, None] <= x_hi[near]
-        hit &= sy_hi[blk, None] >= y_lo[near]
-        hit &= sy_lo[blk, None] <= y_hi[near]
-        seg, j = np.divmod(np.flatnonzero(hit), len(near))
-        segs.append(seg + lo)
-        circles.append(near[j])
-    return np.concatenate(segs), np.concatenate(circles)
-
-
 def _candidate_groups(waypoints: np.ndarray, fld: _CircleField):
     """Broad-phase ``(leg, circle)`` candidates of consecutive users of the
-    waypoint block, one group at a time.
+    waypoint block, one group at a time: the pairs whose boxes overlap, by
+    leg and then by circle.
+
+    Users go in spans of k when k >= 1 whole users fit `_BROAD_BUDGET` mask
+    elements (``fld.n * n_moves * k``), and one at a time otherwise.  The
+    leg boxes of a span are built at once, each with a slack of
+    ``_BOX_SLACK`` times its user's coordinate scale.  A span's legs go in
+    blocks: circles are first tested against the box of the whole block,
+    then the block's legs against the circles that pass.  A block is the
+    whole span of k users, or `_BROAD_CHUNK` legs of the one user; the
+    candidates are the same either way.
 
     A group holds at most `_WALK_BUDGET` candidates unless one user alone
-    has more; a user is never split.
+    has more; a user is never split.  A group is yielded once its users'
+    span is done.
     """
-    n_moves = waypoints.shape[1] - 1
+    n_users, n_moves = waypoints.shape[0], waypoints.shape[1] - 1
+    x_lo, x_hi, y_lo, y_hi = fld.boxes
+    users = _BROAD_BUDGET // (fld.n * n_moves)
+    span = max(users, 1)
+    step = span * n_moves if users else _BROAD_CHUNK
     legs, circles, size = [], [], 0
-    for u, wp in enumerate(waypoints):
-        k, i = _candidate_pairs(wp, fld)
-        if legs and size + len(k) > _WALK_BUDGET:
-            yield np.concatenate(legs), np.concatenate(circles)
-            legs, circles, size = [], [], 0
-        legs.append(k + u * n_moves)
-        circles.append(i)
-        size += len(k)
+    for first in range(0, n_users, span):
+        x, y = waypoints[first:first + span, :, 0], waypoints[first:first + span, :, 1]
+        slack = _BOX_SLACK * np.max(np.abs(x) + np.abs(y), axis=1, keepdims=True)
+        sx_lo = (np.minimum(x[:, :-1], x[:, 1:]) - slack).ravel()
+        sx_hi = (np.maximum(x[:, :-1], x[:, 1:]) + slack).ravel()
+        sy_lo = (np.minimum(y[:, :-1], y[:, 1:]) - slack).ravel()
+        sy_hi = (np.maximum(y[:, :-1], y[:, 1:]) + slack).ravel()
+        segs, hits = [], []
+        for lo in range(0, len(sx_lo), step):
+            blk = slice(lo, lo + step)
+            near = x_lo <= sx_hi[blk].max()
+            near &= x_hi >= sx_lo[blk].min()
+            near &= y_lo <= sy_hi[blk].max()
+            near &= y_hi >= sy_lo[blk].min()
+            near = np.flatnonzero(near)
+            hit = sx_hi[blk, None] >= x_lo[near]
+            hit &= sx_lo[blk, None] <= x_hi[near]
+            hit &= sy_hi[blk, None] >= y_lo[near]
+            hit &= sy_lo[blk, None] <= y_hi[near]
+            seg, j = np.divmod(np.flatnonzero(hit), len(near))
+            seg += lo + first * n_moves
+            segs.append(seg)
+            hits.append(near[j])
+        leg, circle = np.concatenate(segs), np.concatenate(hits)
+        # Freed before the caller walks a group: only the candidates stay.
+        del sx_lo, sx_hi, sy_lo, sy_hi, segs, hits, hit, near, seg, j
+        # The span's users, in order, each with its candidates leg[a:b].
+        cut = np.searchsorted(leg, np.arange(first, first + len(x) + 1) * n_moves).tolist()
+        for u, a, b in zip(itertools.count(first), cut, cut[1:]):
+            if u and size + b - a > _WALK_BUDGET:
+                yield np.concatenate(legs), np.concatenate(circles)
+                legs, circles, size = [], [], 0
+            legs.append(leg[a:b])
+            circles.append(circle[a:b])
+            size += b - a
     yield np.concatenate(legs), np.concatenate(circles)
 
 

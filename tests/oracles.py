@@ -367,6 +367,21 @@ def crossing_events_lexsort(segs, leg, circle, fld) -> tuple:
     return circle[order], leg[order], arclength[order], code[order]
 
 
+def candidate_pairs_brute(wp, fld) -> tuple:
+    """`simengine._candidate_groups`' broad phase for one user's
+    ``(n_moves + 1, 2)`` waypoints: every leg's box against every box of
+    ``fld`` in one full mask.  Returns the ``(leg, circle)`` index arrays of
+    the overlapping pairs, by leg and then by circle."""
+    x, y = wp[:, 0], wp[:, 1]
+    slack = se._BOX_SLACK * float(np.max(np.abs(x) + np.abs(y)))
+    x_lo, x_hi, y_lo, y_hi = fld.boxes
+    hit = (np.maximum(x[:-1], x[1:]) + slack)[:, None] >= x_lo
+    hit &= (np.minimum(x[:-1], x[1:]) - slack)[:, None] <= x_hi
+    hit &= (np.maximum(y[:-1], y[1:]) + slack)[:, None] >= y_lo
+    hit &= (np.minimum(y[:-1], y[1:]) - slack)[:, None] <= y_hi
+    return np.nonzero(hit)
+
+
 def walk_trajectory_loop(wp, velocity, pause, fld, smap, thresholds, counts) -> None:
     """`simengine._walk_trajectories` for one user's ``(n_moves + 1, 2)``
     waypoints, as an event-by-event loop over the user's lexsorted event
@@ -382,7 +397,7 @@ def walk_trajectory_loop(wp, velocity, pause, fld, smap, thresholds, counts) -> 
     kind = fld.kind_index.tolist()
 
     segs = se._segments(wp[None])
-    events = crossing_events_lexsort(segs, *se._candidate_pairs(wp, fld), fld)
+    events = crossing_events_lexsort(segs, *candidate_pairs_brute(wp, fld), fld)
     x0, y0, ux, uy, length = (a.tolist() for a in segs)
     t_base = list(
         itertools.accumulate((ln / velocity + pause for ln in length), initial=0.0)

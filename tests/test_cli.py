@@ -522,7 +522,9 @@ ERROR_TEXT = {
 #: their section and key; they used to raise a bare ``OverflowError`` or load.
 #: A tier whose linear prefactor overflows or underflows and a region whose
 #: area overflows are refused by their section; they used to raise a bare
-#: ``OverflowError`` or ``ZeroDivisionError``, or print nan.
+#: ``OverflowError`` or ``ZeroDivisionError``, or print nan.  An exposure or
+#: hotspot offsets that overflow are refused by the keys that set them; they
+#: used to print an infinite exposure or overflow in the circle field.
 CHANGED_ERROR_TEXT = {
     'tier_prefactor_overflows': (
         '[macro]\ntx_power_dbm = 5000\n',
@@ -583,6 +585,14 @@ CHANGED_ERROR_TEXT = {
     'deployment_lambda_s_negative': (
         '[deployment]\nlambda_s_per_m2 = -1e-5\n',
         'invalid config:\n  lambda_s must be positive, got -1e-05',
+    ),
+    'exposure_overflows': (
+        '[mobility]\npause_s = 1e308\n',
+        "invalid config:\n  [mobility] velocity_mps = 16.666666666666668 and pause_s = 1e+308: the worst-case exposure n_trials * n_users * n_moves * (diagonal / velocity_mps + pause_s) is not finite",
+    ),
+    'hotspot_offsets_overflow': (
+        '[deployment]\nsigma_m = 1e300\n',
+        "invalid config:\n  [deployment] sigma_m = 1e+300: hotspot offsets of up to 64 sigma overflow when squared",
     ),
     'deployment_lambda_s_negative_p_given': (
         '[deployment]\nlambda_s_per_m2 = -1e-5\nlambda_p_per_m2 = 1e-6\n',

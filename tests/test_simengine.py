@@ -5,6 +5,7 @@ so every expected count can be derived with pencil and paper.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from hetnet_handover.simengine import (
 )
 
 from oracles import (
+    candidate_pairs_brute,
     crossing_events_lexsort,
     fresh_python,
     pin,
@@ -126,7 +128,8 @@ def kernel_crossings(p0, p1, center, radius):
     fld = one_circle_field(center, r_h=radius, r_f=radius / 2.0)
     wp = np.array([p0, p1], dtype=float)
     segs = se._segments(wp[None])
-    circle, segment, s, code = se._crossing_events(segs, *se._candidate_pairs(wp, fld), fld)
+    leg, circle = next(se._candidate_groups(wp[None], fld))
+    circle, segment, s, code = se._crossing_events(segs, leg, circle, fld)
     assert np.all(circle == 0) and np.all(segment == 0)
     length = float(segs.length[0])
     s_in = s[code == se._EV_H_IN].tolist()
@@ -488,12 +491,82 @@ def test_walk_box_overlap_without_crossing_gives_no_events():
     # lets the pair through and the root solve rejects it.
     wp = np.array([[80.0, 200.0], [200.0, 80.0]])
     fld = one_circle_field()
-    seg, circle = se._candidate_pairs(wp, fld)
+    seg, circle = next(se._candidate_groups(wp[None], fld))
     assert (seg.tolist(), circle.tolist()) == ([0], [0])
     assert all(len(a) == 0 for a in se._crossing_events(se._segments(wp[None]), seg, circle, fld))
     th = HandoverThresholds(t_threshold=1.0, t_pingpong=4.0, q_out=0.5)
     counts = walk(wp, th)
     assert counts.pairs[PairKind.SM] == PairCounts()
+
+
+def random_field(rng, n) -> se._CircleField:
+    """``n`` circle pairs scattered over a 600 m square, each failure circle
+    inside its handover circle."""
+    cx, cy = rng.uniform(-300.0, 300.0, (2, n))
+    r_h = rng.uniform(5.0, 80.0, n)
+    return se._CircleField(
+        kind_index=np.zeros(n, dtype=np.intp),
+        cx_h=cx, cy_h=cy, r2_h=r_h**2,
+        cx_f=cx + 0.2 * r_h, cy_f=cy, r2_f=(0.5 * r_h) ** 2,
+        serving_tier=np.zeros(n, dtype=np.intp), serving_idx=np.zeros(n, dtype=np.intp),
+    )
+
+
+@pytest.mark.parametrize("n_circles", [1, 7])
+@pytest.mark.parametrize("walk_budget", [1, 10**9])
+@pytest.mark.parametrize(
+    "users_per_block", ["chunk", "chunk at boundary", 1, "1 at boundary", 2, "all"]
+)
+def test_candidate_groups_match_brute_force(monkeypatch, n_circles, walk_budget, users_per_block):
+    # Five users of 40 legs (two 32-leg blocks each); user 2 walks far from
+    # every circle and has no candidates.  User 0's first leg stops 1 mm
+    # short of circle 0's box: outside its own slack, inside the slack that
+    # user 2's coordinates would give.  The broad-phase budget is set
+    # relative to the field's mask per user, fld.n * n_moves: a budget of
+    # exactly k such masks gives blocks of k whole users, one element less
+    # gives k - 1 (32-leg blocks at k = 1).  Each setting must give the
+    # brute-force candidates of every user, array for array.
+    rng = np.random.default_rng(26)
+    fld = random_field(rng, n_circles)
+    waypoints = rng.uniform(-320.0, 320.0, (5, 41, 2))
+    waypoints[2] += 5000.0
+    x_lo, _, y_lo, y_hi = fld.boxes
+    waypoints[0, :2] = [[x_lo[0] - 50.0, (y_lo[0] + y_hi[0]) / 2]] * 2
+    waypoints[0, 1, 0] = x_lo[0] - 1e-3
+    n_users, n_moves = waypoints.shape[0], waypoints.shape[1] - 1
+    mask = fld.n * n_moves
+    budget, blocks = {
+        "chunk": (0, 2 * n_users),
+        "chunk at boundary": (mask - 1, 2 * n_users),
+        1: (2 * mask - 1, n_users),
+        "1 at boundary": (mask, n_users),
+        2: (2 * mask, 3),
+        "all": (10**9, 1),
+    }[users_per_block]
+    widths = []
+    divmod_ = np.divmod  # called once per block
+    monkeypatch.setattr(se, "_BROAD_BUDGET", budget)
+    monkeypatch.setattr(se, "_WALK_BUDGET", walk_budget)
+    monkeypatch.setattr(se.np, "divmod", lambda flat, n: widths.append(n) or divmod_(flat, n))
+    groups = list(se._candidate_groups(waypoints, fld))
+    monkeypatch.undo()
+    assert len(widths) == blocks
+
+    want = [candidate_pairs_brute(wp, fld) for wp in waypoints]
+    assert len(want[2][0]) == 0 and all(len(k) for u, (k, _) in enumerate(want) if u != 2)
+    assert 0 not in want[0][1][want[0][0] == 0]
+    for got, expected in zip(
+        (np.concatenate(a) for a in zip(*groups)),
+        (np.concatenate(a) for a in zip(*((k + u * n_moves, i) for u, (k, i) in enumerate(want)))),
+    ):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    users_per_group = [np.unique(k // n_moves).tolist() for k, _ in groups]
+    if walk_budget == 1:
+        # One group per user; user 2's is empty.
+        assert users_per_group == [[0], [1], [], [3], [4]]
+    else:
+        assert len(groups) == 1
 
 
 def test_walk_segment_ending_on_boundary():
@@ -829,19 +902,24 @@ def assert_tables_match_lexsort(tables: list) -> None:
 def test_multi_user_walk_matches_per_user_loop(scene):
     # One event table per user (budget 1) and one for all users (budget
     # 10**9) must both give the per-user loop's counts, and each table must
-    # be the lexsorted one.
+    # be the lexsorted one.  So must either broad-phase regime: leg blocks
+    # within one user (budget 0; the scenes' paths are shorter than 32 legs,
+    # so the blocks are cut to 2 legs) and one block of every user (budget
+    # 10**9).
     fld, waypoints, velocity, pause, thresholds = scene
     smap = two_tier_map()
     expected = EventCounts()
     walk_trajectories_loop(waypoints, velocity, pause, fld, smap, thresholds, expected)
     owner = np.repeat(np.arange(len(waypoints)), waypoints.shape[1] - 1)
-    for budget in (1, 10**9):
+    for budget, broad in itertools.product((1, 10**9), ((0, 2), (10**9, 32))):
         counts, tables = EventCounts(), []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(se, "_WALK_BUDGET", budget)
+            mp.setattr(se, "_BROAD_BUDGET", broad[0])
+            mp.setattr(se, "_BROAD_CHUNK", broad[1])
             mp.setattr(se, "_crossing_events", recording_crossing_events(tables))
             se._walk_trajectories(waypoints, velocity, pause, fld, smap, thresholds, counts)
-        assert _counts_dicts(counts) == _counts_dicts(expected), budget
+        assert _counts_dicts(counts) == _counts_dicts(expected), (budget, broad)
         users_per_table = [len(set(owner[leg].tolist())) for (_, leg, _, _), _ in tables]
         if budget == 1:
             assert max(users_per_table) <= 1
