@@ -5,19 +5,24 @@ biased received signal strengths tie form (approximately) a circle around
 the target; a second, nested circle marks where the serving signal has
 additionally dropped by the outage offset.  This script prints both circles
 for the three tier pairings over a range of separations, and shows what
-happens in the degenerate equal-parameter case.
+happens in the degenerate equal-parameter case, which the closed forms
+refuse.
 """
+
+import dataclasses
 
 import numpy as np
 
-from hetnet_handover import DegenerateBoundaryError, make_erb_pair
+from hetnet_handover import DegenerateBoundaryError, PairKind
 from hetnet_handover.fixtures import (
     default_hotspot_params,
     default_macro_params,
     default_small_params,
     default_thresholds,
+    reference_sim_config,
 )
 from hetnet_handover.radio import boundary_factors, erb_circle_arrays
+from hetnet_handover.simengine import analytic_pair_metrics
 
 
 def main() -> None:
@@ -52,9 +57,10 @@ def main() -> None:
     print("the outer boundary first, and reaching the inner one too quickly")
     print("(before the dwell threshold) is what the simulator counts as failure.")
 
-    print("\nequal parameters on both sides:")
+    print("\nequal parameters on both sides (small cells with the macro radio):")
+    cfg = reference_sim_config(0)
     try:
-        make_erb_pair(macro, macro, np.array([500.0, 0.0]), q_out)
+        analytic_pair_metrics(dataclasses.replace(cfg, small=cfg.macro), PairKind.SM)
     except DegenerateBoundaryError as exc:
         print(f"  DegenerateBoundaryError: {exc}")
     print("  (the tie line is straight, not a circle; the simulator skips and")

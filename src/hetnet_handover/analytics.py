@@ -248,8 +248,9 @@ def compute_metrics(
     """All four closed-form metrics for one pair kind.
 
     ``u`` and ``u_f`` are the handover and failure boundary factors
-    ``lam_star * xi`` and ``lam_star * xi_f`` of `radio.make_erb_pair`,
-    ``lam`` is the serving-tier density and ``sigma`` the hotspot scatter.
+    ``lam_star * xi`` and ``lam_star * xi_f`` of `radio.make_erb_pair` for a
+    pair that `radio.boundary_domain` keeps, ``lam`` is the serving-tier
+    density and ``sigma`` the hotspot scatter.
     With the sojourn tail ``P(S >= t | u)`` of :func:`_sojourn_tails`, each
     factor is evaluated once, and a hotspot pair's three Marcum-Q tails in one
     :func:`marcum_q1` call that shares their Poisson(x) series:

@@ -15,8 +15,8 @@ so E[L'] = sqrt(pi/2) * (sigma_rwp + p_z * sigma_z) exactly.
 
 Candidates that would leave the region are clamped to the ray-boundary
 intersection: the user walks in the drawn direction until hitting the edge.
-Zero-length moves (possible only from a boundary point heading outward, or a
-measure-zero zero draw) are redrawn so segments are always non-degenerate.
+A move within a few ulps of the coordinates (out of a wall, a rounding
+residue at one, or a tiny draw) is redrawn, so consecutive waypoints differ.
 `generate_trajectory` draws a walk's moves as arrays; its docstring gives the
 draw order and the redraw rule.
 """
@@ -30,7 +30,9 @@ import numpy as np
 
 from .geometry import Region
 
-_MIN_SEGMENT = 1e-9  # meters; below this a candidate move is redrawn
+#: A move no longer than this many ulps of the region's largest |coordinate|
+#: is redrawn: wall residues reach ~2 ulps, drawn moves are far longer.
+_MIN_SEGMENT_ULPS = 64
 _TWO_PI = 2.0 * math.pi
 
 
@@ -89,21 +91,25 @@ def generate_trajectory(
     ``random(n_moves)``, directions ``2 pi U``.  Each move is clamped to the
     region boundary along its ray; a degenerate one is redrawn by scalar
     draws in the same order.  Every waypoint lies inside the closed region
-    and differs from the one before.  A region whose diagonal is at most
-    ``2 * _MIN_SEGMENT`` is refused: from any start the farthest corner is
-    half a diagonal away, so only a larger one lets every redraw end.
+    and more than the shortest move, ``_MIN_SEGMENT_ULPS`` ulps of the
+    region's largest |coordinate|, from the one before.  A walk is refused
+    where ``sigma_rwp`` or half a side is not above that move; otherwise each
+    direction facing the farthest corner reaches a wall beyond it, and a
+    redraw ends the loop with probability above ``exp(-1/2) / 4``.
     """
     if n_moves < 1:
         raise ValueError(f"n_moves must be >= 1, got {n_moves}")
-    diagonal = math.hypot(region.width, region.height)
-    if diagonal <= 2.0 * _MIN_SEGMENT:
+    x_min, x_max, y_min, y_max = region.x_min, region.x_max, region.y_min, region.y_max
+    shortest = _MIN_SEGMENT_ULPS * math.ulp(max(map(abs, (x_min, x_max, y_min, y_max))))
+    if min(cfg.sigma_rwp, 0.5 * region.width, 0.5 * region.height) <= shortest:
         raise ValueError(
-            f"region diagonal {diagonal} m is too short for a move longer than {_MIN_SEGMENT} m"
+            f"[mobility] sigma_rwp_m = {cfg.sigma_rwp!r} and [region] x [{x_min}, {x_max}], "
+            f"y [{y_min}, {y_max}]: sigma_rwp_m and half of each side must exceed the shortest "
+            f"move, {shortest!r} m ({_MIN_SEGMENT_ULPS} ulps of the largest coordinate)"
         )
     start_arr = np.asarray(start, dtype=float)
     if not bool(region.contains(start_arr)[0]):
         raise ValueError(f"start {start_arr} is outside the region")
-    x_min, x_max, y_min, y_max = region.x_min, region.x_max, region.y_min, region.y_max
     sigma_rwp, p_z, sigma_z = cfg.sigma_rwp, cfg.p_z, cfg.sigma_z
     mixed = p_z > 0
     steps = rng.rayleigh(sigma_rwp, n_moves)
@@ -134,7 +140,7 @@ def generate_trajectory(
                 wall = (y_min - y) / dy
                 if wall < step:
                     step = wall
-            if step > _MIN_SEGMENT:
+            if step > shortest:
                 break
             step = rng.rayleigh(sigma_rwp)
             if mixed and rng.random() < p_z:

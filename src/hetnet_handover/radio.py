@@ -28,9 +28,10 @@ The handover-failure boundary is the same construction with
 
 `boundary_factors` is the one computation of ``u`` and ``u_f``, for many
 targets at once, and `boundary_domain` the one rule that sets a pair aside
-(degenerate or enclosing) before either route uses it: the simulator builds
-`erb_circle_arrays` only for the pairs it keeps, and `make_erb_pair` gives
-the closed forms ``(u, u_f)`` of one pair as Python floats.
+(degenerate or enclosing).  This module computes; `simengine` decides, on
+both routes: the simulator drops the flagged pairs before it builds
+`erb_circle_arrays`, and the closed forms refuse a flagged pair whose
+``(u, u_f)`` `make_erb_pair` gives as Python floats.
 """
 
 from __future__ import annotations
@@ -169,17 +170,9 @@ def make_erb_pair(
 ) -> tuple:
     """``(u, u_f)`` of :func:`boundary_factors` for one target BS at
     ``target_position`` (serving-BS frame), as Python floats: what the
-    closed forms read.
-
-    Raises :class:`DegenerateBoundaryError` where `boundary_domain` finds
-    the pair degenerate.
+    closed forms read.  It converts and decides nothing, for any pair;
+    `boundary_domain` of the two floats says whether the pair has a circle.
     """
     t = np.asarray(target_position, dtype=float)
     u, u_f = boundary_factors(serving, target, t[:1], t[1:2], q_out_linear)
-    u, u_f = float(u[0]), float(u_f[0])
-    if boundary_domain(u, u_f)[0]:
-        raise DegenerateBoundaryError(
-            "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); "
-            "no circular approximation exists"
-        )
-    return u, u_f
+    return float(u[0]), float(u_f[0])

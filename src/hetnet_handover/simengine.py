@@ -881,25 +881,24 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
     """Closed-form metrics of one pair kind for this configuration.
 
     The boundary factor of the unequal-exponent pairs depends on the pair
-    distance; it is evaluated at the mean distance.  A degenerate boundary
-    re-raises `DegenerateBoundaryError`, and a handover circle that encloses
-    the serving BS (the target tier is the stronger one) raises
-    `ValueError`; both messages name the pair and the two tiers.
+    distance; it is evaluated at the mean distance.  One `boundary_domain`
+    call decides the pair: a bisector raises `DegenerateBoundaryError`, and a
+    handover circle around the serving BS (the target tier is the stronger
+    one) `ValueError`; both messages name the pair and the two tiers.
     """
     s, t = _PAIR_TIERS[kind]
     density = (cfg.lambda_m, cfg.lambda_s, cfg.cluster.implied_density)
     lam, sigma = density[s], cfg.cluster.sigma
     mean_distance = mean_pair_distance(kind, lam, sigma)
-    try:
-        u, u_f = make_erb_pair(
-            getattr(cfg, _TIERS[s]),
-            getattr(cfg, _TIERS[t]),
-            np.array([mean_distance, 0.0]),
-            cfg.thresholds.q_out,
-        )
-    except DegenerateBoundaryError as exc:
-        raise DegenerateBoundaryError(_pair_domain_message(kind, str(exc))) from exc
-    if boundary_domain(u, u_f)[1]:
+    u, u_f = make_erb_pair(getattr(cfg, _TIERS[s]), getattr(cfg, _TIERS[t]),
+                           np.array([mean_distance, 0.0]), cfg.thresholds.q_out)
+    degenerate, encloses = boundary_domain(u, u_f)
+    if degenerate:
+        raise DegenerateBoundaryError(_pair_domain_message(
+            kind, "equal-RSS boundary is a perpendicular bisector (lam*xi == 1); no circular "
+            "approximation exists",
+        ))
+    if encloses:
         # q_out < 1 keeps u_f below u, so u is the factor that exceeds 1.
         raise ValueError(_pair_domain_message(
             kind,

@@ -40,13 +40,15 @@ def pin(name: str) -> float:
     return float(PINS[name]["value"])
 
 
-def fresh_python(code: str, *argv: str) -> str:
+def fresh_python(code: str, *argv: str, timeout: float | None = None) -> str:
     """Standard output of ``python -c code *argv`` in a new interpreter that
-    imports the package under test."""
+    imports the package under test; past ``timeout`` seconds it is killed
+    and `subprocess.TimeoutExpired` raised."""
     src = str(Path(se.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True,
+        timeout=timeout,
     )
     return run.stdout
 
@@ -293,10 +295,10 @@ def mrwp_waypoints_loop(start, n_moves: int, region: Region, cfg, rng) -> np.nda
     """`mobility.generate_trajectory`'s waypoints, replayed one move at a
     time from its documented draw order: ``n_moves`` base lengths, then
     (``p_z > 0``) as many coins and one extension per coin below ``p_z``,
-    then ``n_moves`` turns; a move whose clamped step is not above 1e-9 m
-    is replaced by scalar draws in the same order.  The clamp is the
-    smallest of the drawn length and the distances along the ray to the
-    walls it heads for."""
+    then ``n_moves`` turns; a move whose clamped step is not above 64 ulps
+    of the region's largest |coordinate| is replaced by scalar draws in the
+    same order.  The clamp is the smallest of the drawn length and the
+    distances along the ray to the walls it heads for."""
     lengths = rng.rayleigh(cfg.sigma_rwp, n_moves).tolist()
     if cfg.p_z > 0:
         coins = rng.random(n_moves).tolist()
@@ -323,10 +325,11 @@ def mrwp_waypoints_loop(start, n_moves: int, region: Region, cfg, rng) -> np.nda
         ]
         return min([length] + walls)
 
+    shortest = 64 * math.ulp(max(abs(c) for c in (*lows, *highs)))
     p = [float(start[0]), float(start[1])]
     out = [tuple(p)]
     for move in moves:
-        while (step := clamped(p, move)) <= 1e-9:
+        while (step := clamped(p, move)) <= shortest:
             move = redrawn()
         p = [min(max(c + step * d, lo), hi) for c, d, lo, hi in zip(p, move[1:], lows, highs)]
         out.append(tuple(p))

@@ -1,15 +1,19 @@
 """Tests for config parsing, sweeps, and the command-line entry point."""
 
+import contextlib
 import dataclasses
 import hashlib
 import math
 import os
+import re
+import signal
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hetnet_handover
@@ -931,6 +935,163 @@ def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# The simulator's envelope
+# ---------------------------------------------------------------------------
+
+def _ini(sections: dict) -> str:
+    """An INI of ``{section: {key: value}}``, one trial of 2 users x 5 moves
+    unless ``[experiment]`` says otherwise."""
+    sections = {**sections, "experiment": {
+        "n_users": 2, "n_moves": 5, **sections.get("experiment", {}), "n_trials": 1,
+    }}
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value!r}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+#: Walk-scale configs and `simulate`'s stderr on them (2 users x 5 moves x 2
+#: trials).  Under an absolute 1e-9 m shortest move the first walked forever,
+#: every Rayleigh draw being redrawn; with the extension (p_z = 0.3) it ran on
+#: the extension alone, and is now refused too.  At coordinates near 1e150 a
+#: 300 m move rounds away, which stopped the run at an internal check
+#: (``segment endpoints must differ``).  The 5e-10 m square was refused as
+#: too small and now walks.
+_WALK_SCALE_REFUSAL = (
+    "error: [mobility] sigma_rwp_m = {} and [region] x [0.0, {}], y [0.0, {}]: sigma_rwp_m "
+    "and half of each side must exceed the shortest move, {} m (64 ulps of the largest "
+    "coordinate)\n"
+)
+WALK_SCALE = {
+    "tiny_sigma_rwp": (
+        {"mobility": {"sigma_rwp_m": 1e-300, "p_z": 0.0}},
+        _WALK_SCALE_REFUSAL.format("1e-300", 5000.0, 5000.0, 64 * math.ulp(5000.0)),
+    ),
+    "tiny_sigma_rwp_extended": (
+        {"mobility": {"sigma_rwp_m": 1e-300, "p_z": 0.3}},
+        _WALK_SCALE_REFUSAL.format("1e-300", 5000.0, 5000.0, 64 * math.ulp(5000.0)),
+    ),
+    "huge_region": (
+        {"region": {"width_m": 1e150, "height_m": 1e150},
+         "deployment": {"lambda_s_per_m2": 1e-300}},
+        _WALK_SCALE_REFUSAL.format("300.0", 1e150, 1e150, 64 * math.ulp(1e150)),
+    ),
+    "tiny_region": ({"region": {"width_m": 5e-10, "height_m": 5e-10}}, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(WALK_SCALE) - {"tiny_sigma_rwp"}))
+def test_walk_scale_configs_pinned(tmp_path, capsys, name):
+    sections, err = WALK_SCALE[name]
+    p = write(tmp_path, _ini(sections))
+    assert main(["simulate", "--config", str(p), "--trials", "2"]) == (1 if err else 0)
+    out = capsys.readouterr()
+    assert out.err == err
+    if not err:
+        counts = [int(v) for v in out.out.splitlines()[2].split(",")[8:12]]
+        assert counts[0] >= max(counts[1:]) >= 0
+
+
+def test_walk_scale_hang_ends_in_a_subprocess(tmp_path):
+    # The one config of WALK_SCALE that never returned under an absolute
+    # shortest move runs in its own interpreter: a regression fails here on
+    # the timeout, not by stalling the suite.
+    sections, err = WALK_SCALE["tiny_sigma_rwp"]
+    p = write(tmp_path, _ini(sections))
+    code = (
+        "import sys; from hetnet_handover import cli; sys.stderr = sys.stdout; "
+        "print(cli.main(sys.argv[1:]))"
+    )
+    out = fresh_python(code, "simulate", "--config", str(p), "--trials", "2", timeout=20)
+    assert out == err + "1\n"
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise `TimeoutError` in the body after ``seconds`` of wall clock."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _log_uniform(low: float, high: float):
+    return st.floats(low, high).map(lambda exponent: 10.0 ** exponent)
+
+
+#: Expected base stations (macro, small and hotspot) per small cell at the
+#: default density ratios.
+_DEFAULT_BASE = default_spec().base
+_BS_PER_SMALL_CELL = 1.0 + (
+    _DEFAULT_BASE.lambda_m + _DEFAULT_BASE.cluster.implied_density
+) / _DEFAULT_BASE.lambda_s
+
+
+@st.composite
+def _envelope_sections(draw) -> dict:
+    """Log-uniform ``[region]`` and ``[mobility]`` keys, with the small-cell
+    density set by an expected base-station count of at most 100.
+
+    The sides lie within 1e-150 to 1e150 m, so the area is a normal float
+    and the density finite; a region too large for NumPy's Poisson sampler
+    is outside the draws.  The height and the two walk scales are drawn
+    within 20 decades of the width, or (the scales) across 1e-300 to 1e300 m:
+    drawn independently, nearly every walk is refused by its scale alone.
+    """
+    decade = draw(st.floats(-150.0, 150.0))
+    width = 10.0 ** decade
+    height = 10.0 ** min(max(decade + draw(st.floats(-20.0, 20.0)), -150.0), 150.0)
+    length = _log_uniform(decade - 20.0, decade + 20.0) | _log_uniform(-300, 300)
+    n_bs = draw(_log_uniform(-2, 2))
+    return {
+        "region": {"width_m": width, "height_m": height},
+        "deployment": {"lambda_s_per_m2": n_bs / (width * height * _BS_PER_SMALL_CELL)},
+        "mobility": {
+            "sigma_rwp_m": draw(length),
+            "p_z": draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
+            "sigma_z_m": draw(length),
+            "velocity_mps": draw(_log_uniform(-300, 300)),
+            "pause_s": draw(st.just(0.0) | _log_uniform(-300, 300)),
+        },
+        "experiment": {"n_users": draw(st.integers(1, 5)), "n_moves": draw(st.integers(1, 5))},
+    }
+
+
+@given(sections=_envelope_sections())
+@example(sections=WALK_SCALE["huge_region"][0])
+@example(sections=WALK_SCALE["tiny_region"][0])
+@example(sections=WALK_SCALE["tiny_sigma_rwp_extended"][0])
+# A strip that no direction but its length crosses in more than the shortest
+# move: it hung under a rule on half the diagonal.
+@example(sections={"region": {"width_m": 5000.0, "height_m": 1e-30}})
+@example(sections={"mobility": {"pause_s": 1e308}})
+@example(sections={"deployment": {"sigma_m": 1e300}})
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_simulator_envelope_runs_or_names_a_key(tmp_path, sections):
+    # Every config either is refused with a message that names a config
+    # key, by load_config or by the trial, or runs a trial whose counts are
+    # valid over a finite exposure; no RuntimeWarning, and no hang.
+    p = write(tmp_path, _ini(sections))
+    with _time_limit(5.0), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            counts = simengine.run_trial(load_config(p).base, 0)
+        except (ConfigError, ValueError) as exc:
+            named = re.findall(r"\[(\w+)\] (\w+)", str(exc))
+            assert any(key in cli._SECTION_KEYS.get(section, ()) for section, key in named), exc
+            return
+    counts.validate()
+    assert math.isfinite(counts.exposure_time)
 
 
 # ---------------------------------------------------------------------------

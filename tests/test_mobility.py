@@ -163,19 +163,39 @@ class TestNextWaypoint:
         assert np.all(_legs(traj) > 0)
 
     def test_region_without_a_long_enough_move_refused(self):
-        # Every point of a 5e-10 m square is within 1e-9 m of every other,
-        # so no redraw could ever produce a move.
-        tiny = Region(0.0, 5e-10, 0.0, 5e-10)
-        with pytest.raises(ValueError, match="too short for a move"):
-            generate_trajectory(np.array([0.0, 0.0]), 1, tiny, _cfg(), np.random.default_rng(1))
+        # The shortest move is 64 ulps of the largest |coordinate|: 5.8e-11 m
+        # at 5 km and 7.5e-9 m at 1e6 m.  A base scale at it is refused even
+        # where the extension alone could carry the walk, and so is a region
+        # with a side of at most twice it: a 5e-9 m square at 1e6 m, and a
+        # 5 km strip 1e-13 m high, where only directions within ~2e-3 rad of
+        # its length reach beyond the shortest move although half its
+        # diagonal is 2.5 km.
+        shortest = 64 * math.ulp(5000.0)
+        far = Region(1e6, 1e6 + 5e-9, -1e6 - 5e-9, -1e6)
+        strip = Region(0.0, 5000.0, 0.0, 1e-13)
+        for region, cfg in ((REGION, _cfg(sigma_rwp=shortest)),
+                            (REGION, _cfg(sigma_rwp=1e-300, p_z=1.0)),
+                            (far, _cfg()),
+                            (strip, _cfg())):
+            start = np.array([region.x_min, region.y_min])
+            with pytest.raises(ValueError, match=r"^\[mobility\] sigma_rwp_m = .* and \[region\]"):
+                generate_trajectory(start, 1, region, cfg, np.random.default_rng(1))
+        traj = generate_trajectory(
+            np.zeros(2), 50, REGION, _cfg(sigma_rwp=2.0 * shortest, p_z=0.0),
+            np.random.default_rng(1),
+        )
+        assert np.all(_legs(traj) > shortest)
 
     def test_smallest_walkable_region_walks(self):
-        # A diagonal above 2e-9 m puts a corner more than 1e-9 m from any start.
-        square = Region(0.0, 1.5e-9, 0.0, 1.5e-9)
-        start = np.array([0.75e-9, 0.75e-9])
-        traj = generate_trajectory(start, 20, square, _cfg(), np.random.default_rng(2))
-        assert np.all(square.contains(traj.waypoints))
-        assert np.all(_legs(traj) > 1e-9)
+        # The floor is relative: a 5e-10 m square at the origin resolves
+        # moves of 64 ulps of 5e-10 m (6.6e-24 m), and every leg is longer.
+        square = Region(0.0, 5e-10, 0.0, 5e-10)
+        for start in ([2.5e-10, 2.5e-10], [0.0, 0.0]):
+            traj = generate_trajectory(
+                np.array(start), 20, square, _cfg(), np.random.default_rng(2)
+            )
+            assert np.all(square.contains(traj.waypoints))
+            assert np.all(_legs(traj) > 64 * math.ulp(5e-10))
 
     def test_outside_current_rejected(self):
         rng = np.random.default_rng(3)

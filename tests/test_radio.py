@@ -15,7 +15,6 @@ from hetnet_handover.fixtures import (
 )
 from hetnet_handover.radio import (
     CircleArrays,
-    DegenerateBoundaryError,
     TierRadioParams,
     boundary_domain,
     boundary_factors,
@@ -134,6 +133,18 @@ def _domain(serving, target, pos, q_out) -> tuple:
     return tuple(bool(flag[0]) for flag in boundary_domain(u, u_f))
 
 
+def _scalar_domain(serving, target, pos, q_out) -> tuple:
+    """``(degenerate, encloses)`` of one target at ``pos`` through the
+    closed forms' route, after checking it against the simulator's:
+    `make_erb_pair` returns the factors of `boundary_factors` bit for bit,
+    and `boundary_domain` of those floats gives the arrays' flags."""
+    u, u_f = make_erb_pair(serving, target, np.array(pos, dtype=float), q_out)
+    assert (u.hex(), u_f.hex()) == tuple(v.hex() for v in _factors(serving, target, pos, q_out))
+    flags = boundary_domain(u, u_f)
+    assert flags == _domain(serving, target, pos, q_out), (pos, u, u_f)
+    return flags
+
+
 def _circle(pos, u: float) -> CircleArrays:
     tx, ty = np.array(pos[:1]), np.array(pos[1:])
     return erb_circle_arrays(tx, ty, np.hypot(tx, ty), np.full(1, u))
@@ -209,23 +220,20 @@ class TestErbCircle:
         assert not _contains(c, (300.0, 0.0))
 
     def test_degenerate_equal_parameters(self):
+        # make_erb_pair converts a bisector's factors like any other pair's;
+        # boundary_domain flags it on both routes.
         t = _tier(30.0, 3.67)
-        assert _domain(t, t, (100.0, 0.0), 0.5) == (True, False)
-        with pytest.raises(DegenerateBoundaryError):
-            make_erb_pair(t, t, np.array([100.0, 0.0]), 0.5)
+        assert _scalar_domain(t, t, (100.0, 0.0), 0.5) == (True, False)
+        assert make_erb_pair(t, t, np.array([100.0, 0.0]), 0.5)[0] == 1.0
 
     def test_degenerate_failure_boundary(self):
         # A target 3 dB stronger with q_out = -3 dB: the failure boundary
         # (xi_f = 1 up to rounding) is a bisector, the handover circle is not.
-        with pytest.raises(DegenerateBoundaryError):
-            make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 10.0 ** -0.3)
         # The handover circle encloses the serving BS too, but the pair
         # counts as degenerate only.
-        assert _domain(_tier(30.0, 3.67), _tier(33.0, 3.67), (100.0, 0.0), 10.0 ** -0.3) == (
-            True, False,
-        )
-        u, _ = make_erb_pair(_tier(30.0, 3.67), _tier(33.0, 3.67), np.array([100.0, 0.0]), 0.4)
-        assert u > 1.0
+        stronger = (_tier(30.0, 3.67), _tier(33.0, 3.67), (100.0, 0.0))
+        assert _scalar_domain(*stronger, 10.0 ** -0.3) == (True, False)
+        assert _scalar_domain(*stronger, 0.4) == (False, True)
 
     def test_center_and_radius_closed_form(self):
         u = 0.47
@@ -360,20 +368,16 @@ class TestErbPair:
     def test_scalar_and_array_routes_agree(
         self, p_serving, p_target, a_serving, a_target, x, y, q_out
     ):
-        # make_erb_pair refuses exactly the pairs the simulator drops as
-        # degenerate, and otherwise returns the simulator's factors bit for bit.
+        # make_erb_pair returns the simulator's factors bit for bit for every
+        # pair, degenerate ones included, so boundary_domain sets aside the
+        # same pairs on both routes.
         if math.hypot(x, y) < 1.0:
             return
         serving, target = _tier(p_serving, a_serving), _tier(p_target, a_target)
-        degenerate, encloses = _domain(serving, target, (x, y), q_out)
-        if degenerate:
-            with pytest.raises(DegenerateBoundaryError):
-                make_erb_pair(serving, target, np.array([x, y]), q_out)
-            return
-        u, u_f = make_erb_pair(serving, target, np.array([x, y]), q_out)
-        assert (u.hex(), u_f.hex()) == tuple(v.hex() for v in _factors(serving, target, (x, y), q_out))
-        assert boundary_domain(u, u_f) == (False, encloses)
-        assert encloses == (u > 1.0)
+        degenerate, encloses = _scalar_domain(serving, target, (x, y), q_out)
+        if not degenerate:
+            u, _ = make_erb_pair(serving, target, np.array([x, y]), q_out)
+            assert encloses == (u > 1.0)
 
 
 class TestServingBs:
