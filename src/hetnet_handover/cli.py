@@ -63,7 +63,7 @@ from .simengine import (
     run_campaign,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Each sweep axis but ``lambda_s``: the `SimConfig` part it replaces and
 #: the config section and key its values are read as.

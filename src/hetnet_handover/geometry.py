@@ -37,6 +37,8 @@ class Region:
             )
         if not math.isfinite(self.area):
             raise ValueError(f"area must be finite, got {self.area}")
+        if self.area <= 0.0:  # the product of two tiny sides underflows
+            raise ValueError(f"area must be positive, got {self.area}")
 
     @property
     def width(self) -> float:

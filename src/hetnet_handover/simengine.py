@@ -152,8 +152,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        mob, sigma = self.mobility, self.cluster.sigma
-        diagonal = math.hypot(self.region.width, self.region.height)
+        mob, sigma, region = self.mobility, self.cluster.sigma, self.region
+        diagonal = math.hypot(region.width, region.height)
+        # The circle field squares target-serving offsets, which span the region.
+        if not math.isfinite(2.0 * diagonal * diagonal):
+            raise ValueError(
+                f"[region] width_m = {region.width!r} and height_m = {region.height!r}: "
+                "twice the squared diagonal overflows"
+            )
         # No leg is longer than the diagonal, and a campaign's exposure sums
         # every user's walk clock of every trial.
         legs = self.n_trials * self.n_users * self.n_moves
@@ -762,8 +768,7 @@ def run_trial(cfg: SimConfig, trial_index: int, kinds=_KIND_ORDER) -> EventCount
 
 @dataclass
 class PairEstimate:
-    """Pooled rates, and their 95% half-widths in `METRICS` order from the
-    spread of per-trial rates (NaN with fewer than two finite values)."""
+    """Pooled rates and their 95% half-widths in `METRICS` order; see `summarize_trials`."""
 
     rates: HandoverMetrics
     halfwidths: tuple
@@ -776,31 +781,23 @@ class MetricsEstimate:
     counts: EventCounts
 
 
-def _halfwidth(values: np.ndarray) -> float:
-    """95% normal-approximation half-width over per-trial values (NaN-aware)."""
-    finite = values[~np.isnan(values)]
-    if len(finite) < 2:
-        return math.nan
-    return float(1.96 * np.std(finite, ddof=1) / math.sqrt(len(finite)))
-
-
-def _rates(kind: PairKind, counts: PairCounts, exposure_time: float) -> HandoverMetrics:
-    """Events per second of exposure; failures per triggered event (NaN without one)."""
-    return HandoverMetrics(
-        pair=kind,
-        triggered_rate=counts.triggered / exposure_time,
-        handover_rate=counts.handovers / exposure_time,
-        failure_rate=counts.failures / counts.triggered if counts.triggered > 0 else math.nan,
-        pingpong_rate=counts.pingpongs / exposure_time,
-    )
+#: The `PairCounts` numerator and denominator of each of `METRICS` (``None``: exposure).
+_RATIOS = (
+    ("triggered", None),
+    ("handovers", None),
+    ("failures", "triggered"),
+    ("pingpongs", None),
+)
 
 
 def summarize_trials(trials) -> MetricsEstimate:
-    """Pool trial counts into rates; half-widths from per-trial spread.
+    """Pool trial counts into each metric's rate and 95% half-width.
 
-    Point estimates are pooled ratios (total counts over total exposure,
-    failures over total triggers); confidence half-widths use the spread of
-    the same ratios per trial.
+    Each metric is a ratio R = Σy/Σx of the n trials' counts (`_RATIOS`),
+    so a trial without triggers enters ``H_f`` as (0, 0).  R divides the
+    merged counts; its half-width is the ratio estimator's
+    1.96·√(Σ(yᵢ − R·xᵢ)² / (n(n − 1))) / x̄ (Cochran, *Sampling Techniques*,
+    ch. 6), NaN below two trials or, like R, where Σx = 0.
     """
     trials = list(trials)
     if not trials:
@@ -810,17 +807,25 @@ def summarize_trials(trials) -> MetricsEstimate:
         merged.merge_in(t)
     if merged.exposure_time <= 0.0:
         raise ValueError("campaign accumulated zero exposure time; config is invalid")
-    pairs = {}
+    n, pairs = len(trials), {}
+    # A ratio term's campaign total, then its value in each trial.
+    exposure = [c.exposure_time for c in (merged, *trials)]
     for kind in merged.pairs:
-        per_trial = [_rates(kind, t.pairs[kind], t.exposure_time) for t in trials]
-        pairs[kind] = PairEstimate(
-            rates=_rates(kind, merged.pairs[kind], merged.exposure_time),
-            halfwidths=tuple(
-                _halfwidth(np.array([getattr(r, name) for r in per_trial]))
-                for _, name in METRICS
-            ),
-        )
-    return MetricsEstimate(pairs=pairs, n_trials=len(trials), counts=merged)
+        counts = [c.pairs[kind] for c in (merged, *trials)]
+        rates, halfwidths = {}, []
+        for (_, attr), terms in zip(METRICS, _RATIOS):
+            (total_y, *y), (total_x, *x) = (
+                exposure if name is None else [getattr(c, name) for c in counts] for name in terms
+            )
+            rates[attr] = halfwidth = math.nan
+            if total_x > 0:
+                rate = rates[attr] = total_y / total_x
+                if n > 1:
+                    residual = np.array(y, dtype=float) - rate * np.array(x, dtype=float)
+                    halfwidth = 1.96 * math.sqrt(residual @ residual / (n * (n - 1))) / (total_x / n)
+            halfwidths.append(halfwidth)
+        pairs[kind] = PairEstimate(HandoverMetrics(pair=kind, **rates), tuple(halfwidths))
+    return MetricsEstimate(pairs=pairs, n_trials=n, counts=merged)
 
 
 def run_campaign(cfg: SimConfig, workers: int = 1, kinds=_KIND_ORDER) -> MetricsEstimate:

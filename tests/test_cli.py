@@ -528,7 +528,9 @@ ERROR_TEXT = {
 #: area overflows are refused by their section; they used to raise a bare
 #: ``OverflowError`` or ``ZeroDivisionError``, or print nan.  An exposure or
 #: hotspot offsets that overflow are refused by the keys that set them; they
-#: used to print an infinite exposure or overflow in the circle field.
+#: used to print an infinite exposure or overflow in the circle field.  A
+#: region whose area underflows to 0, or whose squared diagonal overflows, is
+#: refused by [region]; it used to run an empty deployment, or blame sigma_m.
 CHANGED_ERROR_TEXT = {
     'tier_prefactor_overflows': (
         '[macro]\ntx_power_dbm = 5000\n',
@@ -597,6 +599,14 @@ CHANGED_ERROR_TEXT = {
     'hotspot_offsets_overflow': (
         '[deployment]\nsigma_m = 1e300\n',
         "invalid config:\n  [deployment] sigma_m = 1e+300: hotspot offsets of up to 64 sigma overflow when squared",
+    ),
+    'region_area_underflows': (
+        '[region]\nwidth_m = 1e-200\nheight_m = 1e-200\n',
+        "invalid config:\n  [region] area must be positive, got 0.0",
+    ),
+    'region_diagonal_overflows': (
+        '[region]\nwidth_m = 1e154\nheight_m = 1e-10\n',
+        "invalid config:\n  [region] width_m = 1e+154 and height_m = 1e-10: twice the squared diagonal overflows",
     ),
     'deployment_lambda_s_negative_p_given': (
         '[deployment]\nlambda_s_per_m2 = -1e-5\nlambda_p_per_m2 = 1e-6\n',
@@ -678,7 +688,7 @@ def test_analyze_emits_one_row_per_sweep_point():
     )
     text = cmd_analyze(spec)
     lines = text.splitlines()
-    assert lines[0] == "# schema_version=1"
+    assert lines[0] == "# schema_version=2"
     assert lines[1] == METRICS_CSV_HEADER
     assert len(lines) == 6
     assert text.endswith("\n")
@@ -735,21 +745,21 @@ def test_command_output_bytes_are_pinned(tmp_path):
         kind: sha256(cmd_analyze(dataclasses.replace(demo, pair=kind))) for kind in PairKind
     }
     assert analyze == {
-        PairKind.SM: "ec3f7085761f8f2877f95ab7b79313d385712d84108dfd848bf31f463e0bac80",
-        PairKind.SPS: "3d30bb46a5521ff0ce64594adac06e40de34cbdb14665fbff51e1c66480c5b3e",
-        PairKind.SPM: "b4ba0e384b85c06236dedfbf0138b2465b83763924cfbc4dbd853c2ab16ffc66",
+        PairKind.SM: "b0486ba82d7de3cba8634171f4c83088103aa81d022756f5574dab2e1c28e2bc",
+        PairKind.SPS: "38f67e439ff82987866213d33f3ae72896a1c2755ae9092e40fa4cb68dc76ba0",
+        PairKind.SPM: "fdb5075b0a75de4213b2a1ed8e97e45dfe0e309eea5c15606a1207974d09adc1",
     }
 
     spec = load_config(write(tmp_path, SMALL_INI + "[sweep]\naxis = sigma\nvalues = 100, 150\n"))
     assert sha256(cmd_simulate(spec)) == (
-        "c81f1c81ccf2536f8efbc754cfd77050690e04f06ef692a193fa001e7df97e31"
+        "ce9a8c096ef14d3da7cedfe55652259e85db17caa78b5b7c3a0b82091d0e5adc"
     )
     csv_text, summary = cmd_validate(spec)
     assert sha256(csv_text) == (
-        "0c6463bf7e5c61cfed65925b39761122f3549463b9d7f5aa07c7b6adfbffa77a"
+        "292505bd50df3523283bec2328fefc2042e79f375c7cb67ca5fb270f451134c6"
     )
     assert sha256(summary) == (
-        "4785c6157f3bb621c8a10f7bf594ce2146667b27515b49ee294be100eccc5d45"
+        "68d300bdfa532219db16b19ec8eafb2af4af115b3330a94ea6bbe2d140621f3e"
     )
 
 
@@ -761,7 +771,7 @@ def test_main_analyze_to_stdout(tmp_path, capsys):
     p = write(tmp_path, SMALL_INI)
     assert main(["analyze", "--config", str(p)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# schema_version=1\n")
+    assert out.startswith("# schema_version=2\n")
     assert METRICS_CSV_HEADER in out
 
 
@@ -770,7 +780,7 @@ def test_main_analyze_to_file(tmp_path, capsys):
     out_file = tmp_path / "metrics.csv"
     assert main(["analyze", "--config", str(p), "--out", str(out_file)]) == 0
     assert "wrote" in capsys.readouterr().out
-    assert out_file.read_text(encoding="utf-8").startswith("# schema_version=1\n")
+    assert out_file.read_text(encoding="utf-8").startswith("# schema_version=2\n")
 
 
 def test_main_validate_delivers_csv_and_summary(tmp_path, capsys):
@@ -1138,4 +1148,4 @@ def test_analyze_demo_sweep_loads_no_scipy():
     out = fresh_python(code, "analyze", "--config", str(DEMO_DIR / "sigma_sweep.ini"))
     *rows, loaded = out.splitlines(keepends=True)
     assert loaded == "[]\n"
-    assert sha256("".join(rows)) == "3d30bb46a5521ff0ce64594adac06e40de34cbdb14665fbff51e1c66480c5b3e"
+    assert sha256("".join(rows)) == "38f67e439ff82987866213d33f3ae72896a1c2755ae9092e40fa4cb68dc76ba0"

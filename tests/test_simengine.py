@@ -1276,23 +1276,35 @@ def two_hand_trials():
 
 
 def test_summarize_pooled_rates_hand_check():
-    est = summarize_trials(two_hand_trials())
+    # A third trial without triggers enters H_f as (0, 0): it leaves the
+    # pooled failure ratio as it is but counts toward its half-width.
+    est = summarize_trials([*two_hand_trials(), EventCounts(exposure_time=200.0)])
     sm = est.pairs[PairKind.SM]
     assert sm.rates.pair is PairKind.SM
-    assert sm.rates.triggered_rate == pytest.approx(10.0 / 400.0)
-    assert sm.rates.handover_rate == pytest.approx(5.0 / 400.0)
-    assert sm.rates.failure_rate == pytest.approx(1.0 / 10.0)
-    assert sm.rates.pingpong_rate == pytest.approx(2.0 / 400.0)
-    # Half-widths from the spread of per-trial values, in METRICS order.
+    assert sm.rates.triggered_rate == 10 / 600.0
+    assert sm.rates.handover_rate == 5 / 600.0
+    assert sm.rates.failure_rate == 1 / 10
+    assert sm.rates.pingpong_rate == 2 / 600.0
+    # Half-widths of the ratio estimator, in METRICS order:
+    # 1.96 sqrt(sum (y_i - R x_i)^2 / (n (n - 1))) / mean(x).
     assert [name for name, _ in METRICS] == ["H_t", "H", "H_f", "H_p"]
-    per_trial = np.array([4.0 / 100.0, 6.0 / 300.0])
-    expected = 1.96 * np.std(per_trial, ddof=1) / math.sqrt(2)
-    assert sm.halfwidths[0] == pytest.approx(expected)
-    per_fail = np.array([1.0 / 4.0, 0.0 / 6.0])
-    expected_f = 1.96 * np.std(per_fail, ddof=1) / math.sqrt(2)
-    assert sm.halfwidths[2] == pytest.approx(expected_f)
-    assert est.n_trials == 2
-    assert est.counts.exposure_time == 400.0
+
+    def halfwidth(y, x):
+        r, n = sum(y) / sum(x), len(y)
+        spread = sum((a - r * b) ** 2 for a, b in zip(y, x))
+        return 1.96 * math.sqrt(spread / (n * (n - 1))) / (sum(x) / n)
+
+    exposure = [100.0, 300.0, 200.0]
+    assert sm.halfwidths == pytest.approx((
+        halfwidth([4, 6, 0], exposure),
+        halfwidth([2, 3, 0], exposure),
+        halfwidth([1, 0, 0], [4, 6, 0]),
+        halfwidth([1, 1, 0], exposure),
+    ), rel=1e-12)
+    # By hand for H_f: R = 0.1, residuals 0.6, -0.6 and 0, mean trigger 10/3.
+    assert sm.halfwidths[2] == pytest.approx(1.96 * math.sqrt(0.72 / 6) / (10 / 3), rel=1e-12)
+    assert est.n_trials == 3
+    assert est.counts.exposure_time == 600.0
 
 
 def test_summarize_rejects_empty_and_zero_exposure():
@@ -1339,6 +1351,62 @@ def test_halfwidth_shrinks_with_more_trials():
         est8.pairs[PairKind.SM].halfwidths[0]
         < est2.pairs[PairKind.SM].halfwidths[0]
     )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_summarize_nan_paths_divide_nothing_by_zero():
+    # NumPy warns on 0/0; every NaN here must come from a check instead.
+    def trial(**sps):
+        t = EventCounts.counting((PairKind.SPS,))
+        t.exposure_time = 100.0
+        t.pairs[PairKind.SPS] = PairCounts(**sps)
+        return t
+
+    one = summarize_trials([trial(triggered=4, failures=1)]).pairs[PairKind.SPS]
+    assert one.rates.failure_rate == 0.25
+    assert all(math.isnan(h) for h in one.halfwidths)
+
+    sparse = summarize_trials([trial(triggered=4, failures=1), trial(triggered=2), trial()])
+    sps = sparse.pairs[PairKind.SPS]
+    assert sps.rates.failure_rate == 1 / 6
+    # Residuals 1/3, -1/3 and 0 over a mean trigger count of 2.
+    assert sps.halfwidths[2] == pytest.approx(1.96 * math.sqrt(2 / 9 / 6) / 2, rel=1e-12)
+
+    never = summarize_trials([trial(), trial()]).pairs[PairKind.SPS]
+    assert [never.rates.triggered_rate, never.halfwidths[0]] == [0.0, 0.0]
+    assert math.isnan(never.rates.failure_rate) and math.isnan(never.halfwidths[2])
+
+
+def test_summarize_halfwidths_cover_known_rates():
+    # Synthetic campaigns of 50 trials: triggers are Poisson over uniform
+    # random exposures, handovers and failures binomial per trigger and
+    # ping-pongs Poisson.  Each metric's 95% interval must cover its true
+    # value in 93-97% of campaigns; the normal interval at 50 trials covers
+    # about 94%.  Half-widths from the spread of per-trial ratios cover over
+    # 97% of these campaigns, as unequal exposures widen that spread.
+    rng = np.random.default_rng(0)
+    campaigns, n = 2000, 50
+    rate, p_handover, p_failure, rate_pingpong = 0.2, 0.9, 0.2, 0.05
+    exposure = rng.uniform(10.0, 190.0, size=(campaigns, n))
+    triggered = rng.poisson(rate * exposure)
+    counts = np.stack([
+        triggered,
+        rng.binomial(triggered, p_handover),
+        rng.binomial(triggered, p_failure),
+        rng.poisson(rate_pingpong * exposure),
+    ], axis=-1)
+    truth = np.array([rate, rate * p_handover, p_failure, rate_pingpong])
+    covered = np.zeros(len(METRICS))
+    for times, rows in zip(exposure.tolist(), counts.tolist()):
+        trials = [
+            EventCounts(pairs={PairKind.SPS: PairCounts(*row)}, exposure_time=t)
+            for t, row in zip(times, rows)
+        ]
+        est = summarize_trials(trials).pairs[PairKind.SPS]
+        rates = np.array([getattr(est.rates, name) for _, name in METRICS])
+        covered += np.abs(rates - truth) <= est.halfwidths
+    coverage = covered / campaigns
+    assert np.all((coverage >= 0.93) & (coverage <= 0.97)), coverage
 
 
 def test_pair_estimate_rejects_negative_rates():
