@@ -7,6 +7,8 @@ simulation constants and the 15 % acceptance window.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .analytics import HandoverThresholds
 from .geometry import ClusterConfig, Region
 from .mobility import MobilityConfig
@@ -39,16 +41,10 @@ def default_small_params() -> TierRadioParams:
 
 
 def default_hotspot_params() -> TierRadioParams:
-    # 6 dB below the uniform small tier: equal parameters would make every
-    # hotspot/small boundary degenerate (a straight line), so the hotspot
-    # tier defaults to a lower transmit power.
-    return TierRadioParams(
-        tx_power=24.0,
-        antenna_gain=5.0,
-        bias=4.0,
-        pathloss_intercept=db_to_linear(-30.6),
-        pathloss_exponent=3.67,
-    )
+    """The small tier 6 dB down: ``tx_power`` 24 dBm, the rest equal."""
+    # Equal parameters would make every hotspot/small boundary degenerate (a
+    # straight line), so the hotspot tier defaults to a lower transmit power.
+    return dataclasses.replace(default_small_params(), tx_power=24.0)
 
 
 def default_mobility() -> MobilityConfig:

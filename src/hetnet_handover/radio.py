@@ -122,8 +122,18 @@ def boundary_factors(
     power = 2.0 / target.pathloss_exponent
     xi = (target.linear_prefactor / serving.linear_prefactor) ** power
     xi_f = xi * q_out_linear ** power
-    lam = r2 ** (serving.pathloss_exponent / target.pathloss_exponent - 1.0)
-    return lam * xi, lam * xi_f
+    exponent = serving.pathloss_exponent / target.pathloss_exponent - 1.0
+    # A large exponent ratio overflows lam, or its products, to inf: the
+    # limit of a target so strong that `boundary_domain` calls it enclosing.
+    with np.errstate(over="ignore"):
+        if xi_f == 0.0 and exponent > 0.0:
+            # xi_f underflowed, yet lam may overflow, and inf * 0 has no
+            # value: the products are taken in logs instead.
+            log_u = exponent * np.log(r2) + power * (
+                math.log(target.linear_prefactor) - math.log(serving.linear_prefactor))
+            return np.exp(log_u), np.exp(log_u + power * math.log(q_out_linear))
+        lam = r2 ** exponent
+        return lam * xi, lam * xi_f
 
 
 def boundary_domain(u, u_f) -> tuple:

@@ -179,31 +179,20 @@ class SimConfig:
             )
 
     @classmethod
-    def with_default_ratios(
-        cls,
-        *,
-        region: Region,
-        macro: TierRadioParams,
-        small: TierRadioParams,
-        hotspot: TierRadioParams,
-        lambda_s: float,
-        sigma: float,
-        mobility: MobilityConfig,
-        thresholds: HandoverThresholds,
-        **counts,
-    ) -> "SimConfig":
-        """Deployment driven by the small-cell density alone (10:1:1 ratios)."""
+    def with_default_ratios(cls, *, lambda_s: float, sigma: float, **parts) -> "SimConfig":
+        """Deployment driven by the small-cell density alone: the macro and
+        cluster-parent densities are ``lambda_s / 10`` (10:1:1 ratios) and the
+        cluster spread is ``sigma``.
+
+        ``parts`` are the other fields by name: ``region``, ``macro``,
+        ``small``, ``hotspot``, ``mobility`` and ``thresholds``, and
+        optionally the counts and ``master_seed``.
+        """
         return cls(
-            region=region,
-            macro=macro,
-            small=small,
-            hotspot=hotspot,
             lambda_m=lambda_s / 10.0,
             lambda_s=lambda_s,
             cluster=ClusterConfig(lambda_p=lambda_s / 10.0, sigma=sigma),
-            mobility=mobility,
-            thresholds=thresholds,
-            **counts,
+            **parts,
         )
 
 
@@ -218,13 +207,13 @@ class PairCounts:
     enclosing_skipped: int = 0  # pairs whose circle surrounds the serving BS
 
     def merge_in(self, other: "PairCounts") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _COUNT_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def validate(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+        for name in _COUNT_NAMES:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.handovers > self.triggered:
             raise ValueError("handovers cannot exceed triggered events")
         if self.failures > self.triggered:
@@ -234,6 +223,10 @@ class PairCounts:
             raise ValueError("pingpongs cannot exceed triggered events")
         if self.overlap > min(self.handovers, self.failures):
             raise ValueError("overlap cannot exceed handovers or failures")
+
+
+#: `PairCounts`' field names, read once rather than on every merge.
+_COUNT_NAMES = tuple(f.name for f in fields(PairCounts))
 
 
 @dataclass
@@ -868,16 +861,18 @@ def run_campaign(cfg: SimConfig, workers: int = 1, kinds=_KIND_ORDER) -> Metrics
 # Analytic side-by-side
 # ---------------------------------------------------------------------------
 
-def _pair_domain_message(kind: PairKind, problem: str) -> str:
+def _pair_domain_message(kind: PairKind, problem: str, relation: str = "below") -> str:
     """A closed-form refusal naming the pair and its two config sections.
 
     Only a target tier strictly weaker than its serving tier has a boundary
-    circle around the target, so one remedy fits every refusal.
+    circle around the target, so the remedy keeps the target's RSS
+    ``relation`` the serving tier's: below it, or nearer it where the
+    circle's factor underflows.
     """
     serving, target = (_TIERS[p] for p in _PAIR_TIERS[kind])
     return (
         f"{kind.value} pair, tiers [{target}] and [{serving}]: {problem}; keep the "
-        f"biased RSS of [{target}] below that of [{serving}] by changing tx_power_dbm, "
+        f"biased RSS of [{target}] {relation} that of [{serving}] by changing tx_power_dbm, "
         f"antenna_gain_dbi, bias_db or the path loss in [{target}] or [{serving}]"
     )
 
@@ -889,7 +884,8 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
     distance; it is evaluated at the mean distance.  One `boundary_domain`
     call decides the pair: a bisector raises `DegenerateBoundaryError`, and a
     handover circle around the serving BS (the target tier is the stronger
-    one) `ValueError`; both messages name the pair and the two tiers.
+    one) `ValueError`, as does a factor that underflows to 0 (a zero-radius
+    circle); every message names the pair and the two tiers.
     """
     s, t = _PAIR_TIERS[kind]
     density = (cfg.lambda_m, cfg.lambda_s, cfg.cluster.implied_density)
@@ -909,6 +905,13 @@ def analytic_pair_metrics(cfg: SimConfig, kind: PairKind) -> HandoverMetrics:
             kind,
             f"the handover circle at the mean pair distance encloses the serving "
             f"BS (lam_star * xi = {u!r} > 1)",
+        ))
+    if u <= 0.0 or u_f <= 0.0:
+        raise ValueError(_pair_domain_message(
+            kind,
+            f"the boundary factors at the mean pair distance underflow (lam_star * xi = "
+            f"{u!r}, failure factor {u_f!r}), so a circle has zero radius",
+            "nearer",
         ))
     return compute_metrics(
         kind,

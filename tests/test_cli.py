@@ -1104,6 +1104,67 @@ def test_simulator_envelope_runs_or_names_a_key(tmp_path, sections):
     assert math.isfinite(counts.exposure_time)
 
 
+def _names_a_section(exc: Exception) -> bool:
+    return any(section in cli._SECTION_KEYS for section in re.findall(r"\[(\w+)\]", str(exc)))
+
+
+@st.composite
+def _radio_sections(draw) -> dict:
+    """Radio keys of some tiers and ``[thresholds] q_out_db``, each left at
+    its default or drawn: exponents log-uniform above 2 up to 1e6, decibels
+    within 100 dB of 0 or anywhere in +-3000 dB.  A tier left out keeps
+    every default, so that about a quarter of the examples pass the closed
+    forms."""
+    decibels = st.none() | st.floats(-100.0, 100.0) | st.floats(-3000.0, 3000.0)
+    exponent = st.none() | _log_uniform(-12.0, 6.0).map(lambda excess: 2.0 + excess)
+    keys = {"tx_power_dbm": decibels, "antenna_gain_dbi": decibels, "bias_db": decibels,
+            "pathloss_exponent": exponent, "pathloss_db_at_1km": decibels}
+    sections = {
+        tier: {key: value for key, values in keys.items()
+               if (value := draw(values)) is not None}
+        for tier in simengine._TIERS if draw(st.booleans())
+    }
+    q_out_db = draw(st.none() | st.floats(-3000.0, 0.0))
+    if q_out_db is not None:
+        sections["thresholds"] = {"q_out_db": q_out_db}
+    return sections
+
+
+@given(sections=_radio_sections())
+# A path-loss exponent ratio of ~109 overflowed the flattening factor to inf.
+@example(sections={"small": {"pathloss_exponent": 400.0}})
+# The hotspot/small prefactor ratio underflows, so the SpS factors are 0.
+@example(sections={"small": {"tx_power_dbm": 2900.0}, "hotspot": {"tx_power_dbm": -2900.0}})
+# Both at once: the flattening factor overflowed against an underflowed xi,
+# and inf * 0 is nan.
+@example(sections={"small": {"bias_db": 2763.0, "pathloss_exponent": 1002.0},
+                   "hotspot": {"bias_db": -468.0}})
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_radio_envelope_runs_or_names_a_section(tmp_path, sections):
+    # On both routes, every radio config either is refused with a message
+    # that names a config section, or gives finite metrics and valid counts;
+    # no RuntimeWarning.
+    p = write(tmp_path, _ini(sections))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cfg = load_config(p).base
+        except ConfigError as exc:
+            assert _names_a_section(exc), exc
+            return
+        try:
+            metrics = simengine.analytic_metrics(cfg)
+        except ValueError as exc:
+            assert _names_a_section(exc), exc
+        else:
+            for m in metrics.values():
+                assert all(math.isfinite(getattr(m, attr)) for _, attr in simengine.METRICS)
+        counts = simengine.run_trial(cfg, 0)
+    counts.validate()
+    assert math.isfinite(counts.exposure_time)
+
+
 # ---------------------------------------------------------------------------
 # Package surface
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hetnet_handover import fixtures
 from hetnet_handover.analytics import PairKind
+from hetnet_handover.radio import TierRadioParams, db_to_linear
 from hetnet_handover.simengine import analytic_metrics
 
 from oracles import (
@@ -66,6 +67,9 @@ def test_default_builders_are_self_consistent():
     # at lower power, which keeps every boundary circle well-defined.
     assert hotspot.pathloss_exponent == small.pathloss_exponent
     assert hotspot.tx_power < small.tx_power
+    # Field by field, the cached prefactor included: the small tier 6 dB down.
+    assert hotspot == TierRadioParams(24.0, 5.0, 4.0, db_to_linear(-30.6), 3.67)
+    assert hotspot.linear_prefactor == pytest.approx(db_to_linear(-6.0) * small.linear_prefactor)
 
     mob = fixtures.default_mobility()
     assert mob.velocity == pytest.approx(60.0 / 3.6)
