@@ -61,7 +61,7 @@ from .analytics import (
     compute_metrics,
     mean_pair_distance,
 )
-from .geometry import ClusterConfig, Region, sample_ppp, sample_tcp
+from .geometry import ClusterConfig, GridIndex, Region, sample_ppp, sample_tcp
 from .mobility import MobilityConfig, generate_trajectory
 from .radio import (DegenerateBoundaryError, TierRadioParams, boundary_domain,
                     boundary_factors, erb_circle_arrays, make_erb_pair)
@@ -74,9 +74,12 @@ _TIERS = ("macro", "small", "hotspot")
 
 _HOTSPOT = _TIERS.index("hotspot")  # the clustered tier
 
-#: Classes imported on first use, not with the package: the closed forms
-#: build no KD-tree and no process pool.  Each stays a module attribute
-#: (PEP 562 ``__getattr__``) that can be read and replaced before any trial.
+#: Classes imported on first use, not with the package.  Each stays a module
+#: attribute (PEP 562 ``__getattr__``) that can be read and replaced before
+#: any trial.  The closed forms start no process pool.  No code here reads
+#: ``cKDTree`` any more (a trial's nearest-BS queries go through
+#: `GridIndex`); it stays only because the benchmark's span tracer,
+#: ``perfbench/tracing.py``, subclasses ``simengine.cKDTree``.
 _DEFERRED = {"cKDTree": "scipy.spatial", "ProcessPoolExecutor": "concurrent.futures"}
 
 
@@ -102,6 +105,10 @@ _PAIR_TIERS = {
 }
 
 _KIND_ORDER = tuple(_PAIR_TIERS)
+
+#: Expected base stations of one tier (and hotspot cluster centres) that a
+#: config may ask for in one trial; README states it.
+_MAX_EXPECTED_BS = 1e8
 
 #: Standard deviations that bound a hotspot offset in `SimConfig`'s
 #: float-range check; no standard-normal draw comes near it.
@@ -177,6 +184,25 @@ class SimConfig:
                 f"[deployment] sigma_m = {sigma!r}: hotspot offsets of up to "
                 f"{_OFFSET_SIGMAS:g} sigma overflow when squared"
             )
+        # A trial samples, indexes and holds every base station at once.
+        lam_p, offspring = self.cluster.lambda_p, self.cluster.mean_offspring
+        on_region = f"on [region] width_m = {region.width!r} and height_m = {region.height!r}"
+        for keys, count, what in (
+            (f"lambda_s_per_m2 = {self.lambda_s!r} {on_region}", self.lambda_s * region.area,
+             "small base stations"),
+            (f"lambda_m_per_m2 = {self.lambda_m!r} {on_region}", self.lambda_m * region.area,
+             "macro base stations"),
+            (f"lambda_p_per_m2 = {lam_p!r} {on_region}", lam_p * region.area,
+             "hotspot cluster centres"),
+            (f"lambda_p_per_m2 = {lam_p!r} and mean_offspring = {offspring!r} {on_region}",
+             lam_p * region.area * offspring, "hotspot base stations"),
+            (f"mean_offspring = {offspring!r}", offspring, "base stations in one hotspot cluster"),
+        ):
+            if not count <= _MAX_EXPECTED_BS:
+                raise ValueError(
+                    f"[deployment] {keys}: {count:.3g} expected {what}, above the "
+                    f"cap of {_MAX_EXPECTED_BS:.0e}"
+                )
 
     @classmethod
     def with_default_ratios(cls, *, lambda_s: float, sigma: float, **parts) -> "SimConfig":
@@ -307,18 +333,19 @@ class _ServingMap:
     """Strongest biased-RSS association over the full deployment.
 
     Within a tier the prefactor is constant, so the strongest BS of a tier
-    is simply the nearest one; the overall winner maximizes
+    is simply the nearest one, which the tier's `GridIndex` finds with the
+    distance bits of ``scipy.spatial.cKDTree``; the overall winner maximizes
     ``prefactor * d**-alpha`` across tiers.  Ties break toward the earlier
     tier, and a query on a BS position associates to that BS.  The tests
     check it against a brute-force scan over every BS.
     """
 
-    def __init__(self, trees, params) -> None:
-        """``trees`` (``None`` for an empty tier) and ``params`` run over the
-        tiers in `_TIERS` order."""
+    def __init__(self, indexes, params) -> None:
+        """``indexes`` (`_nearest_indexes`, ``None`` for an empty tier) and
+        ``params`` run over the tiers in `_TIERS` order."""
         self._entries = [
-            None if tree is None else (tree, p.linear_prefactor, p.pathloss_exponent)
-            for tree, p in zip(trees, params)
+            None if index is None else (index, p.linear_prefactor, p.pathloss_exponent)
+            for index, p in zip(indexes, params)
         ]
 
     def query(self, xy: np.ndarray) -> tuple:
@@ -330,8 +357,8 @@ class _ServingMap:
         for tier_pos, entry in enumerate(self._entries):
             if entry is None:
                 continue
-            tree, prefactor, alpha = entry
-            d, idx = tree.query(xy)
+            index, prefactor, alpha = entry
+            d, idx = index.query(xy)
             with np.errstate(divide="ignore"):  # d = 0 on a BS: rss = inf
                 rss = prefactor * d ** (-alpha)
             better = rss > best_rss
@@ -341,10 +368,9 @@ class _ServingMap:
         return best_tier, best_idx
 
 
-def _kdtrees(tiers) -> list:
-    """One KD-tree per tier position array, ``None`` for an empty tier."""
-    kdtree = _deferred("cKDTree")
-    return [kdtree(xy) if len(xy) > 0 else None for xy in tiers]
+def _nearest_indexes(tiers) -> list:
+    """One `GridIndex` per tier position array, ``None`` for an empty tier."""
+    return [GridIndex(xy) if len(xy) > 0 else None for xy in tiers]
 
 
 def _build_circle_field(
@@ -352,30 +378,31 @@ def _build_circle_field(
     tiers,
     parents: np.ndarray,
     parent_index: np.ndarray,
-    trees,
+    indexes,
     counts: EventCounts,
 ) -> _CircleField:
     """One circle pair per (target BS, its serving BS) of each pair kind
     that ``counts`` holds.
 
     ``tiers`` holds the position array of each tier in `_TIERS` order and
-    ``trees`` their `_kdtrees`.  A pair's serving BS is the serving-tier BS
-    nearest to the target, or, for a hotspot target, nearest to its *cluster
-    center* (row ``parent_index`` of ``parents``), where its users congregate.
+    ``indexes`` their `_nearest_indexes`.  A pair's serving BS is the
+    serving-tier BS nearest to the target, or, for a hotspot target, nearest
+    to its *cluster center* (row ``parent_index`` of ``parents``), where its
+    users congregate.
     """
     params = [getattr(cfg, name) for name in _TIERS]
     empty_int, empty = np.empty(0, dtype=np.intp), np.empty(0)
     blocks = [[empty_int] + [empty] * 6 + [empty_int] * 2]
     for kind, pc in counts.pairs.items():
         s, t = _PAIR_TIERS[kind]
-        target, tree = tiers[t], trees[s]
-        if tree is None or len(target) == 0:
+        target, index = tiers[t], indexes[s]
+        if index is None or len(target) == 0:
             continue
         if t == _HOTSPOT:
-            _, b_of_parent = tree.query(parents)
+            _, b_of_parent = index.query(parents)
             b = b_of_parent[parent_index]
         else:
-            _, b = tree.query(target)
+            _, b = index.query(target)
         serving_xy = tiers[s][b]
         sx, sy = serving_xy[:, 0], serving_xy[:, 1]
         tx, ty = target[:, 0] - sx, target[:, 1] - sy
@@ -741,9 +768,9 @@ def run_trial(cfg: SimConfig, trial_index: int, kinds=_KIND_ORDER) -> EventCount
     parents, hotspot, parent_index = sample_tcp(cfg.region, cfg.cluster, rng)
 
     tiers = (macro, small, hotspot)
-    trees = _kdtrees(tiers)
-    fld = _build_circle_field(cfg, tiers, parents, parent_index, trees, counts)
-    smap = _ServingMap(trees, [getattr(cfg, name) for name in _TIERS])
+    indexes = _nearest_indexes(tiers)
+    fld = _build_circle_field(cfg, tiers, parents, parent_index, indexes, counts)
+    smap = _ServingMap(indexes, [getattr(cfg, name) for name in _TIERS])
     walk_rng = np.random.default_rng(seed.spawn(1)[0])
     waypoints = np.stack([
         generate_trajectory(start, cfg.n_moves, cfg.region, cfg.mobility, walk_rng).waypoints

@@ -1019,6 +1019,72 @@ def test_walk_scale_hang_ends_in_a_subprocess(tmp_path):
     assert out == err + "1\n"
 
 
+#: Deployments too large for one trial and `simulate`'s stderr on them.  Each
+#: used to load and then stop `simulate` with an unnamed NumPy error: an
+#: allocation of 178 PiB, or the Poisson sampler's ``lam value too large``.
+HUGE_DEPLOYMENTS = {
+    "small_density": (
+        {"deployment": {"lambda_s_per_m2": 1e10}},
+        "error: invalid config:\n  [deployment] lambda_s_per_m2 = 10000000000.0 on [region] "
+        "width_m = 5000.0 and height_m = 5000.0: 2.5e+17 expected small base stations, above "
+        "the cap of 1e+08\n",
+    ),
+    "mean_offspring": (
+        {"deployment": {"mean_offspring": 1e300}},
+        "error: invalid config:\n  [deployment] lambda_p_per_m2 = 2.0000000000000003e-06 and "
+        "mean_offspring = 1e+300 on [region] width_m = 5000.0 and height_m = 5000.0: 5e+301 "
+        "expected hotspot base stations, above the cap of 1e+08\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DEPLOYMENTS))
+def test_huge_deployment_configs_pinned(tmp_path, capsys, name):
+    sections, err = HUGE_DEPLOYMENTS[name]
+    p = write(tmp_path, _ini(sections))
+    assert main(["simulate", "--config", str(p), "--trials", "2"]) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_deployment_cap_boundary(tmp_path):
+    # load_config only: a trial at the cap would sample 1e8 base stations.
+    # On a 10 km square (1e8 m^2), each tier's expected count and one
+    # cluster's mean may reach the cap and not pass it.
+    square = "[region]\nwidth_m = 10000\nheight_m = 10000\n[deployment]\n"
+    above = math.nextafter(1.0, 2.0)
+    for keys, refused in (
+        ("lambda_s_per_m2 = 1.0", None),
+        (f"lambda_s_per_m2 = {above!r}", "expected small base stations"),
+        ("lambda_s_per_m2 = 1e-5\nlambda_m_per_m2 = 1.0", None),
+        (f"lambda_s_per_m2 = 1e-5\nlambda_m_per_m2 = {above!r}", "expected macro base stations"),
+        ("lambda_p_per_m2 = 1.0\nmean_offspring = 1.0", None),
+        (f"lambda_p_per_m2 = {above!r}\nmean_offspring = 1e-3", "expected hotspot cluster centres"),
+        ("lambda_p_per_m2 = 0.2\nmean_offspring = 5.0", None),
+        ("lambda_p_per_m2 = 0.2\nmean_offspring = 5.000001", "expected hotspot base stations"),
+        ("lambda_p_per_m2 = 1e-10\nmean_offspring = 1e8", None),
+        ("lambda_p_per_m2 = 1e-10\nmean_offspring = 1.000001e8",
+         "expected base stations in one hotspot cluster"),
+        ("lambda_s_per_m2 = 1e301", "inf expected small base stations"),
+    ):
+        p = write(tmp_path, square + keys + "\n")
+        if refused is None:
+            load_config(p)
+            continue
+        with pytest.raises(ConfigError, match=f"^invalid config:\n  \\[deployment\\] .*: [^:]*{refused}"):
+            load_config(p)
+
+
+def test_huge_deployment_at_a_sweep_point_names_the_sweep(tmp_path, capsys):
+    text = _ini({}) + "[sweep]\naxis = lambda_s\nvalues = 2e-5, 1e10\n"
+    for command in ("analyze", "simulate", "validate"):
+        assert main([command, "--config", str(write(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: [sweep] lambda_s = 10000000000.0: [deployment] lambda_s_per_m2 = "
+            "10000000000.0 on [region] width_m = 5000.0"
+        ), err
+
+
 @contextlib.contextmanager
 def _time_limit(seconds: float):
     """Raise `TimeoutError` in the body after ``seconds`` of wall clock."""
@@ -1085,6 +1151,8 @@ def _envelope_sections(draw) -> dict:
 @example(sections={"region": {"width_m": 5000.0, "height_m": 1e-30}})
 @example(sections={"mobility": {"pause_s": 1e308}})
 @example(sections={"deployment": {"sigma_m": 1e300}})
+@example(sections=HUGE_DEPLOYMENTS["small_density"][0])
+@example(sections=HUGE_DEPLOYMENTS["mean_offspring"][0])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_simulator_envelope_runs_or_names_a_key(tmp_path, sections):
@@ -1185,7 +1253,7 @@ PACKAGE_ALL = [
 
 def test_package_is_the_production_path_only():
     # The tests' quadrature and 50-digit oracles stay out of a CLI run, and
-    # so do the special functions, KD-trees and process pool that the
+    # so do the special functions, KD-tree class and process pool that the
     # package imports on first use.
     code = (
         "import sys, hetnet_handover.cli; print(sorted({'scipy.integrate', 'mpmath', "
@@ -1198,9 +1266,26 @@ def test_package_is_the_production_path_only():
     assert exc.value.code == 2
 
 
+def test_simulate_loads_no_scipy_spatial(tmp_path):
+    # A trial finds nearest base stations with `GridIndex`, so a fresh
+    # `simulate` never imports scipy.spatial, on the reference campaign or
+    # on the demo sweep.
+    code = (
+        "import sys; from hetnet_handover import cli; cli.main(sys.argv[1:]); "
+        "print('scipy.spatial' in sys.modules)"
+    )
+    reference = write(tmp_path, emit_config(ExperimentSpec(base=reference_sim_config(0))))
+    for config in (reference, DEMO_DIR / "sigma_sweep.ini"):
+        out = fresh_python(code, "simulate", "--config", str(config), "--trials", "2")
+        rows, loaded = out.splitlines()[:-1], out.splitlines()[-1]
+        assert loaded == "False"
+        assert rows[0].startswith("# schema_version") and len(rows) > 2, rows
+
+
 def test_analyze_demo_sweep_loads_no_scipy():
-    # The demo sweep takes no windowed Marcum lane and builds no KD-tree, so
-    # a fresh `analyze` never imports scipy.special or scipy.spatial.  Its
+    # The demo sweep takes no windowed Marcum lane, and the closed forms
+    # find no nearest base station, so a fresh `analyze` never imports
+    # scipy.special or scipy.spatial.  Its
     # bytes are the SpS digest of test_command_output_bytes_are_pinned.
     code = (
         "import sys; from hetnet_handover import cli; cli.main(sys.argv[1:]); "

@@ -1,12 +1,16 @@
 """Deployment geometry: regions, point processes, nearest-distance queries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from hetnet_handover import simengine
-from hetnet_handover.geometry import ClusterConfig, Region, sample_ppp, sample_tcp
+from hetnet_handover.geometry import (_ONE_CELL, ClusterConfig, GridIndex, Region, sample_ppp,
+                                      sample_tcp)
 
 
 class TestRegion:
@@ -120,32 +124,109 @@ class TestSampleTCP:
 
 class TestNearest:
     # The simulator finds each target's nearest serving-tier BS through the
-    # per-tier KD-trees of `simengine._kdtrees`.
+    # per-tier `GridIndex` of `simengine._nearest_indexes`.
+    @staticmethod
+    def distances(pts, q):
+        dx, dy = q[0] - pts[:, 0], q[1] - pts[:, 1]
+        return np.sqrt(dx * dx + dy * dy)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        pts = rng.uniform(0, 1000, (40, 2))
-        q = np.array([300.0, 700.0])
-        d, i = simengine._kdtrees([pts])[0].query(q)
-        brute = np.linalg.norm(pts - q, axis=1)
-        assert i == int(np.argmin(brute))
-        assert d == pytest.approx(brute.min())
+        pts = rng.uniform(0, 1000, (400, 2))
+        q = np.array([[300.0, 700.0]])
+        d, i = simengine._nearest_indexes([pts])[0].query(q)
+        brute = self.distances(pts, q[0])
+        assert i.tolist() == [int(np.argmin(brute))]
+        assert d.tolist() == [brute.min()]
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1000, (25, 2))
         queries = rng.uniform(0, 1000, (30, 2))
-        d_batch, i_batch = simengine._kdtrees([pts])[0].query(queries)
+        index = simengine._nearest_indexes([pts])[0]
+        d_batch, i_batch = index.query(queries)
         for k, q in enumerate(queries):
-            brute = np.linalg.norm(pts - q, axis=1)
+            brute = self.distances(pts, q)
             assert i_batch[k] == int(np.argmin(brute))
-            assert d_batch[k] == pytest.approx(brute.min())
+            assert d_batch[k] == brute.min()
+            d, i = index.query(q[None])
+            assert (d.tolist(), i.tolist()) == ([d_batch[k]], [i_batch[k]])
 
     def test_empty_targets_rejected(self):
-        # An empty tier gets no tree, so no query can land on it.
+        # An empty tier gets no index, so no query can land on it.
         empty = np.zeros((0, 2))
         full = np.ones((1, 2))
-        trees = simengine._kdtrees([empty, full])
-        assert trees[0] is None and trees[1].n == 1
+        indexes = simengine._nearest_indexes([empty, full])
+        assert indexes[0] is None and indexes[1].n == 1
+
+
+@st.composite
+def _point_sets(draw):
+    """``(points, queries)``: 1 to 5 000 points of one layout within
+    ``[-2, 2]`` times a scale of 1e-9 to 1e150 m, and queries within
+    ``[-4, 4]`` times it, mostly outside the points' box.  Layouts: uniform,
+    Gaussian clusters with a spread of 1e-3 to 1e3 of the extent, and a line
+    of any slope, axis-parallel ones included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5000) | st.integers(1, 2 * _ONE_CELL))
+    layout = draw(st.sampled_from(("uniform", "clusters", "line")))
+    if layout == "uniform":
+        pts = rng.uniform(size=(n, 2))
+    elif layout == "clusters":
+        centres = rng.uniform(size=(draw(st.integers(1, 20)), 2))
+        spread = 10.0 ** draw(st.floats(-3.0, 3.0))
+        pts = centres[rng.integers(0, len(centres), n)] + spread * rng.standard_normal((n, 2))
+    else:
+        t = rng.uniform(size=n)
+        slope = draw(st.sampled_from((0.0, math.inf)) | st.floats(-10.0, 10.0))
+        pts = np.column_stack((0 * t, t) if slope == math.inf else (t, slope * t))
+    scale = 10.0 ** draw(st.floats(-9.0, 150.0))
+    pts = pts / np.abs(pts).max() if np.abs(pts).max() > 0 else pts
+    offset = draw(st.floats(-1.0, 1.0))
+    queries = rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 500)), 2))
+    return (pts + offset) * scale, (queries + offset) * scale
+
+
+@given(case=_point_sets())
+@settings(max_examples=150, deadline=None)
+def test_grid_index_equals_kdtree_bit_for_bit(case):
+    # cKDTree is the oracle: on tie-free sets the index returns its
+    # distances and indices bit for bit, in O(n) cells.
+    pts, queries = case
+    index = GridIndex(pts)
+    assert index.cells <= 3 * len(pts) + 1
+    assert index.cells == 1 or len(pts) > _ONE_CELL
+    d, i = index.query(queries)
+    d_ref, i_ref = cKDTree(pts).query(queries)
+    assert np.array_equal(i, i_ref)
+    assert np.array_equal(d, d_ref)
+
+
+@pytest.mark.parametrize("n", [1, _ONE_CELL, _ONE_CELL + 1])
+def test_grid_index_on_each_side_of_one_cell(n):
+    # Up to `_ONE_CELL` points, a single one included, a query scans every
+    # point; past it, blocks of cells.  Both return cKDTree's bits.
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(0.0, 1000.0, (n, 2))
+    queries = rng.uniform(-500.0, 1500.0, (300, 2))
+    index = GridIndex(pts)
+    assert (index.cells == 1) == (n <= _ONE_CELL)
+    for got, want in zip(index.query(queries), cKDTree(pts).query(queries)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [5, 200])
+def test_grid_index_duplicates_go_to_the_lowest_index(m):
+    # Every location three times: the nearest is the copy of lowest index.
+    # (cKDTree breaks such ties its own way, and is not asked here.)
+    rng = np.random.default_rng(m)
+    base = rng.uniform(0.0, 1000.0, (m, 2))
+    pts = np.concatenate([base, base[::-1], base])
+    queries = np.concatenate([rng.uniform(0.0, 1000.0, (100, 2)), base])
+    d, i = GridIndex(pts).query(queries)
+    for q, dq, iq in zip(queries, d, i):
+        brute = TestNearest.distances(base, q)
+        assert (dq, iq) == (brute.min(), int(np.argmin(brute)))
 
 
 @given(

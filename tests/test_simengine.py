@@ -311,7 +311,7 @@ def test_serving_map_matches_reference_association():
         region, ClusterConfig(lambda_p=2e-6, sigma=150.0, mean_offspring=5.0), rng
     )
     mp, sp, hp = default_macro_params(), default_small_params(), default_hotspot_params()
-    smap = se._ServingMap(se._kdtrees((macro, small, hotspot)), (mp, sp, hp))
+    smap = se._ServingMap(se._nearest_indexes((macro, small, hotspot)), (mp, sp, hp))
     deployment = [(macro, mp), (small, sp), (hotspot, hp)]
     points = region.sample_uniform(200, rng)
     tier_pos, idx = smap.query(points)
@@ -321,9 +321,9 @@ def test_serving_map_matches_reference_association():
 
 def test_serving_map_on_bs_position_and_empty_tier():
     tiers = (np.empty((0, 2)), np.array([[10.0, 10.0], [50.0, 50.0]]))
-    trees = se._kdtrees(tiers)
-    assert trees[0] is None
-    smap = se._ServingMap(trees, (default_macro_params(), default_small_params()))
+    indexes = se._nearest_indexes(tiers)
+    assert indexes[0] is None
+    smap = se._ServingMap(indexes, (default_macro_params(), default_small_params()))
     tier_pos, idx = smap.query(np.array([[50.0, 50.0], [11.0, 10.0]]))
     assert tier_pos.tolist() == [1, 1]
     assert idx.tolist() == [1, 0]
@@ -349,7 +349,7 @@ def one_circle_field(center=(0.0, 0.0), r_h=100.0, r_f=50.0) -> se._CircleField:
 
 def single_bs_map() -> se._ServingMap:
     macro = np.array([[-1000.0, 0.0]])
-    return se._ServingMap(se._kdtrees([macro]), [default_macro_params()])
+    return se._ServingMap(se._nearest_indexes([macro]), [default_macro_params()])
 
 
 def walk(waypoints, thresholds, velocity=1.0, pause=0.0, fld=None) -> EventCounts:
@@ -793,7 +793,7 @@ def two_tier_map() -> se._ServingMap:
     macro = np.array([[-300.0, 0.0], [300.0, 40.0]])
     small = np.array([[0.0, -250.0], [20.0, 260.0]])
     return se._ServingMap(
-        se._kdtrees([macro, small]), [default_macro_params(), default_small_params()]
+        se._nearest_indexes([macro, small]), [default_macro_params(), default_small_params()]
     )
 
 
@@ -1235,7 +1235,7 @@ def test_circle_field_matches_per_pair_construction(label, cfg, index):
     macro, small, parents, hotspot, parent_index = deployment
     tiers = (macro, small, hotspot)
     counts = EventCounts()
-    fld = se._build_circle_field(cfg, tiers, parents, parent_index, se._kdtrees(tiers), counts)
+    fld = se._build_circle_field(cfg, tiers, parents, parent_index, se._nearest_indexes(tiers), counts)
     columns, skipped = per_pair_field(cfg, *deployment)
     names = [f.name for f in dataclasses.fields(se._CircleField)]
     for name, expected in zip(names, columns):
@@ -1248,7 +1248,7 @@ def test_circle_field_matches_per_pair_construction(label, cfg, index):
         # A field scoped to one kind holds that kind's rows of the full field.
         scoped = EventCounts.counting((kind,))
         part = se._build_circle_field(
-            cfg, tiers, parents, parent_index, se._kdtrees(tiers), scoped
+            cfg, tiers, parents, parent_index, se._nearest_indexes(tiers), scoped
         )
         rows = fld.kind_index == se._KIND_ORDER.index(kind)
         for name in names:
@@ -1501,8 +1501,9 @@ def test_campaign_falls_back_to_one_worker_without_a_process_pool(monkeypatch, e
     assert fallback.counts == serial.counts
 
 def test_kdtree_class_is_a_deferred_patchable_attribute(monkeypatch):
-    # scipy.spatial loads on first use, yet `simengine.cKDTree` reads as the
-    # class before any trial, in a fresh interpreter ...
+    # The benchmark's span tracer subclasses `simengine.cKDTree`, so it still
+    # reads as the class; scipy.spatial loads on that first read, in a fresh
+    # interpreter ...
     code = (
         "import sys; from hetnet_handover import simengine as se; "
         "cold = 'scipy.spatial' not in sys.modules; "
@@ -1511,17 +1512,23 @@ def test_kdtree_class_is_a_deferred_patchable_attribute(monkeypatch):
     assert fresh_python(code) == "True True\n"
     with pytest.raises(AttributeError, match="no_such_name"):
         se.no_such_name
-    # ... and a replacement is what a trial builds its trees with.
+    # ... yet a trial reads no KD-tree: it builds one nearest-BS index per
+    # tier, all through `_nearest_indexes`.
+    def no_kdtree(*args):
+        raise AssertionError("a trial built a KD-tree")
+
     built = []
-    tree_class = se.cKDTree
+    nearest_indexes = se._nearest_indexes
 
-    def recording(xy):
-        built.append(len(xy))
-        return tree_class(xy)
+    def recording(tiers):
+        built.append([len(xy) for xy in tiers])
+        return nearest_indexes(tiers)
 
-    monkeypatch.setattr(se, "cKDTree", recording)
+    monkeypatch.setattr(se, "cKDTree", no_kdtree)
+    monkeypatch.setattr(se, "_nearest_indexes", recording)
     run_trial(reference_sim_config(0), 0)
-    assert len(built) == len(se._TIERS) and min(built) > 0
+    assert len(built) == 1
+    assert len(built[0]) == len(se._TIERS) and min(built[0]) > 0
 
 
 def test_campaign_csv_shape():

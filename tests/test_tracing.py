@@ -74,29 +74,30 @@ def test_traced_run_records_every_layer_and_restores(tracing, tmp_path, capsys):
         "geometry.sample_tcp",
         "mobility.generate_trajectory",
         "radio.make_erb_pair",
-        "simengine.kdtree_query",
     ):
         assert table.mask(name).any(), f"no {name} span"
-    # One KD-tree per tier (macro, small, hotspot), shared by the circle
-    # field and the serving map.
-    assert int(table.mask("simengine.kdtree_build").sum()) == 3
+    # A trial's nearest-BS queries go through `GridIndex`, not the KD-tree
+    # class the tracer wraps, so no KD-tree span is recorded.
+    for name in ("simengine.kdtree_build", "simengine.kdtree_query"):
+        assert not table.mask(name).any(), f"a {name} span"
 
     # The traced counts equal those of one untraced replay of the trial: the
-    # base stations its KD-trees are built on and the waypoints it walks.
+    # base stations its nearest-BS indexes are built on and the waypoints it
+    # walks.
     cfg = cli.load_config(ini).base
     replay = {}
-    kdtrees, walk = simengine._kdtrees, simengine._walk_trajectories
+    nearest_indexes, walk = simengine._nearest_indexes, simengine._walk_trajectories
 
     def count_bs(tiers):
         replay["bs"] = sum(len(xy) for xy in tiers)
-        return kdtrees(tiers)
+        return nearest_indexes(tiers)
 
     def count_waypoints(waypoints, *args):
         replay["waypoints"] = waypoints.shape[0] * waypoints.shape[1]
         return walk(waypoints, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simengine, "_kdtrees", count_bs)
+        mp.setattr(simengine, "_nearest_indexes", count_bs)
         mp.setattr(simengine, "_walk_trajectories", count_waypoints)
         simengine.run_trial(cfg, 0)
     assert replay["waypoints"] == cfg.n_users * (cfg.n_moves + 1)
