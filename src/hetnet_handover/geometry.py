@@ -180,7 +180,6 @@ class GridIndex:
         self._idx = np.append(order, n)
         self._start = np.zeros(self.cells + 1, dtype=np.intp)
         np.cumsum(np.bincount(flat, minlength=self.cells), out=self._start[1:])
-        self._all = np.arange(n)[:, None]
         self._tol = _GRID_ULPS * max(abs(x0), abs(y0), abs(x0 + width), abs(y0 + height))
 
     def _cell(self, v: np.ndarray, v0: float, last: int) -> np.ndarray:
@@ -193,9 +192,6 @@ class GridIndex:
         (shape ``(k, 2)``)."""
         xy = np.asarray(xy, dtype=float)
         qx, qy = xy[:, 0].copy(), xy[:, 1].copy()
-        if self.cells == 1:  # every point is a candidate, and nothing is past them
-            d2, idx = self._nearest(qx, qy, self.n, lambda part: self._all)
-            return np.sqrt(d2), idx
         d2, idx = np.empty(len(xy)), np.empty(len(xy), dtype=np.intp)
         col, row = self._cell(qx, self._x0, self._last_col), self._cell(qy, self._y0, self._last_row)
         todo, reach = np.arange(len(xy)), 1
@@ -234,9 +230,8 @@ class GridIndex:
     def _nearest(self, x, y, slots: int, candidates) -> tuple:
         """Least squared distance from each query ``(x, y)`` to the sorted
         points at ``candidates(part)`` (at most ``slots`` rows, a column per
-        query of the slice ``part`` or one for all), and the lowest index at
-        that distance.  The queries go in parts of at most `_SCAN_SLOTS`
-        candidates."""
+        query of the slice ``part``), and the lowest index at that distance.
+        The queries go in parts of at most `_SCAN_SLOTS` candidates."""
         best, arg = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
         step = max(1, _SCAN_SLOTS // slots)
         for lo in range(0, len(x), step):

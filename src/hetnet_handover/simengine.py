@@ -294,7 +294,11 @@ class EventCounts:
 
 @dataclass
 class _CircleField:
-    """Flat arrays of every counted boundary-circle pair in one deployment."""
+    """Flat arrays of every counted boundary-circle pair in one deployment.
+
+    A pair's failure circle lies inside its handover circle (nested
+    Apollonius circles of one BS pair, as ``u_f <= u``); `boxes` relies on it.
+    """
 
     kind_index: np.ndarray  # (N,) position into _KIND_ORDER
     cx_h: np.ndarray
@@ -314,19 +318,14 @@ class _CircleField:
     def boxes(self) -> tuple:
         """Broad-phase boxes ``(x_lo, x_hi, y_lo, y_hi)``, one per pair.
 
-        Each box bounds both circles of the pair, so one test covers both,
-        and carries a slack of ``_BOX_SLACK`` times the pair's coordinate
-        scale.
+        Each box bounds the pair's handover circle, and so its failure
+        circle, with a slack of ``_BOX_SLACK`` times the pair's coordinate
+        scale that also covers the few ulps by which rounding can move one.
         """
         r_h = np.sqrt(self.r2_h)
-        r_f = np.sqrt(self.r2_f)
         slack = _BOX_SLACK * (np.abs(self.cx_h) + np.abs(self.cy_h) + r_h)
-        return (
-            np.minimum(self.cx_h - r_h, self.cx_f - r_f) - slack,
-            np.maximum(self.cx_h + r_h, self.cx_f + r_f) + slack,
-            np.minimum(self.cy_h - r_h, self.cy_f - r_f) - slack,
-            np.maximum(self.cy_h + r_h, self.cy_f + r_f) + slack,
-        )
+        return (self.cx_h - r_h - slack, self.cx_h + r_h + slack,
+                self.cy_h - r_h - slack, self.cy_h + r_h + slack)
 
 
 class _ServingMap:
@@ -335,7 +334,8 @@ class _ServingMap:
     Within a tier the prefactor is constant, so the strongest BS of a tier
     is simply the nearest one, which the tier's `GridIndex` finds with the
     distance bits of ``scipy.spatial.cKDTree``; the overall winner maximizes
-    ``prefactor * d**-alpha`` across tiers.  Ties break toward the earlier
+    ``prefactor * d**-alpha`` across tiers, compared as logs so that no
+    distance overflows or underflows it.  Ties break toward the earlier
     tier, and a query on a BS position associates to that BS.  The tests
     check it against a brute-force scan over every BS.
     """
@@ -344,7 +344,7 @@ class _ServingMap:
         """``indexes`` (`_nearest_indexes`, ``None`` for an empty tier) and
         ``params`` run over the tiers in `_TIERS` order."""
         self._entries = [
-            None if index is None else (index, p.linear_prefactor, p.pathloss_exponent)
+            None if index is None else (index, math.log(p.linear_prefactor), p.pathloss_exponent)
             for index, p in zip(indexes, params)
         ]
 
@@ -357,10 +357,10 @@ class _ServingMap:
         for tier_pos, entry in enumerate(self._entries):
             if entry is None:
                 continue
-            index, prefactor, alpha = entry
+            index, log_prefactor, alpha = entry
             d, idx = index.query(xy)
             with np.errstate(divide="ignore"):  # d = 0 on a BS: rss = inf
-                rss = prefactor * d ** (-alpha)
+                rss = log_prefactor - alpha * np.log(d)
             better = rss > best_rss
             best_rss[better] = rss[better]
             best_tier[better] = tier_pos

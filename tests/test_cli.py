@@ -1104,39 +1104,46 @@ def _log_uniform(low: float, high: float):
     return st.floats(low, high).map(lambda exponent: 10.0 ** exponent)
 
 
-#: Expected base stations (macro, small and hotspot) per small cell at the
-#: default density ratios.
-_DEFAULT_BASE = default_spec().base
-_BS_PER_SMALL_CELL = 1.0 + (
-    _DEFAULT_BASE.lambda_m + _DEFAULT_BASE.cluster.implied_density
-) / _DEFAULT_BASE.lambda_s
-
-
 @st.composite
 def _envelope_sections(draw) -> dict:
-    """Log-uniform ``[region]`` and ``[mobility]`` keys, with the small-cell
-    density set by an expected base-station count of at most 100.
+    """Log-uniform ``[region]``, ``[deployment]``, ``[mobility]`` and
+    ``[thresholds]`` time keys, with each tier's density set by an expected
+    base-station count of at most 100.
 
     The sides lie within 1e-150 to 1e150 m, so the area is a normal float
-    and the density finite; a region too large for NumPy's Poisson sampler
-    is outside the draws.  The height and the two walk scales are drawn
-    within 20 decades of the width, or (the scales) across 1e-300 to 1e300 m:
+    and the densities finite; a region too large for NumPy's Poisson sampler
+    is outside the draws.  The hotspot tier draws its expected cluster
+    centres and members, each 1e-2 to 1e2, and sets ``mean_offspring`` to
+    their ratio.  The height and the three length scales (the walk's and σ)
+    are drawn within 20 decades of the width, or across 1e-300 to 1e300 m:
     drawn independently, nearly every walk is refused by its scale alone.
     """
     decade = draw(st.floats(-150.0, 150.0))
     width = 10.0 ** decade
     height = 10.0 ** min(max(decade + draw(st.floats(-20.0, 20.0)), -150.0), 150.0)
     length = _log_uniform(decade - 20.0, decade + 20.0) | _log_uniform(-300, 300)
-    n_bs = draw(_log_uniform(-2, 2))
+    n_bs = _log_uniform(-2, 2)
+    n_parents, n_hotspots = draw(n_bs), draw(n_bs)
+    wide = _log_uniform(-300, 300)
     return {
         "region": {"width_m": width, "height_m": height},
-        "deployment": {"lambda_s_per_m2": n_bs / (width * height * _BS_PER_SMALL_CELL)},
+        "deployment": {
+            "lambda_s_per_m2": draw(n_bs) / (width * height),
+            "lambda_m_per_m2": draw(n_bs) / (width * height),
+            "lambda_p_per_m2": n_parents / (width * height),
+            "sigma_m": draw(length),
+            "mean_offspring": n_hotspots / n_parents,
+        },
         "mobility": {
             "sigma_rwp_m": draw(length),
             "p_z": draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
             "sigma_z_m": draw(length),
-            "velocity_mps": draw(_log_uniform(-300, 300)),
-            "pause_s": draw(st.just(0.0) | _log_uniform(-300, 300)),
+            "velocity_mps": draw(wide),
+            "pause_s": draw(st.just(0.0) | wide),
+        },
+        "thresholds": {
+            "t_threshold_s": draw(st.just(0.0) | wide),
+            "t_pingpong_s": draw(wide),
         },
         "experiment": {"n_users": draw(st.integers(1, 5)), "n_moves": draw(st.integers(1, 5))},
     }
@@ -1266,7 +1273,7 @@ def test_package_is_the_production_path_only():
     assert exc.value.code == 2
 
 
-def test_simulate_loads_no_scipy_spatial(tmp_path):
+def test_simulate_loads_no_scipy_spatial():
     # A trial finds nearest base stations with `GridIndex`, so a fresh
     # `simulate` never imports scipy.spatial, on the reference campaign or
     # on the demo sweep.
@@ -1274,8 +1281,7 @@ def test_simulate_loads_no_scipy_spatial(tmp_path):
         "import sys; from hetnet_handover import cli; cli.main(sys.argv[1:]); "
         "print('scipy.spatial' in sys.modules)"
     )
-    reference = write(tmp_path, emit_config(ExperimentSpec(base=reference_sim_config(0))))
-    for config in (reference, DEMO_DIR / "sigma_sweep.ini"):
+    for config in (DEMO_DIR / "reference.ini", DEMO_DIR / "sigma_sweep.ini"):
         out = fresh_python(code, "simulate", "--config", str(config), "--trials", "2")
         rows, loaded = out.splitlines()[:-1], out.splitlines()[-1]
         assert loaded == "False"

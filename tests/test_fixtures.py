@@ -1,12 +1,15 @@
 """The pinned regression constants, each recomputed by its oracle, and the
-default parameter sets of ``hetnet_handover.fixtures``."""
+default parameter sets of ``hetnet_handover.fixtures``, and the reference
+campaign's config file."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from hetnet_handover import fixtures
 from hetnet_handover.analytics import PairKind
+from hetnet_handover.cli import load_config
 from hetnet_handover.radio import TierRadioParams, db_to_linear
 from hetnet_handover.simengine import analytic_metrics
 
@@ -85,3 +88,10 @@ def test_reference_config_is_reproducible():
     assert a.master_seed == 0
     c = fixtures.reference_sim_config(master_seed=1)
     assert c.master_seed == 1
+
+
+def test_reference_ini_is_the_reference_config():
+    # The committed campaign file and the function the pins were derived
+    # from must not drift apart.
+    ini = Path(__file__).resolve().parent.parent / "demos" / "reference.ini"
+    assert load_config(ini).base == fixtures.reference_sim_config(0)

@@ -7,6 +7,7 @@ so every expected count can be derived with pencil and paper.
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from hetnet_handover import simengine as se
 from hetnet_handover.analytics import HandoverMetrics, HandoverThresholds, PairKind
-from hetnet_handover.cli import ExperimentSpec, cmd_simulate, cmd_validate
+from hetnet_handover.cli import ExperimentSpec, apply_sweep, cmd_simulate, cmd_validate, load_config
 from hetnet_handover.fixtures import (
     default_hotspot_params,
     default_macro_params,
@@ -347,6 +348,29 @@ def one_circle_field(center=(0.0, 0.0), r_h=100.0, r_f=50.0) -> se._CircleField:
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_serving_map_at_extreme_scales(scale):
+    # A macro BS at the origin and a small cell at (scale, 0).  The received
+    # powers of queries along the axis overflow (or underflow) a double at
+    # the two extreme scales; the winner is taken in 50-digit arithmetic.
+    import mpmath
+
+    mp, sp = default_macro_params(), default_small_params()
+    tiers = (np.array([[0.0, 0.0]]), np.array([[scale, 0.0]]))
+    smap = se._ServingMap(se._nearest_indexes(tiers), (mp, sp))
+    xs = scale * np.linspace(-0.5, 1.5, 41)
+    tier_pos, _ = smap.query(np.column_stack([xs, np.zeros_like(xs)]))
+    with mpmath.workdps(50):
+        for x, got in zip(xs, tier_pos.tolist()):
+            d_m, d_s = mpmath.mpf(abs(x)), mpmath.mpf(abs(x - scale))
+            if d_s == 0:
+                assert got == 1
+                continue
+            rss_m = mp.linear_prefactor * d_m ** -mp.pathloss_exponent if d_m else mpmath.inf
+            assert got == int(sp.linear_prefactor * d_s ** -sp.pathloss_exponent > rss_m), x
+
+
 def single_bs_map() -> se._ServingMap:
     macro = np.array([[-1000.0, 0.0]])
     return se._ServingMap(se._nearest_indexes([macro]), [default_macro_params()])
@@ -667,14 +691,16 @@ def _line_path(draw, rows) -> list:
 
 def _field_rows(draw) -> list:
     """1-4 circle rows ``(cx, cy, r_h, fx, fy, r_f)`` with integer centres;
-    a failure circle is concentric or slightly off its handover circle."""
+    a failure circle is concentric or slightly off its handover circle, and
+    inside it, as the simulator's circles are."""
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         cx, cy = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
         r_h = draw(st.sampled_from(sorted(_ON_CIRCLE)))
         r_f = draw(st.sampled_from([r for r in _ON_CIRCLE if r <= r_h]))
+        # The radii differ by at least 8, more than any offset's length.
         offset = st.one_of(st.just((0, 0)), st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
-        dx, dy = draw(offset)
+        dx, dy = draw(offset) if r_f < r_h else (0, 0)
         rows.append((cx, cy, r_h, cx + dx, cy + dy, r_f))
     return rows
 
@@ -1261,6 +1287,31 @@ def test_circle_field_matches_per_pair_construction(label, cfg, index):
         assert skipped[PairKind.SPS][0] == len(hotspot) > 0
     if label == "hotspot-as-macro":
         assert skipped[PairKind.SPM][0] > 0 and skipped[PairKind.SPS][1] > 0
+
+
+def _nesting_configs() -> list:
+    sweep = load_config(Path(__file__).resolve().parent.parent / "demos" / "sigma_sweep.ini")
+    cases = [("reference", reference_sim_config(0)), ("dense", dense_config())] + [
+        (f"sigma-{v:g}", apply_sweep(sweep.base, "sigma", v)) for v in sweep.sweep_values
+    ]
+    return [pytest.param(cfg, id=label) for label, cfg in cases]
+
+
+@pytest.mark.parametrize("cfg", _nesting_configs())
+def test_failure_circle_lies_inside_handover_circle(cfg):
+    # The broad-phase boxes bound the handover circle alone, which covers the
+    # failure circle only while the two are nested.
+    for index in range(3):
+        macro, small, parents, hotspot, parent_index = sampled_deployment(cfg, index)
+        tiers = (macro, small, hotspot)
+        fld = se._build_circle_field(
+            cfg, tiers, parents, parent_index, se._nearest_indexes(tiers), EventCounts()
+        )
+        assert fld.n > 0
+        r_h, r_f = np.sqrt(fld.r2_h), np.sqrt(fld.r2_f)
+        scale = np.abs(fld.cx_h) + np.abs(fld.cy_h) + r_h
+        excess = np.hypot(fld.cx_f - fld.cx_h, fld.cy_f - fld.cy_h) + r_f - r_h
+        assert np.all(excess <= 1e-9 * scale), excess.max()
 
 
 # ---------------------------------------------------------------------------
