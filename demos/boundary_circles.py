@@ -10,26 +10,20 @@ refuse.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
 from hetnet_handover import DegenerateBoundaryError, PairKind
-from hetnet_handover.fixtures import (
-    default_hotspot_params,
-    default_macro_params,
-    default_small_params,
-    default_thresholds,
-    reference_sim_config,
-)
+from hetnet_handover.cli import default_spec, load_config
 from hetnet_handover.radio import boundary_factors, erb_circle_arrays
 from hetnet_handover.simengine import analytic_pair_metrics
 
 
 def main() -> None:
-    macro = default_macro_params()
-    small = default_small_params()
-    hotspot = default_hotspot_params()
-    q_out = default_thresholds().q_out
+    defaults = default_spec().base
+    macro, small, hotspot = defaults.macro, defaults.small, defaults.hotspot
+    q_out = defaults.thresholds.q_out
 
     pairs = (
         ("small target / macro serving", macro, small),
@@ -58,7 +52,7 @@ def main() -> None:
     print("(before the dwell threshold) is what the simulator counts as failure.")
 
     print("\nequal parameters on both sides (small cells with the macro radio):")
-    cfg = reference_sim_config(0)
+    cfg = load_config(Path(__file__).with_name("reference.ini")).base
     try:
         analytic_pair_metrics(dataclasses.replace(cfg, small=cfg.macro), PairKind.SM)
     except DegenerateBoundaryError as exc:

@@ -18,13 +18,13 @@ check and the sweep axes all read it.
 
 Defaults live in ``default_spec()``, which an empty or absent config file
 yields: a 5 km x 5 km region, small-cell density 2e-5 per m^2 and hotspot
-scatter 150 m are written there; the macro and hotspot-center densities (a
-tenth of the small-cell density) come from ``SimConfig.with_default_ratios``,
-the 5 expected hotspot members from ``ClusterConfig``, the tier radios,
-mobility and handover thresholds from ``fixtures.default_*``, and the trial
-counts from ``SimConfig``.  A key a file leaves out keeps its
-``default_spec()`` value, except that absent macro and hotspot-center
-densities follow a configured small-cell density at the default ratios.
+scatter 150 m are written there, the 5 expected hotspot members come from
+``ClusterConfig``, the tier radios, mobility and handover thresholds from
+``fixtures.default_*``, and the trial counts from ``SimConfig``.  A key a
+file leaves out keeps its ``default_spec()`` value, except that absent
+macro and hotspot-center densities follow the small-cell density on any
+region, by the rule's one home, ``simengine.density_at_default_ratios``
+(refused where that underflows to 0).
 
 Sweeps replace one quantity per run.  Each axis but ``lambda_s`` is read as
 a config key: ``sigma`` as ``sigma_m``, ``velocity`` as ``velocity_kmh``,
@@ -60,6 +60,7 @@ from .simengine import (
     SimConfig,
     analytic_metrics,
     analytic_pair_metrics,
+    density_at_default_ratios,
     run_campaign,
 )
 
@@ -312,23 +313,18 @@ def _declared_int(objs, field: str) -> bool:
     return next(f.type for f in dataclasses.fields(obj) if f.name == field) in (int, "int")
 
 
-def _default_config(lambda_s: float = 2e-5) -> SimConfig:
-    """The default configuration at small-cell density ``lambda_s``."""
-    return SimConfig.with_default_ratios(
+def default_spec() -> ExperimentSpec:
+    """The full-default experiment (see module docstring)."""
+    return ExperimentSpec(base=SimConfig.with_default_ratios(
         region=Region(0.0, 5000.0, 0.0, 5000.0),
         macro=fixtures.default_macro_params(),
         small=fixtures.default_small_params(),
         hotspot=fixtures.default_hotspot_params(),
-        lambda_s=lambda_s,
+        lambda_s=2e-5,
         sigma=150.0,
         mobility=fixtures.default_mobility(),
         thresholds=fixtures.default_thresholds(),
-    )
-
-
-def default_spec() -> ExperimentSpec:
-    """The full-default experiment (see module docstring)."""
-    return ExperimentSpec(base=_default_config())
+    ))
 
 
 class _SectionReader:
@@ -441,16 +437,20 @@ def load_config(path) -> ExperimentSpec:
         return readers[name].build(parts[name][0], readers[name].fields(*parts[name]))
 
     base = {name: read(name) for name in ("region", *_TIERS)}
-    # Macro and hotspot-center densities not given follow the (possibly
-    # overridden) small-cell density at the default ratios.
+    # Macro and hotspot-center densities not given follow the small-cell
+    # density.  One that is not positive follows nothing: SimConfig refuses it.
     given = readers["deployment"].fields(*parts["deployment"])
-    base["lambda_s"] = given.pop("lambda_s", cfg.lambda_s)
-    try:
-        ratios = _default_config(base["lambda_s"])
-    except ValueError:  # lambda_s <= 0: SimConfig refuses it below
-        ratios = cfg
-    base["lambda_m"] = given.pop("lambda_m", ratios.lambda_m)
-    base["cluster"] = readers["deployment"].build(ratios.cluster, given)
+    lambda_s = base["lambda_s"] = given.pop("lambda_s", cfg.lambda_s)
+    followed = density_at_default_ratios(lambda_s)
+    if followed > 0:
+        given = {"lambda_m": followed, "lambda_p": followed, **given}
+    elif lambda_s > 0 and not {"lambda_m", "lambda_p"} <= given.keys():
+        errors.append(
+            f"[deployment] lambda_s_per_m2 = {lambda_s!r}: the macro and hotspot-center "
+            "densities that follow it underflow to 0; give lambda_m_per_m2 and lambda_p_per_m2"
+        )
+    base["lambda_m"] = given.pop("lambda_m", cfg.lambda_m)
+    base["cluster"] = readers["deployment"].build(cfg.cluster, given)
     base.update((name, read(name)) for name in ("mobility", "thresholds"))
     base.update(readers["experiment"].fields(*parts["experiment"]))
     spec = {

@@ -1,8 +1,9 @@
 """The default parameter sets and the reference validation campaign.
 
-``cli.default_spec`` builds its defaults from the ``default_*`` functions,
-and ``reference_sim_config`` is the fixed campaign behind the pinned
-simulation constants and the 15 % acceptance window.
+``cli.default_spec`` builds its defaults from the ``default_*`` functions.
+``reference_sim_config`` is the fixed campaign behind the pinned simulation
+constants and the 15 % acceptance window; ``perfbench/`` imports it, and the
+tests read it from ``demos/reference.ini``.
 """
 
 from __future__ import annotations

@@ -126,14 +126,14 @@ def _scope(kinds) -> tuple:
     return tuple(k for k in _KIND_ORDER if k in kinds)
 
 
+def density_at_default_ratios(lambda_s: float) -> float:
+    """The macro and cluster-parent density at 10:1:1 ratios to small cells."""
+    return lambda_s / 10.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation campaign needs.
-
-    Densities are per square meter.  ``with_default_ratios`` builds the
-    default deployment where the macro and cluster-parent densities are one
-    tenth of the small-cell density.
-    """
+    """Everything one simulation campaign needs; densities are per square meter."""
 
     region: Region
     macro: TierRadioParams
@@ -207,17 +207,17 @@ class SimConfig:
     @classmethod
     def with_default_ratios(cls, *, lambda_s: float, sigma: float, **parts) -> "SimConfig":
         """Deployment driven by the small-cell density alone: the macro and
-        cluster-parent densities are ``lambda_s / 10`` (10:1:1 ratios) and the
-        cluster spread is ``sigma``.
+        cluster-parent densities are `density_at_default_ratios` of
+        ``lambda_s`` and the cluster spread is ``sigma``.
 
         ``parts`` are the other fields by name: ``region``, ``macro``,
         ``small``, ``hotspot``, ``mobility`` and ``thresholds``, and
         optionally the counts and ``master_seed``.
         """
         return cls(
-            lambda_m=lambda_s / 10.0,
+            lambda_m=density_at_default_ratios(lambda_s),
             lambda_s=lambda_s,
-            cluster=ClusterConfig(lambda_p=lambda_s / 10.0, sigma=sigma),
+            cluster=ClusterConfig(lambda_p=density_at_default_ratios(lambda_s), sigma=sigma),
             **parts,
         )
 

@@ -8,10 +8,12 @@ against: the paper's exponential-sum I0 fit and mean-distance expression,
 the Jensen bound on that mean and the border-strip occupancy of a walk.
 `fresh_python` runs the package in a new interpreter, for the checks of what
 it imports and when, which this process (having loaded scipy) cannot make.
+`reference_config` reads the pinned validation campaign from its config file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -26,6 +28,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from hetnet_handover import simengine as se
+from hetnet_handover.cli import load_config
 from hetnet_handover.geometry import Region
 from hetnet_handover.radio import TierRadioParams
 from hetnet_handover.specfun import marcum_q1
@@ -36,8 +39,18 @@ PINS = json.loads(Path(__file__).with_name("fixtures.json").read_text(encoding="
 ]
 
 
+#: The pinned validation campaign: the simulation pins and the 15 % acceptance
+#: window are set on it at master seed 0.
+REFERENCE_INI = Path(__file__).resolve().parents[1] / "demos" / "reference.ini"
+
+
 def pin(name: str) -> float:
     return float(PINS[name]["value"])
+
+
+def reference_config(master_seed: int = 0) -> se.SimConfig:
+    """The campaign of ``demos/reference.ini`` at ``master_seed``."""
+    return dataclasses.replace(load_config(REFERENCE_INI).base, master_seed=master_seed)
 
 
 def fresh_python(code: str, *argv: str, timeout: float | None = None) -> str:

@@ -32,7 +32,6 @@ from hetnet_handover.cli import apply_sweep, default_spec, main
 from hetnet_handover.fixtures import (
     default_macro_params,
     default_small_params,
-    reference_sim_config,
 )
 from hetnet_handover.geometry import Region, sample_ppp
 from hetnet_handover.mobility import (
@@ -49,6 +48,7 @@ from oracles import (
     i0_exp_approx,
     marcum_q1_quadrature,
     mean_cluster_distance_ub,
+    reference_config,
     strip_occupancy,
 )
 
@@ -308,7 +308,7 @@ def test_simulated_trigger_rate_tracks_closed_form():
     # reference one, so its triggered rate must also reproduce the pinned
     # simulator constant.
     t0 = time.perf_counter()
-    cfg = reference_sim_config()
+    cfg = reference_config()
     estimate = run_campaign(cfg, workers=4)
     analytic = analytic_metrics(cfg)[PairKind.SPS]
     sim = estimate.pairs[PairKind.SPS].rates

@@ -29,7 +29,6 @@ from hetnet_handover.fixtures import (
     default_mobility,
     default_small_params,
     default_thresholds,
-    reference_sim_config,
 )
 from hetnet_handover.geometry import Region
 from hetnet_handover.radio import DegenerateBoundaryError, make_erb_pair
@@ -41,6 +40,7 @@ from oracles import (
     mean_cluster_distance_expsum,
     mean_cluster_distance_ub,
     pin,
+    reference_config,
     rician_cdf,
     rician_mean,
     rician_pdf,
@@ -204,7 +204,7 @@ class TestClusterMeanDistance:
             raise AssertionError("scipy.integrate.quad called on the analytic path")
 
         monkeypatch.setattr(integrate, "quad", no_quad)
-        metrics = analytic_metrics(reference_sim_config(0))
+        metrics = analytic_metrics(reference_config(0))
         assert set(metrics) == set(PairKind)
 
     # The four test_ub_* tests pin the paper's exponential-sum expression,

@@ -41,12 +41,11 @@ from hetnet_handover.fixtures import (
     default_mobility,
     default_small_params,
     default_thresholds,
-    reference_sim_config,
 )
 from hetnet_handover.geometry import ClusterConfig, Region
 from hetnet_handover.radio import DegenerateBoundaryError
 from hetnet_handover.simengine import SimConfig, analytic_pair_metrics
-from oracles import fresh_python
+from oracles import fresh_python, reference_config
 
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
@@ -531,6 +530,8 @@ ERROR_TEXT = {
 #: used to print an infinite exposure or overflow in the circle field.  A
 #: region whose area underflows to 0, or whose squared diagonal overflows, is
 #: refused by [region]; it used to run an empty deployment, or blame sigma_m.
+#: A small-cell density whose followed macro and hotspot-center densities
+#: underflow to 0 is refused by name; they used to keep 2e-6 per m^2.
 CHANGED_ERROR_TEXT = {
     'tier_prefactor_overflows': (
         '[macro]\ntx_power_dbm = 5000\n',
@@ -612,6 +613,10 @@ CHANGED_ERROR_TEXT = {
         '[deployment]\nlambda_s_per_m2 = -1e-5\nlambda_p_per_m2 = 1e-6\n',
         'invalid config:\n  lambda_s must be positive, got -1e-05',
     ),
+    'followed_densities_underflow': (
+        '[deployment]\nlambda_s_per_m2 = 5e-324\n',
+        "invalid config:\n  [deployment] lambda_s_per_m2 = 5e-324: the macro and hotspot-center densities that follow it underflow to 0; give lambda_m_per_m2 and lambda_p_per_m2",
+    ),
 }
 
 
@@ -625,6 +630,26 @@ def test_absent_densities_follow_the_small_cell_density(tmp_path):
     assert base.lambda_s == 3e-5
     assert base.lambda_m == 3e-5 / 10.0
     assert base.cluster.lambda_p == 3e-5 / 10.0
+
+
+#: Small-cell densities that the absent macro and hotspot-center densities
+#: used to ignore: the region is far from the default square in scale, or
+#: the tenth of the density underflows to 0.
+TINY_REGION_DENSE = {"region": {"width_m": 1e-82, "height_m": 1e-82},
+                     "deployment": {"lambda_s_per_m2": 1e164}}
+UNDERFLOWING_TENTH = {"deployment": {"lambda_s_per_m2": 5e-324}}
+
+
+def test_absent_densities_follow_on_any_region(tmp_path):
+    # They used to keep the absolute defaults of 2e-6 per m^2: no macro tier.
+    base = load_config(write(tmp_path, _ini(TINY_REGION_DENSE))).base
+    assert base.lambda_m == 1e164 / 10.0
+    assert base.cluster.lambda_p == 1e164 / 10.0
+    # Given both, nothing follows, so a tenth that underflows is not refused
+    # (CHANGED_ERROR_TEXT has the refusal).
+    given = {**UNDERFLOWING_TENTH["deployment"], "lambda_m_per_m2": 1e-6, "lambda_p_per_m2": 1e-6}
+    base = load_config(write(tmp_path, _ini({"deployment": given}))).base
+    assert (base.lambda_s, base.lambda_m, base.cluster.lambda_p) == (5e-324, 1e-6, 1e-6)
 
 
 def test_section_keys_are_derived_from_the_table():
@@ -644,7 +669,7 @@ def test_benchmark_ini_bytes_are_pinned():
     def sha(spec):
         return hashlib.sha256(emit_config(spec).encode("utf-8")).hexdigest()
 
-    assert sha(ExperimentSpec(base=reference_sim_config(1))) == (
+    assert sha(ExperimentSpec(base=reference_config(1))) == (
         "66fbb1fb56d7f34c63543a0e836be4fe497f7fa3ff7d2318967046a9481a1085"
     )
     assert sha(default_spec()) == (
@@ -1114,26 +1139,33 @@ def _envelope_sections(draw) -> dict:
     and the densities finite; a region too large for NumPy's Poisson sampler
     is outside the draws.  The hotspot tier draws its expected cluster
     centres and members, each 1e-2 to 1e2, and sets ``mean_offspring`` to
-    their ratio.  The height and the three length scales (the walk's and σ)
-    are drawn within 20 decades of the width, or across 1e-300 to 1e300 m:
-    drawn independently, nearly every walk is refused by its scale alone.
+    their ratio.  Some draws leave out ``lambda_m_per_m2`` or
+    ``lambda_p_per_m2``, or both, so that they follow the small-cell
+    density; the centres are then a tenth of the small cells.  The height
+    and the three length scales (the walk's and σ) are drawn within 20
+    decades of the width, or across 1e-300 to 1e300 m: drawn independently,
+    nearly every walk is refused by its scale alone.
     """
     decade = draw(st.floats(-150.0, 150.0))
     width = 10.0 ** decade
     height = 10.0 ** min(max(decade + draw(st.floats(-20.0, 20.0)), -150.0), 150.0)
     length = _log_uniform(decade - 20.0, decade + 20.0) | _log_uniform(-300, 300)
     n_bs = _log_uniform(-2, 2)
-    n_parents, n_hotspots = draw(n_bs), draw(n_bs)
+    n_small, n_macro, n_parents, n_hotspots = (draw(n_bs) for _ in range(4))
+    followed = draw(st.sets(st.sampled_from(("lambda_m_per_m2", "lambda_p_per_m2"))))
+    if "lambda_p_per_m2" in followed:
+        n_parents = n_small / 10.0
+    deployment = {
+        "lambda_s_per_m2": n_small / (width * height),
+        "lambda_m_per_m2": n_macro / (width * height),
+        "lambda_p_per_m2": n_parents / (width * height),
+        "sigma_m": draw(length),
+        "mean_offspring": n_hotspots / n_parents,
+    }
     wide = _log_uniform(-300, 300)
     return {
         "region": {"width_m": width, "height_m": height},
-        "deployment": {
-            "lambda_s_per_m2": draw(n_bs) / (width * height),
-            "lambda_m_per_m2": draw(n_bs) / (width * height),
-            "lambda_p_per_m2": n_parents / (width * height),
-            "sigma_m": draw(length),
-            "mean_offspring": n_hotspots / n_parents,
-        },
+        "deployment": {k: v for k, v in deployment.items() if k not in followed},
         "mobility": {
             "sigma_rwp_m": draw(length),
             "p_z": draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
@@ -1160,6 +1192,8 @@ def _envelope_sections(draw) -> dict:
 @example(sections={"deployment": {"sigma_m": 1e300}})
 @example(sections=HUGE_DEPLOYMENTS["small_density"][0])
 @example(sections=HUGE_DEPLOYMENTS["mean_offspring"][0])
+@example(sections=TINY_REGION_DENSE)
+@example(sections=UNDERFLOWING_TENTH)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_simulator_envelope_runs_or_names_a_key(tmp_path, sections):

@@ -1,9 +1,8 @@
-"""The pinned regression constants, each recomputed by its oracle, and the
+"""The pinned regression constants, each recomputed by its oracle, the
 default parameter sets of ``hetnet_handover.fixtures``, and the reference
-campaign's config file."""
+campaign's config file against the copy the benchmark imports."""
 
 import math
-from pathlib import Path
 
 import pytest
 
@@ -15,11 +14,13 @@ from hetnet_handover.simengine import analytic_metrics
 
 from oracles import (
     PINS,
+    REFERENCE_INI,
     cluster_mean_rician_mixture,
     i0_approx_max_rel_err,
     marcum_q1_mpmath,
     marcum_q1_quadrature,
     mean_cluster_distance_expsum,
+    reference_config,
 )
 
 #: The pin that needs a full 200-trial campaign; the acceptance check of the
@@ -35,7 +36,7 @@ PIN_ORACLES = {
     "cluster_mean_numeric_lam2e-5_sigma150": lambda: cluster_mean_rician_mixture(2e-5, 150.0),
     "cluster_mean_ub_lam2e-5_sigma150": lambda: mean_cluster_distance_expsum(2e-5, 150.0),
     "analytic_triggered_rate_sps_reference": lambda: analytic_metrics(
-        fixtures.reference_sim_config()
+        reference_config()
     )[PairKind.SPS].triggered_rate,
     "i0_approx_max_rel_err_interval0": lambda: i0_approx_max_rel_err(0),
     "i0_approx_max_rel_err_interval1": lambda: i0_approx_max_rel_err(1),
@@ -81,6 +82,8 @@ def test_default_builders_are_self_consistent():
 
 
 def test_reference_config_is_reproducible():
+    # The pins are read from demos/reference.ini; this function stays for
+    # the benchmark, which builds its reference workload from it.
     a = fixtures.reference_sim_config()
     b = fixtures.reference_sim_config()
     assert a == b
@@ -91,7 +94,6 @@ def test_reference_config_is_reproducible():
 
 
 def test_reference_ini_is_the_reference_config():
-    # The committed campaign file and the function the pins were derived
-    # from must not drift apart.
-    ini = Path(__file__).resolve().parent.parent / "demos" / "reference.ini"
-    assert load_config(ini).base == fixtures.reference_sim_config(0)
+    # The tests read the pinned campaign from its config file, and the
+    # benchmark builds it with this function: the two must not drift apart.
+    assert load_config(REFERENCE_INI).base == fixtures.reference_sim_config(0)

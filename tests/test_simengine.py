@@ -24,7 +24,6 @@ from hetnet_handover.fixtures import (
     default_mobility,
     default_small_params,
     default_thresholds,
-    reference_sim_config,
 )
 from hetnet_handover.geometry import ClusterConfig, Region, sample_ppp, sample_tcp
 from hetnet_handover.mobility import generate_trajectory
@@ -51,6 +50,7 @@ from oracles import (
     crossing_events_lexsort,
     fresh_python,
     pin,
+    reference_config,
     serving_bs,
     walk_trajectory_loop,
 )
@@ -960,7 +960,7 @@ def test_trial_event_tables_match_lexsort(index, monkeypatch):
     # lexsorted one.
     tables = []
     monkeypatch.setattr(se, "_crossing_events", recording_crossing_events(tables))
-    run_trial(reference_sim_config(0), index)
+    run_trial(reference_config(0), index)
     assert tables and sum(len(result[0]) for _, result in tables) > 1000
     assert_tables_match_lexsort(tables)
 
@@ -984,7 +984,7 @@ def test_trial_with_an_empty_tier_counts_none_of_its_pairs(monkeypatch, empty):
     # deployment stream, the other tiers and the walk are unchanged: the
     # kinds that touch the empty tier count nothing, and the others count
     # what the full trial counts.
-    cfg = reference_sim_config(0)
+    cfg = reference_config(0)
     full = run_trial(cfg, 0)
     if empty == "hotspot":
         def drop(region, cluster, rng):
@@ -1024,7 +1024,7 @@ def test_run_trial_produces_consistent_counts():
     assert total > 0  # dense small-cell tier: some boundary is always crossed
 
 
-#: ``run_trial(reference_sim_config(0), i)`` for i = 0, 1, 2, recorded when the
+#: ``run_trial(reference_config(0), i)`` for i = 0, 1, 2, recorded when the
 #: trajectories moved to their own stream and array draws; on the same
 #: trajectories, ``oracles.walk_trajectory_loop`` gives the same counts and
 #: the in-order sum of the users' clocks the same exposure.
@@ -1038,7 +1038,7 @@ _REFERENCE_SEED0_TRIALS = (
 @pytest.mark.parametrize("index", range(3))
 def test_run_trial_reproduces_recorded_reference_counts(index):
     exposure, *per_kind = _REFERENCE_SEED0_TRIALS[index]
-    assert run_trial(reference_sim_config(0), index) == pinned_counts(exposure, per_kind)
+    assert run_trial(reference_config(0), index) == pinned_counts(exposure, per_kind)
 
 
 def dense_config() -> SimConfig:
@@ -1090,7 +1090,7 @@ def test_run_trial_reproduces_recorded_dense_counts(index):
 def test_pair_scoped_trial_counts_as_the_full_trial_does(name, index):
     # A kind's circles are walked apart from the other kinds' circles, and
     # the association still sees every tier: scoping moves no count.
-    cfg = reference_sim_config(0) if name == "reference" else dense_config()
+    cfg = reference_config(0) if name == "reference" else dense_config()
     full = run_trial(cfg, index)
     for kinds in [(kind,) for kind in se._KIND_ORDER] + [(PairKind.SPM, PairKind.SM)]:
         scoped = run_trial(cfg, index, kinds=kinds)
@@ -1140,7 +1140,7 @@ def test_exposure_is_measured_from_the_trajectories(name, index):
     # time: travel time plus one pause per movement, accumulated leg by leg
     # in walking order; the users' times are added in user order.
     # Recomputed here from the trajectories the trial draws.
-    cfg = reference_sim_config(0) if name == "reference" else dense_config()
+    cfg = reference_config(0) if name == "reference" else dense_config()
     got, trajs, (waypoints, velocity, pause) = trial_trajectories(cfg, index)
     assert len(trajs) == cfg.n_users
     assert waypoints.tobytes() == np.stack([t.waypoints for t in trajs]).tobytes()
@@ -1162,7 +1162,7 @@ def test_trajectories_do_not_depend_on_the_deployment():
     # that differ only in the small-cell density (which changes how many
     # deployment draws there are), the cluster spread or a tier's transmit
     # power count different events on the same trajectories, byte for byte.
-    base = reference_sim_config(0)
+    base = reference_config(0)
     variants = [
         dataclasses.replace(base, lambda_s=3.0 * base.lambda_s),
         dataclasses.replace(base, cluster=dataclasses.replace(base.cluster, sigma=250.0)),
@@ -1232,7 +1232,7 @@ def per_pair_field(cfg, macro, small, parents, hotspot, parent_index) -> tuple:
 
 
 def _field_configs():
-    ref = reference_sim_config(0)
+    ref = reference_config(0)
     default = SimConfig.with_default_ratios(
         region=Region(0.0, 3000.0, 0.0, 3000.0),
         macro=default_macro_params(), small=default_small_params(),
@@ -1291,7 +1291,7 @@ def test_circle_field_matches_per_pair_construction(label, cfg, index):
 
 def _nesting_configs() -> list:
     sweep = load_config(Path(__file__).resolve().parent.parent / "demos" / "sigma_sweep.ini")
-    cases = [("reference", reference_sim_config(0)), ("dense", dense_config())] + [
+    cases = [("reference", reference_config(0)), ("dense", dense_config())] + [
         (f"sigma-{v:g}", apply_sweep(sweep.base, "sigma", v)) for v in sweep.sweep_values
     ]
     return [pytest.param(cfg, id=label) for label, cfg in cases]
@@ -1577,7 +1577,7 @@ def test_kdtree_class_is_a_deferred_patchable_attribute(monkeypatch):
 
     monkeypatch.setattr(se, "cKDTree", no_kdtree)
     monkeypatch.setattr(se, "_nearest_indexes", recording)
-    run_trial(reference_sim_config(0), 0)
+    run_trial(reference_config(0), 0)
     assert len(built) == 1
     assert len(built[0]) == len(se._TIERS) and min(built[0]) > 0
 
@@ -1597,7 +1597,7 @@ def test_campaign_csv_shape():
 # ---------------------------------------------------------------------------
 
 def test_analytic_metrics_match_pinned_reference():
-    cfg = reference_sim_config()
+    cfg = reference_config()
     rate = analytic_metrics(cfg)[PairKind.SPS].triggered_rate
     pinned = pin("analytic_triggered_rate_sps_reference")
     assert rate == pytest.approx(pinned, rel=1e-12)
@@ -1633,7 +1633,7 @@ DOMAIN_ERROR_PIN = (
 
 
 def test_analytic_domain_error_text_pinned():
-    base = reference_sim_config(0)
+    base = reference_config(0)
     configs = {
         "small_power_hotspot": dataclasses.replace(
             base, hotspot=dataclasses.replace(base.hotspot, tx_power=base.small.tx_power)

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from hetnet_handover import analytics, cli, fixtures, simengine
+from hetnet_handover import analytics, cli, simengine
+
+from oracles import reference_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -57,7 +59,7 @@ def test_traced_run_records_every_layer_and_restores(tracing, tmp_path, capsys):
     with tracing.instrument(tracer):
         for (mod, attr), fn in zip(PATCHED, originals):
             assert getattr(mod, attr) is not fn, f"{mod.__name__}.{attr} not patched"
-        simengine.analytic_metrics(fixtures.reference_sim_config(0))
+        simengine.analytic_metrics(reference_config(0))
         assert cli.main(["simulate", "--config", str(ini)]) == 0
     capsys.readouterr()
     for (mod, attr), fn in zip(PATCHED, originals):
