@@ -79,7 +79,8 @@ _HOTSPOT = _TIERS.index("hotspot")  # the clustered tier
 #: any trial.  The closed forms start no process pool.  No code here reads
 #: ``cKDTree`` any more (a trial's nearest-BS queries go through
 #: `GridIndex`); it stays only because the benchmark's span tracer,
-#: ``perfbench/tracing.py``, subclasses ``simengine.cKDTree``.
+#: ``perfbench/tracing.py``, subclasses ``simengine.cKDTree``.  scipy is a
+#: test and benchmark dependency, not a dependency of the package.
 _DEFERRED = {"cKDTree": "scipy.spatial", "ProcessPoolExecutor": "concurrent.futures"}
 
 

@@ -119,14 +119,40 @@ def marcum_q1_quadrature(a: float, b: float) -> float:
     return min(1.0, max(0.0, val))
 
 
+def _poisson_cdf_mpmath(j: int, y, pmf_j):
+    """``P[Poisson(y) <= j]`` in the working precision from the pmf at ``j``:
+    the lower tail summed downward where ``y > j``, else one minus the upper
+    tail summed upward.  Each sum stops once a term falls below 1e-60 of it,
+    and its terms shrink at least geometrically."""
+    import mpmath
+
+    eps = mpmath.mpf(10) ** -60
+    if y > j:
+        term = total = pmf_j
+        k = j
+        while k > 0 and term > eps * total:
+            term = term * k / y
+            total += term
+            k -= 1
+        return total
+    k = j + 1
+    term = total = pmf_j * y / k
+    while term > eps * total:
+        k += 1
+        term = term * y / k
+        total += term
+    return 1 - total
+
+
 def marcum_q1_mpmath(a: float, b: float) -> float:
     """Poisson-mixture series of the Marcum Q function in 50-digit arithmetic.
 
     With ``x = a^2/2`` and ``y = b^2/2`` the sum covers the indices
     ``x +- (14 sqrt(x) + 30)``, which leave out less than 1e-40 of the
-    mixture; the pmfs and the incomplete-gamma cdf at the first index are
-    formed directly in 50 digits and carried upward by the exact
-    recurrences.
+    mixture; the pmfs at the first index are formed directly in 50 digits,
+    the cdf there by :func:`_poisson_cdf_mpmath`, and all three are carried
+    upward by the exact recurrences.  (``mpmath.gammainc`` does not converge
+    at some of these arguments, such as ``Q1(372.75, 392.64)``.)
     """
     import mpmath
 
@@ -137,7 +163,7 @@ def marcum_q1_mpmath(a: float, b: float) -> float:
         j0 = max(0, int(x) - half)
         pmf_x = mpmath.exp(-x + j0 * mpmath.log(x) - mpmath.loggamma(j0 + 1))
         pmf_y = mpmath.exp(-y + j0 * mpmath.log(y) - mpmath.loggamma(j0 + 1))
-        cdf_y = mpmath.gammainc(j0 + 1, y, regularized=True)
+        cdf_y = _poisson_cdf_mpmath(j0, y, pmf_y)
         total = pmf_x * cdf_y
         for j in range(j0 + 1, int(x) + half + 1):
             pmf_x = pmf_x * x / j

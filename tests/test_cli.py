@@ -1292,15 +1292,36 @@ PACKAGE_ALL = [
 ]
 
 
-def test_package_is_the_production_path_only():
+#: SpM at lambda_M = 1e-7, so a = 1/(2 sigma sqrt(lambda_M)) is ~316, 158, 79
+#: and 10.5: the sweep's tails take windowed Marcum lanes at sigma <= 20 m.
+WINDOWED_SWEEP_INI = """[deployment]
+lambda_s_per_m2 = 1e-6
+
+[experiment]
+pair = SpM
+
+[sweep]
+axis = sigma
+values = 5, 10, 20, 150
+"""
+
+
+def test_package_is_the_production_path_only(tmp_path):
     # The tests' quadrature and 50-digit oracles stay out of a CLI run, and
-    # so do the special functions, KD-tree class and process pool that the
-    # package imports on first use.
-    code = (
-        "import sys, hetnet_handover.cli; print(sorted({'scipy.integrate', 'mpmath', "
-        "'scipy.special', 'scipy.spatial', 'concurrent.futures'} & set(sys.modules)))"
+    # so do the KD-tree class and process pool that the package imports on
+    # first use, and all of scipy.special, also once `analyze` has taken
+    # windowed Marcum lanes.
+    modules = (
+        "sorted({'scipy.integrate', 'mpmath', 'scipy.special', 'scipy.spatial', "
+        "'concurrent.futures'} & set(sys.modules))"
     )
-    assert fresh_python(code) == "[]\n"
+    assert fresh_python(f"import sys, hetnet_handover.cli; print({modules})") == "[]\n"
+    config = tmp_path / "windowed.ini"
+    config.write_text(WINDOWED_SWEEP_INI, encoding="utf-8")
+    code = f"import sys; from hetnet_handover import cli; cli.main(sys.argv[1:]); print({modules})"
+    out = fresh_python(code, "analyze", "--config", str(config)).splitlines()
+    assert out[-1] == "[]"
+    assert sum(line.startswith("SpM,") for line in out) == 4
     assert hetnet_handover.__all__ == PACKAGE_ALL
     with pytest.raises(SystemExit) as exc:
         main(["fixtures"])
@@ -1323,9 +1344,8 @@ def test_simulate_loads_no_scipy_spatial():
 
 
 def test_analyze_demo_sweep_loads_no_scipy():
-    # The demo sweep takes no windowed Marcum lane, and the closed forms
-    # find no nearest base station, so a fresh `analyze` never imports
-    # scipy.special or scipy.spatial.  Its
+    # The closed forms use no scipy and find no nearest base station, so a
+    # fresh `analyze` never imports scipy.special or scipy.spatial.  Its
     # bytes are the SpS digest of test_command_output_bytes_are_pinned.
     code = (
         "import sys; from hetnet_handover import cli; cli.main(sys.argv[1:]); "

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,9 +65,30 @@ SCALAR_PIN = (
 )
 #: Large-a points: the windowed route for every b in a +- 30.
 LARGE_A = (40.0, 79.0, 200.0, 316.0)
-#: float.hex of marcum_q1(79.0, 80.0), a windowed point.  No PIN_A row is
-#: windowed: its largest x = a^2/2 is 684.5, and its b > 37 are series-routed.
-WINDOWED_PIN = "0x1.480d7682748b9p-3"
+#: float.hex of marcum_q1(79.0, 80.0), a windowed point, 3.3e-16 from the
+#: 50-digit value (the incomplete-gamma start it replaces was 5.0e-15 off).
+#: No PIN_A row is windowed: its largest x = a^2/2 is 684.5, and its b > 37
+#: are series-routed.
+WINDOWED_PIN = "0x1.480d768274978p-3"
+#: Builds ``values``: the bits of a windowed Marcum lane and of the closed
+#: forms at a windowed envelope point (lambda_S = 1e-6, sigma = 5 m, so
+#: a = 100 for SpS and ~316 for SpM).
+WINDOWED_VALUES = """
+import dataclasses
+from hetnet_handover import fixtures
+from hetnet_handover.geometry import Region
+from hetnet_handover.simengine import SimConfig, analytic_metrics
+from hetnet_handover.specfun import marcum_q1
+cfg = SimConfig.with_default_ratios(
+    region=Region(0.0, 5000.0, 0.0, 5000.0), macro=fixtures.default_macro_params(),
+    small=fixtures.default_small_params(), hotspot=fixtures.default_hotspot_params(),
+    lambda_s=1e-6, sigma=5.0, mobility=fixtures.default_mobility(),
+    thresholds=fixtures.default_thresholds(),
+)
+values = [marcum_q1(79.0, 80.0).hex()] + [
+    v.hex() for m in analytic_metrics(cfg).values() for v in dataclasses.astuple(m)[1:]
+]
+"""
 
 #: At x = a^2/2 = 68.79598662207358 rounding stalls 1 - sum(pmf) above the
 #: series tolerance: the accumulated Poisson(x) mass never passes 1 - 1e-15.
@@ -134,17 +156,18 @@ class TestMarcumQ1:
     def test_pinned_large_a_value(self):
         assert marcum_q1(79.0, 80.0) == pytest.approx(pin("marcum_q1_at_79_80"), rel=1e-12)
 
-    def test_windowed_route_imports_scipy_special_cold(self):
-        # scipy.special loads on the first windowed lane.  This process has
-        # loaded it already (the oracles use it), so the cold import runs in
-        # a fresh interpreter, and must not move a bit.
+    def test_windowed_route_runs_without_scipy(self):
+        # The windowed lanes need no scipy: in a fresh interpreter where
+        # `import scipy` fails, they run and keep the bits they have here,
+        # where the oracles have loaded scipy.
         code = (
-            "import sys; from hetnet_handover.specfun import marcum_q1; "
-            "cold = 'scipy.special' not in sys.modules; "
-            "print(cold, marcum_q1(79.0, 80.0).hex(), 'scipy.special' in sys.modules)"
+            "import sys\nsys.modules['scipy'] = None\n" + WINDOWED_VALUES
+            + "print(' '.join(values), sorted(k for k in sys.modules if k.startswith('scipy.')))"
         )
-        assert fresh_python(code) == f"True {WINDOWED_PIN} True\n"
-        assert marcum_q1(79.0, 80.0) == float.fromhex(WINDOWED_PIN)
+        namespace = {}
+        exec(WINDOWED_VALUES, namespace)
+        assert namespace["values"][0] == WINDOWED_PIN
+        assert fresh_python(code) == " ".join(namespace["values"]) + " []\n"
 
     def test_edge_cases(self):
         assert marcum_q1(1.3, 0.0) == pytest.approx(1.0)
@@ -160,6 +183,9 @@ class TestMarcumQ1:
         assert marcum_q1(1e155, 1e155) == 0.5
         assert marcum_q1(1e300, (1e300, 5.0, 1e301)) == (0.5, 1.0, 0.0)
         assert marcum_q1(1.0, sys.float_info.max) == 0.0
+        # Windowed a with b^2/2 finite but 2^53 times the window's start:
+        # the log-domain pmf start stays defined.
+        assert marcum_q1(50.0, (1e150, 1e10, 1.3e154)) == (0.0, 0.0, 0.0)
         # Above a = 400, b farther than ~8.3 from a: the same limits, within
         # 1e-15 of the 50-digit value, and with no O(a) window at a = 1e12.
         for a in (400.5, 1e4, 1e12):
@@ -206,6 +232,48 @@ class TestMarcumQ1:
             assert marcum_q1(a, b) == pytest.approx(
                 marcum_q1_mpmath(a, b), rel=1e-12
             ), (a, b)
+
+    @given(
+        case=st.floats(min_value=37.5, max_value=400.0).flatmap(
+            lambda a: st.tuples(
+                st.just(a),
+                st.one_of(
+                    st.floats(min_value=max(a - 30.0, 0.0), max_value=a + 30.0),
+                    st.floats(min_value=0.0, max_value=a, exclude_max=True),
+                ),
+            )
+        )
+    )
+    # Near Q1 = 1 the complement lanes round to exactly 1, as the oracle does.
+    @example(case=(400.0, 391.0))
+    @example(case=(316.2, 300.0))
+    # The oracle's start cdf where mpmath.gammainc does not converge.
+    @example(case=(372.7516261342817, 392.6430955217904))
+    @settings(max_examples=40, deadline=None)
+    def test_windowed_route_matches_50_digit_series(self, case):
+        a, b = case
+        q, ref = marcum_q1(a, b), marcum_q1_mpmath(a, b)
+        assert type(q) is float  # not a NumPy scalar, whose repr differs
+        if ref >= 1e-10:
+            assert q == pytest.approx(ref, rel=1.2e-12, abs=0.0), (a, b)
+        else:
+            assert q == pytest.approx(ref, rel=0.0, abs=1.3e-23), (a, b)
+
+    def test_windowed_complement_rounds_to_one(self):
+        for a, b in ((400.0, 391.0), (316.2, 300.0)):
+            assert marcum_q1(a, b) == marcum_q1_mpmath(a, b) == 1.0, (a, b)
+
+    def test_windowed_memory_is_bounded(self):
+        # At a = 1e5 the window holds ~1.7e6 indices, walked in chunks of
+        # _WINDOW_CHUNK: the traced peak stays far below one window's array.
+        tracemalloc.start()
+        try:
+            q = marcum_q1(1e5, 1e5 + 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert q == pytest.approx(stats.ncx2.sf((1e5 + 1.0) ** 2, 2, 1e10), rel=1e-10)
 
     @given(
         a=st.floats(min_value=0.0, max_value=400.0),
