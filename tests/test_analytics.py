@@ -475,10 +475,9 @@ class TestRates:
 #: float.hex of ``analytic_metrics`` at every 42nd point of the 504-point
 #: envelope grid (lambda_S, sigma, V km/h, T, T_p), recorded before the
 #: hotspot tails shared one Marcum-Q call: per point the SM, SpS and SpM
-#: rows of (H_t, H, H_f, H_p).  The windowed NumPy lanes moved two rows, the
-#: SpM row at (2e-6, 20 m) and the SpS row at (5e-6, 5 m).  Their tails at T
-#: now round to 1, as the 50-digit oracle's do, so ``H`` equals ``H_t`` and
-#: ``H_f`` is 0, the oracle's values, where they were up to 7e-17 and 2e-14 off.
+#: rows of (H_t, H, H_f, H_p).  In the SpM row at (2e-6, 20 m) and the SpS
+#: row at (5e-6, 5 m) the windowed tails at T round to 1, as the 50-digit
+#: oracle's do, so ``H`` equals ``H_t`` and ``H_f`` is 0.
 ENVELOPE_PIN = (
     ((1e-06, 5.0, 5.0, 0.5, 2.0), (
         "0x1.1b2e07246c22fp-11", "0x1.1b2dbde3bf1f0p-11", "0x1.414845d428d39p-18", "0x1.9cb9c9b6da5bbp-25",

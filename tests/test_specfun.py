@@ -66,7 +66,7 @@ SCALAR_PIN = (
 #: Large-a points: the windowed route for every b in a +- 30.
 LARGE_A = (40.0, 79.0, 200.0, 316.0)
 #: float.hex of marcum_q1(79.0, 80.0), a windowed point, 3.3e-16 from the
-#: 50-digit value (the incomplete-gamma start it replaces was 5.0e-15 off).
+#: 50-digit value.
 #: No PIN_A row is windowed: its largest x = a^2/2 is 684.5, and its b > 37
 #: are series-routed.
 WINDOWED_PIN = "0x1.480d768274978p-3"
