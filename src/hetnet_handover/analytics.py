@@ -204,7 +204,8 @@ def _sojourn_tails(pair, tails, velocity, lam, sigma) -> tuple:
         SPS, SPM:  Q1( 1/(2 sigma sqrt(lam)), 2 t V (1-u) / (pi sigma sqrt(u)) )
 
     with ``V = velocity``; ``t = 0`` gives exactly 1.  The Marcum tails of a
-    hotspot pair share ``a`` and are taken in one :func:`marcum_q1` call.
+    hotspot pair share ``a`` and are taken in one :func:`marcum_q1` call,
+    which walks the Poisson(x) weights of ``a`` once for all of them.
     Only ``lam`` and ``sigma`` are checked here: `compute_metrics` has
     checked each ``u``, and its thresholds and mobility refuse a negative
     ``t`` and a non-positive ``velocity``.
@@ -253,7 +254,7 @@ def compute_metrics(
     density and ``sigma`` the hotspot scatter.
     With the sojourn tail ``P(S >= t | u)`` of :func:`_sojourn_tails`, each
     factor is evaluated once, and a hotspot pair's three Marcum-Q tails in one
-    :func:`marcum_q1` call that shares their Poisson(x) series:
+    :func:`marcum_q1` call that walks their Poisson(x) weights once:
 
         H_t = (2 / A) g(u) N E[R] / (1/V + pause/E[L'])
         H   = H_t P(S >= T | u)

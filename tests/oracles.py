@@ -149,10 +149,12 @@ def marcum_q1_mpmath(a: float, b: float) -> float:
 
     With ``x = a^2/2`` and ``y = b^2/2`` the sum covers the indices
     ``x +- (14 sqrt(x) + 30)``, which leave out less than 1e-40 of the
-    mixture; the pmfs at the first index are formed directly in 50 digits,
-    the cdf there by :func:`_poisson_cdf_mpmath`, and all three are carried
-    upward by the exact recurrences.  (``mpmath.gammainc`` does not converge
-    at some of these arguments, such as ``Q1(372.75, 392.64)``.)
+    mixture; the pmfs at the first index are formed directly in 50 digits
+    (``e^{-x}`` and ``e^{-y}`` at index 0, so ``a = 0`` gives ``e^{-b^2/2}``
+    and ``b = 0`` gives 1), the cdf there by :func:`_poisson_cdf_mpmath`, and
+    all three are carried upward by the exact recurrences.
+    (``mpmath.gammainc`` does not converge at some of these arguments, such
+    as ``Q1(372.75, 392.64)``.)
     """
     import mpmath
 
@@ -161,8 +163,10 @@ def marcum_q1_mpmath(a: float, b: float) -> float:
         y = mpmath.mpf(b) ** 2 / 2
         half = int(14 * mpmath.sqrt(x)) + 30
         j0 = max(0, int(x) - half)
-        pmf_x = mpmath.exp(-x + j0 * mpmath.log(x) - mpmath.loggamma(j0 + 1))
-        pmf_y = mpmath.exp(-y + j0 * mpmath.log(y) - mpmath.loggamma(j0 + 1))
+        pmf_x, pmf_y = (
+            mpmath.exp(-m) if j0 == 0 else mpmath.exp(-m + j0 * mpmath.log(m) - mpmath.loggamma(j0 + 1))
+            for m in (x, y)
+        )
         cdf_y = _poisson_cdf_mpmath(j0, y, pmf_y)
         total = pmf_x * cdf_y
         for j in range(j0 + 1, int(x) + half + 1):

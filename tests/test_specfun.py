@@ -31,47 +31,46 @@ PIN_B = (0.0, 0.2, 1.0, 3.0, 10.0, 36.0, 50.0)
 #: b in PIN_B (columns).
 SCALAR_PIN = (
     (
-        "0x1.0000000000000p+0", "0x1.f5dc99badec5bp-1", "0x1.368b2fc6f960ap-1", "0x1.6c0504695c417p-7",
-        "0x1.d257d547e083fp-73", "0x1.18d77b8a44ad7p-935", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.f5dc99badec5cp-1", "0x1.368b2fc6f960ap-1", "0x1.6c0504695c416p-7",
+        "0x1.d257d547e0838p-73", "0x1.18d77b8a44ad7p-935", "0x0.0p+0",
     ),
     (
-        "0x1.ffffffffffffbp-1", "0x1.f64db10f32e8ap-1", "0x1.3d6a0ed83630bp-1", "0x1.b7cdb25293ffbp-7",
-        "0x1.16b832692d281p-70", "0x1.6e0a96f5975ddp-923", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.f64db10f32e91p-1", "0x1.3d6a0ed83630fp-1", "0x1.b7cdb252940d9p-7",
+        "0x1.16b83435fde79p-70", "0x1.8dff9442fc083p-923", "0x0.0p+0",
     ),
     (
-        "0x1.ffffffffffffcp-1", "0x1.f9d1f3ee9b784p-1", "0x1.773c058a6997fp-1", "0x1.661f0987c781bp-5",
-        "0x1.ad2e8586f5beep-62", "0x1.9dd3e40ec80b6p-892", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.f9d1f3ee9b789p-1", "0x1.773c058a69983p-1", "0x1.661f0987c785bp-5",
+        "0x1.ad2eca432d417p-62", "0x1.65f8174b3e844p-888", "0x0.0p+0",
     ),
     (
-        "0x1.ffffffffffffap-1", "0x1.ff8a60967d705p-1", "0x1.ef02a752d9d1dp-1", "0x1.8209a10423eb8p-2",
-        "0x1.22b64f163f007p-44", "0x1.572ff3a4fa4dbp-832", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.ff8a60967d70bp-1", "0x1.ef02a752d9d20p-1", "0x1.8209a10423ec5p-2",
+        "0x1.22b67a475d3a7p-44", "0x1.c55433dfa991ep-815", "0x0.0p+0",
     ),
     (
-        "0x1.ffffffffffffap-1", "0x1.fffffffffebccp-1", "0x1.fffffffd01a5dp-1", "0x1.fffd5f102c3dbp-1",
-        "0x1.ad9d1b6d775dcp-10", "0x1.3a5da0b1d11cep-653", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.fffffffffebd1p-1", "0x1.fffffffd01a63p-1", "0x1.fffd5f102c3e2p-1",
+        "0x1.ad9d1b6d7816fp-10", "0x1.749528b9b9b4ap-618", "0x0.0p+0",
     ),
     (
-        "0x1.ffffffffffffbp-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffffbp-1", "0x1.ffffffffffffbp-1",
-        "0x1.fffff836bffa6p-1", "0x1.62e4507d0ad7bp-351", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.ffffffffffffep-1", "0x1.ffffffffffffcp-1", "0x1.ffffffffffffcp-1",
+        "0x1.fffff836bffadp-1", "0x1.35e0c082a40cfp-325", "0x0.0p+0",
     ),
     (
-        "0x1.ffffffffffff7p-1", "0x1.ffffffffffff4p-1", "0x1.ffffffffffff7p-1", "0x1.ffffffffffff7p-1",
-        "0x1.ffffffffffff4p-1", "0x1.29c303e021c0dp-30", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.29c308abb8882p-30", "0x1.5e55e8d86652fp-297",
     ),
     (
-        "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1", "0x1.ffffffffffff8p-1",
-        "0x1.ffffffffffff7p-1", "0x1.b0744dba06d74p-1", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.b0744dba06d67p-1", "0x1.35fc451c57937p-127",
     ),
 )
-#: Large-a points: the windowed route for every b in a +- 30.
+#: Large-a points, whose windows start in the log domain (x - 12 sqrt(x) >= 16)
+#: and hold up to ~5 400 indices, each compared for every b in a +- 30.
 LARGE_A = (40.0, 79.0, 200.0, 316.0)
-#: float.hex of marcum_q1(79.0, 80.0), a windowed point, 3.3e-16 from the
+#: float.hex of marcum_q1(79.0, 80.0), a large-a point, 3.3e-16 from the
 #: 50-digit value.
-#: No PIN_A row is windowed: its largest x = a^2/2 is 684.5, and its b > 37
-#: are series-routed.
 WINDOWED_PIN = "0x1.480d768274978p-3"
-#: Builds ``values``: the bits of a windowed Marcum lane and of the closed
-#: forms at a windowed envelope point (lambda_S = 1e-6, sigma = 5 m, so
+#: Builds ``values``: the bits of a large-a Marcum tail and of the closed
+#: forms at a large-a envelope point (lambda_S = 1e-6, sigma = 5 m, so
 #: a = 100 for SpS and ~316 for SpM).
 WINDOWED_VALUES = """
 import dataclasses
@@ -90,15 +89,16 @@ values = [marcum_q1(79.0, 80.0).hex()] + [
 ]
 """
 
-#: At x = a^2/2 = 68.79598662207358 rounding stalls 1 - sum(pmf) above the
-#: series tolerance: the accumulated Poisson(x) mass never passes 1 - 1e-15.
+#: At x = a^2/2 = 68.79598662207358 rounding stalls 1 - sum(pmf): a Poisson(x)
+#: sum from j = 0 never passes 1 - 1e-15, so no mass test may end a walk.
 STALLED_A = math.sqrt(2.0 * 68.79598662207358)
 
 
 @st.composite
 def a_and_bs(draw):
-    """A scalar ``a`` with one to five ``b`` that mix both routes, lanes of
-    different length (``b > a``) and ``b = 0`` (a zero sojourn threshold)."""
+    """A scalar ``a`` with one to five ``b`` that mix windows from 0 and from
+    the log domain, runs of different length (``b > a``) and ``b = 0`` (a
+    zero sojourn threshold)."""
     a = draw(st.one_of(
         st.floats(min_value=0.0, max_value=40.0),
         st.floats(min_value=36.0, max_value=120.0),
@@ -157,8 +157,8 @@ class TestMarcumQ1:
         assert marcum_q1(79.0, 80.0) == pytest.approx(pin("marcum_q1_at_79_80"), rel=1e-12)
 
     def test_windowed_route_runs_without_scipy(self):
-        # The windowed lanes need no scipy: in a fresh interpreter where
-        # `import scipy` fails, they run and keep the bits they have here,
+        # marcum_q1 needs no scipy: in a fresh interpreter where
+        # `import scipy` fails, it runs and keeps the bits it has here,
         # where the oracles have loaded scipy.
         code = (
             "import sys\nsys.modules['scipy'] = None\n" + WINDOWED_VALUES
@@ -221,7 +221,7 @@ class TestMarcumQ1:
 
     def test_large_b_near_a_matches_noncentral_chi2(self):
         # a <= ~37.4 but b^2/2 > 700 with b - a below the negligible gap:
-        # e^{-b^2/2} is subnormal, so these take the windowed route too.
+        # e^{-b^2/2} is subnormal, so each b's run starts in the log domain.
         for a in (29.5, 33.0, 36.0, 37.4):
             for b in np.linspace(37.5, a + 8.3, 9):
                 ref = stats.ncx2.sf(b * b, 2, a * a)
@@ -234,12 +234,12 @@ class TestMarcumQ1:
             ), (a, b)
 
     @given(
-        case=st.floats(min_value=37.5, max_value=400.0).flatmap(
+        case=st.floats(min_value=0.0, max_value=400.0).flatmap(
             lambda a: st.tuples(
                 st.just(a),
                 st.one_of(
                     st.floats(min_value=max(a - 30.0, 0.0), max_value=a + 30.0),
-                    st.floats(min_value=0.0, max_value=a, exclude_max=True),
+                    st.floats(min_value=0.0, max_value=a),
                 ),
             )
         )
@@ -249,8 +249,12 @@ class TestMarcumQ1:
     @example(case=(316.2, 300.0))
     # The oracle's start cdf where mpmath.gammainc does not converge.
     @example(case=(372.7516261342817, 392.6430955217904))
+    # A small tail (5.6e-10) of a window from 0, and the stalled x.
+    @example(case=(25.0, 31.108835912246793))
+    @example(case=(STALLED_A, 30.0))
+    @example(case=(STALLED_A, 3000.0))
     @settings(max_examples=40, deadline=None)
-    def test_windowed_route_matches_50_digit_series(self, case):
+    def test_matches_50_digit_series(self, case):
         a, b = case
         q, ref = marcum_q1(a, b), marcum_q1_mpmath(a, b)
         assert type(q) is float  # not a NumPy scalar, whose repr differs
@@ -312,14 +316,14 @@ class TestMarcumQ1:
                 assert tuple(q.hex() for q in triple) == row[k : k + 3], (a, k)
 
     @given(case=a_and_bs())
-    # Series lanes of different length, the stalled x, a zero b.
+    # Runs of different length, the stalled x, a zero b.
     @example(case=(STALLED_A, (0.0, 5.0, 30.0)))
-    # Windowed by a, and windowed by b within the gap of a.
+    # Runs from the log domain, by a and by b within the gap of a.
     @example(case=(79.0, (70.0, 80.0, 95.0)))
     @example(case=(33.0, (37.5, 40.0, 41.0)))
-    # Both routes in one tuple: falls back to one b at a time.
+    # Runs from 0, from the log domain and past the window in one tuple.
     @example(case=(33.0, (2.0, 40.0, 60.0, 39.0)))
-    # An overflowing b among series lanes.
+    # An overflowing b, which takes the limit, among summed lanes.
     @example(case=(3.0, (1e200, 2.0, 4.0)))
     @settings(max_examples=200, deadline=None)
     def test_tuple_bits_equal_one_b_calls(self, case):
@@ -331,20 +335,17 @@ class TestMarcumQ1:
             with pytest.raises(ValueError):
                 marcum_q1(1.0, bs)
 
-    def test_underflowed_pmf_ends_the_series(self, monkeypatch):
-        # j_max grows like b^2/2 (4.5e6 terms at b = 3000), and at the stalled
-        # x the mass test never fires: the series ends where the Poisson(x)
-        # pmf has underflowed to 0, after which every term adds exactly 0.
-        pmfs = []
-        converged = specfun._float_converged
+    def test_far_b_walks_only_the_window(self, monkeypatch):
+        # y = b^2/2 = 4.5e6 lies far above the window of the stalled x, where
+        # Q1 underflows: the lane's run covers the window alone, so the walk
+        # stays short however large b is.
+        walks = []
+        chunks = specfun._pmf_chunks
 
-        def recording(pois, pois_cum):
-            pmfs.append(pois)
-            return converged(pois, pois_cum)
+        def recording(means, firsts, lo, hi):
+            walks.append(hi - lo)
+            return chunks(means, firsts, lo, hi)
 
-        monkeypatch.setattr(specfun, "_float_converged", recording)
+        monkeypatch.setattr(specfun, "_pmf_chunks", recording)
         assert marcum_q1(STALLED_A, 3000.0) == 0.0
-        assert marcum_q1(STALLED_A, 30.0) == float.fromhex("0x1.4c3a8ba2eba57p-246")
-        assert pmfs[-1] == 0.0
-        assert len(pmfs) < 2000
-
+        assert walks and max(walks) < 2000
