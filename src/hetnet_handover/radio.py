@@ -113,11 +113,15 @@ def boundary_factors(
     ``xi_f = xi * q_out ** (2 / alpha_target)``, and the flattening factor
     ``lam = (x^2 + y^2) ** (alpha_serving / alpha_target - 1)`` is 1 for
     equal exponents.  This is the one computation of the three factors.
+    The flattening factor and the log-domain branch take libm's ``pow``,
+    ``log`` and ``exp`` per element (:func:`_libm`), and the rest is IEEE
+    ``*`` and ``+``, so the factors' bits do not depend on the SIMD code that
+    NumPy dispatches on the CPU.
     """
     if q_out_linear <= 0:
         raise ValueError(f"q_out must be a positive linear ratio, got {q_out_linear}")
     r2 = tx * tx + ty * ty
-    if np.any(r2 == 0.0):
+    if (r2 == 0.0).any():
         raise ValueError("target must not sit on the serving BS (origin)")
     power = 2.0 / target.pathloss_exponent
     xi = (target.linear_prefactor / serving.linear_prefactor) ** power
@@ -129,11 +133,32 @@ def boundary_factors(
         if xi_f == 0.0 and exponent > 0.0:
             # xi_f underflowed, yet lam may overflow, and inf * 0 has no
             # value: the products are taken in logs instead.
-            log_u = exponent * np.log(r2) + power * (
+            log_u = exponent * _libm(math.log, r2) + power * (
                 math.log(target.linear_prefactor) - math.log(serving.linear_prefactor))
-            return np.exp(log_u), np.exp(log_u + power * math.log(q_out_linear))
-        lam = r2 ** exponent
+            log_u_f = log_u + power * math.log(q_out_linear)
+            return _libm(math.exp, log_u), _libm(math.exp, log_u_f)
+        if exponent == 0.0:
+            lam = np.ones_like(r2)
+        else:
+            lam = _libm(lambda r: math.pow(r, exponent), r2)
         return lam * xi, lam * xi_f
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function of one float, at each element of the 1-D
+    ``values``, with ``inf`` where it overflows (the enclosing limit).
+
+    NumPy's ``power``, ``log`` and ``exp`` run SIMD code chosen for the CPU
+    (AVX-512 differs from libm's ``pow`` in the last bit at ~5 % of
+    arguments), while ``math`` calls libm on every CPU.
+    """
+    def at(v: float) -> float:
+        try:
+            return fn(v)
+        except OverflowError:
+            return math.inf
+
+    return np.array([at(v) for v in values.tolist()], dtype=float)
 
 
 def boundary_domain(u, u_f) -> tuple:

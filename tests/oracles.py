@@ -53,12 +53,14 @@ def reference_config(master_seed: int = 0) -> se.SimConfig:
     return dataclasses.replace(load_config(REFERENCE_INI).base, master_seed=master_seed)
 
 
-def fresh_python(code: str, *argv: str, timeout: float | None = None) -> str:
+def fresh_python(code: str, *argv: str, timeout: float | None = None, env: dict | None = None) -> str:
     """Standard output of ``python -c code *argv`` in a new interpreter that
-    imports the package under test; past ``timeout`` seconds it is killed
-    and `subprocess.TimeoutExpired` raised."""
+    imports the package under test, with the variables ``env`` added to its
+    environment; past ``timeout`` seconds it is killed and
+    `subprocess.TimeoutExpired` raised."""
     src = str(Path(se.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True,
         timeout=timeout,

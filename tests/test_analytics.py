@@ -1,8 +1,10 @@
 """Distance laws and closed-form handover rates, each checked by a second route."""
 
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from hetnet_handover.specfun import marcum_q1
 
 from oracles import (
     cluster_mean_rician_mixture,
+    fresh_python,
     mean_cluster_distance_expsum,
     mean_cluster_distance_ub,
     pin,
@@ -45,6 +48,13 @@ from oracles import (
     rician_mean,
     rician_pdf,
 )
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as _CPU_DISPATCH
+    from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__ as _CPU_DISPATCH
+    from numpy.core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
 
 MOBILITY = default_mobility()
 THRESHOLDS = default_thresholds()
@@ -92,6 +102,19 @@ def _envelope_config(lambda_s, sigma, v_kmh, t, t_p) -> SimConfig:
         sigma=sigma,
         mobility=dataclasses.replace(MOBILITY, velocity=v_kmh / 3.6),
         thresholds=HandoverThresholds(t_threshold=t, t_pingpong=t_p, q_out=THRESHOLDS.q_out),
+    )
+
+
+def _envelope_hex(point) -> tuple:
+    """``float.hex`` of ``analytic_metrics`` at an envelope point: the SM,
+    SpS and SpM rows of (H_t, H, H_f, H_p)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # real ping-pong clamps
+        metrics = analytic_metrics(_envelope_config(*point))
+    return tuple(
+        v.hex()
+        for kind in (PairKind.SM, PairKind.SPS, PairKind.SPM)
+        for v in dataclasses.astuple(metrics[kind])[1:]
     )
 
 
@@ -498,7 +521,7 @@ ENVELOPE_PIN = (
     ((5e-06, 5.0, 5.0, 0.5, 2.0), (
         "0x1.363be602cd584p-10", "0x1.363a441c58cf4p-10", "0x1.a22eb2a1eedecp-16", "0x1.2625d6f8e275ap-21",
         "0x1.0474fb952e52fp-9", "0x1.0474fb952e52fp-9", "0x0.0p+0", "0x0.0p+0",
-        "0x1.a68d63b96b874p-12", "0x1.a68d63b96b874p-12", "0x0.0p+0", "0x0.0p+0",
+        "0x1.a68d63b96b876p-12", "0x1.a68d63b96b876p-12", "0x0.0p+0", "0x0.0p+0",
     )),
     ((5e-06, 100.0, 120.0, 0.5, 2.0), (
         "0x1.5ff44c9ed0113p-6", "0x1.5bcfdab76b1abp-6", "0x1.d263f296e4a6fp-7", "0x1.45b92d0af8b3dp-8",
@@ -603,12 +626,21 @@ class TestEnvelope:
 
     def test_metrics_bits_pinned(self):
         for point, rows in ENVELOPE_PIN:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # real ping-pong clamps
-                metrics = analytic_metrics(_envelope_config(*point))
-            got = tuple(
-                v.hex()
-                for kind in (PairKind.SM, PairKind.SPS, PairKind.SPM)
-                for v in dataclasses.astuple(metrics[kind])[1:]
-            )
-            assert got == rows, point
+            assert _envelope_hex(point) == rows, point
+
+    def test_metrics_bits_do_not_depend_on_simd_dispatch(self):
+        # NumPy picks SIMD code for the CPU when it is imported; with every
+        # dispatched feature of this CPU disabled, a fresh interpreter must
+        # give the pinned points' bits that this one gives.
+        disabled = [name for name in _CPU_DISPATCH if _CPU_FEATURES.get(name)]
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_analytics import _CPU_FEATURES, ENVELOPE_PIN, _envelope_hex\n"
+            "print(json.dumps({'on': [name for name in sys.argv[1:] if _CPU_FEATURES[name]],\n"
+            "                  'hex': [_envelope_hex(point) for point, _ in ENVELOPE_PIN]}))\n"
+        )
+        out = json.loads(fresh_python(
+            code, *disabled, env={"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}))
+        assert out["on"] == []
+        assert [tuple(rows) for rows in out["hex"]] == [_envelope_hex(p) for p, _ in ENVELOPE_PIN]
