@@ -1,6 +1,8 @@
 """Distance laws and closed-form handover rates, each checked by a second route."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -566,6 +568,18 @@ ENVELOPE_PIN = (
 )
 
 
+#: The 504-point envelope grid: lambda_S x sigma (m) x V (km/h) x (T, T_p) (s).
+ENVELOPE_GRID = (
+    (1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 4e-4),
+    (5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 250.0),
+    (5.0, 60.0, 120.0),
+    ((0.5, 2.0), (1.0, 4.0), (2.0, 8.0)),
+)
+#: sha256 of one line per grid point, in grid order: the point's repr and
+#: the float.hex of its 12 metrics (:func:`_envelope_hex`).
+ENVELOPE_GRID_SHA256 = "3fd02020e97962bd496fa4c7e4cc432a398c7a4b16e60043905da52ed6f4673b"
+
+
 class TestEnvelope:
     """The closed forms over the documented envelope: lambda_S in [1e-6, 4e-4],
     sigma in [5, 250] m, V in [5, 120] km/h, T in [0.5, 2] s, T_p in [2, 8] s,
@@ -627,6 +641,14 @@ class TestEnvelope:
     def test_metrics_bits_pinned(self):
         for point, rows in ENVELOPE_PIN:
             assert _envelope_hex(point) == rows, point
+
+    def test_grid_bits_pinned(self):
+        lines = []
+        for lambda_s, sigma, v_kmh, (t, t_p) in itertools.product(*ENVELOPE_GRID):
+            point = (lambda_s, sigma, v_kmh, t, t_p)
+            lines.append(f"{point!r} {' '.join(_envelope_hex(point))}\n")
+        assert len(lines) == 504
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == ENVELOPE_GRID_SHA256
 
     def test_metrics_bits_do_not_depend_on_simd_dispatch(self):
         # NumPy picks SIMD code for the CPU when it is imported; with every

@@ -69,6 +69,10 @@ LARGE_A = (40.0, 79.0, 200.0, 316.0)
 #: float.hex of marcum_q1(79.0, 80.0), a large-a point, 3.3e-16 from the
 #: 50-digit value.
 WINDOWED_PIN = "0x1.480d768274978p-3"
+#: float.hex of marcum_q1(1000.0, (995.0, 1000.0, 1007.0)), whose window of
+#: ~17 000 Poisson(x) indices spans three chunks of ``_WINDOW_CHUNK``.
+MULTI_CHUNK_A, MULTI_CHUNK_B = 1000.0, (995.0, 1000.0, 1007.0)
+MULTI_CHUNK_PIN = ("0x1.fffff6681340dp-1", "0x1.001a252442f48p-1", "0x1.6984c0773e832p-40")
 #: Builds ``values``: the bits of a large-a Marcum tail and of the closed
 #: forms at a large-a envelope point (lambda_S = 1e-6, sigma = 5 m, so
 #: a = 100 for SpS and ~316 for SpM).
@@ -315,6 +319,12 @@ class TestMarcumQ1:
                 triple = marcum_q1(a, PIN_B[k : k + 3])
                 assert tuple(q.hex() for q in triple) == row[k : k + 3], (a, k)
 
+    def test_multi_chunk_bits_pinned(self):
+        j0, j_end = specfun._span(MULTI_CHUNK_A * MULTI_CHUNK_A / 2.0)
+        assert j_end - j0 > 2 * specfun._WINDOW_CHUNK
+        out = marcum_q1(MULTI_CHUNK_A, MULTI_CHUNK_B)
+        assert tuple(q.hex() for q in out) == MULTI_CHUNK_PIN
+
     @given(case=a_and_bs())
     # Runs of different length, the stalled x, a zero b.
     @example(case=(STALLED_A, (0.0, 5.0, 30.0)))
@@ -325,6 +335,8 @@ class TestMarcumQ1:
     @example(case=(33.0, (2.0, 40.0, 60.0, 39.0)))
     # An overflowing b, which takes the limit, among summed lanes.
     @example(case=(3.0, (1e200, 2.0, 4.0)))
+    # Lanes whose carries cross three chunks.
+    @example(case=(MULTI_CHUNK_A, MULTI_CHUNK_B))
     @settings(max_examples=200, deadline=None)
     def test_tuple_bits_equal_one_b_calls(self, case):
         a, bs = case
