@@ -7,7 +7,11 @@ It sums only the window of indices where the Poisson mixture has its mass, in
 NumPy chunks of bounded size that carry the Poisson(x) weights and every
 ``b`` of a call as rows of one array, with every Poisson pmf and cdf formed
 in-house (no incomplete gamma function); where ``Q1`` is near 1 it sums its
-complement.  The function is defined for every finite ``a, b >= 0``.
+complement.  The function is defined for every finite ``a, b >= 0``.  The
+NumPy work is only ``+``, ``*``, ``/``, ``cumsum``, ``cumprod`` and pairwise
+``sum``, all correctly rounded or in a fixed order, so the bits do not depend
+on the SIMD code that NumPy dispatches on the CPU; ``exp`` and ``log`` are
+libm's, from ``math``.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ def _pmf_chunks(means, firsts, lo: int, hi: int):
             ratios[:, 0] = firsts
         else:
             ratios[:, 0] *= last
-        pmf = np.cumprod(ratios, axis=1)
+        pmf = ratios.cumprod(axis=1)
         last = pmf[:, -1]
         yield start, pmf
 
@@ -129,29 +133,36 @@ def _windowed_sums(x: float, ys: list) -> list:
         cdf = 0.0
         if y > j0 and lo < j0:
             for _start, pmf in _pmf_chunks(np.array([[y]]), [_pmf_at(lo, y)], lo, j0):
-                cdf += float(np.sum(pmf))
+                cdf += float(pmf.sum())
             firsts.append(y / j0 * float(pmf[0, -1]))
         else:
             firsts.append(_pmf_at(j0, y))
         cdfs.append(cdf)
         divides.append(y > j0 and lo <= j_end)
         ends.append(max(j_end, hi) if divides[-1] else j_end)
+    # Per lane: its last index and whether it sums the complement.
+    lanes = [(end, y <= j0) for y, end in zip(ys, ends)]
     sums = [0.0] * len(ys)
     w_cum = 0.0
     means = np.array([x, *ys])[:, None]
     for start, pmf in _pmf_chunks(means, firsts, j0, max(ends) + 1):
         w = pmf[0, : max(j_end + 1 - start, 0)]
-        w_cums = w_cum + np.cumsum(w)
-        for k, y in enumerate(ys):
-            p = pmf[k + 1, : max(ends[k] + 1 - start, 0)]
-            if not len(p):
+        w_cums = w.cumsum()
+        if w_cum:  # adding the first chunk's carry, +0.0, changes no bit
+            w_cums += w_cum
+        for k, (end, complement) in enumerate(lanes):
+            n = end + 1 - start
+            if n <= 0:
                 continue
-            if y <= j0:
-                sums[k] += float(p[0]) * w_cum + float(np.sum(p[1:] * w_cums[:-1]))
+            p = pmf[k + 1, :n]
+            if complement:
+                sums[k] += float(p[0]) * w_cum + float((p[1:] * w_cums[:-1]).sum())
             else:
-                run = cdfs[k] + np.cumsum(p)
+                run = p.cumsum()
+                if cdfs[k]:  # likewise a lane's cdf before its first index
+                    run += cdfs[k]
                 cdfs[k] = float(run[-1])
-                sums[k] += float(np.sum(w * run[: len(w)]))
+                sums[k] += float((w * run[: len(w)]).sum())
         if len(w):
             w_cum = float(w_cums[-1])
     out = []
